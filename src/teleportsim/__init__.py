@@ -8,9 +8,11 @@ sender's original as a function of the environment overlap.
 """
 
 from .envmodel import (
+    ClosedForm,
     DegenerateModelError,
     DeviationReport,
     EnvironmentModel,
+    closed_form,
     dephased_limit,
     deviation,
     deviation_closed_form_paper,
@@ -18,6 +20,7 @@ from .envmodel import (
     embed_environment,
     evolve,
     noisy_teleport,
+    printed_deviation,
     reduced_state,
     reduced_state_paper_literal,
     replica_fidelity,
@@ -76,6 +79,8 @@ __all__ = [
     "EnvironmentModel",
     "DeviationReport",
     "DegenerateModelError",
+    "ClosedForm",
+    "closed_form",
     "embed_environment",
     "evolve",
     "reduced_state",
@@ -83,6 +88,7 @@ __all__ = [
     "dephased_limit",
     "deviation",
     "deviation_closed_form_paper",
+    "printed_deviation",
     "replica_fidelity",
     "direct_report",
     "noisy_teleport",

@@ -4,12 +4,15 @@ Subcommands: ``teleport`` (ideal-protocol shot runs), ``deviation``
 (single-point report), ``sweep`` (deterministic CSV over the overlap range),
 ``paper-check`` (canonical vs printed reduced state, side by side).
 
-Exit codes: 0 success, 2 usage/validation error, 3 I/O error.
+Exit codes: 0 success, 2 usage/validation error (including a ValueError
+raised by the model's own checks), 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -17,12 +20,14 @@ import numpy as np
 
 from .envmodel import (
     EnvironmentModel,
-    deviation,
+    check_batch,
+    closed_form,
     deviation_closed_form_paper,
-    reduced_state,
+    direct_report,
+    printed_deviation,
     reduced_state_paper_literal,
 )
-from .qcore import Ket, fidelity, ket_from_amplitudes, purity, seeded_stream, to_density
+from .qcore import Ket, ket_from_amplitudes, seeded_stream
 from .teleport import enumerate_branches
 
 __all__ = ["SweepConfig", "load_config", "main", "CSV_FIELDS"]
@@ -168,17 +173,12 @@ def _state_from_args(args) -> Ket:
 
 
 def _env_from_args(args) -> EnvironmentModel:
+    if args.gamma < 0:
+        raise UsageError(f"gamma must be >= 0, got {args.gamma}")
     gamma = args.gamma * np.exp(1j * args.gamma_phase)
-    if abs(gamma) > 1.0 + 1e-12:
-        raise UsageError(f"|gamma| = {abs(gamma)} exceeds 1")
     c0 = complex(args.c0_re, args.c0_im)
     c1 = complex(args.c1_re, args.c1_im)
-    if c0 == 0 and c1 == 0:
-        raise UsageError("c0 and c1 cannot both be zero")
-    try:
-        return EnvironmentModel(complex(gamma), c0, c1)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return EnvironmentModel(complex(gamma), c0, c1)
 
 
 def _fmt_complex(z: complex) -> str:
@@ -215,15 +215,14 @@ def cmd_deviation(args) -> int:
     psi = _state_from_args(args)
     env = _env_from_args(args)
     a, b = psi.amplitudes
-    rho3 = reduced_state(a, b, env)
-    rho1 = to_density(psi)
+    report = direct_report(a, b, env)
     literal = reduced_state_paper_literal(a, b, env)
-    print(f"delta_canonical {deviation(rho3, rho1):.12g}")
+    print(f"delta_canonical {report.delta:.12g}")
     print(f"delta_paper {deviation_closed_form_paper(a, b, env):.12g}")
-    print(f"fidelity {fidelity(psi, rho3):.12g}")
-    print(f"purity {purity(rho3):.12g}")
+    print(f"fidelity {report.fidelity:.12g}")
+    print(f"purity {report.purity:.12g}")
     print("rho3 (canonical partial trace):")
-    print(_fmt_matrix(rho3.mat))
+    print(_fmt_matrix(report.rho3.mat))
     print("rho3 (printed closed form):")
     print(_fmt_matrix(literal))
     return EXIT_OK
@@ -233,20 +232,20 @@ def cmd_paper_check(args) -> int:
     psi = _state_from_args(args)
     env = _env_from_args(args)
     a, b = psi.amplitudes
-    rho3 = reduced_state(a, b, env)
-    rho1 = to_density(psi)
+    report = direct_report(a, b, env)
+    rho3 = report.rho3.mat
     literal = reduced_state_paper_literal(a, b, env)
-    diff = literal - rho3.mat
+    diff = literal - rho3
     print("rho3 (canonical partial trace):")
-    print(_fmt_matrix(rho3.mat))
-    print(f"trace_canonical {np.trace(rho3.mat).real:.12g}")
+    print(_fmt_matrix(rho3))
+    print(f"trace_canonical {np.trace(rho3).real:.12g}")
     print("rho3 (printed closed form):")
     print(_fmt_matrix(literal))
     print(f"trace_paper {np.trace(literal).real:.12g}")
     print("entrywise difference (printed - canonical):")
     print(_fmt_matrix(diff))
     print(f"max_abs_difference {np.abs(diff).max():.12g}")
-    print(f"delta_canonical {deviation(rho3, rho1):.12g}")
+    print(f"delta_canonical {report.delta:.12g}")
     print(f"delta_paper {deviation_closed_form_paper(a, b, env):.12g}")
     return EXIT_OK
 
@@ -268,43 +267,48 @@ def _sweep_config(args) -> SweepConfig:
     return cfg
 
 
-def render_sweep_csv(cfg: SweepConfig) -> str:
-    """The full CSV text for a validated config; pure function of its input."""
+def render_sweep_csv(cfg: SweepConfig, out) -> None:
+    """Write the CSV for a validated config to the text stream ``out``; the
+    bytes are a pure function of the config.
+
+    Every row comes from one batched ``closed_form`` call and one
+    ``printed_deviation`` call over the whole gamma grid, validated once as
+    a batch, then streamed out row by row."""
     a, b, c0, c1 = cfg.a, cfg.b, cfg.c0, cfg.c1
-    phase = np.exp(1j * cfg.gamma_phase)
-    psi = Ket(np.array([a, b]), ("3",))
-    rho1 = to_density(psi)
-    lines = [",".join(CSV_FIELDS)]
-    for k in range(cfg.steps):
-        t = k / (cfg.steps - 1)
-        gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t) * phase
-        env = EnvironmentModel(complex(gamma), c0, c1)
-        rho3 = reduced_state(a, b, env)
-        values = (
-            gamma.real,
-            gamma.imag,
-            c0.real,
-            c0.imag,
-            c1.real,
-            c1.imag,
-            a.real,
-            a.imag,
-            b.real,
-            b.imag,
-            deviation(rho3, rho1),
-            deviation_closed_form_paper(a, b, env),
-            fidelity(psi, rho3),
-            purity(rho3),
-        )
-        lines.append(",".join(f"{v:.17g}" for v in values))
-    return "\n".join(lines) + "\n"
+    t = np.arange(cfg.steps) / (cfg.steps - 1)
+    gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t) * np.exp(1j * cfg.gamma_phase)
+    states = closed_form(a, b, c0, c1, gamma)
+    check_batch(gamma, states)
+    columns = (
+        gamma.real,
+        gamma.imag,
+        states.delta,
+        printed_deviation(a, b, c0, c1, gamma),
+        states.fidelity,
+        states.purity,
+    )
+    # The eight input columns are the same on every row: format them once.
+    inputs = ",".join(
+        f"{v:.17g}" for z in (c0, c1, a, b) for v in (z.real, z.imag)
+    )
+    row = f"%.17g,%.17g,{inputs},%.17g,%.17g,%.17g,%.17g\n"
+    out.write(",".join(CSV_FIELDS) + "\n")
+    out.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    text = render_sweep_csv(cfg)
-    with open(cfg.output_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    # Stream into a file beside the output and rename it over the output, so
+    # a failed sweep never leaves a truncated CSV or clobbers an existing one.
+    tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            render_sweep_csv(cfg, handle)
+        os.replace(tmp, cfg.output_path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     print(f"wrote {cfg.steps} rows to {cfg.output_path}")
     return EXIT_OK
 
@@ -370,7 +374,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

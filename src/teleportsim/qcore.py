@@ -36,6 +36,7 @@ __all__ = [
     "fidelity",
     "purity",
     "seeded_stream",
+    "check_qubit_states",
 ]
 
 NORM_TOL = 1e-12
@@ -124,6 +125,25 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def check_qubit_states(rho00, rho11, rho01_re, rho01_im) -> None:
+    """DensityMatrix's checks, made once over a batch of qubit states
+    [[rho00, rho01], [conj(rho01), rho11]] (Hermitian by construction; the
+    arguments broadcast): finite entries, unit trace, and determinant
+    >= -DENSITY_TOL, which at unit trace bounds the lower eigenvalue the same
+    way to first order."""
+    entries = np.broadcast_arrays(rho00, rho11, rho01_re, rho01_im)
+    if not all(np.isfinite(e).all() for e in entries):
+        raise ValueError("density matrix contains non-finite entries")
+    d00, d11, re, im = entries
+    tr = d00 + d11
+    worst = np.abs(tr - 1.0).argmax()
+    if abs(tr.flat[worst] - 1.0) > DENSITY_TOL:
+        raise ValueError(f"density matrix trace is {float(tr.flat[worst])!r}, expected 1")
+    det = (d00 * d11 - (re * re + im * im)).min()
+    if det < -DENSITY_TOL:
+        raise ValueError(f"density matrix has negative determinant {float(det)!r}")
 
 
 @dataclass(frozen=True, eq=False)

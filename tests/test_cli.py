@@ -333,3 +333,35 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
+
+
+# ---------------------------------------------------------------- validation boundary, atomic write
+
+def test_deviation_rejects_negative_overlap(capsys):
+    code, _, err = run_cli(capsys, "deviation", "--gamma", "-0.5")
+    assert code == 2
+    assert "gamma must be >= 0" in err
+
+
+def test_failed_sweep_leaves_existing_output_untouched(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    out_path.write_text("earlier run\n")
+    # |c0 a| = |c1 b| = 0: the model is degenerate, found after the output is opened
+    code, _, err = run_cli(
+        capsys, "sweep", "--a-re", "1", "--b-re", "0", "--c0-re", "0", "--c1-re", "1",
+        "--out", str(out_path),
+    )
+    assert code == 2
+    assert "zero norm" in err
+    assert out_path.read_text() == "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_sweep_replaces_existing_output(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    out_path.write_text("earlier run\n")
+    code, _, _ = run_cli(capsys, "sweep", "--steps", "3", "--out", str(out_path))
+    assert code == 0
+    header, rows = read_rows(out_path)
+    assert header == list(CSV_FIELDS) and len(rows) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
