@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -327,7 +328,10 @@ def _add_env_flags(parser: argparse.ArgumentParser, default: float | None) -> No
     parser.add_argument("--c1-im", type=float, default=0.0 if default is not None else None, help="Im(c1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process; parsing returns a
+    fresh namespace each call, so reusing it carries no state between calls."""
     parser = argparse.ArgumentParser(
         prog="teleportsim",
         description="Qubit teleportation with an environment-coupled correction step.",

@@ -9,9 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "matmul",
-    "adjoint",
-    "trace",
     "tensor_product",
     "partial_trace",
     "frobenius_distance",
@@ -28,28 +25,6 @@ def _as_complex_array(a, name: str, ndim: int | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b."""
-    a = _as_complex_array(a, "a", ndim=2)
-    b = _as_complex_array(b, "b", ndim=2)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_complex_array(a, "a", ndim=2).conj().T
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = _as_complex_array(a, "a", ndim=2)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -111,6 +86,12 @@ def eig2_hermitian(a) -> tuple[float, float]:
         raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
     if np.abs(a - a.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
+    return _eig2_hermitian(a)
+
+
+def _eig2_hermitian(a: np.ndarray) -> tuple[float, float]:
+    # eig2_hermitian without its input checks, for a finite 2x2 complex128
+    # matrix its caller has already checked to be Hermitian.
     mean = 0.5 * (a[0, 0].real + a[1, 1].real)
     det = (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
     radius = np.sqrt(max(mean * mean - det, 0.0))

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import eig2_hermitian, tensor_product
+from .linalg import _eig2_hermitian, tensor_product
 
 __all__ = [
     "Ket",
@@ -115,7 +115,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > DENSITY_TOL:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         if mat.shape == (2, 2):
-            low, _ = eig2_hermitian(mat)
+            low, _ = _eig2_hermitian(mat)
         else:
             low = float(np.linalg.eigvalsh(mat)[0])
         if low < -DENSITY_TOL:

@@ -16,18 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import tensor_product
-from .qcore import (
-    GATES,
-    Gate,
-    Ket,
-    apply_gate,
-    bell_basis,
-    bell_state_vectors,
-    born_measure,
-    fidelity,
-    seeded_stream,
-    to_density,
-)
+from .qcore import GATES, Gate, Ket, apply_gate, bell_state_vectors, seeded_stream
 
 __all__ = [
     "BellOutcome",
@@ -76,8 +65,9 @@ CORRECTIONS = {
     BellOutcome.PHI_PLUS: "ZX",
 }
 
-_PROJECTORS = bell_basis()
-_BELL_VECTORS = bell_state_vectors()
+# Row i is <bell_i| in qcore.bell_basis() order.
+_BELL_ROWS = np.array(bell_state_vectors()).conj()
+_BELL_ROWS.flags.writeable = False
 
 _SINGLET_AMPLITUDES = np.array([0, 1, -1, 0]) * np.sqrt(0.5)
 _SINGLET_AMPLITUDES.flags.writeable = False
@@ -101,27 +91,44 @@ def singlet() -> Ket:
     return Ket(_SINGLET_AMPLITUDES, ("2", "3"))
 
 
-def prepare_joint(psi: Ket) -> Ket:
-    """Three-particle state |psi>_1 (x) singlet_23."""
+def _joint_amplitudes(psi: Ket) -> np.ndarray:
     if psi.dim != 2:
         raise ValueError(f"input must be a single-qubit ket, got dimension {psi.dim}")
-    joint = tensor_product(psi.amplitudes, _SINGLET_AMPLITUDES)
-    return Ket(joint, (psi.labels[0], "2", "3"))
+    return tensor_product(psi.amplitudes, _SINGLET_AMPLITUDES)
 
 
-def _receiver_amplitudes(joint_amplitudes: np.ndarray, outcome_index: int) -> np.ndarray:
-    # Partial inner product <bell_i|_12 acting on the 3-particle state; the
-    # result keeps the sign convention of the conditional states.
-    v = _BELL_VECTORS[outcome_index].conj() @ joint_amplitudes.reshape(4, 2)
-    return v / math.sqrt(np.vdot(v, v).real)
+def prepare_joint(psi: Ket) -> Ket:
+    """Three-particle state |psi>_1 (x) singlet_23."""
+    return Ket(_joint_amplitudes(psi), (psi.labels[0], "2", "3"))
+
+
+def _bell_branches(joint_amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bell measurement on particles 1 and 2 of a three-particle state, all
+    four branches at once.
+
+    Row i of ``v`` is the partial inner product <bell_i|_12 applied to the
+    state: particle 3's conditional vector, unnormalized, signs included.
+    ``probs[i] = |v_i|^2`` is the Born probability of outcome i, the same
+    number ``qcore.born_measure`` gives with the lifted projectors.
+    """
+    v = _BELL_ROWS @ joint_amplitudes.reshape(4, 2)
+    return v, (v * v.conj()).real.sum(axis=1)
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    # qcore.born_measure's sampling rule, so a seed picks the same outcome.
+    r = rng.random() * probs.sum()
+    return min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
 
 
 def alice_measure(joint: Ket, rng: np.random.Generator) -> tuple[BellOutcome, Ket]:
     """Bell measurement on particles 1 and 2; returns the sampled outcome and
     the conditional state of particle 3 (signs included)."""
-    index, post, _ = born_measure(joint, _PROJECTORS, (0, 1), rng)
-    bob = Ket(_receiver_amplitudes(post.amplitudes, index), (joint.labels[2],))
-    return OUTCOME_ORDER[index], bob
+    if joint.dim != 8:
+        raise ValueError(f"joint state must have three particles, got dimension {joint.dim}")
+    v, probs = _bell_branches(joint.amplitudes)
+    index = _draw(probs, rng)
+    return OUTCOME_ORDER[index], Ket(v[index] / math.sqrt(probs[index]), (joint.labels[2],))
 
 
 def correction_for(outcome: BellOutcome) -> Gate:
@@ -129,28 +136,26 @@ def correction_for(outcome: BellOutcome) -> Gate:
     return GATES[CORRECTIONS[outcome]]
 
 
+def _record(psi: Ket, index: int, v: np.ndarray, probs: np.ndarray) -> TeleportRecord:
+    # Branch ``index`` of _bell_branches, corrected. ``corrected`` is a unit
+    # Ket, so |<psi|corrected>|^2 is the fidelity <psi|rho|psi> of its
+    # density matrix.
+    outcome = OUTCOME_ORDER[index]
+    prob = float(probs[index])
+    conditional = Ket(v[index] / math.sqrt(prob), ("3",))
+    corrected = apply_gate(conditional, correction_for(outcome), 0)
+    fid = float(abs(np.vdot(psi.amplitudes, corrected.amplitudes)) ** 2)
+    return TeleportRecord(psi, outcome, conditional, corrected, fid, prob)
+
+
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
     """One full protocol run with a perfect correction step."""
     rng = seeded_stream(seed)
-    joint = prepare_joint(psi)
-    index, post, prob = born_measure(joint, _PROJECTORS, (0, 1), rng)
-    outcome = OUTCOME_ORDER[index]
-    conditional = Ket(_receiver_amplitudes(post.amplitudes, index), (joint.labels[2],))
-    corrected = apply_gate(conditional, correction_for(outcome), 0)
-    fid = fidelity(psi, to_density(corrected))
-    return TeleportRecord(psi, outcome, conditional, corrected, fid, prob)
+    v, probs = _bell_branches(_joint_amplitudes(psi))
+    return _record(psi, _draw(probs, rng), v, probs)
 
 
 def enumerate_branches(psi: Ket) -> list[TeleportRecord]:
     """All four measurement branches, deterministically, in bell-basis order."""
-    joint = prepare_joint(psi)
-    reshaped = joint.amplitudes.reshape(4, 2)
-    records = []
-    for index, outcome in enumerate(OUTCOME_ORDER):
-        v = _BELL_VECTORS[index].conj() @ reshaped
-        prob = float(np.vdot(v, v).real)
-        conditional = Ket(v / np.sqrt(prob), (joint.labels[2],))
-        corrected = apply_gate(conditional, correction_for(outcome), 0)
-        fid = fidelity(psi, to_density(corrected))
-        records.append(TeleportRecord(psi, outcome, conditional, corrected, fid, prob))
-    return records
+    v, probs = _bell_branches(_joint_amplitudes(psi))
+    return [_record(psi, index, v, probs) for index in range(len(OUTCOME_ORDER))]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from teleportsim.cli import CSV_FIELDS, SweepConfig, UsageError, load_config, main
+from teleportsim.cli import CSV_FIELDS, SweepConfig, UsageError, build_parser, load_config, main
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -333,6 +333,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    short, full = tmp_path / "short.csv", tmp_path / "full.csv"
+    assert run_cli(capsys, "sweep", "--steps", "7", "--gamma-end", "0.5", "--out", str(short))[0] == 0
+    assert main(["sweep", "--steps", "x"]) == 2
+    assert run_cli(capsys, "sweep", "--out", str(full))[0] == 0
+    _, rows = read_rows(full)
+    assert len(rows) == 101
+    assert rows[-1]["gamma_re"] == 1
 
 
 # ---------------------------------------------------------------- validation boundary, atomic write

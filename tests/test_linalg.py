@@ -5,16 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from teleportsim.linalg import (
-    adjoint,
     eig2_hermitian,
     frobenius_distance,
-    matmul,
     partial_trace,
     tensor_product,
-    trace,
 )
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -30,81 +26,18 @@ def complex_matrices(rows, cols):
     ).map(lambda pair: pair[0] + 1j * pair[1])
 
 
-# ---------------------------------------------------------------- matmul
+# ---------------------------------------------------------------- input checks
 
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    m = random_complex(rng, (2, 2))
-    assert np.allclose(matmul(np.eye(2), m), m, atol=1e-12)
-
-
-def test_matmul_pauli_involution():
-    assert np.allclose(matmul(SIGMA_X, SIGMA_X), np.eye(2), atol=1e-12)
-
-
-def test_matmul_against_triple_loop():
-    rng = np.random.default_rng(1)
-    a = random_complex(rng, (4, 4))
-    b = random_complex(rng, (4, 4))
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            for k in range(4):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert np.allclose(matmul(a, b), expected, atol=1e-12)
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 3\)"):
-        matmul(np.eye(2), np.eye(3))
-
-
-def test_matmul_rejects_non_finite():
+def test_rejects_non_finite():
     bad = np.array([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValueError, match="non-finite"):
-        matmul(bad, np.eye(2))
-
-
-# ---------------------------------------------------------------- adjoint
-
-def test_adjoint_identity():
-    assert np.array_equal(adjoint(np.eye(2)), np.eye(2))
-
-
-def test_adjoint_conjugates():
-    assert np.allclose(adjoint(np.diag([1j, -1j])), np.diag([-1j, 1j]), atol=1e-15)
-
-
-def test_adjoint_involution():
-    rng = np.random.default_rng(2)
-    a = random_complex(rng, (4, 4))
-    assert np.array_equal(adjoint(adjoint(a)), a)
-
-
-# ---------------------------------------------------------------- trace
-
-def test_trace_identity4():
-    assert trace(np.eye(4)) == pytest.approx(4)
-
-
-def test_trace_of_pure_density_is_one():
-    rng = np.random.default_rng(3)
-    psi = random_complex(rng, 4)
-    psi /= np.linalg.norm(psi)
-    rho = np.outer(psi, psi.conj())
-    assert trace(rho) == pytest.approx(1, abs=1e-12)
-
-
-def test_trace_against_diagonal_sum():
-    rng = np.random.default_rng(4)
-    a = random_complex(rng, (8, 8))
-    expected = sum(a[i, i] for i in range(8))
-    assert trace(a) == pytest.approx(expected, abs=1e-12)
-
-
-def test_trace_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        trace(np.ones((2, 3)))
+    for call in (
+        lambda: tensor_product(bad, np.eye(2)),
+        lambda: partial_trace(bad, 2, 1, "A"),
+        lambda: frobenius_distance(bad, np.eye(2)),
+        lambda: eig2_hermitian(bad),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
 
 
 # ---------------------------------------------------------------- tensor_product

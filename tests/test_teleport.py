@@ -1,7 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from teleportsim.qcore import GATES, Ket, ket_from_amplitudes, to_density
+from teleportsim.qcore import (
+    GATES,
+    Ket,
+    bell_basis,
+    bell_state_vectors,
+    born_measure,
+    fidelity,
+    ket_from_amplitudes,
+    to_density,
+)
 from teleportsim.teleport import (
     CORRECTIONS,
     OUTCOME_ORDER,
@@ -202,3 +215,88 @@ def test_enumerate_branches_fidelity_high_for_random_states():
     for _ in range(200):
         for record in enumerate_branches(Ket(random_qubit(rng), ("1",))):
             assert record.fidelity >= 1 - 1e-12
+
+
+# ---------------------------------------------------------------- branch kernel vs born_measure
+
+TOL = 1e-12
+unit = st.floats(-1.0, 1.0)
+seeds = st.integers(0, 2**62)
+
+
+@st.composite
+def qubit_kets(draw):
+    re0, im0, re1, im1 = draw(st.tuples(unit, unit, unit, unit))
+    norm = math.hypot(re0, im0, re1, im1)
+    assume(norm > 1e-3)
+    return Ket(np.array([complex(re0, im0), complex(re1, im1)]) / norm, ("1",))
+
+
+@st.composite
+def entangled_joint_kets(draw):
+    """Normalized three-particle kets with particle 1 entangled with 2 and 3,
+    so not of the form psi (x) singlet."""
+    parts = np.array(draw(st.lists(unit, min_size=16, max_size=16)))
+    amps = parts[:8] + 1j * parts[8:]
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    amps = amps / norm
+    assume(np.linalg.svd(amps.reshape(2, 4), compute_uv=False)[1] > 1e-3)
+    return Ket(amps, ("1", "2", "3"))
+
+
+def oracle_conditional(post_amplitudes, index):
+    """The receiver's state after outcome ``index``: <bell_i|_12 applied to the
+    post-measurement three-particle state, renormalized."""
+    v = bell_state_vectors()[index].conj() @ post_amplitudes.reshape(4, 2)
+    return v / math.sqrt(np.vdot(v, v).real)
+
+
+def assert_matches_oracle(record, psi, index, post_amplitudes, prob):
+    conditional = oracle_conditional(post_amplitudes, index)
+    corrected = correction_for(OUTCOME_ORDER[index]).mat @ conditional
+    assert record.outcome is OUTCOME_ORDER[index]
+    assert abs(record.probability - prob) <= TOL
+    assert np.abs(record.conditional_state.amplitudes - conditional).max() <= TOL
+    assert np.abs(record.corrected_state.amplitudes - corrected).max() <= TOL
+    assert abs(record.fidelity - fidelity(psi, to_density(Ket(corrected, ("3",))))) <= TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubit_kets(), seeds)
+def test_run_ideal_matches_born_measure_oracle(psi, seed):
+    index, post, prob = born_measure(prepare_joint(psi), bell_basis(), (0, 1), seeded_stream(seed))
+    assert_matches_oracle(run_ideal(psi, seed), psi, index, post.amplitudes, prob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qubit_kets())
+def test_enumerate_branches_matches_projector_oracle(psi):
+    joint = prepare_joint(psi).amplitudes
+    records = enumerate_branches(psi)
+    assert len(records) == len(OUTCOME_ORDER)
+    for index, (record, projector) in enumerate(zip(records, bell_basis())):
+        lifted = np.kron(projector.mat, np.eye(2))
+        prob = np.vdot(joint, lifted @ joint).real
+        post = lifted @ joint / math.sqrt(prob)
+        assert_matches_oracle(record, psi, index, post, prob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entangled_joint_kets(), seeds)
+def test_alice_measure_matches_born_measure_on_entangled_input(joint, seed):
+    index, post, _ = born_measure(joint, bell_basis(), (0, 1), seeded_stream(seed))
+    outcome, bob = alice_measure(joint, seeded_stream(seed))
+    assert outcome is OUTCOME_ORDER[index]
+    assert bob.labels == ("3",)
+    assert np.abs(bob.amplitudes - oracle_conditional(post.amplitudes, index)).max() <= TOL
+
+
+def test_alice_measure_rejects_two_particle_state():
+    with pytest.raises(ValueError, match="three particles"):
+        alice_measure(singlet(), seeded_stream(0))
+
+
+def test_run_ideal_rejects_multi_qubit_input():
+    with pytest.raises(ValueError, match="single-qubit"):
+        run_ideal(singlet(), 0)
