@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "trace",
     "tensor_product",
     "partial_trace",
     "frobenius_distance",
@@ -25,6 +26,14 @@ def _as_complex_array(a, name: str, ndim: int | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def trace(a) -> complex:
+    """Sum of diagonal entries of a square matrix."""
+    a = _as_complex_array(a, "a", ndim=2)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"trace requires a square matrix, got shape {a.shape}")
+    return complex(np.trace(a))
 
 
 def tensor_product(a, b) -> np.ndarray:

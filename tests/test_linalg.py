@@ -9,6 +9,7 @@ from teleportsim.linalg import (
     frobenius_distance,
     partial_trace,
     tensor_product,
+    trace,
 )
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -35,9 +36,36 @@ def test_rejects_non_finite():
         lambda: partial_trace(bad, 2, 1, "A"),
         lambda: frobenius_distance(bad, np.eye(2)),
         lambda: eig2_hermitian(bad),
+        lambda: trace(bad),
     ):
         with pytest.raises(ValueError, match="non-finite"):
             call()
+
+
+# ---------------------------------------------------------------- trace
+
+def test_trace_identity4():
+    assert trace(np.eye(4)) == pytest.approx(4)
+
+
+def test_trace_of_pure_density_is_one():
+    rng = np.random.default_rng(3)
+    psi = random_complex(rng, 4)
+    psi /= np.linalg.norm(psi)
+    rho = np.outer(psi, psi.conj())
+    assert trace(rho) == pytest.approx(1, abs=1e-12)
+
+
+def test_trace_against_diagonal_sum():
+    rng = np.random.default_rng(4)
+    a = random_complex(rng, (8, 8))
+    expected = sum(a[i, i] for i in range(8))
+    assert trace(a) == pytest.approx(expected, abs=1e-12)
+
+
+def test_trace_requires_square():
+    with pytest.raises(ValueError, match="square"):
+        trace(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------- tensor_product
