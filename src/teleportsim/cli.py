@@ -299,12 +299,18 @@ def render_sweep_csv(cfg: SweepConfig, out) -> None:
 
 def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    # Stream into a file beside the output and rename it over the output, so
+    # Stream into a file beside the output and rename it to the output, so
     # a failed sweep never leaves a truncated CSV or clobbers an existing one.
+    # The old output is removed only once the new one is complete: renaming
+    # over an existing file makes ext4 (auto_da_alloc) write the new file's
+    # data to the device inside the rename, a disk write on every sweep whose
+    # time depends on whatever else is using the disk.
     tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
             render_sweep_csv(cfg, handle)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(cfg.output_path)
         os.replace(tmp, cfg.output_path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -376,3 +376,13 @@ def test_sweep_replaces_existing_output(tmp_path, capsys):
     header, rows = read_rows(out_path)
     assert header == list(CSV_FIELDS) and len(rows) == 3
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_sweep_onto_a_directory_is_io_error_and_leaves_it(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    out_path.mkdir()
+    code, _, err = run_cli(capsys, "sweep", "--steps", "3", "--out", str(out_path))
+    assert code == 3
+    assert err.startswith("error:")
+    assert out_path.is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
