@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -99,7 +100,7 @@ class SweepConfig:
     def validate(self) -> None:
         """Check ranges and normalize (a, b) in place."""
         for f in fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise UsageError(f"{f.name} is not finite")
         if self.steps < 2:
             raise UsageError(f"steps must be >= 2, got {self.steps}")
@@ -166,7 +167,7 @@ def load_config(path: str) -> SweepConfig:
 def _state_from_args(args) -> Ket:
     a = complex(args.a_re, args.a_im)
     b = complex(args.b_re, args.b_im)
-    if not all(np.isfinite(v) for v in (args.a_re, args.a_im, args.b_re, args.b_im)):
+    if not all(map(math.isfinite, (args.a_re, args.a_im, args.b_re, args.b_im))):
         raise UsageError("amplitudes must be finite")
     if a == 0 and b == 0:
         raise UsageError("amplitudes (0, 0) do not define a state")
@@ -212,14 +213,20 @@ def cmd_teleport(args) -> int:
     return EXIT_OK
 
 
-def cmd_deviation(args) -> int:
+def _point_query(args):
+    """The canonical report, the printed rho3 and the printed delta at the
+    point the flags give, as ``deviation`` and ``paper-check`` show them."""
     psi = _state_from_args(args)
     env = _env_from_args(args)
     a, b = psi.amplitudes
     report = direct_report(a, b, env)
-    literal = reduced_state_paper_literal(a, b, env)
+    return report, reduced_state_paper_literal(a, b, env), deviation_closed_form_paper(a, b, env)
+
+
+def cmd_deviation(args) -> int:
+    report, literal, delta_paper = _point_query(args)
     print(f"delta_canonical {report.delta:.12g}")
-    print(f"delta_paper {deviation_closed_form_paper(a, b, env):.12g}")
+    print(f"delta_paper {delta_paper:.12g}")
     print(f"fidelity {report.fidelity:.12g}")
     print(f"purity {report.purity:.12g}")
     print("rho3 (canonical partial trace):")
@@ -230,12 +237,8 @@ def cmd_deviation(args) -> int:
 
 
 def cmd_paper_check(args) -> int:
-    psi = _state_from_args(args)
-    env = _env_from_args(args)
-    a, b = psi.amplitudes
-    report = direct_report(a, b, env)
+    report, literal, delta_paper = _point_query(args)
     rho3 = report.rho3.mat
-    literal = reduced_state_paper_literal(a, b, env)
     diff = literal - rho3
     print("rho3 (canonical partial trace):")
     print(_fmt_matrix(rho3))
@@ -247,7 +250,7 @@ def cmd_paper_check(args) -> int:
     print(_fmt_matrix(diff))
     print(f"max_abs_difference {np.abs(diff).max():.12g}")
     print(f"delta_canonical {report.delta:.12g}")
-    print(f"delta_paper {deviation_closed_form_paper(a, b, env):.12g}")
+    print(f"delta_paper {delta_paper:.12g}")
     return EXIT_OK
 
 

@@ -39,6 +39,7 @@ reduced state and the sender's pure-state density matrix.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -94,7 +95,7 @@ class EnvironmentModel:
         c0 = complex(self.c0)
         c1 = complex(self.c1)
         for name, value in (("gamma", gamma), ("c0", c0), ("c1", c1)):
-            if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+            if not cmath.isfinite(value):
                 raise ValueError(f"{name} is not finite: {value!r}")
         if abs(gamma) > 1.0 + OVERLAP_TOL:
             raise ValueError(f"|gamma| = {abs(gamma)!r} exceeds 1")
@@ -231,8 +232,6 @@ def embed_environment(env: EnvironmentModel) -> tuple[Ket, Ket]:
     """Concrete two-dimensional environment states (e0, e1) with
     <e1|e0> equal to the model's gamma."""
     g = env.gamma
-    if abs(g) > 1.0 + OVERLAP_TOL:
-        raise ValueError(f"|gamma| = {abs(g)!r} exceeds 1")
     e0 = Ket(np.array([1.0, 0.0]), ("E",))
     residual = np.sqrt(max(1.0 - abs(g) ** 2, 0.0))
     e1 = Ket(np.array([np.conj(g), residual]), ("E",))
@@ -273,16 +272,24 @@ def _rejects_overflow(printed):
 
     The printed form uses (c0, c1) as given, since it is not scale invariant,
     so its squared terms overflow at scales where the canonical form is
-    exact."""
+    exact. One point is evaluated in Python float/complex arithmetic, where an
+    overflow gives inf or nan, or raises OverflowError from ``**`` and
+    ``abs``. Only ``printed_deviation`` takes a batch: gamma, its last
+    argument, as an array, evaluated in numpy with its overflow warnings off."""
 
     @functools.wraps(printed)
     def checked(*args):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(args[-1], np.ndarray):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = printed(*args)
+                finite = np.isfinite(value).all()
+            else:
                 value = printed(*args)
+                finite = all(map(cmath.isfinite, np.ravel(value).tolist()))
         except OverflowError:
-            value = math.inf
-        if not np.isfinite(value).all():
+            finite = False
+        if not finite:
             raise ValueError(
                 f"{printed.__name__} overflows float64 at this (c0, c1) scale; the "
                 "printed form is not scale invariant (the canonical form is)"
@@ -303,12 +310,12 @@ def reduced_state_paper_literal(a: complex, b: complex, env: EnvironmentModel) -
     """
     a = complex(a)
     b = complex(b)
-    g = env.gamma
+    c0, c1, g = env.c0, env.c1, env.gamma
     g_sq = abs(g) ** 2
-    d00 = abs(env.c0 * a) ** 2 * (1.0 + g_sq)
-    d01 = 2.0 * env.c0 * np.conj(env.c1) * a * np.conj(b) * g
-    d10 = 2.0 * env.c1 * np.conj(env.c0) * b * np.conj(a) * np.conj(g)
-    d11 = abs(env.c1 * b) ** 2 * (1.0 + g_sq)
+    d00 = abs(c0 * a) ** 2 * (1.0 + g_sq)
+    d01 = 2.0 * c0 * c1.conjugate() * a * b.conjugate() * g
+    d10 = 2.0 * c1 * c0.conjugate() * b * a.conjugate() * g.conjugate()
+    d11 = abs(c1 * b) ** 2 * (1.0 + g_sq)
     return np.array([[d00, d01], [d10, d11]], dtype=np.complex128)
 
 
@@ -349,6 +356,9 @@ def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
     ``deviation(reduced_state_paper_literal(...), rho1)``. Broadcasts over
     gamma like ``closed_form``."""
     a, b, c0, c1 = complex(a), complex(b), complex(c0), complex(c1)
+    batch = isinstance(gamma, np.ndarray)
+    if not batch:
+        gamma = complex(gamma)
     g_re, g_im = gamma.real, gamma.imag
     g_sq = g_re * g_re + g_im * g_im
     c0a_sq = abs(c0 * a) ** 2
@@ -357,7 +367,8 @@ def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
     t01 = _mod_sq_affine(2.0 * c0 * c1.conjugate() * a * b.conjugate(), g_re, g_im, a * b.conjugate())
     t10 = _mod_sq_affine(2.0 * c1 * c0.conjugate() * b * a.conjugate(), g_re, -g_im, b * a.conjugate())
     t11 = (c1b_sq + c1b_sq * g_sq - abs(b) ** 2) ** 2
-    return np.sqrt(t00 + t01 + t10 + t11)
+    total = t00 + t01 + t10 + t11
+    return np.sqrt(total) if batch else math.sqrt(total)
 
 
 def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -> float:

@@ -8,13 +8,14 @@ caller-supplied random stream carries state.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import _eig2_hermitian, tensor_product
+from .linalg import tensor_product
 
 __all__ = [
     "Ket",
@@ -105,26 +106,58 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _frozen_complex_matrix(self.mat)
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix contains non-finite entries")
-        if np.abs(mat - mat.conj().T).max() > DENSITY_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > DENSITY_TOL:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         if mat.shape == (2, 2):
-            low, _ = _eig2_hermitian(mat)
+            _check_qubit_density(mat)
         else:
-            low = float(np.linalg.eigvalsh(mat)[0])
-        if low < -DENSITY_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {low!r}")
+            _check_density(mat)
         object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _check_density(mat: np.ndarray) -> None:
+    """DensityMatrix's checks in numpy, for every shape but 2x2 (``to_density``
+    of a two- or three-qubit ket gives 4x4 or 8x8)."""
+    if mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("density matrix contains non-finite entries")
+    if np.abs(mat - mat.conj().T).max() > DENSITY_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = np.trace(mat)
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+    low = float(np.linalg.eigvalsh(mat)[0])
+    if low < -DENSITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {low!r}")
+
+
+def _check_qubit_density(mat: np.ndarray) -> None:
+    """_check_density for a 2x2 matrix, in Python complex arithmetic: the same
+    comparisons on the same values, with the lower eigenvalue from the
+    closed-form mean - sqrt(mean^2 - det), and the same messages. The skew's
+    modulus comes from libm's hypot, which numpy's array loop may round one
+    ulp apart, so a skew within an ulp of DENSITY_TOL may be judged
+    differently from the n x n path."""
+    (m00, m01), (m10, m11) = mat.tolist()
+    if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+        raise ValueError("density matrix contains non-finite entries")
+    try:
+        skew = abs(m01 - m10.conjugate())
+    except OverflowError:  # the modulus of finite parts exceeds float64
+        skew = math.inf
+    if max(2.0 * abs(m00.imag), 2.0 * abs(m11.imag), skew) > DENSITY_TOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = 0j + m00 + m11  # summed from 0 like np.trace, so a zero trace prints as 0j
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise ValueError(f"density matrix trace is {np.complex128(tr)!r}, expected 1")
+    mean = 0.5 * (m00.real + m11.real)
+    det = (m00 * m11 - m01 * m10).real
+    low = mean - math.sqrt(max(mean * mean - det, 0.0))
+    if low < -DENSITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {np.float64(low)!r}")
 
 
 def check_qubit_states(rho00, rho11, rho01_re, rho01_im) -> None:

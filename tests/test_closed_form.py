@@ -3,6 +3,7 @@ its invariances and range bounds, and the scale extremes it must get right."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from teleportsim.envmodel import (
     deviation_closed_form_paper,
     direct_report,
     evolve,
+    printed_deviation,
     reduced_state,
     reduced_state_paper_literal,
 )
@@ -95,6 +97,17 @@ def test_batched_kernel_equals_scalar_calls_bit_for_bit(ab, c0, c1, gammas, scal
         assert np.abs(point.matrix() - rho).max() <= TOL
 
 
+@settings(max_examples=100, deadline=None)
+@given(qubits(), coefficients, coefficients, st.lists(overlaps, min_size=1, max_size=6))
+def test_printed_deviation_batch_equals_scalar_calls_bit_for_bit(ab, c0, c1, gammas):
+    # A point runs in Python floats and a sweep's batch in numpy arrays.
+    a, b = ab
+    assume(c0 != 0 or c1 != 0)
+    batch = printed_deviation(a, b, c0, c1, np.array(gammas))
+    points = [deviation_closed_form_paper(a, b, EnvironmentModel(g, c0, c1)) for g in gammas]
+    assert batch.tolist() == points
+
+
 @settings(max_examples=200, deadline=None)
 @given(qubits(), coefficients, coefficients, overlaps, phases, phases)
 def test_global_phase_invariance(ab, c0, c1, gamma, theta, phi):
@@ -153,10 +166,29 @@ def test_direct_report_is_scale_invariant(a, b, c0, c1, gamma, scale):
 @pytest.mark.parametrize("a, b, c0, c1, gamma", BASES)
 def test_printed_form_overflow_is_rejected_by_name(a, b, c0, c1, gamma):
     env = EnvironmentModel(gamma, c0 * 1e200, c1 * 1e200)
-    with pytest.raises(ValueError, match="overflows"):
-        reduced_state_paper_literal(a, b, env)
-    with pytest.raises(ValueError, match="overflows"):
-        deviation_closed_form_paper(a, b, env)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="reduced_state_paper_literal overflows"):
+            reduced_state_paper_literal(a, b, env)
+        with pytest.raises(ValueError, match="printed_deviation overflows"):
+            deviation_closed_form_paper(a, b, env)
+
+
+@pytest.mark.parametrize("a, b, c0, c1, gamma", BASES)
+def test_printed_deviation_overflow_is_rejected_without_warnings(a, b, c0, c1, gamma):
+    # At 1e150 the printed matrix is finite but the deviation's squares are not.
+    env = EnvironmentModel(gamma, c0 * 1e150, c1 * 1e150)
+    batch = np.array([gamma, 0.5 * gamma])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(reduced_state_paper_literal(a, b, env)).all()
+        for call in (
+            lambda: deviation_closed_form_paper(a, b, env),
+            lambda: printed_deviation(a, b, c0 * 1e150, c1 * 1e150, batch),
+            lambda: printed_deviation(a, b, c0, c1, batch * 1e200),
+        ):
+            with pytest.raises(ValueError, match="printed_deviation overflows"):
+                call()
 
 
 def test_amplitudes_within_tolerance_are_rescaled():
@@ -213,3 +245,12 @@ def test_deviation_cli_degenerate_model_is_usage_error(capsys):
     code = main(["deviation", "--a-re", "1", "--b-re", "0", "--c0-re", "0"])
     assert code == 2
     assert "zero norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["deviation", "paper-check"])
+def test_point_query_cli_prints_nothing_when_the_printed_deviation_overflows(command, capsys):
+    code = main([command, "--c0-re", "1e150", "--c1-re", "1e150"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "printed_deviation overflows" in captured.err
+    assert captured.out == ""

@@ -1,9 +1,12 @@
+import cmath
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from teleportsim.qcore import (
+    DENSITY_TOL,
     GATES,
     I,
     X,
@@ -109,6 +112,72 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix(np.diag([0.7, 0.7]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]))
+
+
+def density_oracle(mat):
+    """The start of the message DensityMatrix must reject mat with, or None to
+    accept it: Hermiticity, np.trace and np.linalg.eigvalsh, in that order."""
+    skew = np.abs(mat - mat.conj().T).max()
+    # numpy's array modulus and libm's hypot may differ in the last bit.
+    assume(abs(skew - DENSITY_TOL) > 1e-25)
+    if skew > DENSITY_TOL:
+        return "density matrix is not Hermitian within tolerance"
+    tr = np.trace(mat)
+    if abs(tr - 1.0) > DENSITY_TOL:
+        return f"density matrix trace is {tr!r}, expected 1"
+    low = np.linalg.eigvalsh(mat)[0]
+    # The closed-form eigenvalue and LAPACK's agree to ~1e-16; the boundary
+    # case between them is no test of the decision.
+    assume(abs(low + DENSITY_TOL) > 1e-14)
+    if low < -DENSITY_TOL:
+        return "density matrix has negative eigenvalue "
+    return None
+
+
+# A distance from a tolerance boundary: on it, or within +-1e-9 or +-1e-12 of it.
+near = st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-1e-12, 1e-12))
+angles = st.floats(0.0, 2 * np.pi)
+
+
+@st.composite
+def qubit_matrices(draw):
+    """2x2 complex matrices: unstructured ones, and Hermitian ones put on or
+    near one of DensityMatrix's boundaries (skew, trace, lower eigenvalue)."""
+    boundary = draw(st.sampled_from(["skew", "trace", "eigenvalue", "none", "random", "hermitian"]))
+    if boundary in ("random", "hermitian"):
+        entries = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+        mat = np.array(draw(st.lists(entries, min_size=4, max_size=4))).reshape(2, 2)
+        return mat if boundary == "random" else (mat + mat.conj().T) / 2
+    trace = 1.0
+    if boundary == "trace":
+        trace += draw(st.sampled_from([1.0, -1.0])) * DENSITY_TOL + draw(near)
+    if boundary == "eigenvalue":
+        low = -DENSITY_TOL + draw(near)
+    else:
+        low = draw(st.sampled_from([-0.5, 0.0, 0.2, 0.5]))
+    theta, phi, psi = draw(angles), draw(angles), draw(angles)
+    c, s = np.cos(theta), np.sin(theta) * cmath.exp(1j * phi)
+    u = np.array([[c, -s.conjugate()], [s, c]])
+    mat = u @ np.diag([low, trace - low]) @ u.conj().T
+    mat = (mat + mat.conj().T) / 2  # Hermitian to the last bit
+    if boundary == "skew":
+        skew = (DENSITY_TOL + draw(near)) * cmath.exp(1j * psi)
+        where = draw(st.sampled_from([(0, 1), (1, 0), (0, 0), (1, 1)]))
+        mat[where] += skew if where[0] != where[1] else 0.5j * abs(skew)
+    return mat
+
+
+@settings(max_examples=400, deadline=None)
+@given(qubit_matrices())
+@example(np.diag([-0.0, -0.0]).astype(complex))  # np.trace sums from +0: "0j"
+def test_qubit_density_checks_match_eigvalsh_oracle(mat):
+    expected = density_oracle(mat)
+    if expected is None:
+        assert np.array_equal(DensityMatrix(mat).mat, mat)
+        return
+    with pytest.raises(ValueError) as info:
+        DensityMatrix(mat)
+    assert str(info.value).startswith(expected)
 
 
 # ---------------------------------------------------------------- gates
