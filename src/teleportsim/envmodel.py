@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import NORM_TOL, DensityMatrix, Ket, check_qubit_states
+from .qcore import NORM_TOL, DensityMatrix, Ket, normalized_amplitudes
 from .teleport import BellOutcome, run_ideal
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "DeviationReport",
     "ClosedForm",
     "closed_form",
-    "check_batch",
     "embed_environment",
     "evolve",
     "reduced_state",
@@ -97,8 +96,12 @@ class EnvironmentModel:
         for name, value in (("gamma", gamma), ("c0", c0), ("c1", c1)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} is not finite: {value!r}")
-        if abs(gamma) > 1.0 + OVERLAP_TOL:
-            raise ValueError(f"|gamma| = {abs(gamma)!r} exceeds 1")
+        try:
+            modulus = abs(gamma)
+        except OverflowError:  # finite parts whose modulus exceeds float64
+            modulus = math.inf
+        if modulus > 1.0 + OVERLAP_TOL:
+            raise ValueError(f"|gamma| = {modulus!r} exceeds 1")
         if c0 == 0 and c1 == 0:
             raise ValueError("c0 and c1 cannot both be zero")
         object.__setattr__(self, "gamma", gamma)
@@ -129,13 +132,18 @@ def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
     if abs(norm_sq - 1.0) > NORM_TOL:
         # Accepted, but off by more than a Ket allows: rescale. Closer inputs
         # pass through unchanged, so results match a Ket built from them.
-        norm = math.sqrt(norm_sq)
-        a, b = a / norm, b / norm
+        a, b = normalized_amplitudes(a, b)
     return a, b
 
 
 def _unit_scaled(c0: complex, c1: complex) -> tuple[complex, complex]:
-    scale = max(abs(c0), abs(c1))
+    try:
+        scale = max(abs(c0), abs(c1))
+    except OverflowError:
+        # Finite parts whose modulus exceeds float64: halving is exact and
+        # brings every modulus back in range.
+        c0, c1 = c0 * 0.5, c1 * 0.5
+        scale = max(abs(c0), abs(c1))
     if scale == 0:
         raise DegenerateModelError("c0 and c1 cannot both be zero")
     return c0 / scale, c1 / scale
@@ -181,7 +189,7 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     element for element bit-identical to scalar calls (real arithmetic only).
     (a, b) must be normalized within AMPLITUDE_TOL; (c0, c1) are scaled to
     unit max-modulus before any other arithmetic. gamma and (c0, c1) are not
-    checked here: EnvironmentModel checks one point and ``check_batch`` a
+    checked here: EnvironmentModel checks one point and the sweep's config a
     batch. Raises DegenerateModelError when the coupled state has zero norm.
     """
     a, b = _check_normalized(a, b)
@@ -215,17 +223,6 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     fidelity = r00.real * rho00 + r11.real * rho11 + 2.0 * (r10.real * off_re - r10.imag * off_im)
     purity = rho00 * rho00 + rho11 * rho11 + 2.0 * (off_re * off_re + off_im * off_im)
     return ClosedForm(rho00, rho11, off_re, off_im, delta, fidelity, purity)
-
-
-def check_batch(gamma: np.ndarray, states: ClosedForm) -> None:
-    """EnvironmentModel's gamma checks and DensityMatrix's checks, made once
-    over a batch from ``closed_form`` instead of once per point."""
-    modulus = np.abs(gamma)
-    if not np.isfinite(modulus).all():
-        raise ValueError("gamma is not finite")
-    if modulus.max() > 1.0 + OVERLAP_TOL:
-        raise ValueError(f"|gamma| = {float(modulus.max())!r} exceeds 1")
-    check_qubit_states(states.rho00, states.rho11, states.rho01_re, states.rho01_im)
 
 
 def embed_environment(env: EnvironmentModel) -> tuple[Ket, Ket]:

@@ -30,6 +30,7 @@ __all__ = [
     "BELL_LABELS",
     "bell_state_vectors",
     "bell_basis",
+    "normalized_amplitudes",
     "ket_from_amplitudes",
     "to_density",
     "apply_gate",
@@ -253,15 +254,33 @@ def bell_basis() -> tuple[Projector, ...]:
     )
 
 
-def ket_from_amplitudes(a: complex, b: complex) -> Ket:
-    """Single-qubit ket proportional to a|0> + b|1>, normalized."""
-    vec = np.array([a, b], dtype=np.complex128)
-    if not np.isfinite(vec).all():
+_SQUARE_SAFE = (2.0**-500, 2.0**500)
+
+
+def normalized_amplitudes(a: complex, b: complex) -> tuple[complex, complex]:
+    """The unit pair (a, b) / sqrt(|a|^2 + |b|^2) naming the ray a|0> + b|1>:
+    the one check and normalization of the sender's amplitudes, which accepts
+    any finite (a, b) but (0, 0) at any scale. Where the largest part lies
+    outside _SQUARE_SAFE, whose squares would overflow or fall to subnormals,
+    both are first scaled exactly by a power of two. Ordinary inputs are not:
+    libm's hypot is not exactly scale-equivariant; unscaled, they keep the
+    sweep's bits."""
+    a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
         raise ValueError("amplitudes contain non-finite entries")
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
+    big = max(abs(a.real), abs(a.imag), abs(b.real), abs(b.imag))
+    if big == 0.0:
         raise ValueError("amplitudes (0, 0) do not define a state")
-    return Ket(vec / norm, ("1",))
+    if not _SQUARE_SAFE[0] <= big <= _SQUARE_SAFE[1]:
+        shift = -math.frexp(big)[1]
+        a, b = (complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift)) for z in (a, b))
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    return complex(a.real / norm, a.imag / norm), complex(b.real / norm, b.imag / norm)
+
+
+def ket_from_amplitudes(a: complex, b: complex) -> Ket:
+    """Single-qubit ket a|0> + b|1>, normalized by ``normalized_amplitudes``."""
+    return Ket(normalized_amplitudes(a, b), ("1",))
 
 
 def to_density(psi: Ket) -> DensityMatrix:

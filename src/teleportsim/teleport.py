@@ -27,6 +27,7 @@ __all__ = [
     "prepare_joint",
     "alice_measure",
     "correction_for",
+    "born_index",
     "run_ideal",
     "enumerate_branches",
 ]
@@ -115,10 +116,12 @@ def _bell_branches(joint_amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return v, (v * v.conj()).real.sum(axis=1)
 
 
-def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
-    # qcore.born_measure's sampling rule, so a seed picks the same outcome.
-    r = rng.random() * probs.sum()
-    return min(int(np.searchsorted(np.cumsum(probs), r, side="right")), len(probs) - 1)
+def born_index(probs: np.ndarray, u):
+    """``qcore.born_measure``'s sampling rule, so a seed picks the same outcome:
+    the index that a uniform draw u in [0, 1) selects, i with probability
+    probs[i] / probs.sum(); u may be an array of draws. Searching all but the
+    last boundary maps a draw that rounds onto the total to the last index."""
+    return np.searchsorted(np.cumsum(probs)[:-1], u * probs.sum(), side="right")
 
 
 def alice_measure(joint: Ket, rng: np.random.Generator) -> tuple[BellOutcome, Ket]:
@@ -127,7 +130,7 @@ def alice_measure(joint: Ket, rng: np.random.Generator) -> tuple[BellOutcome, Ke
     if joint.dim != 8:
         raise ValueError(f"joint state must have three particles, got dimension {joint.dim}")
     v, probs = _bell_branches(joint.amplitudes)
-    index = _draw(probs, rng)
+    index = born_index(probs, rng.random())
     return OUTCOME_ORDER[index], Ket(v[index] / math.sqrt(probs[index]), (joint.labels[2],))
 
 
@@ -150,9 +153,8 @@ def _record(psi: Ket, index: int, v: np.ndarray, probs: np.ndarray) -> TeleportR
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
     """One full protocol run with a perfect correction step."""
-    rng = seeded_stream(seed)
     v, probs = _bell_branches(_joint_amplitudes(psi))
-    return _record(psi, _draw(probs, rng), v, probs)
+    return _record(psi, born_index(probs, seeded_stream(seed).random()), v, probs)
 
 
 def enumerate_branches(psi: Ket) -> list[TeleportRecord]:

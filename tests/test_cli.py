@@ -235,6 +235,13 @@ def test_sweep_rejects_overlap_range_outside_unit_interval(capsys):
     assert "gamma_end" in err
 
 
+def test_sweep_rejects_non_finite_overlap_phase(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--gamma-phase", "nan", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "gamma_phase is not finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- config file
 
 def test_load_config_defaults_and_single_key(tmp_path):
@@ -368,6 +375,13 @@ def test_failed_sweep_leaves_existing_output_untouched(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
+def test_sweep_rejects_both_coefficients_zero(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--c0-re", "0", "--c1-re", "0", "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "c0 and c1 cannot both be zero" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_replaces_existing_output(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     out_path.write_text("earlier run\n")
@@ -386,3 +400,41 @@ def test_sweep_onto_a_directory_is_io_error_and_leaves_it(tmp_path, capsys):
     assert err.startswith("error:")
     assert out_path.is_dir()
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+# ---------------------------------------------------------------- extreme scales
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a_re", ["1e200", "1e-200"])
+@pytest.mark.parametrize("command", ["deviation", "teleport", "sweep"])
+def test_amplitudes_at_any_scale_give_the_unit_answer(command, a_re, tmp_path, capsys):
+    outputs = []
+    for value in (a_re, "1"):
+        out_path = tmp_path / f"{value}.csv"
+        argv = [command, "--a-re", value, "--b-re", "0"]
+        if command == "sweep":
+            argv += ["--steps", "5", "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        outputs.append(out_path.read_bytes() if command == "sweep" else out)
+    assert outputs[0] == outputs[1]
+    if command == "sweep":
+        _, rows = read_rows(tmp_path / f"{a_re}.csv")
+        assert {(row["a_re"], row["b_re"]) for row in rows} == {(1.0, 0.0)}
+    elif command == "teleport":
+        assert "mean fidelity 1.000000" in outputs[0]
+    else:
+        assert parse_report(outputs[0])["fidelity"] == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["deviation", "sweep"])
+def test_coefficient_modulus_beyond_float64_is_usage_error(command, tmp_path, capsys):
+    argv = [command, "--c0-re", "1.7e308", "--c0-im", "1.7e308"]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "overflows float64" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []

@@ -14,7 +14,6 @@ from teleportsim.cli import main
 from teleportsim.envmodel import (
     DegenerateModelError,
     EnvironmentModel,
-    check_batch,
     closed_form,
     deviation,
     deviation_closed_form_paper,
@@ -191,6 +190,23 @@ def test_printed_deviation_overflow_is_rejected_without_warnings(a, b, c0, c1, g
                 call()
 
 
+@pytest.mark.parametrize("c1_scale", [1.7e308, 1.0])
+@pytest.mark.parametrize("a, b, c0, c1, gamma", BASES)
+def test_direct_report_at_a_modulus_beyond_float64_is_the_unscaled_answer(a, b, c0, c1, gamma, c1_scale):
+    # Parts of 1.7e308 are finite, but |c0| = 1.7e308 sqrt(2) is not.
+    want = direct_report(a, b, EnvironmentModel(gamma, 1 + 1j, c1 * c1_scale / 1.7e308))
+    got = direct_report(a, b, EnvironmentModel(gamma, complex(1.7e308, 1.7e308), c1 * c1_scale))
+    assert np.abs(got.rho3.mat - want.rho3.mat).max() <= 1e-15
+    assert got.delta == pytest.approx(want.delta, abs=1e-15)
+    assert got.fidelity == pytest.approx(want.fidelity, abs=1e-15)
+    assert got.purity == pytest.approx(want.purity, abs=1e-15)
+
+
+def test_overlap_modulus_beyond_float64_exceeds_one():
+    with pytest.raises(ValueError, match=r"\|gamma\| = inf exceeds 1"):
+        EnvironmentModel(complex(1.7e308, 1.7e308), SQRT_HALF, SQRT_HALF)
+
+
 def test_amplitudes_within_tolerance_are_rescaled():
     env = EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF)
     report = direct_report(1 + 2.5e-11, 0, env)
@@ -210,14 +226,10 @@ def test_deviation_rejects_non_finite_matrix():
 
 # ---------------------------------------------------------------- batch validation
 
-def test_check_batch_accepts_a_sweep_and_rejects_bad_overlaps():
+def test_check_qubit_states_accepts_a_sweep():
     gamma = np.linspace(0, 1, 11) * np.exp(0.4j)
-    check_batch(gamma, closed_form(0.6, 0.8, 1, 1j, gamma))
-    too_big = gamma * 1.01
-    with pytest.raises(ValueError, match="exceeds 1"):
-        check_batch(too_big, closed_form(0.6, 0.8, 1, 1j, too_big))
-    with pytest.raises(ValueError, match="not finite"):
-        check_batch(np.array([0.5, np.nan]), closed_form(0.6, 0.8, 1, 1, np.array([0.5, 0.5])))
+    states = closed_form(0.6, 0.8, 1, 1j, gamma)
+    check_qubit_states(states.rho00, states.rho11, states.rho01_re, states.rho01_im)
 
 
 @pytest.mark.parametrize(

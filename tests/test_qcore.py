@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from teleportsim.qcore import (
     DENSITY_TOL,
     GATES,
+    NORM_TOL,
     I,
     X,
     Z,
@@ -21,6 +23,7 @@ from teleportsim.qcore import (
     born_measure,
     fidelity,
     ket_from_amplitudes,
+    normalized_amplitudes,
     purity,
     seeded_stream,
     to_density,
@@ -60,6 +63,74 @@ def test_ket_from_amplitudes_complex_case():
 def test_ket_from_amplitudes_rejects_zero_vector():
     with pytest.raises(ValueError, match="do not define"):
         ket_from_amplitudes(0, 0)
+
+
+# ---------------------------------------------------------------- normalized_amplitudes
+
+def signed_powers(low, high):
+    """+-10^e with e uniform in [low, high]."""
+    return st.builds(lambda e, negative: (-1.0 if negative else 1.0) * 10.0**e, st.floats(low, high), st.booleans())
+
+
+ordinary_parts = signed_powers(-3.0, 3.0) | st.just(0.0)
+extreme_scales = st.sampled_from([2.0**1000, 2.0**-1000, 1e300, 1e-300]) | signed_powers(-300.0, 300.0).map(abs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[ordinary_parts] * 4), extreme_scales)
+def test_normalized_amplitudes_are_scale_invariant(parts, k):
+    assume(any(parts))
+    a, b = complex(*parts[:2]), complex(*parts[2:])
+    want = normalized_amplitudes(a, b)
+    got = normalized_amplitudes(complex(k * a.real, k * a.imag), complex(k * b.real, k * b.imag))
+    assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-15
+    assert abs(math.hypot(*(p for z in got for p in (z.real, z.imag))) - 1.0) <= NORM_TOL
+
+
+def _sweep_formula(a, b):
+    norm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    return complex(a.real / norm, a.imag / norm), complex(b.real / norm, b.imag / norm)
+
+
+moderate_parts = signed_powers(-100.0, 100.0)
+
+
+# A power-of-two prescale of these ordinary pairs would move a last bit.
+@example(-0.03371122486833298, -0.4902698125589609, -0.17758829074147392, 7.583801934427046)
+@example(0.33309485542470724, 0.06859111559592775, 0.02408921548802265, -9.652044207232224)
+@example(30.037790005030434, -0.04704051890412, -0.10297260982439896, -0.07989616729931714)
+@settings(max_examples=300, deadline=None)
+@given(moderate_parts, moderate_parts, moderate_parts, moderate_parts)
+def test_normalized_amplitudes_keep_the_sweep_formula_bit_for_bit(a_re, a_im, b_re, b_im):
+    a, b = complex(a_re, a_im), complex(b_re, b_im)
+    assert normalized_amplitudes(a, b) == _sweep_formula(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        (1e200, 0, (1, 0)),
+        (1e-200, 0, (1, 0)),
+        (5e-324, 0, (1, 0)),
+        (0, -1.5e-310j, (0, -1j)),
+        (complex(1.7e308, 1.7e308), 1.7e308, (complex(3**-0.5, 3**-0.5), 3**-0.5)),
+    ],
+)
+def test_normalized_amplitudes_at_the_float64_extremes(a, b, want):
+    assert normalized_amplitudes(a, b) == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (0, 0, "do not define"),
+        (float("nan"), 1, "non-finite"),
+        (1, complex(0, float("inf")), "non-finite"),
+    ],
+)
+def test_normalized_amplitudes_reject_non_finite_and_zero(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        normalized_amplitudes(a, b)
 
 
 def test_ket_rejects_unnormalized():

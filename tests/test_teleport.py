@@ -20,6 +20,7 @@ from teleportsim.teleport import (
     OUTCOME_ORDER,
     BellOutcome,
     alice_measure,
+    born_index,
     correction_for,
     enumerate_branches,
     prepare_joint,
@@ -290,6 +291,14 @@ def test_alice_measure_matches_born_measure_on_entangled_input(joint, seed):
     assert outcome is OUTCOME_ORDER[index]
     assert bob.labels == ("3",)
     assert np.abs(bob.amplitudes - oracle_conditional(post.amplitudes, index)).max() <= TOL
+
+
+def test_born_index_takes_one_draw_or_many():
+    probs = np.array([0.125, 0.0, 0.5, 0.375])
+    # 1.0 stands for a draw whose product with the total rounds onto it.
+    draws = np.array([0.0, 0.124, 0.125, 0.624, 0.625, 0.999, 1.0])
+    many = born_index(probs, draws).tolist()
+    assert many == [born_index(probs, u) for u in draws.tolist()] == [0, 0, 2, 2, 3, 3, 3]
 
 
 def test_alice_measure_rejects_two_particle_state():
