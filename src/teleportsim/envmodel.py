@@ -126,7 +126,10 @@ class DeviationReport:
 def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
     a = complex(a)
     b = complex(b)
-    norm_sq = abs(a) * abs(a) + abs(b) * abs(b)
+    try:
+        norm_sq = abs(a) * abs(a) + abs(b) * abs(b)
+    except OverflowError:  # the modulus of finite parts exceeds float64
+        norm_sq = math.inf
     if not abs(norm_sq - 1.0) <= AMPLITUDE_TOL:
         raise ValueError(f"(a, b) is not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
     if abs(norm_sq - 1.0) > NORM_TOL:

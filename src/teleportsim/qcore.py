@@ -68,6 +68,13 @@ def seeded_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _first_draw(seed: int) -> float:
+    """``seeded_stream(seed).random()`` without building a Generator: numpy's
+    next_double on Philox's first 64-bit output, so it equals that draw bit for
+    bit and raises the same errors."""
+    return (int(np.random.Philox(seed).random_raw()) >> 11) * 2.0**-53
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Normalized pure state over labelled two-level subsystems."""
@@ -86,17 +93,39 @@ class Ket:
             raise ValueError(
                 f"dimension {amps.shape[0]} does not match {len(labels)} two-level subsystems"
             )
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes contain non-finite entries")
-        norm = math.sqrt(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"ket is not normalized: |amplitudes| = {norm!r}")
+        if len(labels) == 1:
+            _check_qubit_ket(amps)
+        else:
+            _check_ket(amps)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
+
+
+def _check_norm(norm: float) -> None:
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"ket is not normalized: |amplitudes| = {norm!r}")
+
+
+def _check_ket(amps: np.ndarray) -> None:
+    """Ket's checks in numpy, for two and three qubits (4 and 8 amplitudes)."""
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes contain non-finite entries")
+    _check_norm(math.sqrt(np.vdot(amps, amps).real))
+
+
+def _check_qubit_ket(amps: np.ndarray) -> None:
+    """_check_ket for one qubit, in Python float arithmetic: the same
+    comparisons, tolerance and messages. The sum of squares is not BLAS's
+    vdot, which may round one ulp apart, so a norm within an ulp of
+    1 +- NORM_TOL may be judged differently and is printed as this sum's."""
+    a0, a1 = amps.tolist()
+    if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
+        raise ValueError("amplitudes contain non-finite entries")
+    _check_norm(math.sqrt(a0.real * a0.real + a0.imag * a0.imag + a1.real * a1.real + a1.imag * a1.imag))
 
 
 @dataclass(frozen=True, eq=False)

@@ -60,6 +60,33 @@ def test_teleport_deterministic(capsys):
     assert first == second
 
 
+# ``teleport --shots 1000`` stdout per seed. Every branch has probability
+# 1/4 at any input state, so the counts depend on the seed alone.
+PINNED_TELEPORT_COUNTS = {
+    0: (257, 235, 243, 265),
+    7: (257, 263, 246, 234),
+    11: (253, 267, 228, 252),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TELEPORT_COUNTS))
+@pytest.mark.parametrize(
+    "state",
+    [(), ("--a-re", "0.6", "--b-re", "0.8"), ("--a-re", "0.3", "--a-im", "-0.4", "--b-re", "-0.5", "--b-im", "0.7")],
+)
+def test_teleport_output_is_pinned(capsys, state, seed):
+    code, out, _ = run_cli(capsys, "teleport", "--shots", "1000", "--seed", str(seed), *state)
+    counts = PINNED_TELEPORT_COUNTS[seed]
+    assert code == 0
+    assert out == (
+        f"outcome PHI_PLUS (bits 00): {counts[0]}\n"
+        f"outcome PHI_MINUS (bits 10): {counts[1]}\n"
+        f"outcome PSI_PLUS (bits 01): {counts[2]}\n"
+        f"outcome PSI_MINUS (bits 11): {counts[3]}\n"
+        "mean fidelity 1.000000\n"
+    )
+
+
 def test_teleport_rejects_zero_state(capsys):
     code, _, err = run_cli(capsys, "teleport", "--a-re", "0", "--b-re", "0")
     assert code == 2

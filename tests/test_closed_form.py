@@ -218,6 +218,14 @@ def test_amplitudes_within_tolerance_are_rescaled():
         direct_report(1 + 2e-10, 0, env)
 
 
+@pytest.mark.parametrize("call", [direct_report, reduced_state, evolve])
+@pytest.mark.parametrize("a, b", [(complex(1.7e308, 1.7e308), 0), (0, complex(-1.7e308, 1.7e308))])
+def test_amplitude_modulus_beyond_float64_is_not_normalized(call, a, b):
+    # Parts of 1.7e308 are finite, but the modulus is not.
+    with pytest.raises(ValueError, match=r"\(a, b\) is not normalized: \|a\|\^2 \+ \|b\|\^2 = inf"):
+        call(a, b, EnvironmentModel(0.5, 1, 1))
+
+
 def test_deviation_rejects_non_finite_matrix():
     rho1 = to_density(Ket(np.array([0.6, 0.8]), ("3",)))
     with pytest.raises(ValueError, match="non-finite"):

@@ -28,6 +28,7 @@ from teleportsim.qcore import (
     seeded_stream,
     to_density,
 )
+from teleportsim.qcore import _first_draw
 
 SQRT_HALF = np.sqrt(0.5)
 
@@ -251,6 +252,62 @@ def test_qubit_density_checks_match_eigvalsh_oracle(mat):
     assert str(info.value).startswith(expected)
 
 
+def ket_oracle(amps):
+    """Ket's numpy checks on a one-qubit ket: (message start, printed norm)
+    to reject amps with, or (None, None) to accept them."""
+    if not np.isfinite(amps).all():
+        return "amplitudes contain non-finite entries", None
+    norm = math.sqrt(np.vdot(amps, amps).real)
+    # BLAS's vdot and a plain sum of squares may differ in the last bit.
+    assume(abs(abs(norm - 1.0) - NORM_TOL) > math.ulp(1.0))
+    if abs(norm - 1.0) > NORM_TOL:
+        return "ket is not normalized: |amplitudes| = ", norm
+    return None, None
+
+
+@st.composite
+def qubit_amplitudes(draw):
+    """Two complex amplitudes: unstructured ones, signed zeros around a basis
+    state, non-finite parts, and norms on or near 1 +- NORM_TOL."""
+    kind = draw(st.sampled_from(["random", "zeros", "non-finite", "boundary"]))
+    if kind == "random":
+        parts = draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+    elif kind == "zeros":
+        parts = [draw(st.sampled_from([0.0, -0.0])) for _ in range(4)]
+        scale = draw(st.sampled_from([1.0, -1.0, 0.0, 1.0 + 2 * NORM_TOL, 1.0 - NORM_TOL / 2]))
+        parts[draw(st.integers(0, 3))] = scale
+    else:
+        theta, phi, psi = draw(angles), draw(angles), draw(angles)
+        norm = 1.0
+        if kind == "boundary":
+            norm += draw(st.sampled_from([1.0, -1.0])) * NORM_TOL + draw(near)
+        a = norm * math.cos(theta) * cmath.exp(1j * phi)
+        b = norm * math.sin(theta) * cmath.exp(1j * psi)
+        parts = [a.real, a.imag, b.real, b.imag]
+        if kind == "non-finite":
+            parts[draw(st.integers(0, 3))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array([complex(*parts[:2]), complex(*parts[2:])])
+
+
+@settings(max_examples=400, deadline=None)
+@given(qubit_amplitudes())
+@example(np.array([complex(-0.0, -0.0), complex(-1.0, 0.0)]))
+@example(np.array([complex(0.0, math.nan), 0j]))
+def test_qubit_ket_checks_match_numpy_oracle(amps):
+    expected, norm = ket_oracle(amps)
+    if expected is None:
+        assert np.array_equal(Ket(amps, ("1",)).amplitudes, amps)
+        return
+    with pytest.raises(ValueError) as info:
+        Ket(amps, ("1",))
+    message = str(info.value)
+    if norm is None:
+        assert message == expected
+    else:
+        assert message.startswith(expected)
+        assert abs(float(message[len(expected):]) - norm) <= math.ulp(norm)
+
+
 # ---------------------------------------------------------------- gates
 
 @pytest.mark.parametrize("gate", [I, X, Z, ZX])
@@ -448,3 +505,23 @@ def test_seeded_stream_reproducible():
     c = seeded_stream(124).random(5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------- the first draw of a seed
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**80))
+@example(0)
+@example(2**63)
+@example(2**64)
+@example(2**70)
+def test_first_draw_is_seeded_streams_first_draw_bit_for_bit(seed):
+    assert _first_draw(seed).hex() == seeded_stream(seed).random().hex()
+
+
+def test_first_draw_rejects_a_negative_seed_as_seeded_stream_does():
+    with pytest.raises(ValueError) as want:
+        seeded_stream(-1)
+    with pytest.raises(ValueError) as got:
+        _first_draw(-1)
+    assert str(got.value) == str(want.value)

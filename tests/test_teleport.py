@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -299,6 +300,26 @@ def test_born_index_takes_one_draw_or_many():
     draws = np.array([0.0, 0.124, 0.125, 0.624, 0.625, 0.999, 1.0])
     many = born_index(probs, draws).tolist()
     assert many == [born_index(probs, u) for u in draws.tolist()] == [0, 0, 2, 2, 3, 3, 3]
+
+
+# Probabilities of any magnitude, so that adding them in another order rounds
+# the boundaries or the total differently.
+magnitudes = st.floats(0.0, 1.0) | st.builds(lambda m, e: m * 10.0**e, st.floats(0.0, 1.0), st.integers(-17, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(magnitudes, min_size=4, max_size=4).filter(any))
+def test_born_index_one_draw_or_many_agree_at_every_boundary(weights):
+    probs = np.array(weights)
+    cumsum, total = np.cumsum(probs), probs.sum()
+    # numpy adds four values left to right, as the one-draw path does.
+    assert cumsum.tolist() == list(accumulate(weights)) and total == cumsum[-1]
+    draws = []
+    for bound in cumsum / total:
+        below = np.nextafter(bound, -np.inf)
+        draws += [np.nextafter(below, -np.inf), below, bound, np.nextafter(bound, np.inf)]
+    draws = np.clip(draws, 0.0, 1.0)
+    assert born_index(probs, draws).tolist() == [born_index(weights, u) for u in draws.tolist()]
 
 
 def test_alice_measure_rejects_two_particle_state():
