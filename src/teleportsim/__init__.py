@@ -23,7 +23,6 @@ from .envmodel import (
     printed_deviation,
     reduced_state,
     reduced_state_paper_literal,
-    replica_fidelity,
 )
 from .qcore import (
     DensityMatrix,
@@ -89,7 +88,6 @@ __all__ = [
     "deviation",
     "deviation_closed_form_paper",
     "printed_deviation",
-    "replica_fidelity",
     "direct_report",
     "noisy_teleport",
 ]

@@ -152,6 +152,9 @@ def _state_from_args(args) -> Ket:
 
 
 def _env_from_args(args) -> EnvironmentModel:
+    for name in ("gamma", "gamma_phase"):
+        if not math.isfinite(getattr(args, name)):
+            raise UsageError(f"{name} is not finite")
     if args.gamma < 0:
         raise UsageError(f"gamma must be >= 0, got {args.gamma}")
     gamma = args.gamma * np.exp(1j * args.gamma_phase)

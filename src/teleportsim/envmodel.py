@@ -64,7 +64,6 @@ __all__ = [
     "deviation",
     "deviation_closed_form_paper",
     "printed_deviation",
-    "replica_fidelity",
     "direct_report",
     "noisy_teleport",
 ]
@@ -374,12 +373,6 @@ def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
 def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -> float:
     """``printed_deviation`` at one parameter point."""
     return float(printed_deviation(a, b, env.c0, env.c1, env.gamma))
-
-
-def replica_fidelity(a: complex, b: complex, env: EnvironmentModel) -> float:
-    """<psi|rho3|psi> for the canonical reduced state. For c0 = c1 and real
-    gamma = s this is 1 - 2|a|^2|b|^2(1 - s)."""
-    return direct_report(a, b, env).fidelity
 
 
 def _report(a: complex, b: complex, env: EnvironmentModel,

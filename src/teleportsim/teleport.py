@@ -143,13 +143,15 @@ def born_index(probs, u):
     probs[i] / sum(probs). Searching all but the last boundary maps a draw
     that rounds onto the total to the last index.
 
-    A float u (one draw) is searched in plain Python: a running sum and
-    ``bisect``, which add left to right as ``np.cumsum`` and ``np.sum`` do on
-    four values, so both paths give the same index. An array of draws, as
-    ``cmd_teleport`` passes, is searched with ``np.searchsorted``."""
-    if isinstance(u, float):
+    One draw (any u that is not an ndarray) is searched in plain Python: a
+    running sum and ``bisect``, which add left to right as ``np.cumsum`` and
+    ``np.sum`` do on four values, so both paths give the same index. An array
+    of draws, as ``cmd_teleport`` passes, is searched with
+    ``np.searchsorted``; probs may be any sequence on either path."""
+    if not isinstance(u, np.ndarray):
         bounds = list(accumulate(probs))
         return bisect_right(bounds, u * bounds[-1], 0, len(bounds) - 1)
+    probs = np.asarray(probs)
     return np.searchsorted(np.cumsum(probs)[:-1], u * probs.sum(), side="right")
 
 

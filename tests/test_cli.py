@@ -165,6 +165,23 @@ def test_deviation_gamma_phase_rotates_overlap(capsys):
     assert report["delta_canonical"] == pytest.approx(expected, abs=1e-11)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["deviation", "paper-check"])
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--gamma", "inf", "gamma"),
+        ("--gamma", "-inf", "gamma"),
+        ("--gamma", "nan", "gamma"),
+        ("--gamma-phase", "inf", "gamma_phase"),
+        ("--gamma-phase", "nan", "gamma_phase"),
+    ],
+)
+def test_point_query_rejects_a_non_finite_overlap_by_flag_name(capsys, command, flag, value, name):
+    code, out, err = run_cli(capsys, command, f"{flag}={value}")
+    assert (code, out, err) == (2, "", f"error: {name} is not finite\n")
+
+
 # ---------------------------------------------------------------- paper-check
 
 def test_paper_check_reports_trace_discrepancy(capsys):

@@ -55,7 +55,8 @@ def metrics(a, b, c0, c1, gamma):
 
 def oracle(a, b, env):
     """rho3, delta, fidelity, purity through the joint state and a partial trace."""
-    rho = partial_trace(to_density(evolve(a, b, env)).mat, 2, 2, keep="B")
+    joint = evolve(a, b, env).amplitudes
+    rho = partial_trace(np.outer(joint, joint.conj()), 2, 2, keep="B")
     psi = np.array([a, b])
     return (
         rho,

@@ -13,7 +13,6 @@ from teleportsim.envmodel import (
     noisy_teleport,
     reduced_state,
     reduced_state_paper_literal,
-    replica_fidelity,
 )
 from teleportsim.qcore import Ket, ket_from_amplitudes, purity, to_density
 from teleportsim.teleport import BellOutcome
@@ -296,19 +295,19 @@ def test_closed_form_fully_dephased_balanced_case():
     assert delta == pytest.approx(np.sqrt(2) * 0.5, abs=1e-12)
 
 
-# ---------------------------------------------------------------- replica_fidelity
+# ---------------------------------------------------------------- direct_report fidelity
 
-def test_replica_fidelity_special_case_is_one():
+def test_direct_report_fidelity_special_case_is_one():
     rng = np.random.default_rng(53)
     a, b = random_qubit(rng)
-    assert replica_fidelity(a, b, EnvironmentModel(1, SQRT_HALF, SQRT_HALF)) == pytest.approx(
+    assert direct_report(a, b, EnvironmentModel(1, SQRT_HALF, SQRT_HALF)).fidelity == pytest.approx(
         1, abs=1e-12
     )
 
 
-def test_replica_fidelity_fully_dephased_balanced_case():
+def test_direct_report_fidelity_fully_dephased_balanced_case():
     env = EnvironmentModel(0, 1, 1)
-    fid = replica_fidelity(SQRT_HALF, SQRT_HALF, env)
+    fid = direct_report(SQRT_HALF, SQRT_HALF, env).fidelity
     assert fid == pytest.approx(0.5, abs=1e-12)
     rho = reduced_state(SQRT_HALF, SQRT_HALF, env)
     psi = np.array([SQRT_HALF, SQRT_HALF])
@@ -318,19 +317,19 @@ def test_replica_fidelity_fully_dephased_balanced_case():
     assert fid == pytest.approx(oracle, abs=1e-15)
 
 
-def test_replica_fidelity_pointer_state_unaffected():
+def test_direct_report_fidelity_pointer_state_unaffected():
     for gamma in (0, 0.3, 0.9):
-        assert replica_fidelity(1, 0, EnvironmentModel(gamma, 0.8, 0.6)) == pytest.approx(
+        assert direct_report(1, 0, EnvironmentModel(gamma, 0.8, 0.6)).fidelity == pytest.approx(
             1, abs=1e-12
         )
 
 
-def test_replica_fidelity_closed_form_for_symmetric_coupling():
+def test_direct_report_fidelity_closed_form_for_symmetric_coupling():
     rng = np.random.default_rng(54)
     for _ in range(50):
         a, b = random_qubit(rng)
         s = rng.random()
-        fid = replica_fidelity(a, b, EnvironmentModel(s, SQRT_HALF, SQRT_HALF))
+        fid = direct_report(a, b, EnvironmentModel(s, SQRT_HALF, SQRT_HALF)).fidelity
         assert fid == pytest.approx(1 - 2 * abs(a) ** 2 * abs(b) ** 2 * (1 - s), abs=1e-12)
 
 

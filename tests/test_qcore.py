@@ -186,6 +186,20 @@ def test_density_matrix_rejects_bad_inputs():
         DensityMatrix(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda: DensityMatrix(np.eye(4) / 4), "(4, 4)"),
+        (lambda: to_density(Ket(np.full(4, 0.5), ("1", "2"))), "(4, 4)"),
+        (lambda: DensityMatrix(np.array([0.5, 0.5])), "(2,)"),
+    ],
+)
+def test_density_matrix_is_a_qubits_2x2_state(build, shape):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"density matrix must be 2x2, got shape {shape}"
+
+
 def density_oracle(mat):
     """The start of the message DensityMatrix must reject mat with, or None to
     accept it: Hermiticity, np.trace and np.linalg.eigvalsh, in that order."""
@@ -252,60 +266,78 @@ def test_qubit_density_checks_match_eigvalsh_oracle(mat):
     assert str(info.value).startswith(expected)
 
 
+# A left-to-right sum of squares and BLAS's vdot round the norm up to this many
+# ulps apart: 2 at 2 amplitudes and 3 at 8, over 200 000 random vectors.
+VDOT_GAP_ULPS = 3
+
+
 def ket_oracle(amps):
-    """Ket's numpy checks on a one-qubit ket: (message start, printed norm)
-    to reject amps with, or (None, None) to accept them."""
+    """numpy's checks on a ket: (message start, vdot's norm) to reject amps
+    with, or (None, None) to accept them."""
     if not np.isfinite(amps).all():
         return "amplitudes contain non-finite entries", None
     norm = math.sqrt(np.vdot(amps, amps).real)
-    # BLAS's vdot and a plain sum of squares may differ in the last bit.
-    assume(abs(abs(norm - 1.0) - NORM_TOL) > math.ulp(1.0))
+    # Within the gap of 1 +- NORM_TOL the two norms may fall on either side.
+    assume(abs(abs(norm - 1.0) - NORM_TOL) > VDOT_GAP_ULPS * math.ulp(norm))
     if abs(norm - 1.0) > NORM_TOL:
         return "ket is not normalized: |amplitudes| = ", norm
     return None, None
 
 
+def left_to_right_norm(amps):
+    """The norm Ket prints: the squared parts added left to right."""
+    total = 0.0
+    for z in amps.tolist():
+        total += z.real * z.real
+        total += z.imag * z.imag
+    return math.sqrt(total)
+
+
 @st.composite
-def qubit_amplitudes(draw):
-    """Two complex amplitudes: unstructured ones, signed zeros around a basis
-    state, non-finite parts, and norms on or near 1 +- NORM_TOL."""
+def ket_amplitudes(draw):
+    """2, 4 or 8 complex amplitudes: unstructured ones, signed zeros around a
+    basis state, non-finite parts, and norms on or near 1 +- NORM_TOL."""
+    size = 2 * draw(st.sampled_from([2, 4, 8]))
     kind = draw(st.sampled_from(["random", "zeros", "non-finite", "boundary"]))
     if kind == "random":
-        parts = draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+        parts = draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
     elif kind == "zeros":
-        parts = [draw(st.sampled_from([0.0, -0.0])) for _ in range(4)]
+        parts = [draw(st.sampled_from([0.0, -0.0])) for _ in range(size)]
         scale = draw(st.sampled_from([1.0, -1.0, 0.0, 1.0 + 2 * NORM_TOL, 1.0 - NORM_TOL / 2]))
-        parts[draw(st.integers(0, 3))] = scale
+        parts[draw(st.integers(0, size - 1))] = scale
     else:
-        theta, phi, psi = draw(angles), draw(angles), draw(angles)
+        direction = draw(st.lists(st.floats(-1, 1), min_size=size, max_size=size))
+        length = math.hypot(*direction)
+        assume(length > 0.1)
         norm = 1.0
         if kind == "boundary":
             norm += draw(st.sampled_from([1.0, -1.0])) * NORM_TOL + draw(near)
-        a = norm * math.cos(theta) * cmath.exp(1j * phi)
-        b = norm * math.sin(theta) * cmath.exp(1j * psi)
-        parts = [a.real, a.imag, b.real, b.imag]
+        parts = [norm * p / length for p in direction]
         if kind == "non-finite":
-            parts[draw(st.integers(0, 3))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
-    return np.array([complex(*parts[:2]), complex(*parts[2:])])
+            parts[draw(st.integers(0, size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array([complex(re, im) for re, im in zip(parts[0::2], parts[1::2])])
 
 
 @settings(max_examples=400, deadline=None)
-@given(qubit_amplitudes())
+@given(ket_amplitudes())
 @example(np.array([complex(-0.0, -0.0), complex(-1.0, 0.0)]))
 @example(np.array([complex(0.0, math.nan), 0j]))
+# The two norms of this ket differ by 2 ulps.
+@example(np.array([complex(0.1237378575341197, 0.0), complex(0.7298228536491811, 0.5302357341014016)]))
 def test_qubit_ket_checks_match_numpy_oracle(amps):
+    labels = ("1", "2", "3")[: len(amps).bit_length() - 1]
     expected, norm = ket_oracle(amps)
     if expected is None:
-        assert np.array_equal(Ket(amps, ("1",)).amplitudes, amps)
+        assert np.array_equal(Ket(amps, labels).amplitudes, amps)
         return
     with pytest.raises(ValueError) as info:
-        Ket(amps, ("1",))
+        Ket(amps, labels)
     message = str(info.value)
     if norm is None:
         assert message == expected
     else:
         assert message.startswith(expected)
-        assert abs(float(message[len(expected):]) - norm) <= math.ulp(norm)
+        assert float(message[len(expected):]) == left_to_right_norm(amps)
 
 
 # ---------------------------------------------------------------- gates

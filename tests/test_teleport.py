@@ -300,6 +300,12 @@ def test_born_index_takes_one_draw_or_many():
     draws = np.array([0.0, 0.124, 0.125, 0.624, 0.625, 0.999, 1.0])
     many = born_index(probs, draws).tolist()
     assert many == [born_index(probs, u) for u in draws.tolist()] == [0, 0, 2, 2, 3, 3, 3]
+    # Probabilities as a list or tuple, and int draws, give the same indices.
+    for seq in (probs.tolist(), tuple(probs.tolist())):
+        assert born_index(seq, draws).tolist() == many
+        assert [born_index(seq, u) for u in draws.tolist()] == many
+    assert born_index(tuple(probs.tolist()), 0) == born_index(probs, 0) == 0
+    assert born_index(probs, 1) == 3
 
 
 # Probabilities of any magnitude, so that adding them in another order rounds
