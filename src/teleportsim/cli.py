@@ -15,6 +15,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -303,32 +304,35 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_state_flags(parser: argparse.ArgumentParser, default: float | None) -> None:
-    parser.add_argument("--a-re", type=float, default=default, help="Re(a)")
-    parser.add_argument("--a-im", type=float, default=0.0 if default is not None else None, help="Im(a)")
-    parser.add_argument("--b-re", type=float, default=default, help="Re(b)")
-    parser.add_argument("--b-im", type=float, default=0.0 if default is not None else None, help="Im(b)")
+def _add_complex_flags(parser: argparse.ArgumentParser, names, default: float | None) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}-re", type=float, default=default, help=f"Re({name})")
+        parser.add_argument(f"--{name}-im", type=float, default=None if default is None else 0.0, help=f"Im({name})")
 
 
-def _add_env_flags(parser: argparse.ArgumentParser, default: float | None) -> None:
-    parser.add_argument("--c0-re", type=float, default=default, help="Re(c0)")
-    parser.add_argument("--c0-im", type=float, default=0.0 if default is not None else None, help="Im(c0)")
-    parser.add_argument("--c1-re", type=float, default=default, help="Re(c1)")
-    parser.add_argument("--c1-im", type=float, default=0.0 if default is not None else None, help="Im(c1)")
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-3`` or ``-inf`` as a value; argparse's own pattern takes only ``-1``, ``-1.5``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process; parsing returns a
     fresh namespace each call, so reusing it carries no state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teleportsim",
         description="Qubit teleportation with an environment-coupled correction step.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("teleport", help="run the ideal protocol for many shots")
-    _add_state_flags(p, INV_SQRT2)
+    _add_complex_flags(p, ("a", "b"), INV_SQRT2)
     p.add_argument("--shots", type=int, default=1000, help="number of protocol runs")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.set_defaults(func=cmd_teleport)
@@ -338,15 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("paper-check", cmd_paper_check, "canonical vs printed reduced state"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_state_flags(p, INV_SQRT2)
-        _add_env_flags(p, INV_SQRT2)
+        _add_complex_flags(p, ("a", "b", "c0", "c1"), INV_SQRT2)
         p.add_argument("--gamma", type=float, default=1.0, help="overlap magnitude")
         p.add_argument("--gamma-phase", type=float, default=0.0, help="overlap phase (radians)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("sweep", help="CSV sweep over the overlap magnitude")
-    _add_state_flags(p, None)
-    _add_env_flags(p, None)
+    _add_complex_flags(p, ("a", "b", "c0", "c1"), None)
     p.add_argument("--gamma-start", type=float, default=None, help="first overlap magnitude")
     p.add_argument("--gamma-end", type=float, default=None, help="last overlap magnitude")
     p.add_argument("--steps", type=int, default=None, help="number of grid points (>= 2)")

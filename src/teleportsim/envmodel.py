@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import NORM_TOL, DensityMatrix, Ket, normalized_amplitudes
+from .qcore import NORM_TOL, DensityMatrix, Ket, _pure_density, normalized_amplitudes
 from .teleport import BellOutcome, run_ideal
 
 __all__ = [
@@ -160,7 +160,7 @@ def _frobenius(diffs):
     total = 0.0
     for re, im in diffs:
         total = total + (re * re + im * im)
-    return np.sqrt(total)
+    return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
 
 
 class ClosedForm(NamedTuple):
@@ -176,12 +176,14 @@ class ClosedForm(NamedTuple):
     fidelity: float | np.ndarray
     purity: float | np.ndarray
 
+    def rows(self) -> list[list[complex]]:
+        """rho3's entries as nested Python numbers (for a scalar gamma)."""
+        off = complex(self.rho01_re, self.rho01_im)
+        return [[self.rho00, off], [off.conjugate(), self.rho11]]
+
     def matrix(self) -> np.ndarray:
         """rho3 as a 2x2 complex matrix (for a scalar gamma)."""
-        off = complex(self.rho01_re, self.rho01_im)
-        return np.array(
-            [[self.rho00, off], [off.conjugate(), self.rho11]], dtype=np.complex128
-        )
+        return np.array(self.rows(), dtype=np.complex128)
 
 
 def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> ClosedForm:
@@ -213,8 +215,7 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     off_im = w_re * g_im + w_im * g_re
 
     # The sender's |psi><psi| exactly as ``to_density`` forms it.
-    psi = np.array([a, b], dtype=np.complex128)
-    (r00, r01), (r10, r11) = np.outer(psi, psi.conj()).tolist()
+    (r00, r01), (r10, r11) = _pure_density(a, b)
     delta = _frobenius((
         (rho00 - r00.real, r00.imag),
         (off_re - r01.real, off_im - r01.imag),
@@ -263,7 +264,7 @@ def reduced_state(a: complex, b: complex, env: EnvironmentModel) -> DensityMatri
     coupled state, from ``closed_form``. Diagonal proportional to
     (|c0 a|^2, |c1 b|^2); upper off-diagonal proportional to
     c0 conj(c1) a conj(b) gamma."""
-    return DensityMatrix(closed_form(a, b, env.c0, env.c1, env.gamma).matrix())
+    return DensityMatrix(closed_form(a, b, env.c0, env.c1, env.gamma).rows())
 
 
 def _rejects_overflow(printed):
@@ -272,28 +273,26 @@ def _rejects_overflow(printed):
     The printed form uses (c0, c1) as given, since it is not scale invariant,
     so its squared terms overflow at scales where the canonical form is
     exact. One point is evaluated in Python float/complex arithmetic, where an
-    overflow gives inf or nan, or raises OverflowError from ``**`` and
-    ``abs``. Only ``printed_deviation`` takes a batch: gamma, its last
-    argument, as an array, evaluated in numpy with its overflow warnings off."""
+    overflow raises OverflowError from ``**``, ``abs`` or the function's own
+    finiteness check of its values. Only ``printed_deviation`` takes a batch:
+    gamma, its last argument, as an array, evaluated in numpy with its
+    overflow warnings off."""
 
     @functools.wraps(printed)
     def checked(*args):
         try:
-            if isinstance(args[-1], np.ndarray):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    value = printed(*args)
-                finite = np.isfinite(value).all()
-            else:
+            if not isinstance(args[-1], np.ndarray):
+                return printed(*args)
+            with np.errstate(over="ignore", invalid="ignore"):
                 value = printed(*args)
-                finite = all(map(cmath.isfinite, np.ravel(value).tolist()))
+            if np.isfinite(value).all():
+                return value
         except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(
-                f"{printed.__name__} overflows float64 at this (c0, c1) scale; the "
-                "printed form is not scale invariant (the canonical form is)"
-            )
-        return value
+            pass
+        raise ValueError(
+            f"{printed.__name__} overflows float64 at this (c0, c1) scale; the "
+            "printed form is not scale invariant (the canonical form is)"
+        )
 
     return checked
 
@@ -315,6 +314,8 @@ def reduced_state_paper_literal(a: complex, b: complex, env: EnvironmentModel) -
     d01 = 2.0 * c0 * c1.conjugate() * a * b.conjugate() * g
     d10 = 2.0 * c1 * c0.conjugate() * b * a.conjugate() * g.conjugate()
     d11 = abs(c1 * b) ** 2 * (1.0 + g_sq)
+    if not (math.isfinite(d00) and cmath.isfinite(d01) and cmath.isfinite(d10) and math.isfinite(d11)):
+        raise OverflowError
     return np.array([[d00, d01], [d10, d11]], dtype=np.complex128)
 
 
@@ -338,7 +339,7 @@ def deviation(rho3, rho1: DensityMatrix) -> float:
     if mat3.shape != rho1.mat.shape:
         raise ValueError(f"shape mismatch: {mat3.shape} vs {rho1.mat.shape}")
     diff = (mat3 - rho1.mat).ravel().tolist()
-    return float(_frobenius((d.real, d.imag) for d in diff))
+    return _frobenius((d.real, d.imag) for d in diff)
 
 
 def _mod_sq_affine(k: complex, x_re, x_im, m: complex):
@@ -367,24 +368,20 @@ def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
     t10 = _mod_sq_affine(2.0 * c1 * c0.conjugate() * b * a.conjugate(), g_re, -g_im, b * a.conjugate())
     t11 = (c1b_sq + c1b_sq * g_sq - abs(b) ** 2) ** 2
     total = t00 + t01 + t10 + t11
+    if not (batch or math.isfinite(total)):
+        raise OverflowError
     return np.sqrt(total) if batch else math.sqrt(total)
 
 
 def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -> float:
     """``printed_deviation`` at one parameter point."""
-    return float(printed_deviation(a, b, env.c0, env.c1, env.gamma))
+    return printed_deviation(a, b, env.c0, env.c1, env.gamma)
 
 
 def _report(a: complex, b: complex, env: EnvironmentModel,
             branch: BellOutcome | None) -> DeviationReport:
     form = closed_form(a, b, env.c0, env.c1, env.gamma)
-    return DeviationReport(
-        rho3=DensityMatrix(form.matrix()),
-        delta=float(form.delta),
-        fidelity=float(form.fidelity),
-        purity=float(form.purity),
-        branch=branch,
-    )
+    return DeviationReport(DensityMatrix(form.rows()), form.delta, form.fidelity, form.purity, branch)
 
 
 def direct_report(a: complex, b: complex, env: EnvironmentModel) -> DeviationReport:

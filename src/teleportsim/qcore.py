@@ -129,7 +129,7 @@ class DensityMatrix:
         if mat.shape != (2, 2):
             raise ValueError(f"density matrix must be 2x2, got shape {mat.shape}")
         (m00, m01), (m10, m11) = mat.tolist()
-        if not all(map(cmath.isfinite, (m00, m01, m10, m11))):
+        if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
             raise ValueError("density matrix contains non-finite entries")
         try:
             skew = abs(m01 - m10.conjugate())
@@ -274,9 +274,20 @@ def ket_from_amplitudes(a: complex, b: complex) -> Ket:
     return Ket(normalized_amplitudes(a, b), ("1",))
 
 
+def _pure_density(a: complex, b: complex) -> list[list[complex]]:
+    """|psi><psi| for psi = a|0> + b|1> in real arithmetic, never fused: an
+    exactly real diagonal and r10 = conj(r01) exactly. The one rho1 formula,
+    for ``to_density`` and ``envmodel.closed_form``."""
+    r01 = complex(a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag)
+    return [[complex(a.real * a.real + a.imag * a.imag, 0.0), r01],
+            [r01.conjugate(), complex(b.real * b.real + b.imag * b.imag, 0.0)]]
+
+
 def to_density(psi: Ket) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a one-qubit ket."""
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+    if psi.dim != 2:
+        raise ValueError(f"density matrix must be 2x2, got shape {(psi.dim, psi.dim)}")
+    return DensityMatrix(_pure_density(*psi.amplitudes.tolist()))
 
 
 def apply_gate(psi: Ket, g: Gate, target: int) -> Ket:

@@ -182,6 +182,26 @@ def test_point_query_rejects_a_non_finite_overlap_by_flag_name(capsys, command, 
     assert (code, out, err) == (2, "", f"error: {name} is not finite\n")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["deviation", "paper-check"])
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+def test_non_finite_negative_overlap_as_a_separate_word_is_rejected_by_name(capsys, command, value):
+    code, out, err = run_cli(capsys, command, "--gamma", value)
+    assert (code, out, err) == (2, "", "error: gamma is not finite\n")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--c1-im", "-1e-3"), ("--a-re", "-1e5"), ("--c0-re", "-2.5E-1"), ("--gamma-phase", "-1E+2")],
+)
+@pytest.mark.parametrize("command", ["deviation", "paper-check"])
+def test_negative_number_in_exponent_form_is_a_value_as_a_separate_word(capsys, command, flag, value):
+    separate = run_cli(capsys, command, flag, value)
+    joined = run_cli(capsys, command, f"{flag}={value}")
+    assert separate == joined
+    assert separate[0] == 0 and separate[2] == ""
+
+
 # ---------------------------------------------------------------- paper-check
 
 def test_paper_check_reports_trace_discrepancy(capsys):
@@ -277,6 +297,26 @@ def test_sweep_rejects_overlap_range_outside_unit_interval(capsys):
     code, _, err = run_cli(capsys, "sweep", "--gamma-end", "1.2", "--out", "ignored.csv")
     assert code == 2
     assert "gamma_end" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, column, expected",
+    [
+        ("--gamma-phase", "-1E+2", "gamma_im", np.sin(-100.0)),
+        ("--c1-im", "-1e-3", "c1_im", -1e-3),
+        ("--b-im", "-5e-1", "b_im", -0.5 / np.sqrt(1.25)),
+    ],
+)
+def test_sweep_takes_a_negative_exponent_form_as_a_separate_word(tmp_path, capsys, flag, value, column, expected):
+    outputs = []
+    for argv in ([flag, value], [f"{flag}={value}"]):
+        out_path = tmp_path / f"{len(argv)}.csv"
+        code, _, err = run_cli(capsys, "sweep", *argv, "--steps", "5", "--out", str(out_path))
+        assert (code, err) == (0, "")
+        outputs.append(out_path.read_bytes())
+    assert outputs[0] == outputs[1]
+    _, rows = read_rows(tmp_path / "2.csv")
+    assert rows[-1][column] == pytest.approx(expected, rel=1e-15)
 
 
 def test_sweep_rejects_non_finite_overlap_phase(tmp_path, capsys):

@@ -97,6 +97,28 @@ def test_batched_kernel_equals_scalar_calls_bit_for_bit(ab, c0, c1, gammas, scal
         assert np.abs(point.matrix() - rho).max() <= TOL
 
 
+@settings(max_examples=200, deadline=None)
+@given(qubits(), coefficients, coefficients, overlaps)
+def test_rho1_is_exact_and_rho3_is_one_matrix_on_every_route(ab, c0, c1, gamma):
+    # rho1 in real arithmetic: no fused multiply-add leaves an imaginary part
+    # on the diagonal, and the lower off-diagonal is the upper one conjugated.
+    a, b = ab
+    assume(c0 != 0 or c1 != 0)
+    psi = Ket(np.array([a, b]), ("3",))
+    rho1 = to_density(psi).mat
+    assert rho1[0, 0].imag == 0.0 and rho1[1, 1].imag == 0.0
+    assert rho1[0, 0].real == a.real * a.real + a.imag * a.imag
+    assert rho1[1, 1].real == b.real * b.real + b.imag * b.imag
+    assert rho1[1, 0] == np.conj(rho1[0, 1])
+    env = EnvironmentModel(gamma, c0, c1)
+    form = metrics(a, b, c0, c1, env.gamma)
+    report = direct_report(a, b, env)
+    bits = form.matrix().tobytes()
+    assert report.rho3.mat.tobytes() == bits
+    assert reduced_state(a, b, env).mat.tobytes() == bits
+    assert report.delta == form.delta == deviation(reduced_state(a, b, env), to_density(psi))
+
+
 @settings(max_examples=100, deadline=None)
 @given(qubits(), coefficients, coefficients, st.lists(overlaps, min_size=1, max_size=6))
 def test_printed_deviation_batch_equals_scalar_calls_bit_for_bit(ab, c0, c1, gammas):
@@ -189,6 +211,23 @@ def test_printed_deviation_overflow_is_rejected_without_warnings(a, b, c0, c1, g
         ):
             with pytest.raises(ValueError, match="printed_deviation overflows"):
                 call()
+
+
+def test_printed_matrix_overflowing_only_off_the_diagonal_is_rejected_by_name():
+    # |c0 a| = 1e153 and |c1 b| ~ 1e150 keep the printed diagonal finite, but
+    # the off-diagonal's product c0 conj(c1) overflows before a b* scales it down.
+    a, b = 1e-10, math.sqrt(1 - 1e-20)
+    env = EnvironmentModel(0.5, 1e163, 1e150)
+    assert abs(env.c0 * a) ** 2 * 1.25 == pytest.approx(1.25e306, rel=1e-12)
+    assert abs(env.c1 * b) ** 2 * 1.25 == pytest.approx(1.25e300, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="reduced_state_paper_literal overflows"):
+            reduced_state_paper_literal(a, b, env)
+        report = direct_report(a, b, env)
+    want = direct_report(a, b, EnvironmentModel(0.5, 1e13, 1.0))
+    assert np.abs(report.rho3.mat - want.rho3.mat).max() <= 1e-15
+    assert report.delta == pytest.approx(want.delta, abs=1e-15)
 
 
 @pytest.mark.parametrize("c1_scale", [1.7e308, 1.0])
