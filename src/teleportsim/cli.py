@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-end", type=float, default=None, help="last overlap magnitude")
     p.add_argument("--steps", type=int, default=None, help="number of grid points (>= 2)")
     p.add_argument("--gamma-phase", type=float, default=None, help="overlap phase (radians)")
-    p.add_argument("--seed", type=int, default=None, help="seed recorded in the config")
+    p.add_argument("--seed", type=int, default=None, help="range-checked only; the sweep is deterministic")
     p.add_argument("--config", type=str, default=None, help="key = value config file")
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.set_defaults(func=cmd_sweep)

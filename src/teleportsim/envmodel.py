@@ -23,15 +23,19 @@ Two routes to the reduced state are provided on purpose:
   from it. ``evolve`` builds the joint state explicitly and is kept as the
   independent oracle that the kernel is tested against (with
   ``linalg.partial_trace``).
-* ``reduced_state_paper_literal`` evaluates a printed closed-form variant
-  verbatim. Its normalization disagrees with the partial trace away from
-  |gamma| = 1 (it is generally not unit-trace); the CLI's ``paper-check``
-  reports the divergence instead of silently preferring either side.
+* ``reduced_state_paper_literal`` evaluates a printed closed-form variant.
+  Its normalization disagrees with the partial trace away from |gamma| = 1
+  (it is generally not unit-trace); the CLI's ``paper-check`` reports the
+  divergence instead of silently preferring either side. One formula gives
+  its entries, and ``printed_deviation`` is that matrix's distance from rho1
+  by the canonical delta formula: it equals
+  ``deviation(reduced_state_paper_literal(...), rho1)`` bit for bit.
 
 The model is invariant under (c0, c1) -> k (c0, c1). The kernel and ``evolve``
 scale (c0, c1) to unit max-modulus before any other arithmetic, so the
 invariance holds in floating point at any k. The printed form is not scale
-invariant and uses (c0, c1) as given; where it overflows it is rejected.
+invariant and uses (c0, c1) as given; where it overflows it is rejected. Both
+forms take (a, b) through the same check: normalized within AMPLITUDE_TOL.
 
 The deviation delta is the entrywise-quadratic distance between the delivered
 reduced state and the sender's pure-state density matrix.
@@ -40,7 +44,6 @@ reduced state and the sender's pure-state density matrix.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -154,13 +157,27 @@ def _unit_scaled(c0: complex, c1: complex) -> tuple[complex, complex]:
 def _frobenius(diffs):
     """sqrt(sum re^2 + im^2) over (re, im) pairs, summed in the given order.
 
-    The one deviation formula: ``deviation`` and ``closed_form`` both use it,
-    so a sweep's delta equals ``deviation(reduced_state(...), rho1)`` bit for
-    bit."""
+    The one deviation formula: ``deviation`` and ``_delta`` both use it."""
     total = 0.0
     for re, im in diffs:
         total = total + (re * re + im * im)
     return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
+
+
+def _delta(rho1, d00, d11, off_re, off_im):
+    """Distance of [[d00, off], [conj(off), d11]] from rho1, the parts
+    from ``_pure_density``; broadcasts over array entries.
+
+    The one delta formula, for the canonical and the printed form. It takes
+    the entries in ``deviation``'s order, so each delta equals ``deviation``
+    of its matrix bit for bit."""
+    r00, r01_re, r01_im, r11 = rho1
+    return _frobenius((
+        (d00 - r00, 0.0),
+        (off_re - r01_re, off_im - r01_im),
+        (off_re - r01_re, r01_im - off_im),
+        (d11 - r11, 0.0),
+    ))
 
 
 class ClosedForm(NamedTuple):
@@ -180,10 +197,6 @@ class ClosedForm(NamedTuple):
         """rho3's entries as nested Python numbers (for a scalar gamma)."""
         off = complex(self.rho01_re, self.rho01_im)
         return [[self.rho00, off], [off.conjugate(), self.rho11]]
-
-    def matrix(self) -> np.ndarray:
-        """rho3 as a 2x2 complex matrix (for a scalar gamma)."""
-        return np.array(self.rows(), dtype=np.complex128)
 
 
 def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> ClosedForm:
@@ -215,15 +228,11 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     off_im = w_re * g_im + w_im * g_re
 
     # The sender's |psi><psi| exactly as ``to_density`` forms it.
-    (r00, r01), (r10, r11) = _pure_density(a, b)
-    delta = _frobenius((
-        (rho00 - r00.real, r00.imag),
-        (off_re - r01.real, off_im - r01.imag),
-        (off_re - r10.real, -off_im - r10.imag),
-        (rho11 - r11.real, r11.imag),
-    ))
-    # <psi|rho3|psi>: r10 = conj(a) b, so the off-diagonal terms give 2 Re(r10 rho01).
-    fidelity = r00.real * rho00 + r11.real * rho11 + 2.0 * (r10.real * off_re - r10.imag * off_im)
+    rho1 = _pure_density(a, b)
+    delta = _delta(rho1, rho00, rho11, off_re, off_im)
+    r00, r01_re, r01_im, r11 = rho1
+    # <psi|rho3|psi>: the off-diagonal terms give 2 Re(conj(r01) rho01).
+    fidelity = r00 * rho00 + r11 * rho11 + 2.0 * (r01_re * off_re + r01_im * off_im)
     purity = rho00 * rho00 + rho11 * rho11 + 2.0 * (off_re * off_re + off_im * off_im)
     return ClosedForm(rho00, rho11, off_re, off_im, delta, fidelity, purity)
 
@@ -267,56 +276,47 @@ def reduced_state(a: complex, b: complex, env: EnvironmentModel) -> DensityMatri
     return DensityMatrix(closed_form(a, b, env.c0, env.c1, env.gamma).rows())
 
 
-def _rejects_overflow(printed):
-    """Turn a float64 overflow in a printed-form evaluation into a ValueError.
-
-    The printed form uses (c0, c1) as given, since it is not scale invariant,
-    so its squared terms overflow at scales where the canonical form is
-    exact. One point is evaluated in Python float/complex arithmetic, where an
-    overflow raises OverflowError from ``**``, ``abs`` or the function's own
-    finiteness check of its values. Only ``printed_deviation`` takes a batch:
-    gamma, its last argument, as an array, evaluated in numpy with its
-    overflow warnings off."""
-
-    @functools.wraps(printed)
-    def checked(*args):
-        try:
-            if not isinstance(args[-1], np.ndarray):
-                return printed(*args)
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = printed(*args)
-            if np.isfinite(value).all():
-                return value
-        except OverflowError:
-            pass
-        raise ValueError(
-            f"{printed.__name__} overflows float64 at this (c0, c1) scale; the "
-            "printed form is not scale invariant (the canonical form is)"
-        )
-
-    return checked
+def _printed_entries(a: complex, b: complex, c0: complex, c1: complex, gamma):
+    """The printed form's entries (d00, d11, d01_re, d01_im), unchecked:
+    diagonal (1 + |gamma|^2)(|c0 a|^2, |c1 b|^2) and upper off-diagonal
+    2 c0 conj(c1) a conj(b) gamma. Broadcasts over gamma in real arithmetic
+    like ``closed_form``. (c0, c1) are used as given, so at large scales the
+    entries overflow to inf or nan; the callers check what they return."""
+    try:
+        p0 = abs(c0 * a) ** 2
+        p1 = abs(c1 * b) ** 2
+    except OverflowError:  # a modulus or its square beyond float64
+        p0 = p1 = math.inf
+    # The printed order, c0 conj(c1) first: where that product exceeds float64
+    # the entry overflows, even if a conj(b) would scale it back into range.
+    w = 2.0 * c0 * c1.conjugate() * a * b.conjugate()
+    g_re, g_im = gamma.real, gamma.imag
+    g_sq = g_re * g_re + g_im * g_im
+    return p0 + p0 * g_sq, p1 + p1 * g_sq, w.real * g_re - w.imag * g_im, w.real * g_im + w.imag * g_re
 
 
-@_rejects_overflow
+def _overflow(name: str) -> ValueError:
+    return ValueError(
+        f"{name} overflows float64 at this (c0, c1) scale; the printed form is "
+        "not scale invariant (the canonical form is)"
+    )
+
+
 def reduced_state_paper_literal(a: complex, b: complex, env: EnvironmentModel) -> np.ndarray:
-    """The printed closed form for the delivered state, evaluated verbatim:
-    diagonal (1 + |gamma|^2)(|c0 a|^2, |c1 b|^2) and doubled off-diagonals.
+    """The printed closed form for the delivered state: diagonal
+    (1 + |gamma|^2)(|c0 a|^2, |c1 b|^2) and doubled off-diagonals.
 
     Returned as a raw matrix: away from |gamma| = 1 it is not unit-trace, so
     it is not a valid density matrix. ``paper-check`` prints it next to the
-    canonical form.
+    canonical form. Raises ValueError for an unnormalized (a, b) and where an
+    entry overflows float64.
     """
-    a = complex(a)
-    b = complex(b)
-    c0, c1, g = env.c0, env.c1, env.gamma
-    g_sq = abs(g) ** 2
-    d00 = abs(c0 * a) ** 2 * (1.0 + g_sq)
-    d01 = 2.0 * c0 * c1.conjugate() * a * b.conjugate() * g
-    d10 = 2.0 * c1 * c0.conjugate() * b * a.conjugate() * g.conjugate()
-    d11 = abs(c1 * b) ** 2 * (1.0 + g_sq)
-    if not (math.isfinite(d00) and cmath.isfinite(d01) and cmath.isfinite(d10) and math.isfinite(d11)):
-        raise OverflowError
-    return np.array([[d00, d01], [d10, d11]], dtype=np.complex128)
+    a, b = _check_normalized(a, b)
+    d00, d11, re, im = _printed_entries(a, b, env.c0, env.c1, env.gamma)
+    if not (math.isfinite(d00) and math.isfinite(d11) and math.isfinite(re) and math.isfinite(im)):
+        raise _overflow("reduced_state_paper_literal")
+    # 0.0 - im, not -im: a zero imaginary part stays +0.0 below the diagonal.
+    return np.array([[d00, complex(re, im)], [complex(re, 0.0 - im), d11]], dtype=np.complex128)
 
 
 def dephased_limit(a: complex, b: complex, c0: complex, c1: complex) -> np.ndarray:
@@ -342,35 +342,26 @@ def deviation(rho3, rho1: DensityMatrix) -> float:
     return _frobenius((d.real, d.imag) for d in diff)
 
 
-def _mod_sq_affine(k: complex, x_re, x_im, m: complex):
-    """|k x - m|^2 for x = x_re + i x_im, in real arithmetic."""
-    re = k.real * x_re - k.imag * x_im - m.real
-    im = k.real * x_im + k.imag * x_re - m.imag
-    return re * re + im * im
-
-
-@_rejects_overflow
 def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
-    """The printed four-term expansion of the deviation, applied to the
-    printed reduced state; kept verbatim for comparison with
-    ``deviation(reduced_state_paper_literal(...), rho1)``. Broadcasts over
-    gamma like ``closed_form``."""
-    a, b, c0, c1 = complex(a), complex(b), complex(c0), complex(c1)
-    batch = isinstance(gamma, np.ndarray)
-    if not batch:
-        gamma = complex(gamma)
-    g_re, g_im = gamma.real, gamma.imag
-    g_sq = g_re * g_re + g_im * g_im
-    c0a_sq = abs(c0 * a) ** 2
-    c1b_sq = abs(c1 * b) ** 2
-    t00 = (c0a_sq + c0a_sq * g_sq - abs(a) ** 2) ** 2
-    t01 = _mod_sq_affine(2.0 * c0 * c1.conjugate() * a * b.conjugate(), g_re, g_im, a * b.conjugate())
-    t10 = _mod_sq_affine(2.0 * c1 * c0.conjugate() * b * a.conjugate(), g_re, -g_im, b * a.conjugate())
-    t11 = (c1b_sq + c1b_sq * g_sq - abs(b) ** 2) ** 2
-    total = t00 + t01 + t10 + t11
-    if not (batch or math.isfinite(total)):
-        raise OverflowError
-    return np.sqrt(total) if batch else math.sqrt(total)
+    """The printed reduced state's deviation from rho1 = |psi><psi|: the
+    entries of ``reduced_state_paper_literal`` and ``closed_form``'s delta
+    formula, so a point's value equals
+    ``deviation(reduced_state_paper_literal(...), rho1)`` bit for bit.
+    Broadcasts over gamma like ``closed_form``; raises ValueError for an
+    unnormalized (a, b) and where the value overflows float64."""
+    a, b = _check_normalized(a, b)
+    c0, c1 = complex(c0), complex(c1)
+    rho1 = _pure_density(a, b)
+    if isinstance(gamma, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = _delta(rho1, *_printed_entries(a, b, c0, c1, gamma))
+        finite = np.isfinite(delta).all()
+    else:
+        delta = _delta(rho1, *_printed_entries(a, b, c0, c1, complex(gamma)))
+        finite = math.isfinite(delta)
+    if not finite:
+        raise _overflow("printed_deviation")
+    return delta
 
 
 def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -> float:

@@ -274,20 +274,21 @@ def ket_from_amplitudes(a: complex, b: complex) -> Ket:
     return Ket(normalized_amplitudes(a, b), ("1",))
 
 
-def _pure_density(a: complex, b: complex) -> list[list[complex]]:
-    """|psi><psi| for psi = a|0> + b|1> in real arithmetic, never fused: an
-    exactly real diagonal and r10 = conj(r01) exactly. The one rho1 formula,
-    for ``to_density`` and ``envmodel.closed_form``."""
-    r01 = complex(a.real * b.real + a.imag * b.imag, a.imag * b.real - a.real * b.imag)
-    return [[complex(a.real * a.real + a.imag * a.imag, 0.0), r01],
-            [r01.conjugate(), complex(b.real * b.real + b.imag * b.imag, 0.0)]]
+def _pure_density(a: complex, b: complex) -> tuple[float, float, float, float]:
+    """|psi><psi| for psi = a|0> + b|1> in real arithmetic, never fused, as
+    its parts (r00, r01_re, r01_im, r11): the diagonal is real and r10 is
+    conj(r01). The one rho1 formula, for ``to_density`` and ``envmodel``."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return ar * ar + ai * ai, ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
 
 
 def to_density(psi: Ket) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a one-qubit ket."""
     if psi.dim != 2:
         raise ValueError(f"density matrix must be 2x2, got shape {(psi.dim, psi.dim)}")
-    return DensityMatrix(_pure_density(*psi.amplitudes.tolist()))
+    r00, re, im, r11 = _pure_density(*psi.amplitudes.tolist())
+    off = complex(re, im)
+    return DensityMatrix([[complex(r00, 0.0), off], [off.conjugate(), complex(r11, 0.0)]])
 
 
 def apply_gate(psi: Ket, g: Gate, target: int) -> Ket:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,64 @@ def test_teleport_output_is_pinned(capsys, state, seed):
         f"outcome PSI_MINUS (bits 11): {counts[3]}\n"
         "mean fidelity 1.000000\n"
     )
+
+
+# The default outputs, byte for byte: a change to the numerics that moves a
+# printed digit shows here.
+PINNED_SWEEP_SHA256 = "6c4f4f0e09f96ad016849b8532cabf788663a933440d0217e18e3f40020de9f3"
+
+PINNED_DEVIATION = """\
+delta_canonical 2.22044604925e-16
+delta_paper 1.57009245868e-16
+fidelity 1
+purity 1
+rho3 (canonical partial trace):
+  [ 0.5+0j  0.5+0j ]
+  [ 0.5-0j  0.5+0j ]
+rho3 (printed closed form):
+  [ 0.5+0j  0.5+0j ]
+  [ 0.5+0j  0.5+0j ]
+"""
+
+COMPLEX_POINT = (
+    "--a-re", "0.3", "--a-im", "-0.4", "--b-re", "-0.5", "--b-im", "0.7",
+    "--c0-re", "0.9", "--c0-im", "0.2", "--c1-re", "0.4", "--c1-im", "-0.6",
+    "--gamma", "0.8", "--gamma-phase", "0.7",
+)
+
+PINNED_PAPER_CHECK = """\
+rho3 (canonical partial trace):
+  [ 0.355767620961+0j  0.132737138055-0.359258883699j ]
+  [ 0.132737138055+0.359258883699j  0.644232379039+0j ]
+trace_canonical 1
+rho3 (printed closed form):
+  [ 0.35202020202+0j  0.16016947992-0.433505719663j ]
+  [ 0.16016947992+0.433505719663j  0.637446464646+0j ]
+trace_paper 0.989466666667
+entrywise difference (printed - canonical):
+  [ -0.00374741894079+0j  0.0274323418647-0.0742468359644j ]
+  [ 0.0274323418647+0.0742468359644j  -0.00678591439254+0j ]
+max_abs_difference 0.0791525491119
+delta_canonical 0.953048354416
+delta_paper 1.04280380447
+"""
+
+
+def test_default_sweep_csv_is_pinned(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SWEEP_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(("deviation",), PINNED_DEVIATION), (("paper-check", *COMPLEX_POINT), PINNED_PAPER_CHECK)],
+)
+def test_point_query_output_is_pinned(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected
 
 
 def test_teleport_rejects_zero_state(capsys):

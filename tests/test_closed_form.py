@@ -73,7 +73,7 @@ def test_kernel_matches_partial_trace_oracle_at_any_scale(ab, c0, c1, gamma, sca
     assume(c0 != 0 or c1 != 0)
     form = metrics(a, b, c0 * scale, c1 * scale, gamma)
     rho, delta, fid, pur = oracle(a, b, EnvironmentModel(gamma, c0, c1))
-    assert np.abs(form.matrix() - rho).max() <= TOL
+    assert np.abs(np.array(form.rows(), dtype=np.complex128) - rho).max() <= TOL
     assert form.delta == pytest.approx(delta, abs=TOL)
     assert form.fidelity == pytest.approx(fid, abs=TOL)
     assert form.purity == pytest.approx(pur, abs=TOL)
@@ -94,7 +94,7 @@ def test_batched_kernel_equals_scalar_calls_bit_for_bit(ab, c0, c1, gammas, scal
         assert (batch.rho00, batch.rho11) == (point.rho00, point.rho11)
         assert deviation(reduced_state(a, b, env), rho1) == batch.delta[k]
         rho = oracle(a, b, EnvironmentModel(gamma, c0, c1))[0]
-        assert np.abs(point.matrix() - rho).max() <= TOL
+        assert np.abs(np.array(point.rows(), dtype=np.complex128) - rho).max() <= TOL
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,7 +113,7 @@ def test_rho1_is_exact_and_rho3_is_one_matrix_on_every_route(ab, c0, c1, gamma):
     env = EnvironmentModel(gamma, c0, c1)
     form = metrics(a, b, c0, c1, env.gamma)
     report = direct_report(a, b, env)
-    bits = form.matrix().tobytes()
+    bits = np.array(form.rows(), dtype=np.complex128).tobytes()
     assert report.rho3.mat.tobytes() == bits
     assert reduced_state(a, b, env).mat.tobytes() == bits
     assert report.delta == form.delta == deviation(reduced_state(a, b, env), to_density(psi))
@@ -138,7 +138,8 @@ def test_global_phase_invariance(ab, c0, c1, gamma, theta, phi):
     base = metrics(a, b, c0, c1, gamma)
     turn_ab, turn_c = cmath.exp(1j * theta), cmath.exp(1j * phi)
     turned = metrics(a * turn_ab, b * turn_ab, c0 * turn_c, c1 * turn_c, gamma)
-    assert np.abs(turned.matrix() - base.matrix()).max() <= TOL
+    diff = np.array(turned.rows(), dtype=np.complex128) - np.array(base.rows(), dtype=np.complex128)
+    assert np.abs(diff).max() <= TOL
     for field in ("delta", "fidelity", "purity"):
         assert getattr(turned, field) == pytest.approx(getattr(base, field), abs=TOL)
 
@@ -264,6 +265,22 @@ def test_amplitude_modulus_beyond_float64_is_not_normalized(call, a, b):
     # Parts of 1.7e308 are finite, but the modulus is not.
     with pytest.raises(ValueError, match=r"\(a, b\) is not normalized: \|a\|\^2 \+ \|b\|\^2 = inf"):
         call(a, b, EnvironmentModel(0.5, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        reduced_state_paper_literal,
+        deviation_closed_form_paper,
+        lambda a, b, env: printed_deviation(a, b, env.c0, env.c1, np.array([env.gamma, 0.5])),
+    ],
+    ids=["literal", "point", "batch"],
+)
+@pytest.mark.parametrize("a, b", [(2, 0), (3, 4), (1 + 2e-10, 0), (complex(1.7e308, 1.7e308), 0)])
+def test_printed_forms_reject_an_unnormalized_state(call, a, b):
+    # The one input boundary of closed_form: same tolerance, same message.
+    with pytest.raises(ValueError, match=r"\(a, b\) is not normalized"):
+        call(a, b, EnvironmentModel(0.5, 0.7, 0.7))
 
 
 def test_deviation_rejects_non_finite_matrix():

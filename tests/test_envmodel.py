@@ -284,8 +284,9 @@ def test_closed_form_matches_literal_route():
         a, b = random_qubit(rng)
         env = random_model(rng)
         rho1 = to_density(Ket(np.array([a, b]), ("3",)))
-        via_matrix = deviation(reduced_state_paper_literal(a, b, env), rho1)
-        assert deviation_closed_form_paper(a, b, env) == pytest.approx(via_matrix, abs=1e-12)
+        literal = reduced_state_paper_literal(a, b, env)
+        assert literal[1, 0] == np.conj(literal[0, 1])
+        assert deviation_closed_form_paper(a, b, env) == deviation(literal, rho1)
 
 
 def test_closed_form_fully_dephased_balanced_case():
