@@ -4,8 +4,8 @@ Subcommands: ``teleport`` (ideal-protocol shot runs), ``deviation``
 (single-point report), ``sweep`` (deterministic CSV over the overlap range),
 ``paper-check`` (canonical vs printed reduced state, side by side).
 
-Exit codes: 0 success, 2 usage/validation error (including a ValueError
-raised by the model's own checks), 3 I/O error.
+Exit codes: 0 success, 2 usage/validation error (including the model's own
+ValueError and a count too large to allocate), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .envmodel import (
     printed_deviation,
     reduced_state_paper_literal,
 )
-from .qcore import Ket, check_qubit_states, ket_from_amplitudes, normalized_amplitudes, seeded_stream
+from .qcore import check_qubit_states, ket_from_amplitudes, normalized_amplitudes, seeded_stream
 from .teleport import born_index, enumerate_branches
 
 __all__ = ["SweepConfig", "load_config", "main", "CSV_FIELDS"]
@@ -148,8 +148,8 @@ def load_config(path: str) -> SweepConfig:
     return cfg
 
 
-def _state_from_args(args) -> Ket:
-    return ket_from_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
+def _amplitudes_from_args(args) -> tuple[complex, complex]:
+    return complex(args.a_re, args.a_im), complex(args.b_re, args.b_im)
 
 
 def _env_from_args(args) -> EnvironmentModel:
@@ -176,7 +176,7 @@ def cmd_teleport(args) -> int:
         raise UsageError(f"shots must be >= 1, got {args.shots}")
     if args.seed < 0:
         raise UsageError(f"seed must be non-negative, got {args.seed}")
-    psi = _state_from_args(args)
+    psi = ket_from_amplitudes(*_amplitudes_from_args(args))
     # The four branches are fixed by the input state, so sample the branch
     # index per shot instead of re-running the whole protocol each time.
     records = enumerate_branches(psi)
@@ -194,9 +194,8 @@ def cmd_teleport(args) -> int:
 def _point_query(args):
     """The canonical report, the printed rho3 and the printed delta at the
     point the flags give, as ``deviation`` and ``paper-check`` show them."""
-    psi = _state_from_args(args)
+    a, b = normalized_amplitudes(*_amplitudes_from_args(args))
     env = _env_from_args(args)
-    a, b = psi.amplitudes
     report = direct_report(a, b, env)
     return report, reduced_state_paper_literal(a, b, env), deviation_closed_form_paper(a, b, env)
 
@@ -369,7 +368,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -35,7 +35,9 @@ The model is invariant under (c0, c1) -> k (c0, c1). The kernel and ``evolve``
 scale (c0, c1) to unit max-modulus before any other arithmetic, so the
 invariance holds in floating point at any k. The printed form is not scale
 invariant and uses (c0, c1) as given; where it overflows it is rejected. Both
-forms take (a, b) through the same check: normalized within AMPLITUDE_TOL.
+forms take (a, b) through the same check, by a Ket's norm (the squared parts
+added left to right): normalized within AMPLITUDE_TOL, rescaled where a Ket
+would reject it, and used unchanged where a Ket accepts it.
 
 The deviation delta is the entrywise-quadratic distance between the delivered
 reduced state and the sender's pure-state density matrix.
@@ -50,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import NORM_TOL, DensityMatrix, Ket, _pure_density, normalized_amplitudes
+from .qcore import NORM_TOL, DensityMatrix, Ket, _pure_density, _qubit_rows, normalized_amplitudes
 from .teleport import BellOutcome, run_ideal
 
 __all__ = [
@@ -128,15 +130,14 @@ class DeviationReport:
 def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
     a = complex(a)
     b = complex(b)
-    try:
-        norm_sq = abs(a) * abs(a) + abs(b) * abs(b)
-    except OverflowError:  # the modulus of finite parts exceeds float64
-        norm_sq = math.inf
+    # A Ket's norm: squared parts added left to right (inf or nan past float64).
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    norm_sq = ar * ar + ai * ai + br * br + bi * bi
     if not abs(norm_sq - 1.0) <= AMPLITUDE_TOL:
         raise ValueError(f"(a, b) is not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        # Accepted, but off by more than a Ket allows: rescale. Closer inputs
-        # pass through unchanged, so results match a Ket built from them.
+    if abs(math.sqrt(norm_sq) - 1.0) > NORM_TOL:
+        # Accepted, but a Ket would reject it: rescale. A pair a Ket accepts
+        # is used unchanged, so results match a Ket built from it.
         a, b = normalized_amplitudes(a, b)
     return a, b
 
@@ -171,7 +172,7 @@ def _delta(rho1, d00, d11, off_re, off_im):
     The one delta formula, for the canonical and the printed form. It takes
     the entries in ``deviation``'s order, so each delta equals ``deviation``
     of its matrix bit for bit."""
-    r00, r01_re, r01_im, r11 = rho1
+    r00, r11, r01_re, r01_im = rho1
     return _frobenius((
         (d00 - r00, 0.0),
         (off_re - r01_re, off_im - r01_im),
@@ -195,8 +196,7 @@ class ClosedForm(NamedTuple):
 
     def rows(self) -> list[list[complex]]:
         """rho3's entries as nested Python numbers (for a scalar gamma)."""
-        off = complex(self.rho01_re, self.rho01_im)
-        return [[self.rho00, off], [off.conjugate(), self.rho11]]
+        return _qubit_rows(self.rho00, self.rho11, self.rho01_re, self.rho01_im)
 
 
 def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> ClosedForm:
@@ -230,7 +230,7 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     # The sender's |psi><psi| exactly as ``to_density`` forms it.
     rho1 = _pure_density(a, b)
     delta = _delta(rho1, rho00, rho11, off_re, off_im)
-    r00, r01_re, r01_im, r11 = rho1
+    r00, r11, r01_re, r01_im = rho1
     # <psi|rho3|psi>: the off-diagonal terms give 2 Re(conj(r01) rho01).
     fidelity = r00 * rho00 + r11 * rho11 + 2.0 * (r01_re * off_re + r01_im * off_im)
     purity = rho00 * rho00 + rho11 * rho11 + 2.0 * (off_re * off_re + off_im * off_im)
@@ -315,8 +315,7 @@ def reduced_state_paper_literal(a: complex, b: complex, env: EnvironmentModel) -
     d00, d11, re, im = _printed_entries(a, b, env.c0, env.c1, env.gamma)
     if not (math.isfinite(d00) and math.isfinite(d11) and math.isfinite(re) and math.isfinite(im)):
         raise _overflow("reduced_state_paper_literal")
-    # 0.0 - im, not -im: a zero imaginary part stays +0.0 below the diagonal.
-    return np.array([[d00, complex(re, im)], [complex(re, 0.0 - im), d11]], dtype=np.complex128)
+    return np.array(_qubit_rows(d00, d11, re, im), dtype=np.complex128)
 
 
 def dephased_limit(a: complex, b: complex, c0: complex, c1: complex) -> np.ndarray:
@@ -348,7 +347,9 @@ def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
     formula, so a point's value equals
     ``deviation(reduced_state_paper_literal(...), rho1)`` bit for bit.
     Broadcasts over gamma like ``closed_form``; raises ValueError for an
-    unnormalized (a, b) and where the value overflows float64."""
+    unnormalized (a, b) and where the value overflows float64. gamma and
+    (c0, c1) are not checked here: EnvironmentModel checks one point and the
+    sweep's config a batch."""
     a, b = _check_normalized(a, b)
     c0, c1 = complex(c0), complex(c1)
     rho1 = _pure_density(a, b)

@@ -28,20 +28,13 @@ def _as_complex_array(a, name: str, ndim: int | None = None) -> np.ndarray:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first factor as the slow (outer) index.
-
-    Accepts matrices or vectors; vectors combine via the column-matrix view,
-    so two vectors give the joint state vector.
-    """
+    """Kronecker product ``np.kron(a, b)`` of two vectors or matrices, with
+    the first factor as the slow (outer) index: two vectors give the joint
+    state vector, two matrices the joint operator."""
     a = _as_complex_array(a, "a")
     b = _as_complex_array(b, "b")
     if a.ndim not in (1, 2) or b.ndim not in (1, 2):
         raise ValueError(f"operands must be vectors or matrices, got shapes {a.shape} and {b.shape}")
-    if a.ndim == 1 and b.ndim == 1:
-        return (a[:, None] * b[None, :]).reshape(a.shape[0] * b.shape[0])
-    if a.ndim == 2 and b.ndim == 2:
-        blocks = a[:, None, :, None] * b[None, :, None, :]
-        return blocks.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
     return np.kron(a, b)
 
 

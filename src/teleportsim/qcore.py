@@ -276,19 +276,24 @@ def ket_from_amplitudes(a: complex, b: complex) -> Ket:
 
 def _pure_density(a: complex, b: complex) -> tuple[float, float, float, float]:
     """|psi><psi| for psi = a|0> + b|1> in real arithmetic, never fused, as
-    its parts (r00, r01_re, r01_im, r11): the diagonal is real and r10 is
-    conj(r01). The one rho1 formula, for ``to_density`` and ``envmodel``."""
+    the parts (r00, r11, r01_re, r01_im) that ``_qubit_rows`` lays out. The
+    one rho1 formula, for ``to_density`` and ``envmodel``."""
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return ar * ar + ai * ai, ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi
+    return ar * ar + ai * ai, br * br + bi * bi, ar * br + ai * bi, ai * br - ar * bi
+
+
+def _qubit_rows(d00: float, d11: float, re: float, im: float) -> list[list[complex]]:
+    """[[d00, re + i im], [re - i im, d11]] as nested Python numbers: the one
+    layout of a qubit's 2x2 state, for ``to_density`` and ``envmodel``. The
+    lower imaginary part is 0.0 - im, not -im, so a zero stays +0.0 there."""
+    return [[d00, complex(re, im)], [complex(re, 0.0 - im), d11]]
 
 
 def to_density(psi: Ket) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a one-qubit ket."""
     if psi.dim != 2:
         raise ValueError(f"density matrix must be 2x2, got shape {(psi.dim, psi.dim)}")
-    r00, re, im, r11 = _pure_density(*psi.amplitudes.tolist())
-    off = complex(re, im)
-    return DensityMatrix([[complex(r00, 0.0), off], [off.conjugate(), complex(r11, 0.0)]])
+    return DensityMatrix(_qubit_rows(*_pure_density(*psi.amplitudes.tolist())))
 
 
 def apply_gate(psi: Ket, g: Gate, target: int) -> Ket:

@@ -100,7 +100,7 @@ fidelity 1
 purity 1
 rho3 (canonical partial trace):
   [ 0.5+0j  0.5+0j ]
-  [ 0.5-0j  0.5+0j ]
+  [ 0.5+0j  0.5+0j ]
 rho3 (printed closed form):
   [ 0.5+0j  0.5+0j ]
   [ 0.5+0j  0.5+0j ]
@@ -157,6 +157,25 @@ def test_teleport_rejects_nonpositive_shots(capsys):
     code, _, err = run_cli(capsys, "teleport", "--shots", "0")
     assert code == 2
     assert "shots" in err
+
+
+# 2**50 doubles are 8 PiB, beyond any 64-bit user address space, so numpy's
+# allocation fails at once.
+UNALLOCATABLE = str(2**50)
+
+
+def test_teleport_count_too_large_to_allocate_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "teleport", "--shots", UNALLOCATABLE)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "allocate" in err
+
+
+def test_sweep_count_too_large_to_allocate_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--steps", UNALLOCATABLE, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert err.startswith("error: ") and "allocate" in err
+    assert list(tmp_path.iterdir()) == []  # the temp file is removed
 
 
 def test_teleport_rejects_negative_seed(capsys):

@@ -259,6 +259,49 @@ def test_amplitudes_within_tolerance_are_rescaled():
         direct_report(1 + 2e-10, 0, env)
 
 
+@st.composite
+def nearly_unit_qubits(draw):
+    """Pairs a Ket accepts whose norm, as a Ket sums it, lies 0.5e-12 to
+    1e-12 off 1: inside NORM_TOL, but off by more than NORM_TOL when squared."""
+    a, b = draw(qubits())
+    off = draw(st.floats(0.5e-12, 1e-12)) * draw(st.sampled_from((-1.0, 1.0)))
+    a, b = a * (1.0 + off), b * (1.0 + off)
+    total = 0.0
+    for part in (a.real, a.imag, b.real, b.imag):
+        total += part * part
+    assume(0.5e-12 <= abs(math.sqrt(total) - 1.0) <= 1e-12)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearly_unit_qubits(), coefficients, coefficients, overlaps)
+def test_a_pair_a_ket_accepts_is_used_unchanged(ab, c0, c1, gamma):
+    # The model judges (a, b) by a Ket's norm, so the kernel's delta is the
+    # deviation from the Ket's own rho1, bit for bit.
+    a, b = ab
+    assume(c0 != 0 or c1 != 0)
+    env = EnvironmentModel(gamma, c0, c1)
+    try:
+        report = direct_report(a, b, env)
+    except DegenerateModelError:
+        assume(False)
+    assert report.delta == deviation(reduced_state(a, b, env), to_density(Ket((a, b), ("1",))))
+
+
+def test_lower_entry_keeps_a_positive_zero_imaginary_part():
+    # Real inputs give an upper off-diagonal with imaginary part +0.0; the
+    # lower entry is laid out as 0.0 - im, so it stays +0.0 too.
+    env = EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF)
+    for mat in (
+        reduced_state(0.6, 0.8, env).mat,
+        direct_report(0.6, 0.8, env).rho3.mat,
+        reduced_state_paper_literal(0.6, 0.8, env),
+        to_density(Ket((0.6, 0.8), ("1",))).mat,
+    ):
+        assert math.copysign(1.0, mat[0, 1].imag) == 1.0
+        assert math.copysign(1.0, mat[1, 0].imag) == 1.0
+
+
 @pytest.mark.parametrize("call", [direct_report, reduced_state, evolve])
 @pytest.mark.parametrize("a, b", [(complex(1.7e308, 1.7e308), 0), (0, complex(-1.7e308, 1.7e308))])
 def test_amplitude_modulus_beyond_float64_is_not_normalized(call, a, b):

@@ -66,6 +66,18 @@ def test_tensor_against_index_formula():
                     )
 
 
+@pytest.mark.parametrize("shape_a", [(2,), (4,), (2, 2), (4, 4), (2, 4)])
+@pytest.mark.parametrize("shape_b", [(2,), (8,), (2, 2), (4, 2)])
+def test_tensor_product_is_kron(shape_a, shape_b):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a = random_complex(rng, shape_a)
+        b = random_complex(rng, shape_b)
+        out, want = tensor_product(a, b), np.kron(a, b)
+        assert out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+
+
 @settings(max_examples=50)
 @given(complex_matrices(2, 2), complex_matrices(2, 2), complex_matrices(2, 2))
 def test_tensor_associative(a, b, c):
