@@ -29,7 +29,7 @@ from .envmodel import (
     printed_deviation,
     reduced_state_paper_literal,
 )
-from .qcore import check_qubit_states, ket_from_amplitudes, normalized_amplitudes, seeded_stream
+from .qcore import ket_from_amplitudes, normalized_amplitudes, seeded_stream
 from .teleport import born_index, enumerate_branches
 
 __all__ = ["SweepConfig", "load_config", "main", "CSV_FIELDS"]
@@ -253,16 +253,17 @@ def render_sweep_csv(cfg: SweepConfig, out) -> None:
     bytes are a pure function of the config.
 
     Every row comes from one batched ``closed_form`` call and one
-    ``printed_deviation`` call over the whole gamma grid, validated once as
-    a batch, then streamed out row by row."""
+    ``printed_deviation`` call over the whole gamma grid, then is streamed
+    out row by row. The rows are not checked again: each is a qubit's state
+    by construction of a validated config."""
     a, b, c0, c1 = cfg.a, cfg.b, cfg.c0, cfg.c1
     t = np.arange(cfg.steps) / (cfg.steps - 1)
     gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t) * np.exp(1j * cfg.gamma_phase)
+    # No check follows the kernel: validate() admits only a finite phase and
+    # gamma_start, gamma_end in [0, 1], so |gamma| <= 1 to a few ulps, and
+    # closed_form divides by the coupled norm, so every row is a qubit's
+    # state: unit trace, determinant rho00 rho11 (1 - |gamma|^2).
     states = closed_form(a, b, c0, c1, gamma)
-    # gamma needs no check of its own: validate() admits only a finite phase
-    # and gamma_start, gamma_end in [0, 1], so every |gamma| on the grid
-    # exceeds 1 by a few ulps at most, far inside OVERLAP_TOL (1e-12).
-    check_qubit_states(states.rho00, states.rho11, states.rho01_re, states.rho01_im)
     columns = (
         gamma.real,
         gamma.imag,

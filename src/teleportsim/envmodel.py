@@ -134,6 +134,8 @@ def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     norm_sq = ar * ar + ai * ai + br * br + bi * bi
     if not abs(norm_sq - 1.0) <= AMPLITUDE_TOL:
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError("amplitudes contain non-finite entries")
         raise ValueError(f"(a, b) is not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
     if abs(math.sqrt(norm_sq) - 1.0) > NORM_TOL:
         # Accepted, but a Ket would reject it: rescale. A pair a Ket accepts

@@ -38,7 +38,6 @@ __all__ = [
     "fidelity",
     "purity",
     "seeded_stream",
-    "check_qubit_states",
 ]
 
 NORM_TOL = 1e-12
@@ -139,36 +138,17 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = 0j + m00 + m11  # summed from 0 like np.trace, so a zero trace prints as 0j
         if abs(tr - 1.0) > DENSITY_TOL:
-            raise ValueError(f"density matrix trace is {np.complex128(tr)!r}, expected 1")
+            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         mean = 0.5 * (m00.real + m11.real)
         det = (m00 * m11 - m01 * m10).real
         low = mean - math.sqrt(max(mean * mean - det, 0.0))
         if low < -DENSITY_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {np.float64(low)!r}")
+            raise ValueError(f"density matrix has negative eigenvalue {low!r}")
         object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-def check_qubit_states(rho00, rho11, rho01_re, rho01_im) -> None:
-    """DensityMatrix's checks, made once over a batch of qubit states
-    [[rho00, rho01], [conj(rho01), rho11]] (Hermitian by construction; the
-    arguments broadcast): finite entries, unit trace, and determinant
-    >= -DENSITY_TOL, which at unit trace bounds the lower eigenvalue the same
-    way to first order."""
-    entries = np.broadcast_arrays(rho00, rho11, rho01_re, rho01_im)
-    if not all(np.isfinite(e).all() for e in entries):
-        raise ValueError("density matrix contains non-finite entries")
-    d00, d11, re, im = entries
-    tr = d00 + d11
-    worst = np.abs(tr - 1.0).argmax()
-    if abs(tr.flat[worst] - 1.0) > DENSITY_TOL:
-        raise ValueError(f"density matrix trace is {float(tr.flat[worst])!r}, expected 1")
-    det = (d00 * d11 - (re * re + im * im)).min()
-    if det < -DENSITY_TOL:
-        raise ValueError(f"density matrix has negative determinant {float(det)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,9 +337,6 @@ def born_measure(psi: Ket, projectors, targets, rng: np.random.Generator):
     lifted = _lifted_projectors(tuple(projectors), targets, len(psi.labels))
     amps = psi.amplitudes
     probs = np.array([max(np.vdot(amps, op @ amps).real, 0.0) for op in lifted])
-    if probs.max() < 1e-12:
-        raise ValueError("inconsistent projector set: all outcome probabilities vanish")
-
     r = rng.random() * probs.sum()
     outcome = int(np.searchsorted(np.cumsum(probs), r, side="right"))
     outcome = min(outcome, len(probs) - 1)

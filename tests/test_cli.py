@@ -479,6 +479,15 @@ def test_sweep_config_error_maps_to_exit_two(tmp_path, capsys):
     assert "unknown key 'stps' (line 1)" in err
 
 
+def test_sweep_config_line_without_equals_sign_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("steps 5\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err == "error: expected 'key = value' (line 1)\n"
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_sweep_missing_config_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.cfg"))
     assert code == 3

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from teleportsim.cli import main
+from teleportsim.cli import SweepConfig, main
 from teleportsim.envmodel import (
     DegenerateModelError,
     EnvironmentModel,
@@ -24,7 +24,7 @@ from teleportsim.envmodel import (
     reduced_state_paper_literal,
 )
 from teleportsim.linalg import partial_trace
-from teleportsim.qcore import Ket, check_qubit_states, to_density
+from teleportsim.qcore import DensityMatrix, Ket, _qubit_rows, to_density
 
 SQRT_HALF = np.sqrt(0.5)
 TOL = 1e-12
@@ -313,6 +313,26 @@ def test_amplitude_modulus_beyond_float64_is_not_normalized(call, a, b):
 @pytest.mark.parametrize(
     "call",
     [
+        lambda a, b, env: closed_form(a, b, env.c0, env.c1, env.gamma),
+        reduced_state_paper_literal,
+        lambda a, b, env: printed_deviation(a, b, env.c0, env.c1, env.gamma),
+        evolve,
+    ],
+    ids=["closed_form", "literal", "printed", "evolve"],
+)
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.nan, 0), (0, complex(0, math.nan)), (math.inf, 0), (1, complex(-math.inf, 0))],
+)
+def test_non_finite_amplitudes_get_the_kets_message(call, a, b):
+    # The message a Ket and normalized_amplitudes give for the same input.
+    with pytest.raises(ValueError, match="^amplitudes contain non-finite entries$"):
+        call(a, b, EnvironmentModel(0.5, 0.7, 0.7))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         reduced_state_paper_literal,
         deviation_closed_form_paper,
         lambda a, b, env: printed_deviation(a, b, env.c0, env.c1, np.array([env.gamma, 0.5])),
@@ -332,25 +352,36 @@ def test_deviation_rejects_non_finite_matrix():
         deviation(np.array([[np.nan, 0], [0, 1]]), rho1)
 
 
-# ---------------------------------------------------------------- batch validation
+# ---------------------------------------------------------------- sweep rows are states
 
-def test_check_qubit_states_accepts_a_sweep():
-    gamma = np.linspace(0, 1, 11) * np.exp(0.4j)
-    states = closed_form(0.6, 0.8, 1, 1j, gamma)
-    check_qubit_states(states.rho00, states.rho11, states.rho01_re, states.rho01_im)
-
-
-@pytest.mark.parametrize(
-    "entries, message",
-    [
-        ((0.5, 0.5, np.array([0.0, np.inf]), 0.0), "non-finite"),
-        ((0.5, 0.6, np.array([0.0, 0.1]), 0.0), "trace"),
-        ((0.5, 0.5, np.array([0.0, 0.6]), 0.0), "negative determinant"),
-    ],
+sweep_parts = st.one_of(
+    st.just(0.0),
+    st.floats(-2.0, 2.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(lambda s: s[0] * 10.0**s[1]),
 )
-def test_check_qubit_states_rejects_what_density_matrix_rejects(entries, message):
-    with pytest.raises(ValueError, match=message):
-        check_qubit_states(*entries)
+sweep_ends = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*[sweep_parts] * 8),
+    sweep_ends,
+    sweep_ends,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(2, 101),
+)
+def test_every_row_of_a_validated_sweep_is_a_density_matrix(parts, start, end, phase, steps):
+    # The sweep checks no row: a validated config gives states by construction.
+    cfg = SweepConfig(*parts, gamma_start=start, gamma_end=end, steps=steps, gamma_phase=phase)
+    try:
+        cfg.validate()
+    except ValueError:  # (a, b) = (0, 0)
+        assume(False)
+    t = np.arange(cfg.steps) / (cfg.steps - 1)
+    gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t) * np.exp(1j * cfg.gamma_phase)
+    states = metrics(cfg.a, cfg.b, cfg.c0, cfg.c1, gamma)
+    for re, im in zip(states.rho01_re.tolist(), states.rho01_im.tolist()):
+        DensityMatrix(_qubit_rows(states.rho00, states.rho11, re, im))
 
 
 # ---------------------------------------------------------------- CLI at the extremes

@@ -166,6 +166,18 @@ def test_partial_trace_bad_keep():
         partial_trace(np.eye(4), 2, 2, keep="C")
 
 
+def test_partial_trace_rejects_a_vector():
+    with pytest.raises(ValueError) as info:
+        partial_trace(np.full(4, 0.5), 2, 2, keep="A")
+    assert str(info.value) == "rho must be 2-dimensional, got shape (4,)"
+
+
+def test_tensor_product_rejects_a_3d_operand():
+    with pytest.raises(ValueError) as info:
+        tensor_product(np.ones((2, 2, 2)), np.eye(2))
+    assert str(info.value) == "operands must be vectors or matrices, got shapes (2, 2, 2) and (2, 2)"
+
+
 # ---------------------------------------------------------------- frobenius_distance
 
 def test_frobenius_zero_on_equal():

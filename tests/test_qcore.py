@@ -15,6 +15,7 @@ from teleportsim.qcore import (
     Z,
     ZX,
     DensityMatrix,
+    Gate,
     Ket,
     Projector,
     apply_gate,
@@ -149,6 +150,20 @@ def test_ket_rejects_label_dimension_mismatch():
         Ket(np.array([1.0, 0, 0, 0]), ("1",))
 
 
+@pytest.mark.parametrize(
+    "amps, labels, message",
+    [
+        (np.eye(2), ("1",), "amplitudes must be a vector, got shape (2, 2)"),
+        (np.full(16, 0.25), ("1", "2", "3", "4"), "expected 1 to 3 subsystem labels, got ('1', '2', '3', '4')"),
+    ],
+    ids=["matrix", "four-labels"],
+)
+def test_ket_rejects_a_matrix_and_four_labels(amps, labels, message):
+    with pytest.raises(ValueError) as info:
+        Ket(amps, labels)
+    assert str(info.value) == message
+
+
 def test_ket_amplitudes_are_read_only():
     psi = ket_from_amplitudes(1, 0)
     with pytest.raises(ValueError):
@@ -187,6 +202,24 @@ def test_density_matrix_rejects_bad_inputs():
 
 
 @pytest.mark.parametrize(
+    "mat, message",
+    [
+        (np.diag([0.7, 0.7]), "density matrix trace is (1.4+0j), expected 1"),
+        (np.diag([0.0, 0.0]), "density matrix trace is 0j, expected 1"),
+        (np.diag([1.5, -0.5]), "density matrix has negative eigenvalue -0.5"),
+        (np.array([[np.nan, 0], [0, 1]]), "density matrix contains non-finite entries"),
+        # The skew's modulus overflows float64 though every part is finite.
+        (np.array([[0.5, 1.5e308 + 1.5e308j], [0, 0.5]]), "density matrix is not Hermitian within tolerance"),
+    ],
+    ids=["trace", "zero-trace", "eigenvalue", "nan", "skew-overflow"],
+)
+def test_density_matrix_messages_print_plain_numbers(mat, message):
+    with pytest.raises(ValueError) as info:
+        DensityMatrix(mat)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "build, shape",
     [
         (lambda: DensityMatrix(np.eye(4) / 4), "(4, 4)"),
@@ -210,7 +243,7 @@ def density_oracle(mat):
         return "density matrix is not Hermitian within tolerance"
     tr = np.trace(mat)
     if abs(tr - 1.0) > DENSITY_TOL:
-        return f"density matrix trace is {tr!r}, expected 1"
+        return f"density matrix trace is {complex(tr)!r}, expected 1"
     low = np.linalg.eigvalsh(mat)[0]
     # The closed-form eigenvalue and LAPACK's agree to ~1e-16; the boundary
     # case between them is no test of the decision.
@@ -348,6 +381,21 @@ def test_gates_unitary(gate):
     assert np.linalg.norm(defect) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "name, mat, message",
+    [
+        ("H", np.eye(2), "unknown gate name 'H'"),
+        ("X", np.eye(3), "gate must be 2x2, got shape (3, 3)"),
+        ("X", [[1, 1], [0, 1]], "gate 'X' is not unitary within tolerance"),
+    ],
+    ids=["name", "shape", "unitary"],
+)
+def test_gate_rejects_bad_inputs(name, mat, message):
+    with pytest.raises(ValueError) as info:
+        Gate(name, mat)
+    assert str(info.value) == message
+
+
 def test_zx_is_x_then_z():
     assert np.array_equal(ZX.mat, Z.mat @ X.mat)
     assert set(GATES) == {"I", "X", "Z", "ZX"}
@@ -416,6 +464,20 @@ def test_projector_rejects_non_idempotent():
         Projector(np.diag([0.5, 0.5]), "half")
 
 
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        (np.zeros((2, 3)), "projector must be square, got shape (2, 3)"),
+        (np.array([[0, 1], [0, 0]]), "projector 'p' is not Hermitian"),
+    ],
+    ids=["not-square", "not-hermitian"],
+)
+def test_projector_rejects_bad_matrices(mat, message):
+    with pytest.raises(ValueError) as info:
+        Projector(mat, "p")
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------- born_measure
 
 def test_born_measure_deterministic_outcome():
@@ -480,6 +542,12 @@ def test_born_measure_rejects_non_contiguous_targets():
 def test_born_measure_rejects_wrong_projector_dimension():
     with pytest.raises(ValueError, match="dimension"):
         born_measure(ket_from_amplitudes(1, 0), bell_basis(), (0,), seeded_stream(0))
+
+
+def test_born_measure_rejects_targets_out_of_range():
+    with pytest.raises(ValueError) as info:
+        born_measure(ket_from_amplitudes(1, 0), computational_basis(), (1,), seeded_stream(0))
+    assert str(info.value) == "targets (1,) out of range for labels ('1',)"
 
 
 # ---------------------------------------------------------------- fidelity
