@@ -13,7 +13,6 @@ from .envmodel import (
     DeviationReport,
     EnvironmentModel,
     closed_form,
-    dephased_limit,
     deviation,
     deviation_closed_form_paper,
     direct_report,
@@ -84,7 +83,6 @@ __all__ = [
     "evolve",
     "reduced_state",
     "reduced_state_paper_literal",
-    "dephased_limit",
     "deviation",
     "deviation_closed_form_paper",
     "printed_deviation",

@@ -117,19 +117,21 @@ class SweepConfig:
 _CONFIG_PARSERS = {
     f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(SweepConfig)
 }
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def load_config(path: str) -> SweepConfig:
     """Parse a line-oriented ``key = value`` config file.
 
-    Keys are the SweepConfig field names; ``#`` starts a comment; blank lines
-    are ignored; unknown keys and malformed numbers are hard errors naming the
-    line. Command-line flags override the loaded values.
+    Keys are the SweepConfig field names; a ``#`` at the start of a line or
+    after whitespace starts a comment; blank lines are ignored; unknown keys
+    and malformed numbers are hard errors naming the line. Command-line flags
+    override the loaded values.
     """
     cfg = SweepConfig()
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")

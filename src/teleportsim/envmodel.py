@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +66,6 @@ __all__ = [
     "evolve",
     "reduced_state",
     "reduced_state_paper_literal",
-    "dephased_limit",
     "deviation",
     "deviation_closed_form_paper",
     "printed_deviation",
@@ -76,12 +76,16 @@ __all__ = [
 OVERLAP_TOL = 1e-12
 # Largest accepted | |a|^2 + |b|^2 - 1 | for an input state (a, b).
 AMPLITUDE_TOL = 1e-10
-# Smallest norm of the coupled state, with (c0, c1) at unit max-modulus.
-DEGENERATE_TOL = 1e-12
+# Smallest norm of the coupled state, with (c0, c1) at unit max-modulus,
+# about 1.5e-154: the squared norm must be a normal float. Above it any
+# (c0, c1) ratio is computed; below it the squared norm has lost precision to
+# subnormals or underflowed to zero, and the state is rejected.
+DEGENERATE_TOL = math.sqrt(sys.float_info.min)
 
 
 class DegenerateModelError(ValueError):
-    """Raised when the coupled state has zero norm (both branches suppressed)."""
+    """Raised when the coupled state has zero norm in float64 (both branches
+    suppressed; see DEGENERATE_TOL)."""
 
 
 @dataclass(frozen=True)
@@ -320,14 +324,6 @@ def reduced_state_paper_literal(a: complex, b: complex, env: EnvironmentModel) -
     return np.array(_qubit_rows(d00, d11, re, im), dtype=np.complex128)
 
 
-def dephased_limit(a: complex, b: complex, c0: complex, c1: complex) -> np.ndarray:
-    """Fully dephased (orthogonal-environment) reduced state:
-    diag(|c0 a|^2, |c1 b|^2), exactly as printed."""
-    return np.diag(
-        [abs(complex(c0) * complex(a)) ** 2, abs(complex(c1) * complex(b)) ** 2]
-    ).astype(np.complex128)
-
-
 def deviation(rho3, rho1: DensityMatrix) -> float:
     """Entrywise-quadratic distance sqrt(sum |rho3_nm - rho1_nm|^2) between the
     delivered state and the sender's original."""
@@ -337,8 +333,8 @@ def deviation(rho3, rho1: DensityMatrix) -> float:
         mat3 = np.asarray(rho3, dtype=np.complex128)
         if not np.isfinite(mat3).all():
             raise ValueError("rho3 contains non-finite entries")
-    if mat3.shape != rho1.mat.shape:
-        raise ValueError(f"shape mismatch: {mat3.shape} vs {rho1.mat.shape}")
+        if mat3.shape != (2, 2):
+            raise ValueError(f"shape mismatch: {mat3.shape} vs (2, 2)")
     diff = (mat3 - rho1.mat).ravel().tolist()
     return _frobenius((d.real, d.imag) for d in diff)
 

@@ -146,10 +146,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {low!r}")
         object.__setattr__(self, "mat", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class Gate:
@@ -347,8 +343,8 @@ def born_measure(psi: Ket, projectors, targets, rng: np.random.Generator):
 
 def fidelity(pure: Ket, rho: DensityMatrix) -> float:
     """Overlap <psi|rho|psi>: probability the state rho passes a test for psi."""
-    if pure.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: ket {pure.dim} vs matrix {rho.dim}")
+    if pure.dim != 2:
+        raise ValueError(f"dimension mismatch: ket {pure.dim} vs matrix 2")
     amps = pure.amplitudes
     return float(np.vdot(amps, rho.mat @ amps).real)
 

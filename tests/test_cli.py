@@ -431,6 +431,21 @@ def test_load_config_parses_values_and_comments(tmp_path):
     assert cfg.seed == 9
 
 
+def test_sweep_config_value_may_hold_a_hash(tmp_path, capsys):
+    # A '#' starts a comment only at the start of a line or after whitespace.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "  # indented comment\n"
+        "steps = 3\t# after a tab\n"
+        f"output_path = {tmp_path / 'run#2.csv'}\n"
+    )
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run#2.csv", "run.cfg"]
+    _, rows = read_rows(tmp_path / "run#2.csv")
+    assert len(rows) == 3
+
+
 def test_load_config_unknown_key_names_line():
     import tempfile, os
 

@@ -4,6 +4,7 @@ its invariances and range bounds, and the scale extremes it must get right."""
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -248,6 +249,47 @@ def test_overlap_modulus_beyond_float64_exceeds_one():
         EnvironmentModel(complex(1.7e308, 1.7e308), SQRT_HALF, SQRT_HALF)
 
 
+def exact_rho3(a, b, c0, c1, gamma):
+    """(rho00, rho11, rho01_re, rho01_im) in exact rational arithmetic on the
+    given floats: the closed form with no rounding and no scaling."""
+    def mul(z, w):
+        return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+    a, b, c0, c1, gamma = ((Fraction(z.real), Fraction(z.imag)) for z in map(complex, (a, b, c0, c1, gamma)))
+    x0, x1 = mul(c0, a), mul(c1, b)
+    p0 = x0[0] ** 2 + x0[1] ** 2
+    p1 = x1[0] ** 2 + x1[1] ** 2
+    n = p0 + p1
+    off = mul(mul(x0, (x1[0], -x1[1])), gamma)
+    return p0 / n, p1 / n, off[0] / n, off[1] / n
+
+
+sizable = coefficients.filter(lambda c: abs(c) >= 0.1)
+small_ratios = st.floats(12.0, 150.0).map(lambda k: 10.0**-k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubits(), sizable, sizable, overlaps, small_ratios, st.booleans())
+def test_a_small_coefficient_ratio_is_computed(ab, c0, c1, gamma, ratio, swap):
+    # Down to |c0 / c1| = 1e-150 the coupled norm's square is a normal float,
+    # so the state is computed rather than rejected as degenerate.
+    a, b = ab
+    c0, c1 = (c1, c0 * ratio) if swap else (c0 * ratio, c1)
+    form = closed_form(a, b, c0, c1, gamma)
+    got = (form.rho00, form.rho11, form.rho01_re, form.rho01_im)
+    assert all(abs(Fraction(x) - y) <= 1e-15 for x, y in zip(got, exact_rho3(a, b, c0, c1, gamma)))
+    rho = oracle(a, b, EnvironmentModel(gamma, c0, c1))[0]
+    assert np.abs(np.array(form.rows(), dtype=np.complex128) - rho).max() <= 1e-15
+
+
+@pytest.mark.parametrize("a, b, c0, c1", [(1, 0, 1e-160, 1), (0, 1, 1, 1e-155), (1, 1e-160, 1e-160, 1)])
+def test_an_underflowing_coupled_norm_is_degenerate_on_both_routes(a, b, c0, c1):
+    with pytest.raises(DegenerateModelError, match="zero norm"):
+        closed_form(a, b, c0, c1, 0.5)
+    with pytest.raises(DegenerateModelError, match="zero norm"):
+        evolve(a, b, EnvironmentModel(0.5, c0, c1))
+
+
 def test_amplitudes_within_tolerance_are_rescaled():
     env = EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF)
     report = direct_report(1 + 2.5e-11, 0, env)
@@ -396,6 +438,14 @@ def test_deviation_cli_degenerate_model_is_usage_error(capsys):
     code = main(["deviation", "--a-re", "1", "--b-re", "0", "--c0-re", "0"])
     assert code == 2
     assert "zero norm" in capsys.readouterr().err
+
+
+def test_deviation_cli_computes_a_small_coefficient_ratio(capsys):
+    code = main(["deviation", "--a-re", "1", "--b-re", "0", "--c0-re", "1e-13", "--c1-re", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("delta_canonical 0\n")
+    assert "  [ 1+0j  0+0j ]\n  [ 0+0j  0+0j ]\n" in out
 
 
 @pytest.mark.parametrize("command", ["deviation", "paper-check"])

@@ -4,7 +4,6 @@ import pytest
 from teleportsim.envmodel import (
     DegenerateModelError,
     EnvironmentModel,
-    dephased_limit,
     deviation,
     deviation_closed_form_paper,
     direct_report,
@@ -213,27 +212,23 @@ def test_literal_form_half_trace_at_zero_overlap():
     assert np.trace(literal).real == pytest.approx(0.5, abs=1e-12)
 
 
-def test_literal_form_zero_overlap_unit_coefficients_is_dephased_limit():
+def test_literal_form_zero_overlap_unit_coefficients_is_the_input_populations():
     rng = np.random.default_rng(48)
-    a, b = random_qubit(rng)
-    literal = reduced_state_paper_literal(a, b, EnvironmentModel(0, 1, 1))
+    a, b = (complex(z) for z in random_qubit(rng))
+    c0 = c1 = 1
+    literal = reduced_state_paper_literal(a, b, EnvironmentModel(0, c0, c1))
     assert np.allclose(literal, np.diag([abs(a) ** 2, abs(b) ** 2]), atol=1e-15)
-    assert np.array_equal(literal, dephased_limit(a, b, 1, 1))
+    assert np.array_equal(literal, np.diag([abs(c0 * a) ** 2, abs(c1 * b) ** 2]))
 
 
-def test_dephased_limit_values():
-    assert np.allclose(dephased_limit(1, 0, 1, 0.3), np.diag([1, 0]))
-    assert np.allclose(dephased_limit(SQRT_HALF, SQRT_HALF, 1, 1), np.diag([0.5, 0.5]), atol=1e-15)
-
-
-def test_dephased_limit_matches_literal_at_zero_overlap():
+def test_literal_form_at_zero_overlap_is_the_printed_diagonal():
     rng = np.random.default_rng(49)
     for _ in range(20):
-        a, b = random_qubit(rng)
-        c0 = rng.standard_normal() + 1j * rng.standard_normal()
-        c1 = rng.standard_normal() + 1j * rng.standard_normal()
+        a, b = (complex(z) for z in random_qubit(rng))
+        c0 = complex(rng.standard_normal(), rng.standard_normal())
+        c1 = complex(rng.standard_normal(), rng.standard_normal())
         literal = reduced_state_paper_literal(a, b, EnvironmentModel(0, c0, c1))
-        assert np.allclose(literal, dephased_limit(a, b, c0, c1), atol=1e-15)
+        assert np.array_equal(literal, np.diag([abs(c0 * a) ** 2, abs(c1 * b) ** 2]))
 
 
 # ---------------------------------------------------------------- deviation
@@ -265,7 +260,7 @@ def test_deviation_fully_dephased_balanced_case():
 
 def test_deviation_shape_mismatch():
     rho1 = to_density(ket_from_amplitudes(1, 0))
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4\) vs \(2, 2\)$"):
         deviation(np.eye(4), rho1)
 
 

@@ -511,6 +511,27 @@ def test_born_measure_bell_probabilities_quarter():
         assert prob == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("labels", [("1", "2"), ("1", "2", "3")])
+def test_born_measure_on_a_later_subsystem_matches_the_lifted_oracle(labels):
+    # Target 1 follows subsystem 0, so each projector P is lifted to I (x) P,
+    # and to I (x) P (x) I on three qubits.
+    rng = np.random.default_rng(25)
+    dim = 2 ** len(labels)
+    projectors = computational_basis()
+    seen = set()
+    for seed in range(20):
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi = Ket(amps / np.linalg.norm(amps), labels)
+        outcome, post, prob = born_measure(psi, projectors, (1,), seeded_stream(seed))
+        op = np.kron(np.kron(np.eye(2), projectors[outcome].mat), np.eye(dim // 4))
+        projected = op @ psi.amplitudes
+        expected = np.vdot(projected, projected).real
+        assert prob == pytest.approx(expected, abs=1e-12)
+        assert np.allclose(post.amplitudes, projected / np.sqrt(expected), atol=1e-12)
+        seen.add(outcome)
+    assert seen == {0, 1}
+
+
 def test_born_measure_frequencies_match_probabilities():
     psi = ket_from_amplitudes(0.6, 0.8)
     rng = seeded_stream(42)
@@ -589,7 +610,7 @@ def test_fidelity_dimension_mismatch():
     rng = np.random.default_rng(27)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     pair = Ket(amps / np.linalg.norm(amps), ("1", "2"))
-    with pytest.raises(ValueError, match="mismatch"):
+    with pytest.raises(ValueError, match="^dimension mismatch: ket 4 vs matrix 2$"):
         fidelity(pair, to_density(ket_from_amplitudes(1, 0)))
 
 
