@@ -62,6 +62,20 @@ class UsageError(Exception):
     """Bad flags or config values; maps to exit code 2."""
 
 
+def _check_numbers(values: dict) -> None:
+    """The CLI's rule for the numbers it reads, as flags or config keys: every
+    float is finite, and an overlap magnitude lies in [0, 1] as given, before
+    a phase makes it complex. Errors name the flag or key; a sweep flag that
+    was not given (None) is skipped."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"{name} is not finite")
+    for name in ("gamma", "gamma_start", "gamma_end"):
+        value = values.get(name)
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise UsageError(f"{name} must lie in [0, 1], got {value}")
+
+
 @dataclass
 class SweepConfig:
     """One sweep run: state and coupling coefficients, overlap range, output."""
@@ -98,16 +112,10 @@ class SweepConfig:
         return complex(self.c1_re, self.c1_im)
 
     def validate(self) -> None:
-        """Check ranges and normalize (a, b) in place."""
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise UsageError(f"{f.name} is not finite")
+        """Check the numbers and ranges and normalize (a, b) in place."""
+        _check_numbers(vars(self))
         if self.steps < 2:
             raise UsageError(f"steps must be >= 2, got {self.steps}")
-        for name in ("gamma_start", "gamma_end"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise UsageError(f"{name} must lie in [0, 1], got {value}")
         if not 0 <= self.seed < 2**64:
             raise UsageError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         a, b = normalized_amplitudes(self.a, self.b)
@@ -150,20 +158,6 @@ def load_config(path: str) -> SweepConfig:
     return cfg
 
 
-def _amplitudes_from_args(args) -> tuple[complex, complex]:
-    return complex(args.a_re, args.a_im), complex(args.b_re, args.b_im)
-
-
-def _env_from_args(args) -> EnvironmentModel:
-    for name in ("gamma", "gamma_phase"):
-        if not math.isfinite(getattr(args, name)):
-            raise UsageError(f"{name} is not finite")
-    if args.gamma < 0:
-        raise UsageError(f"gamma must be >= 0, got {args.gamma}")
-    gamma = args.gamma * np.exp(1j * args.gamma_phase)
-    return EnvironmentModel(gamma, complex(args.c0_re, args.c0_im), complex(args.c1_re, args.c1_im))
-
-
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
@@ -178,7 +172,7 @@ def cmd_teleport(args) -> int:
         raise UsageError(f"shots must be >= 1, got {args.shots}")
     if args.seed < 0:
         raise UsageError(f"seed must be non-negative, got {args.seed}")
-    psi = ket_from_amplitudes(*_amplitudes_from_args(args))
+    psi = ket_from_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
     # The four branches are fixed by the input state, so sample the branch
     # index per shot instead of re-running the whole protocol each time.
     records = enumerate_branches(psi)
@@ -196,8 +190,9 @@ def cmd_teleport(args) -> int:
 def _point_query(args):
     """The canonical report, the printed rho3 and the printed delta at the
     point the flags give, as ``deviation`` and ``paper-check`` show them."""
-    a, b = normalized_amplitudes(*_amplitudes_from_args(args))
-    env = _env_from_args(args)
+    a, b = normalized_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
+    gamma = args.gamma * np.exp(1j * args.gamma_phase)
+    env = EnvironmentModel(gamma, complex(args.c0_re, args.c0_im), complex(args.c1_re, args.c1_im))
     report = direct_report(a, b, env)
     return report, reduced_state_paper_literal(a, b, env), deviation_closed_form_paper(a, b, env)
 
@@ -370,6 +365,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        _check_numbers(vars(args))
         return args.func(args)
     except (UsageError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -84,8 +84,9 @@ DEGENERATE_TOL = math.sqrt(sys.float_info.min)
 
 
 class DegenerateModelError(ValueError):
-    """Raised when the coupled state has zero norm in float64 (both branches
-    suppressed; see DEGENERATE_TOL)."""
+    """Raised when the coupled state's norm, with (c0, c1) at unit
+    max-modulus, is below DEGENERATE_TOL: its square is zero or subnormal in
+    float64, whether both branches vanish or only underflow."""
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,8 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     (a, b) must be normalized within AMPLITUDE_TOL; (c0, c1) are scaled to
     unit max-modulus before any other arithmetic. gamma and (c0, c1) are not
     checked here: EnvironmentModel checks one point and the sweep's config a
-    batch. Raises DegenerateModelError when the coupled state has zero norm.
+    batch. Raises DegenerateModelError when the coupled state's norm is below
+    DEGENERATE_TOL.
     """
     a, b = _check_normalized(a, b)
     c0, c1 = _unit_scaled(complex(c0), complex(c1))
@@ -222,8 +224,9 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     p0 = x0.real * x0.real + x0.imag * x0.imag
     p1 = x1.real * x1.real + x1.imag * x1.imag
     n = p0 + p1
-    if math.sqrt(n) < DEGENERATE_TOL:
-        raise DegenerateModelError("coupled state has zero norm: both c0*a and c1*b vanish")
+    norm = math.sqrt(n)
+    if norm < DEGENERATE_TOL:
+        raise _degenerate(norm)
     rho00 = p0 / n
     rho11 = p1 / n
     w = x0 * x1.conjugate()
@@ -268,9 +271,7 @@ def evolve(a: complex, b: complex, env: EnvironmentModel) -> Ket:
     vec[1::2] = c1 * b * e1.amplitudes
     norm = np.linalg.norm(vec)
     if norm < DEGENERATE_TOL:
-        raise DegenerateModelError(
-            "coupled state has zero norm: both c0*a and c1*b vanish"
-        )
+        raise _degenerate(norm)
     return Ket(vec / norm, ("E", "3"))
 
 
@@ -299,6 +300,13 @@ def _printed_entries(a: complex, b: complex, c0: complex, c1: complex, gamma):
     g_re, g_im = gamma.real, gamma.imag
     g_sq = g_re * g_re + g_im * g_im
     return p0 + p0 * g_sq, p1 + p1 * g_sq, w.real * g_re - w.imag * g_im, w.real * g_im + w.imag * g_re
+
+
+def _degenerate(norm: float) -> DegenerateModelError:
+    return DegenerateModelError(
+        f"coupled state's norm computes to {float(norm)!r}, below DEGENERATE_TOL = {DEGENERATE_TOL!r} "
+        "with (c0, c1) at unit max-modulus: its square is zero or subnormal in float64"
+    )
 
 
 def _overflow(name: str) -> ValueError:

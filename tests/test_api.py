@@ -4,18 +4,21 @@
 The tracer looks each target up with ``getattr`` and wraps a class's
 ``__post_init__``, so a renamed or deleted target would crash a traced
 benchmark run. TARGETS is read from the source with ``ast``; perfbench is not
-imported."""
+imported. README's "Library quick tour" block is run as written, so the
+documented API cannot drift from the code."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import teleportsim
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def traced_targets():
@@ -56,3 +59,12 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_readme_quick_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library quick tour\n\n```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert match, "README.md has no python block under '## Library quick tour'"
+    namespace = {}
+    exec(compile(match.group(1), "README.md", "exec"), namespace)
+    assert abs(namespace["delta"] - namespace["report"].delta) <= 1e-12

@@ -6,6 +6,7 @@ import pytest
 from teleportsim.cli import CSV_FIELDS, SweepConfig, UsageError, build_parser, load_config, main
 
 SQRT_HALF = np.sqrt(0.5)
+POINT_COMMANDS = ("deviation", "paper-check")
 
 
 def run_cli(capsys, *argv):
@@ -207,7 +208,33 @@ def test_deviation_fully_dephased_defaults(capsys):
 def test_deviation_rejects_overlap_above_one(capsys):
     code, _, err = run_cli(capsys, "deviation", "--gamma", "1.5")
     assert code == 2
-    assert "exceeds 1" in err
+    assert "gamma must lie in [0, 1], got 1.5" in err
+
+
+@pytest.mark.parametrize("phase", ["4.636599604190248", "1.335432049952276"])
+def test_overlap_above_one_is_quoted_as_given_at_any_phase(capsys, phase):
+    # gamma * exp(i phase) has modulus 1.5000000000000002 or 1.4999999999999998
+    # at the two phases; the error quotes the magnitude the user typed.
+    code, out, err = run_cli(capsys, "deviation", "--gamma", "1.5", "--gamma-phase", phase)
+    assert (code, out, err) == (2, "", "error: gamma must lie in [0, 1], got 1.5\n")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["deviation", "--gamma"], "gamma"),
+        (["paper-check", "--gamma"], "gamma"),
+        (["sweep", "--gamma-end"], "gamma_end"),
+        (["sweep", "--gamma-start"], "gamma_start"),
+    ],
+)
+def test_overlap_just_above_one_is_rejected_by_every_subcommand(tmp_path, monkeypatch, capsys, argv, name):
+    # Within EnvironmentModel's 1e-12 tolerance, but the CLI holds the
+    # magnitude it reads to [0, 1] exactly.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "1.0000000000005")
+    assert (code, out, err) == (2, "", f"error: {name} must lie in [0, 1], got 1.0000000000005\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deviation_prints_twelve_significant_digits(capsys):
@@ -245,18 +272,26 @@ def test_deviation_gamma_phase_rotates_overlap(capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["deviation", "paper-check"])
 @pytest.mark.parametrize(
-    "flag, value, name",
+    "flag, value, name, command",
     [
-        ("--gamma", "inf", "gamma"),
-        ("--gamma", "-inf", "gamma"),
-        ("--gamma", "nan", "gamma"),
-        ("--gamma-phase", "inf", "gamma_phase"),
-        ("--gamma-phase", "nan", "gamma_phase"),
+        (flag, value, name, command)
+        for flag, value, name, commands in [
+            ("--gamma", "inf", "gamma", POINT_COMMANDS),
+            ("--gamma", "-inf", "gamma", POINT_COMMANDS),
+            ("--gamma", "nan", "gamma", POINT_COMMANDS),
+            ("--gamma-phase", "inf", "gamma_phase", POINT_COMMANDS),
+            ("--gamma-phase", "nan", "gamma_phase", POINT_COMMANDS),
+            ("--a-re", "nan", "a_re", POINT_COMMANDS + ("teleport",)),
+            ("--b-re", "-inf", "b_re", ("teleport",)),
+            ("--b-im", "inf", "b_im", POINT_COMMANDS),
+            ("--c0-re", "nan", "c0_re", POINT_COMMANDS),
+            ("--c1-im", "-inf", "c1_im", POINT_COMMANDS),
+        ]
+        for command in commands
     ],
 )
-def test_point_query_rejects_a_non_finite_overlap_by_flag_name(capsys, command, flag, value, name):
+def test_point_query_rejects_a_non_finite_overlap_by_flag_name(capsys, flag, value, name, command):
     code, out, err = run_cli(capsys, command, f"{flag}={value}")
     assert (code, out, err) == (2, "", f"error: {name} is not finite\n")
 
@@ -545,7 +580,7 @@ def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
 def test_deviation_rejects_negative_overlap(capsys):
     code, _, err = run_cli(capsys, "deviation", "--gamma", "-0.5")
     assert code == 2
-    assert "gamma must be >= 0" in err
+    assert "gamma must lie in [0, 1], got -0.5" in err
 
 
 def test_failed_sweep_leaves_existing_output_untouched(tmp_path, capsys):
@@ -557,7 +592,7 @@ def test_failed_sweep_leaves_existing_output_untouched(tmp_path, capsys):
         "--out", str(out_path),
     )
     assert code == 2
-    assert "zero norm" in err
+    assert "below DEGENERATE_TOL" in err
     assert out_path.read_text() == "earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 

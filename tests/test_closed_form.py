@@ -284,9 +284,9 @@ def test_a_small_coefficient_ratio_is_computed(ab, c0, c1, gamma, ratio, swap):
 
 @pytest.mark.parametrize("a, b, c0, c1", [(1, 0, 1e-160, 1), (0, 1, 1, 1e-155), (1, 1e-160, 1e-160, 1)])
 def test_an_underflowing_coupled_norm_is_degenerate_on_both_routes(a, b, c0, c1):
-    with pytest.raises(DegenerateModelError, match="zero norm"):
+    with pytest.raises(DegenerateModelError, match="below DEGENERATE_TOL"):
         closed_form(a, b, c0, c1, 0.5)
-    with pytest.raises(DegenerateModelError, match="zero norm"):
+    with pytest.raises(DegenerateModelError, match="below DEGENERATE_TOL"):
         evolve(a, b, EnvironmentModel(0.5, c0, c1))
 
 
@@ -437,7 +437,19 @@ def test_deviation_cli_rejects_printed_overflow(capsys):
 def test_deviation_cli_degenerate_model_is_usage_error(capsys):
     code = main(["deviation", "--a-re", "1", "--b-re", "0", "--c0-re", "0"])
     assert code == 2
-    assert "zero norm" in capsys.readouterr().err
+    assert "norm computes to 0.0, below DEGENERATE_TOL" in capsys.readouterr().err
+
+
+def test_degenerate_message_quotes_an_underflowing_norm(capsys):
+    # c0 a = c1 b = 1e-160: neither product vanishes, but the squared norm
+    # 2e-320 is subnormal, so the state is rejected with its norm quoted.
+    code = main(["deviation", "--a-re", "1", "--b-re", "1e-160", "--c0-re", "1e-160", "--c1-re", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: coupled state's norm computes to 1.4142056902605667e-160, below "
+        "DEGENERATE_TOL = 1.4916681462400413e-154 with (c0, c1) at unit max-modulus: "
+        "its square is zero or subnormal in float64\n"
+    )
 
 
 def test_deviation_cli_computes_a_small_coefficient_ratio(capsys):
