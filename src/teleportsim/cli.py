@@ -161,9 +161,9 @@ def load_config(path: str) -> SweepConfig:
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
-def _fmt_matrix(mat: np.ndarray) -> str:
+def _fmt_matrix(rows) -> str:
     return "\n".join(
-        "  [ " + "  ".join(_fmt_complex(z) for z in row) + " ]" for row in mat
+        "  [ " + "  ".join(_fmt_complex(z) for z in row) + " ]" for row in rows
     )
 
 
@@ -204,7 +204,7 @@ def cmd_deviation(args) -> int:
     print(f"fidelity {report.fidelity:.12g}")
     print(f"purity {report.purity:.12g}")
     print("rho3 (canonical partial trace):")
-    print(_fmt_matrix(report.rho3.mat))
+    print(_fmt_matrix(report.rho3.rows))
     print("rho3 (printed closed form):")
     print(_fmt_matrix(literal))
     return EXIT_OK
@@ -215,7 +215,7 @@ def cmd_paper_check(args) -> int:
     rho3 = report.rho3.mat
     diff = literal - rho3
     print("rho3 (canonical partial trace):")
-    print(_fmt_matrix(rho3))
+    print(_fmt_matrix(report.rho3.rows))
     print(f"trace_canonical {np.trace(rho3).real:.12g}")
     print("rho3 (printed closed form):")
     print(_fmt_matrix(literal))

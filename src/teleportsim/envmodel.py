@@ -336,14 +336,15 @@ def deviation(rho3, rho1: DensityMatrix) -> float:
     """Entrywise-quadratic distance sqrt(sum |rho3_nm - rho1_nm|^2) between the
     delivered state and the sender's original."""
     if isinstance(rho3, DensityMatrix):
-        mat3 = rho3.mat
+        rows3 = rho3.rows
     else:
         mat3 = np.asarray(rho3, dtype=np.complex128)
         if not np.isfinite(mat3).all():
             raise ValueError("rho3 contains non-finite entries")
         if mat3.shape != (2, 2):
             raise ValueError(f"shape mismatch: {mat3.shape} vs (2, 2)")
-    diff = (mat3 - rho1.mat).ravel().tolist()
+        rows3 = mat3.tolist()
+    diff = [x - y for row3, row1 in zip(rows3, rho1.rows) for x, y in zip(row3, row1)]
     return _frobenius((d.real, d.imag) for d in diff)
 
 
@@ -395,5 +396,5 @@ def noisy_teleport(psi: Ket, env: EnvironmentModel, seed: int) -> DeviationRepor
     the sampled branch.
     """
     record = run_ideal(psi, seed)
-    a, b = record.corrected_state.amplitudes
+    a, b = record.corrected_state.entries
     return _report(a, b, env, branch=record.outcome)

@@ -4,14 +4,22 @@ Born-rule measurement, and fidelity.
 Subsystem ordering is big-endian throughout: the leftmost label is the slowest
 tensor index. All values are immutable after construction; only the
 caller-supplied random stream carries state.
+
+``Ket`` and ``DensityMatrix`` keep their checked entries as Python complexes
+(``Ket.entries``, ``DensityMatrix.rows``), which the protocol and the point
+path read. Their ndarrays (``.amplitudes``, ``.mat``) are read-only
+complex128 copies of those entries, built on first access and cached, so a
+value that numpy never reads allocates no array. A ``Gate`` keeps both
+forms from the start. Construction runs each class's ``__post_init__``
+once: it is the one check, and the hook a tracer can wrap.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -66,10 +74,42 @@ def _first_draw(seed: int) -> float:
     return (int(np.random.Philox(seed).random_raw()) >> 11) * 2.0**-53
 
 
-@dataclass(frozen=True, eq=False)
-class Ket:
+# Inputs a Ket or DensityMatrix checks as Python numbers: a flat tuple or list
+# (rows of them for a matrix) of exactly these types. Anything else takes the
+# ndarray route, whose conversion to complex128 accepts what it always has.
+_SEQUENCES = (tuple, list)
+_NUMBERS = frozenset((int, float, complex))
+
+
+def _number_rows(mat) -> bool:
+    """True for two tuples or lists of two ints, floats or complexes each."""
+    if type(mat) not in _SEQUENCES or len(mat) != 2:
+        return False
+    top, bottom = mat
+    return (type(top) in _SEQUENCES and type(bottom) in _SEQUENCES and len(top) == len(bottom) == 2
+            and _NUMBERS.issuperset(map(type, (*top, *bottom))))
+
+
+class _Frozen:
+    """Assignment and deletion raise, as on a frozen dataclass: a value writes
+    its attributes once, into its ``__dict__``, in ``__post_init__``."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Ket(_Frozen):
     """Normalized pure state over one to three labelled qubits (2, 4 or 8
     amplitudes).
+
+    ``entries`` holds the amplitudes as a tuple of Python complexes;
+    ``amplitudes`` is the read-only complex128 ndarray of the same values,
+    built on first access and cached. A flat tuple or list of int, float and
+    complex is read directly; any other input is converted with ``np.array``
+    first, and that array is the one cached.
 
     One check, in Python float arithmetic: every part finite, and the norm
     within NORM_TOL of 1. The norm is the square root of the squared parts
@@ -78,22 +118,27 @@ class Ket:
     the two differ by up to 2 ulps at 2 amplitudes and 3 ulps at 8, so a norm
     that close to 1 +- NORM_TOL may be judged differently from numpy's."""
 
-    amplitudes: np.ndarray
-    labels: tuple[str, ...]
+    def __init__(self, amplitudes, labels: tuple[str, ...]):
+        self.__post_init__(amplitudes, labels)
 
-    def __post_init__(self):
-        amps = _frozen_complex(self.amplitudes)
-        labels = tuple(self.labels)
-        if amps.ndim != 1:
-            raise ValueError(f"amplitudes must be a vector, got shape {amps.shape}")
+    def __post_init__(self, amplitudes, labels):
+        arr = None
+        if type(amplitudes) in _SEQUENCES and _NUMBERS.issuperset(map(type, amplitudes)):
+            entries = tuple(map(complex, amplitudes))
+        else:
+            arr = _frozen_complex(amplitudes)
+            if arr.ndim != 1:
+                raise ValueError(f"amplitudes must be a vector, got shape {arr.shape}")
+            entries = tuple(arr.tolist())
+        labels = tuple(labels)
         if not 1 <= len(labels) <= 3:
             raise ValueError(f"expected 1 to 3 subsystem labels, got {labels!r}")
-        if amps.shape[0] != 2 ** len(labels):
+        if len(entries) != 2 ** len(labels):
             raise ValueError(
-                f"dimension {amps.shape[0]} does not match {len(labels)} two-level subsystems"
+                f"dimension {len(entries)} does not match {len(labels)} two-level subsystems"
             )
         total = 0.0
-        for z in amps.tolist():
+        for z in entries:
             if not cmath.isfinite(z):
                 raise ValueError("amplitudes contain non-finite entries")
             total += z.real * z.real
@@ -101,18 +146,33 @@ class Ket:
         norm = math.sqrt(total)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"ket is not normalized: |amplitudes| = {norm!r}")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "labels", labels)
+        state = vars(self)
+        state["entries"] = entries
+        state["labels"] = labels
+        if arr is not None:
+            state["amplitudes"] = arr
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        return _frozen_complex(self.entries)
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return len(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Ket({self.entries!r}, {self.labels!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """A qubit's state: a Hermitian, unit-trace, positive-semidefinite 2x2
     matrix. Any other shape is rejected.
+
+    ``rows`` holds the entries as two rows of two Python complexes; ``mat`` is
+    the read-only complex128 ndarray of the same values, built on first access
+    and cached. Two tuples or lists of two ints, floats or complexes are read
+    directly; any other input is converted with ``np.array`` first, and that
+    array is the one cached.
 
     One check, in Python complex arithmetic: finite entries; a skew
     (|m01 - conj(m10)| and twice each diagonal imaginary part) within
@@ -121,13 +181,19 @@ class DensityMatrix:
     -DENSITY_TOL. The skew's modulus is libm's hypot, which numpy's array loop
     may round one ulp apart."""
 
-    mat: np.ndarray
+    def __init__(self, mat):
+        self.__post_init__(mat)
 
-    def __post_init__(self):
-        mat = _frozen_complex(self.mat)
-        if mat.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got shape {mat.shape}")
-        (m00, m01), (m10, m11) = mat.tolist()
+    def __post_init__(self, mat):
+        arr = None
+        if _number_rows(mat):
+            (m00, m01), (m10, m11) = mat
+            m00, m01, m10, m11 = complex(m00), complex(m01), complex(m10), complex(m11)
+        else:
+            arr = _frozen_complex(mat)
+            if arr.shape != (2, 2):
+                raise ValueError(f"density matrix must be 2x2, got shape {arr.shape}")
+            (m00, m01), (m10, m11) = arr.tolist()
         if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
             raise ValueError("density matrix contains non-finite entries")
         try:
@@ -144,12 +210,25 @@ class DensityMatrix:
         low = mean - math.sqrt(max(mean * mean - det, 0.0))
         if low < -DENSITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {low!r}")
-        object.__setattr__(self, "mat", mat)
+        state = vars(self)
+        state["rows"] = ((m00, m01), (m10, m11))
+        if arr is not None:
+            state["mat"] = arr
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        return _frozen_complex(self.rows)
+
+    def __repr__(self) -> str:
+        return f"DensityMatrix({self.rows!r})"
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """Named single-qubit unitary; the receiver's corrections use I, X, Z, ZX."""
+    """Named single-qubit unitary; the receiver's corrections use I, X, Z, ZX.
+
+    ``mat`` is the read-only complex128 ndarray the unitarity check runs on;
+    ``rows`` holds the same entries as two rows of two Python complexes."""
 
     name: str
     mat: np.ndarray
@@ -163,6 +242,7 @@ class Gate:
         if np.abs(mat.conj().T @ mat - np.eye(2)).max() > UNITARITY_TOL:
             raise ValueError(f"gate {self.name!r} is not unitary within tolerance")
         object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "rows", tuple(map(tuple, mat.tolist())))
 
 
 I = Gate("I", np.eye(2))
@@ -269,7 +349,7 @@ def to_density(psi: Ket) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a one-qubit ket."""
     if psi.dim != 2:
         raise ValueError(f"density matrix must be 2x2, got shape {(psi.dim, psi.dim)}")
-    return DensityMatrix(_qubit_rows(*_pure_density(*psi.amplitudes.tolist())))
+    return DensityMatrix(_qubit_rows(*_pure_density(*psi.entries)))
 
 
 def apply_gate(psi: Ket, g: Gate, target: int) -> Ket:

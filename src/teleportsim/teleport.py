@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -98,7 +99,7 @@ def singlet() -> Ket:
 def _joint_amplitudes(psi: Ket) -> list[complex]:
     if psi.dim != 2:
         raise ValueError(f"input must be a single-qubit ket, got dimension {psi.dim}")
-    return [x * s for x in psi.amplitudes.tolist() for s in _SINGLET]
+    return [x * s for x in psi.entries for s in _SINGLET]
 
 
 def prepare_joint(psi: Ket) -> Ket:
@@ -106,7 +107,7 @@ def prepare_joint(psi: Ket) -> Ket:
     return Ket(_joint_amplitudes(psi), (psi.labels[0], "2", "3"))
 
 
-def _bell_branches(j: list[complex]) -> tuple[tuple[tuple[complex, complex], ...], list[float]]:
+def _bell_branches(j: Sequence[complex]) -> tuple[tuple[tuple[complex, complex], ...], list[float]]:
     """Bell measurement on particles 1 and 2 of a three-particle state, all
     four branches at once, from its 8 amplitudes as Python complexes.
 
@@ -160,7 +161,7 @@ def alice_measure(joint: Ket, rng: np.random.Generator) -> tuple[BellOutcome, Ke
     the conditional state of particle 3 (signs included)."""
     if joint.dim != 8:
         raise ValueError(f"joint state must have three particles, got dimension {joint.dim}")
-    v, probs = _bell_branches(joint.amplitudes.tolist())
+    v, probs = _bell_branches(joint.entries)
     index = born_index(probs, rng.random())
     return OUTCOME_ORDER[index], Ket(_conditional(v, probs, index), (joint.labels[2],))
 
@@ -177,9 +178,9 @@ def _record(psi: Ket, index: int, v, probs: list[float]) -> TeleportRecord:
     # density matrix.
     outcome = OUTCOME_ORDER[index]
     c0, c1 = _conditional(v, probs, index)
-    (g00, g01), (g10, g11) = correction_for(outcome).mat.tolist()
+    (g00, g01), (g10, g11) = correction_for(outcome).rows
     d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
-    a, b = psi.amplitudes.tolist()
+    a, b = psi.entries
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
     return TeleportRecord(
         psi, outcome, Ket((c0, c1), ("3",)), Ket((d0, d1), ("3",)), fid, probs[index]

@@ -170,6 +170,160 @@ def test_ket_amplitudes_are_read_only():
         psi.amplitudes[0] = 0.0
 
 
+# ---------------------------------------------------------------- values
+
+def parts(values):
+    """Each complex as the hex of its parts, so -0.0 and nan payloads count."""
+    return [(z.real.hex(), z.imag.hex()) for z in values]
+
+
+@pytest.mark.parametrize(
+    "value, attrs",
+    [
+        (ket_from_amplitudes(0.6, 0.8j), ("entries", "amplitudes", "labels", "dim", "other")),
+        (to_density(ket_from_amplitudes(0.6, 0.8j)), ("rows", "mat", "other")),
+        (X, ("name", "mat", "rows", "other")),
+    ],
+    ids=["Ket", "DensityMatrix", "Gate"],
+)
+def test_values_refuse_assignment_and_deletion(value, attrs):
+    for attr in attrs:
+        with pytest.raises(AttributeError):
+            setattr(value, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+
+
+@st.composite
+def qubit_states(draw):
+    """A one-qubit Ket from random parts, as ``ket_from_amplitudes`` or from
+    an ndarray; signed zeros included."""
+    part = st.one_of(st.floats(-1, 1), st.sampled_from([0.0, -0.0]))
+    a, b = complex(draw(part), draw(part)), complex(draw(part), draw(part))
+    assume(a != 0 or b != 0)
+    psi = ket_from_amplitudes(a, b)
+    return Ket(np.array(psi.entries), ("1",)) if draw(st.booleans()) else psi
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubit_states())
+def test_value_arrays_are_read_only_cached_and_equal_the_entries(psi):
+    rho = to_density(psi)
+    for value, array, entries in ((psi, "amplitudes", psi.entries), (rho, "mat", rho.rows[0] + rho.rows[1])):
+        arr = getattr(value, array)
+        assert arr.dtype == np.complex128
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+        assert getattr(value, array) is arr
+        assert all(type(z) is complex for z in entries)
+        assert parts(arr.ravel().tolist()) == parts(entries)
+    assert psi.dim == len(psi.entries) == 2
+
+
+# Constructor inputs and what the ndarray-only constructors did with them:
+# "accept", a (type, message) rejection, or NUMPY for the error that numpy's
+# own conversion to complex128 raises (its text is numpy's). Flat tuples and
+# lists of int, float and complex are read without that conversion; the rest
+# still take it.
+NUMPY = "numpy"
+NAN, INF = math.nan, math.inf
+KET_INPUTS = {
+    "ndarray": (np.array([0.6, 0.8]), "accept"),
+    "int-list": ([1, 0], "accept"),
+    "int-tuple": ((0, 1), "accept"),
+    "float-subclass": ([type("F", (float,), {})(1.0), 0.0], "accept"),
+    "signed-zeros": ([complex(-0.0, -0.0), -1.0], "accept"),
+    "numpy-scalars": ((np.float64(0.6), np.complex128(0.8j)), "accept"),
+    "numpy-ints": ((np.int64(1), np.int64(0)), "accept"),
+    "bools": ([True, False], "accept"),
+    "bools-unnormalized": ([True, True], (ValueError, "ket is not normalized: |amplitudes| = 1.4142135623730951")),
+    "strings": (["0.6", "0.8j"], "accept"),
+    "bytes": ([b"1", b"0"], "accept"),
+    "malformed-string": (["abc", "0"], NUMPY),
+    "None-entry": ([None, 1.0], (ValueError, "amplitudes contain non-finite entries")),
+    "None": (None, (ValueError, "amplitudes must be a vector, got shape ()")),
+    "scalar": (1.0, (ValueError, "amplitudes must be a vector, got shape ()")),
+    "nested-2x1": (((1.0,), (0.0,)), (ValueError, "amplitudes must be a vector, got shape (2, 1)")),
+    "ragged": ([1.0, [0.0]], NUMPY),
+    "dict": ({0: 1.0, 1: 0.0}, NUMPY),
+    "generator": ((z for z in [1.0, 0.0]), NUMPY),
+    "length-0": ([], (ValueError, "dimension 0 does not match 1 two-level subsystems")),
+    "length-1": ([1.0], (ValueError, "dimension 1 does not match 1 two-level subsystems")),
+    "length-3": ([1.0, 0.0, 0.0], (ValueError, "dimension 3 does not match 1 two-level subsystems")),
+    "length-4": ([1.0, 0, 0, 0], (ValueError, "dimension 4 does not match 1 two-level subsystems")),
+    "2x3-array": (np.zeros((2, 3)), (ValueError, "amplitudes must be a vector, got shape (2, 3)")),
+    "3d-array": (np.zeros((2, 1, 1)), (ValueError, "amplitudes must be a vector, got shape (2, 1, 1)")),
+    "nan-real": ([NAN, 1.0], (ValueError, "amplitudes contain non-finite entries")),
+    "nan-imag": ([complex(0, NAN), 1.0], (ValueError, "amplitudes contain non-finite entries")),
+    "inf-real": ([INF, 0.0], (ValueError, "amplitudes contain non-finite entries")),
+    "inf-imag": ([complex(1, -INF), 0.0], (ValueError, "amplitudes contain non-finite entries")),
+    "huge-int": ([10**400, 0], (OverflowError, "int too large to convert to float")),
+    "norm-overflow": ([1e200, 0.0], (ValueError, "ket is not normalized: |amplitudes| = inf")),
+}
+DENSITY_INPUTS = {
+    "ndarray": (np.diag([0.5, 0.5]), "accept"),
+    "int-rows": ([[1, 0], [0, 0]], "accept"),
+    "mixed-rows": (([1.0, 0.0], (0.0, 0.0)), "accept"),
+    "qubit-rows": ([[0.36, complex(0.48, 0.0)], [complex(0.48, -0.0), 0.64]], "accept"),
+    "float-subclass": ([[type("F", (float,), {})(1.0), 0.0], [0.0, 0.0]], "accept"),
+    "numpy-scalars": (((np.float64(1.0), np.complex128(0)), (np.float64(0), np.float64(0))), "accept"),
+    "array-rows": ([np.array([1.0, 0.0]), np.array([0.0, 0.0])], "accept"),
+    "bools": ([[True, False], [False, False]], "accept"),
+    "strings": ([["1", "0"], ["0", "0"]], "accept"),
+    "malformed-string": ([["x", "0"], ["0", "0"]], NUMPY),
+    "string-rows": (["10", "00"], (ValueError, "density matrix must be 2x2, got shape (2,)")),
+    "None-entry": ([[None, 0], [0, 1]], (ValueError, "density matrix contains non-finite entries")),
+    "None": (None, (ValueError, "density matrix must be 2x2, got shape ()")),
+    "nested-2x1": (((1.0,), (0.0,)), (ValueError, "density matrix must be 2x2, got shape (2, 1)")),
+    "flat-4": ([1.0, 0.0, 0.0, 0.0], (ValueError, "density matrix must be 2x2, got shape (4,)")),
+    "2x3": ([[1.0, 0, 0], [0, 0, 0]], (ValueError, "density matrix must be 2x2, got shape (2, 3)")),
+    "3x2": ([[1.0, 0], [0, 0], [0, 0]], (ValueError, "density matrix must be 2x2, got shape (3, 2)")),
+    "2x3-array": (np.zeros((2, 3)), (ValueError, "density matrix must be 2x2, got shape (2, 3)")),
+    "3d-array": (np.zeros((2, 2, 1)), (ValueError, "density matrix must be 2x2, got shape (2, 2, 1)")),
+    "ragged": ([[1.0, 0.0], [0.0]], NUMPY),
+    "dict-rows": ([{0: 1.0, 1: 0.0}, {0: 0.0, 1: 0.0}], NUMPY),
+    "generator-rows": ([(z for z in [1.0, 0.0]), (z for z in [0.0, 0.0])], NUMPY),
+    "nan": ([[NAN, 0], [0, 1]], (ValueError, "density matrix contains non-finite entries")),
+    "nan-imag": ([[0.5, complex(0, NAN)], [0, 0.5]], (ValueError, "density matrix contains non-finite entries")),
+    "inf": ([[INF, 0], [0, 1]], (ValueError, "density matrix contains non-finite entries")),
+    "-inf-offdiagonal": ([[0.5, -INF], [0, 0.5]], (ValueError, "density matrix contains non-finite entries")),
+    "skew-overflow": ([[0.5, 1.5e308 + 1.5e308j], [0, 0.5]], (ValueError, "density matrix is not Hermitian within tolerance")),
+    "zero-trace": ([[-0.0, 0], [0, -0.0]], (ValueError, "density matrix trace is 0j, expected 1")),
+    "negative-eigenvalue": ([[1.5, 0], [0, -0.5]], (ValueError, "density matrix has negative eigenvalue -0.5")),
+    "huge-int": ([[10**400, 0], [0, 0]], (OverflowError, "int too large to convert to float")),
+}
+
+
+def numpy_error(values):
+    with pytest.raises(Exception) as info:
+        np.array(values, dtype=np.complex128)
+    return type(info.value), str(info.value)
+
+
+def check_construction(build, values, expected, entries_of):
+    if expected == "accept":
+        value = build(values)
+        assert parts(entries_of(value)) == parts(np.array(values, dtype=np.complex128).ravel().tolist())
+        return
+    kind, message = numpy_error(values) if expected == NUMPY else expected
+    with pytest.raises(Exception) as info:
+        build(values)
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+@pytest.mark.parametrize("name", KET_INPUTS)
+def test_ket_inputs_are_accepted_and_rejected_as_through_an_ndarray(name):
+    values, expected = KET_INPUTS[name]
+    check_construction(lambda v: Ket(v, ("1",)), values, expected, lambda psi: psi.entries)
+
+
+@pytest.mark.parametrize("name", DENSITY_INPUTS)
+def test_density_inputs_are_accepted_and_rejected_as_through_an_ndarray(name):
+    values, expected = DENSITY_INPUTS[name]
+    check_construction(DensityMatrix, values, expected, lambda rho: rho.rows[0] + rho.rows[1])
+
+
 # ---------------------------------------------------------------- to_density
 
 def test_to_density_basis_state():
