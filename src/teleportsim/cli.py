@@ -29,7 +29,7 @@ from .envmodel import (
     printed_deviation,
     reduced_state_paper_literal,
 )
-from .qcore import ket_from_amplitudes, normalized_amplitudes, seeded_stream
+from .qcore import _SQRT_HALF, ket_from_amplitudes, normalized_amplitudes, seeded_stream
 from .teleport import born_index, enumerate_branches
 
 __all__ = ["SweepConfig", "load_config", "main", "CSV_FIELDS"]
@@ -37,8 +37,6 @@ __all__ = ["SweepConfig", "load_config", "main", "CSV_FIELDS"]
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-INV_SQRT2 = 0.7071067811865476
 
 CSV_FIELDS = (
     "gamma_re",
@@ -62,11 +60,15 @@ class UsageError(Exception):
     """Bad flags or config values; maps to exit code 2."""
 
 
+_MINIMUMS = {"shots": 1, "steps": 2, "seed": 0}
+
+
 def _check_numbers(values: dict) -> None:
     """The CLI's rule for the numbers it reads, as flags or config keys: every
-    float is finite, and an overlap magnitude lies in [0, 1] as given, before
-    a phase makes it complex. Errors name the flag or key; a sweep flag that
-    was not given (None) is skipped."""
+    float is finite, an overlap magnitude lies in [0, 1] as given, before a
+    phase makes it complex, and a count or seed is an integer at least its
+    minimum (shots >= 1, steps >= 2, seed >= 0, with no upper bound). Errors
+    name the flag or key; a sweep flag that was not given (None) is skipped."""
     for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{name} is not finite")
@@ -74,19 +76,23 @@ def _check_numbers(values: dict) -> None:
         value = values.get(name)
         if value is not None and not 0.0 <= value <= 1.0:
             raise UsageError(f"{name} must lie in [0, 1], got {value}")
+    for name, minimum in _MINIMUMS.items():
+        value = values.get(name)
+        if value is not None and value < minimum:
+            raise UsageError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass
 class SweepConfig:
     """One sweep run: state and coupling coefficients, overlap range, output."""
 
-    a_re: float = INV_SQRT2
+    a_re: float = _SQRT_HALF
     a_im: float = 0.0
-    b_re: float = INV_SQRT2
+    b_re: float = _SQRT_HALF
     b_im: float = 0.0
-    c0_re: float = INV_SQRT2
+    c0_re: float = _SQRT_HALF
     c0_im: float = 0.0
-    c1_re: float = INV_SQRT2
+    c1_re: float = _SQRT_HALF
     c1_im: float = 0.0
     gamma_start: float = 0.0
     gamma_end: float = 1.0
@@ -114,10 +120,6 @@ class SweepConfig:
     def validate(self) -> None:
         """Check the numbers and ranges and normalize (a, b) in place."""
         _check_numbers(vars(self))
-        if self.steps < 2:
-            raise UsageError(f"steps must be >= 2, got {self.steps}")
-        if not 0 <= self.seed < 2**64:
-            raise UsageError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         a, b = normalized_amplitudes(self.a, self.b)
         self.a_re, self.a_im, self.b_re, self.b_im = a.real, a.imag, b.real, b.imag
 
@@ -168,15 +170,11 @@ def _fmt_matrix(rows) -> str:
 
 
 def cmd_teleport(args) -> int:
-    if args.shots < 1:
-        raise UsageError(f"shots must be >= 1, got {args.shots}")
-    if args.seed < 0:
-        raise UsageError(f"seed must be non-negative, got {args.seed}")
     psi = ket_from_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
     # The four branches are fixed by the input state, so sample the branch
     # index per shot instead of re-running the whole protocol each time.
     records = enumerate_branches(psi)
-    probabilities = np.array([r.probability for r in records])
+    probabilities = [r.probability for r in records]
     indices = born_index(probabilities, seeded_stream(args.seed).random(args.shots))
     counts = np.bincount(indices, minlength=4)
     for record, count in zip(records, counts):
@@ -329,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("teleport", help="run the ideal protocol for many shots")
-    _add_complex_flags(p, ("a", "b"), INV_SQRT2)
+    _add_complex_flags(p, ("a", "b"), _SQRT_HALF)
     p.add_argument("--shots", type=int, default=1000, help="number of protocol runs")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.set_defaults(func=cmd_teleport)
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("paper-check", cmd_paper_check, "canonical vs printed reduced state"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_complex_flags(p, ("a", "b", "c0", "c1"), INV_SQRT2)
+        _add_complex_flags(p, ("a", "b", "c0", "c1"), _SQRT_HALF)
         p.add_argument("--gamma", type=float, default=1.0, help="overlap magnitude")
         p.add_argument("--gamma-phase", type=float, default=0.0, help="overlap phase (radians)")
         p.set_defaults(func=func)
@@ -350,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-end", type=float, default=None, help="last overlap magnitude")
     p.add_argument("--steps", type=int, default=None, help="number of grid points (>= 2)")
     p.add_argument("--gamma-phase", type=float, default=None, help="overlap phase (radians)")
-    p.add_argument("--seed", type=int, default=None, help="range-checked only; the sweep is deterministic")
+    p.add_argument("--seed", type=int, default=None, help="any integer >= 0, as for teleport; affects no output")
     p.add_argument("--config", type=str, default=None, help="key = value config file")
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.set_defaults(func=cmd_sweep)

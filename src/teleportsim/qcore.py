@@ -52,7 +52,7 @@ NORM_TOL = 1e-12
 UNITARITY_TOL = 1e-12
 DENSITY_TOL = 1e-10
 
-_SQRT_HALF = np.sqrt(0.5)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _frozen_complex(values) -> np.ndarray:

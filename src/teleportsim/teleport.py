@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .qcore import GATES, Gate, Ket, _first_draw
+from .qcore import GATES, _SQRT_HALF, Gate, Ket, _first_draw
 
 __all__ = [
     "BellOutcome",
@@ -74,7 +74,6 @@ CORRECTIONS = {
     BellOutcome.PHI_PLUS: "ZX",
 }
 
-_SQRT_HALF = math.sqrt(0.5)
 _SINGLET = (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0)
 
 

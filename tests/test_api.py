@@ -6,19 +6,22 @@ The tracer looks each target up with ``getattr`` and wraps a class's
 benchmark run. TARGETS is read from the source with ``ast``; perfbench is not
 imported. Every construction of a traced value class runs its
 ``__post_init__`` exactly once, so the tracer's call counts are the
-constructions. README's "Library quick tour" block is run as written, so the
-documented API cannot drift from the code."""
+constructions. README's "Library quick tour" block and its CLI examples are
+run as written, so the documented API and commands cannot drift from the
+code."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import teleportsim
+from teleportsim.cli import main
 from teleportsim.envmodel import EnvironmentModel, direct_report, evolve, noisy_teleport
 from teleportsim.qcore import (
     X, DensityMatrix, Gate, Ket, apply_gate, bell_basis, born_measure, ket_from_amplitudes,
@@ -122,3 +125,15 @@ def test_readme_quick_tour_runs():
     namespace = {}
     exec(compile(match.group(1), "README.md", "exec"), namespace)
     assert abs(namespace["delta"] - namespace["report"].delta) <= 1e-12
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert match, "README.md has no sh block under '## CLI'"
+    commands = [shlex.split(line) for line in match.group(1).splitlines() if line.startswith("teleportsim ")]
+    assert commands, "README.md's CLI block has no teleportsim command"
+    monkeypatch.chdir(tmp_path)  # the sweep example writes into the cwd
+    for argv in commands:
+        assert main(argv[1:]) == 0, shlex.join(argv)
+    assert capsys.readouterr().err == ""

@@ -154,12 +154,6 @@ def test_teleport_rejects_zero_state(capsys):
     assert "do not define" in err
 
 
-def test_teleport_rejects_nonpositive_shots(capsys):
-    code, _, err = run_cli(capsys, "teleport", "--shots", "0")
-    assert code == 2
-    assert "shots" in err
-
-
 # 2**50 doubles are 8 PiB, beyond any 64-bit user address space, so numpy's
 # allocation fails at once.
 UNALLOCATABLE = str(2**50)
@@ -179,10 +173,49 @@ def test_sweep_count_too_large_to_allocate_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # the temp file is removed
 
 
-def test_teleport_rejects_negative_seed(capsys):
-    code, _, err = run_cli(capsys, "teleport", "--seed", "-1")
-    assert code == 2
-    assert "seed" in err
+# One rule for the counts and seeds the CLI reads, as a flag or a config key:
+# shots >= 1, steps >= 2, seed >= 0. A flag is checked before a config file is read.
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["teleport", "--shots", "0"], None, "shots must be >= 1, got 0"),
+        (["teleport", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["sweep", "--steps", "1"], None, "steps must be >= 2, got 1"),
+        (["sweep", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["sweep", "--steps", "1", "--config", "missing.cfg"], None, "steps must be >= 2, got 1"),
+        (["sweep", "--config", "run.cfg"], "steps = 1\n", "steps must be >= 2, got 1"),
+        (["sweep", "--config", "run.cfg"], "seed = -1\n", "seed must be >= 0, got -1"),
+    ],
+    ids=["teleport-shots", "teleport-seed", "sweep-steps", "sweep-seed", "sweep-steps-before-config",
+         "config-steps", "config-seed"],
+)
+def test_count_or_seed_below_its_minimum_is_rejected_by_name(tmp_path, monkeypatch, capsys, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_seed_beyond_64_bits_is_accepted_by_every_subcommand(tmp_path, monkeypatch, capsys):
+    # A seed follows teleport's rule everywhere: any integer >= 0. The sweep
+    # uses none, so its CSV is the default one.
+    seed = str(2**64)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "teleport", "--seed", seed, "--shots", "3")
+    assert (code, err) == (0, "") and "mean fidelity 1.000000" in out
+    (tmp_path / "run.cfg").write_text(f"seed = {seed}\n")
+    for name, argv in (
+        ("default.csv", []),
+        ("flag.csv", ["--seed", seed]),
+        ("config.csv", ["--config", "run.cfg"]),
+    ):
+        code, _, err = run_cli(capsys, "sweep", *argv, "--out", name)
+        assert (code, err) == (0, "")
+    default = (tmp_path / "default.csv").read_bytes()
+    assert (tmp_path / "flag.csv").read_bytes() == default
+    assert (tmp_path / "config.csv").read_bytes() == default
 
 
 # ---------------------------------------------------------------- deviation
@@ -399,12 +432,6 @@ def test_sweep_unwritable_path_is_io_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--out", str(tmp_path / "missing" / "x.csv"))
     assert code == 3
     assert err.startswith("error:")
-
-
-def test_sweep_rejects_bad_steps(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--steps", "1", "--out", "ignored.csv")
-    assert code == 2
-    assert "steps" in err
 
 
 def test_sweep_rejects_overlap_range_outside_unit_interval(capsys):
