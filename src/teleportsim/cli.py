@@ -11,6 +11,7 @@ ValueError and a count too large to allocate), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import functools
 import math
@@ -80,6 +81,18 @@ def _check_numbers(values: dict) -> None:
         value = values.get(name)
         if value is not None and value < minimum:
             raise UsageError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _allocated(name: str, count: int, make):
+    """``make(count)``, an array of ``count`` entries; a count numpy cannot
+    allocate is a UsageError that names it as ``_check_numbers`` does."""
+    try:
+        array = make(count)
+        if len(array) == count:  # np.arange(2**63 - 1) is empty, not an error
+            return array
+    except (MemoryError, ValueError):
+        pass
+    raise UsageError(f"{name} is too large to allocate, got {count}")
 
 
 @dataclass
@@ -175,7 +188,7 @@ def cmd_teleport(args) -> int:
     # index per shot instead of re-running the whole protocol each time.
     records = enumerate_branches(psi)
     probabilities = [r.probability for r in records]
-    indices = born_index(probabilities, seeded_stream(args.seed).random(args.shots))
+    indices = born_index(probabilities, _allocated("shots", args.shots, seeded_stream(args.seed).random))
     counts = np.bincount(indices, minlength=4)
     for record, count in zip(records, counts):
         bits = "".join(str(bit) for bit in record.outcome.bits)
@@ -189,7 +202,7 @@ def _point_query(args):
     """The canonical report, the printed rho3 and the printed delta at the
     point the flags give, as ``deviation`` and ``paper-check`` show them."""
     a, b = normalized_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
-    gamma = args.gamma * np.exp(1j * args.gamma_phase)
+    gamma = args.gamma * cmath.exp(1j * args.gamma_phase)
     env = EnvironmentModel(gamma, complex(args.c0_re, args.c0_im), complex(args.c1_re, args.c1_im))
     report = direct_report(a, b, env)
     return report, reduced_state_paper_literal(a, b, env), deviation_closed_form_paper(a, b, env)
@@ -252,8 +265,8 @@ def render_sweep_csv(cfg: SweepConfig, out) -> None:
     out row by row. The rows are not checked again: each is a qubit's state
     by construction of a validated config."""
     a, b, c0, c1 = cfg.a, cfg.b, cfg.c0, cfg.c1
-    t = np.arange(cfg.steps) / (cfg.steps - 1)
-    gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t) * np.exp(1j * cfg.gamma_phase)
+    t = _allocated("steps", cfg.steps, np.arange) / (cfg.steps - 1)
+    gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t) * cmath.exp(1j * cfg.gamma_phase)
     # No check follows the kernel: validate() admits only a finite phase and
     # gamma_start, gamma_end in [0, 1], so |gamma| <= 1 to a few ulps, and
     # closed_form divides by the coupled norm, so every row is a qubit's

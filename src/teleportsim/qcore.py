@@ -30,15 +30,7 @@ __all__ = [
     "DensityMatrix",
     "Gate",
     "Projector",
-    "I",
-    "X",
-    "Z",
-    "ZX",
-    "GATES",
-    "BELL_LABELS",
-    "bell_state_vectors",
     "bell_basis",
-    "normalized_amplitudes",
     "ket_from_amplitudes",
     "to_density",
     "apply_gate",
@@ -352,18 +344,21 @@ def to_density(psi: Ket) -> DensityMatrix:
     return DensityMatrix(_qubit_rows(*_pure_density(*psi.entries)))
 
 
+def _lift(op: np.ndarray, before: int, after: int) -> np.ndarray:
+    """I_before (x) op (x) I_after, with a factor of dimension 1 left out."""
+    if before > 1:
+        op = tensor_product(np.eye(before), op)
+    if after > 1:
+        op = tensor_product(op, np.eye(after))
+    return op
+
+
 def apply_gate(psi: Ket, g: Gate, target: int) -> Ket:
     """Apply a single-qubit gate to one subsystem of a ket."""
     n = len(psi.labels)
     if not 0 <= target < n:
         raise ValueError(f"target {target} out of range for labels {psi.labels!r}")
-    op = g.mat
-    if target > 0:
-        op = tensor_product(np.eye(2**target), op)
-    after = n - target - 1
-    if after > 0:
-        op = tensor_product(op, np.eye(2**after))
-    return Ket(op @ psi.amplitudes, psi.labels)
+    return Ket(_lift(g.mat, 2**target, 2 ** (n - target - 1)) @ psi.amplitudes, psi.labels)
 
 
 @lru_cache(maxsize=32)
@@ -381,17 +376,8 @@ def _lifted_projectors(
     total = sum(p.mat for p in projectors)
     if np.abs(total - np.eye(d_target)).max() > 1e-10:
         raise ValueError("projectors do not form a complete set on the targeted factor")
-    before = 2 ** targets[0]
-    after = 2 ** (n_subsystems - targets[-1] - 1)
-    lifted = []
-    for p in projectors:
-        op = p.mat
-        if before > 1:
-            op = tensor_product(np.eye(before), op)
-        if after > 1:
-            op = tensor_product(op, np.eye(after))
-        lifted.append(op)
-    return tuple(lifted)
+    before, after = 2 ** targets[0], 2 ** (n_subsystems - targets[-1] - 1)
+    return tuple(_lift(p.mat, before, after) for p in projectors)
 
 
 def born_measure(psi: Ket, projectors, targets, rng: np.random.Generator):

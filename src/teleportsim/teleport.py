@@ -28,14 +28,12 @@ from .qcore import GATES, _SQRT_HALF, Gate, Ket, _first_draw
 
 __all__ = [
     "BellOutcome",
-    "OUTCOME_ORDER",
     "CORRECTIONS",
     "TeleportRecord",
     "singlet",
     "prepare_joint",
     "alice_measure",
     "correction_for",
-    "born_index",
     "run_ideal",
     "enumerate_branches",
 ]
@@ -82,7 +80,6 @@ class TeleportRecord:
     """One protocol branch: what the receiver saw and how well the delivered
     state matches the input."""
 
-    input_state: Ket
     outcome: BellOutcome
     conditional_state: Ket
     corrected_state: Ket
@@ -181,9 +178,7 @@ def _record(psi: Ket, index: int, v, probs: list[float]) -> TeleportRecord:
     d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
     a, b = psi.entries
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
-    return TeleportRecord(
-        psi, outcome, Ket((c0, c1), ("3",)), Ket((d0, d1), ("3",)), fid, probs[index]
-    )
+    return TeleportRecord(outcome, Ket((c0, c1), ("3",)), Ket((d0, d1), ("3",)), fid, probs[index])
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:

@@ -1,0 +1,46 @@
+"""Constants, random draws and independent oracles shared by the test modules."""
+
+import numpy as np
+
+from teleportsim.envmodel import EnvironmentModel
+from teleportsim.teleport import BellOutcome
+
+SQRT_HALF = np.sqrt(0.5)
+
+
+def random_qubit(rng):
+    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return amps / np.linalg.norm(amps)
+
+
+def random_model(rng):
+    gamma = rng.random() * np.exp(2j * np.pi * rng.random())
+    c0 = rng.standard_normal() + 1j * rng.standard_normal()
+    c1 = rng.standard_normal() + 1j * rng.standard_normal()
+    return EnvironmentModel(gamma, c0, c1)
+
+
+def listed_conditional(outcome, a, b):
+    """Receiver-side conditional states, written out independently."""
+    return {
+        BellOutcome.PSI_MINUS: np.array([-a, -b]),
+        BellOutcome.PSI_PLUS: np.array([-a, b]),
+        BellOutcome.PHI_MINUS: np.array([b, a]),
+        BellOutcome.PHI_PLUS: np.array([-b, a]),
+    }[outcome]
+
+
+def trace_out_first_factor(rho, dim_a, dim_b):
+    """Index-summation oracle for ``partial_trace(..., keep="B")``."""
+    out = np.zeros((dim_b, dim_b), dtype=complex)
+    for i in range(dim_b):
+        for j in range(dim_b):
+            for k in range(dim_a):
+                out[i, j] += rho[k * dim_b + i, k * dim_b + j]
+    return out
+
+
+def traced_over_environment(joint_amplitudes):
+    """The qubit's state from environment-first joint amplitudes: the outer
+    product, then the environment index summed out."""
+    return trace_out_first_factor(np.outer(joint_amplitudes, joint_amplitudes.conj()), 2, 2)

@@ -23,7 +23,7 @@ from teleportsim.envmodel import (
 from teleportsim.qcore import Ket, seeded_stream, to_density
 from teleportsim.teleport import BellOutcome, alice_measure, enumerate_branches, prepare_joint
 
-SQRT_HALF = np.sqrt(0.5)
+from support import SQRT_HALF, listed_conditional, random_model, random_qubit, traced_over_environment
 
 
 @contextmanager
@@ -39,38 +39,6 @@ def criterion(number, description, budget_seconds):
     verdict = "PASS" if within_budget else "FAIL"
     print(f"[{verdict}] criterion {number}: {description} ({elapsed:.3f}s)")
     assert within_budget, f"criterion {number} took {elapsed:.3f}s, budget {budget_seconds}s"
-
-
-def random_qubit(rng):
-    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return amps / np.linalg.norm(amps)
-
-
-def random_model(rng):
-    gamma = rng.random() * np.exp(2j * np.pi * rng.random())
-    c0 = rng.standard_normal() + 1j * rng.standard_normal()
-    c1 = rng.standard_normal() + 1j * rng.standard_normal()
-    return EnvironmentModel(gamma, c0, c1)
-
-
-def listed_conditional(outcome, a, b):
-    return {
-        BellOutcome.PSI_MINUS: np.array([-a, -b]),
-        BellOutcome.PSI_PLUS: np.array([-a, b]),
-        BellOutcome.PHI_MINUS: np.array([b, a]),
-        BellOutcome.PHI_PLUS: np.array([-b, a]),
-    }[outcome]
-
-
-def brute_force_reduced(joint_amplitudes):
-    """Loop-based partial trace over the environment index."""
-    dm = np.outer(joint_amplitudes, joint_amplitudes.conj())
-    out = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                out[i, j] += dm[k * 2 + i, k * 2 + j]
-    return out
 
 
 def test_criterion_1_ideal_protocol_exactness():
@@ -143,7 +111,7 @@ def test_criterion_5_oracle_equivalence():
                 rho3 = reduced_state(a, b, env)
             except DegenerateModelError:
                 continue
-            oracle = brute_force_reduced(evolve(a, b, env).amplitudes)
+            oracle = traced_over_environment(evolve(a, b, env).amplitudes)
             assert np.abs(rho3.mat - oracle).max() <= 1e-12
             checked += 1
 

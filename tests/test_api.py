@@ -118,6 +118,19 @@ def test_exported_names_resolve(name):
     assert missing == []
 
 
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from teleportsim import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(teleportsim.__all__)
+
+
+def test_no_name_is_exported_by_two_modules():
+    # The package's __all__ is its modules' lists joined, so a name in two of
+    # them would appear in it twice.
+    assert len(teleportsim.__all__) == len(set(teleportsim.__all__))
+
+
 def test_readme_quick_tour_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     match = re.search(r"^## Library quick tour\n\n```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)

@@ -5,7 +5,8 @@ import pytest
 
 from teleportsim.cli import CSV_FIELDS, SweepConfig, UsageError, build_parser, load_config, main
 
-SQRT_HALF = np.sqrt(0.5)
+from support import SQRT_HALF
+
 POINT_COMMANDS = ("deviation", "paper-check")
 
 
@@ -171,6 +172,17 @@ def test_sweep_count_too_large_to_allocate_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and "allocate" in err
     assert list(tmp_path.iterdir()) == []  # the temp file is removed
+
+
+# A count the rule accepts but numpy cannot allocate is named, as the rule
+# names it. np.arange(2**63 - 1) returns an empty array instead of raising.
+@pytest.mark.parametrize("count", [str(2**63 - 1), str(2**64)])
+@pytest.mark.parametrize("command, name", [("teleport", "shots"), ("sweep", "steps")])
+def test_count_past_numpys_size_limit_is_named(tmp_path, monkeypatch, capsys, command, name, count):
+    monkeypatch.chdir(tmp_path)  # the sweep's default output and temp file would land here
+    code, out, err = run_cli(capsys, command, f"--{name}", count)
+    assert (code, out, err) == (2, "", f"error: {name} is too large to allocate, got {count}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # One rule for the counts and seeds the CLI reads, as a flag or a config key:

@@ -27,7 +27,8 @@ from teleportsim.envmodel import (
 from teleportsim.linalg import partial_trace
 from teleportsim.qcore import DensityMatrix, Ket, _qubit_rows, to_density
 
-SQRT_HALF = np.sqrt(0.5)
+from support import SQRT_HALF
+
 TOL = 1e-12
 
 unit = st.floats(-1.0, 1.0)

@@ -16,30 +16,7 @@ from teleportsim.envmodel import (
 from teleportsim.qcore import Ket, ket_from_amplitudes, purity, to_density
 from teleportsim.teleport import BellOutcome
 
-SQRT_HALF = np.sqrt(0.5)
-
-
-def random_qubit(rng):
-    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return amps / np.linalg.norm(amps)
-
-
-def random_model(rng):
-    gamma = rng.random() * np.exp(2j * np.pi * rng.random())
-    c0 = rng.standard_normal() + 1j * rng.standard_normal()
-    c1 = rng.standard_normal() + 1j * rng.standard_normal()
-    return EnvironmentModel(gamma, c0, c1)
-
-
-def traced_over_environment(joint_amplitudes):
-    """Index-summation oracle: outer product, then sum the environment index."""
-    dm = np.outer(joint_amplitudes, joint_amplitudes.conj())
-    out = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                out[i, j] += dm[k * 2 + i, k * 2 + j]
-    return out
+from support import SQRT_HALF, random_model, random_qubit, traced_over_environment
 
 
 # ---------------------------------------------------------------- model validation

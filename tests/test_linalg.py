@@ -11,6 +11,8 @@ from teleportsim.linalg import (
     tensor_product,
 )
 
+from support import trace_out_first_factor
+
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -87,16 +89,6 @@ def test_tensor_associative(a, b, c):
 
 
 # ---------------------------------------------------------------- partial_trace
-
-def trace_out_first_factor(rho, dim_a, dim_b):
-    """Independent index-summation oracle for keep='B'."""
-    out = np.zeros((dim_b, dim_b), dtype=complex)
-    for i in range(dim_b):
-        for j in range(dim_b):
-            for k in range(dim_a):
-                out[i, j] += rho[k * dim_b + i, k * dim_b + j]
-    return out
-
 
 def trace_out_second_factor(rho, dim_a, dim_b):
     out = np.zeros((dim_a, dim_a), dtype=complex)

@@ -31,12 +31,7 @@ from teleportsim.qcore import (
 )
 from teleportsim.qcore import _first_draw
 
-SQRT_HALF = np.sqrt(0.5)
-
-
-def random_qubit(rng):
-    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return amps / np.linalg.norm(amps)
+from support import SQRT_HALF, random_qubit
 
 
 def computational_basis():

@@ -30,22 +30,7 @@ from teleportsim.teleport import (
 )
 from teleportsim.qcore import seeded_stream
 
-SQRT_HALF = np.sqrt(0.5)
-
-
-def random_qubit(rng):
-    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return amps / np.linalg.norm(amps)
-
-
-def listed_conditional(outcome, a, b):
-    """Receiver-side conditional states, written out independently."""
-    return {
-        BellOutcome.PSI_MINUS: np.array([-a, -b]),
-        BellOutcome.PSI_PLUS: np.array([-a, b]),
-        BellOutcome.PHI_MINUS: np.array([b, a]),
-        BellOutcome.PHI_PLUS: np.array([-b, a]),
-    }[outcome]
+from support import SQRT_HALF, listed_conditional, random_qubit
 
 
 # ---------------------------------------------------------------- outcomes
