@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qcore import NORM_TOL, DensityMatrix, Ket, _pure_density, _qubit_rows, normalized_amplitudes
-from .teleport import BellOutcome, run_ideal
+from .teleport import BellOutcome, _corrected_pair, run_ideal
 
 __all__ = [
     "DegenerateModelError",
@@ -396,5 +396,5 @@ def noisy_teleport(psi: Ket, env: EnvironmentModel, seed: int) -> DeviationRepor
     the sampled branch.
     """
     record = run_ideal(psi, seed)
-    a, b = record.corrected_state.entries
+    a, b = _corrected_pair(record)  # builds none of the run's Kets
     return _report(a, b, env, branch=record.outcome)

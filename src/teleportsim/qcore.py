@@ -82,9 +82,19 @@ def _number_rows(mat) -> bool:
             and _NUMBERS.issuperset(map(type, (*top, *bottom))))
 
 
+class _cached(cached_property):
+    """``cached_property`` without the lock it takes on a first read before Python 3.12."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = vars(instance)[self.attrname] = self.func(instance)
+        return value
+
+
 class _Frozen:
     """Assignment and deletion raise, as on a frozen dataclass: a value writes
-    its attributes once, into its ``__dict__``, in ``__post_init__``."""
+    its ``__dict__`` once, when built or first read."""
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -144,7 +154,7 @@ class Ket(_Frozen):
         if arr is not None:
             state["amplitudes"] = arr
 
-    @cached_property
+    @_cached
     def amplitudes(self) -> np.ndarray:
         return _frozen_complex(self.entries)
 
@@ -207,7 +217,7 @@ class DensityMatrix(_Frozen):
         if arr is not None:
             state["mat"] = arr
 
-    @cached_property
+    @_cached
     def mat(self) -> np.ndarray:
         return _frozen_complex(self.rows)
 

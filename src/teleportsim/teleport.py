@@ -8,9 +8,9 @@ global phase.
 
 A run is a few dozen operations on eight amplitudes, so it is computed in
 Python ``complex`` arithmetic rather than numpy, whose per-call cost on 2- to
-8-element arrays exceeds the arithmetic; the states it returns are checked
-``Ket`` values all the same. ``qcore.born_measure`` with the lifted Bell
-projectors is the oracle the tests compare it against.
+8-element arrays exceeds the arithmetic. A record builds its checked ``Ket``
+values on first read. ``qcore.born_measure`` with the lifted Bell projectors
+is the oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
 import numpy as np
 
-from .qcore import GATES, _SQRT_HALF, Gate, Ket, _first_draw
+from .qcore import GATES, _SQRT_HALF, Gate, Ket, _cached, _first_draw, _Frozen
 
 __all__ = [
     "BellOutcome",
@@ -75,16 +74,31 @@ CORRECTIONS = {
 _SINGLET = (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
-class TeleportRecord:
+class TeleportRecord(_Frozen):
     """One protocol branch: what the receiver saw and how well the delivered
-    state matches the input."""
+    state matches the input. Its two ``Ket`` values, particle 3 before and
+    after the correction, are built on first read and cached."""
 
-    outcome: BellOutcome
-    conditional_state: Ket
-    corrected_state: Ket
-    fidelity: float
-    probability: float
+    def __init__(self, outcome: BellOutcome, conditional, corrected, fidelity: float, probability: float):
+        vars(self).update(outcome=outcome, _conditional=conditional, _corrected=corrected,
+                          fidelity=fidelity, probability=probability)
+
+    @_cached
+    def conditional_state(self) -> Ket:
+        return Ket(self._conditional, ("3",))
+
+    @_cached
+    def corrected_state(self) -> Ket:
+        return Ket(self._corrected, ("3",))
+
+    def __repr__(self) -> str:
+        names = ("outcome", "conditional_state", "corrected_state", "fidelity", "probability")
+        return f"TeleportRecord({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+
+def _corrected_pair(record: TeleportRecord) -> tuple[complex, complex]:
+    """The pair ``corrected_state`` is built from, without building it."""
+    return record._corrected
 
 
 def singlet() -> Ket:
@@ -169,16 +183,15 @@ def correction_for(outcome: BellOutcome) -> Gate:
 
 def _record(psi: Ket, index: int, v, probs: list[float]) -> TeleportRecord:
     # Branch ``index`` of _bell_branches, corrected. The gate's entries are 0
-    # and +-1, so applying it to the two complexes is exact. ``corrected`` is
-    # a unit Ket, so |<psi|corrected>|^2 is the fidelity <psi|rho|psi> of its
-    # density matrix.
+    # and +-1, so applying it to the two complexes is exact. (d0, d1) is a
+    # unit pair, so |<psi|d>|^2 is the fidelity of its density matrix.
     outcome = OUTCOME_ORDER[index]
     c0, c1 = _conditional(v, probs, index)
     (g00, g01), (g10, g11) = correction_for(outcome).rows
     d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
     a, b = psi.entries
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
-    return TeleportRecord(outcome, Ket((c0, c1), ("3",)), Ket((d0, d1), ("3",)), fid, probs[index])
+    return TeleportRecord(outcome, (c0, c1), (d0, d1), fid, probs[index])
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:

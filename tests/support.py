@@ -1,6 +1,12 @@
-"""Constants, random draws and independent oracles shared by the test modules."""
+"""Constants, random draws, hypothesis strategies and independent oracles
+shared by the test modules."""
+
+import cmath
+import math
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from teleportsim.envmodel import EnvironmentModel
 from teleportsim.teleport import BellOutcome
@@ -18,6 +24,21 @@ def random_model(rng):
     c0 = rng.standard_normal() + 1j * rng.standard_normal()
     c1 = rng.standard_normal() + 1j * rng.standard_normal()
     return EnvironmentModel(gamma, c0, c1)
+
+
+unit = st.floats(-1.0, 1.0)
+phases = st.floats(0.0, 2 * math.pi)
+coefficients = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+overlaps = st.builds(cmath.rect, st.floats(0.0, 1.0), phases)
+
+
+@st.composite
+def qubits(draw):
+    """A normalized (a, b) from four parts in [-1, 1]."""
+    re0, im0, re1, im1 = draw(st.tuples(unit, unit, unit, unit))
+    norm = math.hypot(re0, im0, re1, im1)
+    assume(norm > 1e-3)
+    return complex(re0, im0) / norm, complex(re1, im1) / norm
 
 
 def listed_conditional(outcome, a, b):

@@ -6,28 +6,39 @@ The tracer looks each target up with ``getattr`` and wraps a class's
 benchmark run. TARGETS is read from the source with ``ast``; perfbench is not
 imported. Every construction of a traced value class runs its
 ``__post_init__`` exactly once, so the tracer's call counts are the
-constructions. README's "Library quick tour" block and its CLI examples are
-run as written, so the documented API and commands cannot drift from the
-code."""
+constructions; a protocol record's two Kets are built once, when first
+read, and then kept. README's "Library quick tour" block and its
+CLI examples are run as written, so the documented API and commands cannot
+drift from the code."""
 
 import ast
 import importlib
 import pkgutil
 import re
 import shlex
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import teleportsim
 from teleportsim.cli import main
-from teleportsim.envmodel import EnvironmentModel, direct_report, evolve, noisy_teleport
+from teleportsim.envmodel import (
+    DegenerateModelError, DeviationReport, EnvironmentModel, closed_form, direct_report, evolve,
+    noisy_teleport,
+)
 from teleportsim.qcore import (
     X, DensityMatrix, Gate, Ket, apply_gate, bell_basis, born_measure, ket_from_amplitudes,
     seeded_stream, to_density,
 )
-from teleportsim.teleport import alice_measure, enumerate_branches, prepare_joint, run_ideal
+from teleportsim.teleport import (
+    TeleportRecord, _corrected_pair, alice_measure, enumerate_branches, prepare_joint, run_ideal,
+)
+
+from support import coefficients, overlaps, qubits
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -69,7 +80,25 @@ def test_traced_name_resolves(mod, attr):
 PSI = ket_from_amplitudes(0.6, 0.8j)
 ENV = EnvironmentModel(0.5 + 0.2j, 0.9, 1.1)
 
-# (construction, Kets, DensityMatrix values, Gates it builds)
+# Each report and record field in declaration order; a record's two Kets are
+# built on first read.
+FIELDS = {
+    TeleportRecord: ("outcome", "conditional_state", "corrected_state", "fidelity", "probability"),
+    DeviationReport: ("rho3", "delta", "fidelity", "purity", "branch"),
+}
+LAZY = {TeleportRecord: ("conditional_state", "corrected_state"), DeviationReport: ()}
+
+
+def read_lazy(value):
+    """Reads every lazy field of a record or a list of records."""
+    for item in value if isinstance(value, list) else [value]:
+        for name in LAZY[type(item)]:
+            getattr(item, name)
+    return value
+
+
+# (construction, Kets, DensityMatrix values, Gates it builds). A record's
+# lazy fields are read, so each row counts every value it can build.
 CONSTRUCTIONS = {
     "ket-list": (lambda: Ket([1, 0], ("1",)), 1, 0, 0),
     "ket-ndarray": (lambda: Ket(np.array([0.6, 0.8]), ("1",)), 1, 0, 0),
@@ -82,33 +111,104 @@ CONSTRUCTIONS = {
     "to_density": (lambda: to_density(PSI), 0, 1, 0),
     "prepare_joint": (lambda: prepare_joint(PSI), 1, 0, 0),
     "alice_measure": (lambda: alice_measure(prepare_joint(PSI), seeded_stream(3)), 2, 0, 0),
-    "run_ideal": (lambda: run_ideal(PSI, 3), 2, 0, 0),
-    "enumerate_branches": (lambda: enumerate_branches(PSI), 8, 0, 0),
+    "run_ideal": (lambda: read_lazy(run_ideal(PSI, 3)), 2, 0, 0),
+    "enumerate_branches": (lambda: read_lazy(enumerate_branches(PSI)), 8, 0, 0),
     "apply_gate": (lambda: apply_gate(PSI, X, 0), 1, 0, 0),
     "born_measure": (lambda: born_measure(prepare_joint(PSI), bell_basis(), (0, 1), seeded_stream(3)), 2, 0, 0),
     "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 1, 0),
-    "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 2, 1, 0),
+    # The run's Kets are never built: the report reads the corrected pair.
+    "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 0, 1, 0),
     "evolve": (lambda: evolve(0.6, 0.8j, ENV), 3, 0, 0),
 }
 
 
-@pytest.mark.parametrize("name", CONSTRUCTIONS)
-def test_each_construction_runs_the_traced_hook_once(monkeypatch, name):
-    # Wrapped the way perfbench's tracer wraps it: a constructor that skipped
-    # the hook would leave the traced call counts at zero.
+@pytest.fixture
+def hook_counts(monkeypatch):
+    """Constructions per value class, counted the way perfbench's tracer
+    wraps ``__post_init__``: a constructor that skipped the hook would leave
+    the traced call counts at zero."""
     counts = {}
     for cls in (Ket, DensityMatrix, Gate):
         def counted(*args, _cls=cls, _hook=cls.__post_init__, **kwargs):
             counts[_cls] = counts.get(_cls, 0) + 1
             return _hook(*args, **kwargs)
         monkeypatch.setattr(cls, "__post_init__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_each_construction_runs_the_traced_hook_once(hook_counts, name):
     build, kets, densities, gates = CONSTRUCTIONS[name]
     if name.endswith("-rejected"):
         with pytest.raises(ValueError):
             build()
     else:
         build()
-    assert counts == {cls: n for cls, n in ((Ket, kets), (DensityMatrix, densities), (Gate, gates)) if n}
+    assert hook_counts == {cls: n for cls, n in ((Ket, kets), (DensityMatrix, densities), (Gate, gates)) if n}
+
+
+# One report or record from each function that returns them.
+VALUES = {
+    "run_ideal": lambda: run_ideal(PSI, 3),
+    "enumerate_branches": lambda: enumerate_branches(PSI)[2],
+    "direct_report": lambda: direct_report(0.6, 0.8j, ENV),
+    "noisy_teleport": lambda: noisy_teleport(PSI, ENV, 3),
+}
+LAZY_READS = [(name, field) for name, build in VALUES.items() for field in LAZY[type(build())]]
+
+
+@pytest.mark.parametrize("name, field", LAZY_READS, ids=[f"{n}.{f}" for n, f in LAZY_READS])
+def test_a_lazy_field_is_built_once_on_first_read(hook_counts, name, field):
+    value = VALUES[name]()
+    assert hook_counts == {}
+    first = getattr(value, field)
+    assert hook_counts == {type(first): 1}
+    assert getattr(value, field) is first
+    assert hook_counts == {type(first): 1}
+
+
+def bits(values) -> bytes:
+    """The complex128 bytes of nested numbers: equal only if equal bit for bit,
+    signed zeros included."""
+    return np.array(values, dtype=np.complex128).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubits(), coefficients, coefficients, overlaps, st.integers(0, 2**64))
+def test_lazy_fields_equal_eager_construction_bit_for_bit(ab, c0, c1, gamma, seed):
+    a, b = ab
+    assume(c0 != 0 or c1 != 0)
+    env = EnvironmentModel(gamma, c0, c1)
+    try:
+        closed_form(a, b, c0, c1, gamma)
+    except DegenerateModelError:
+        assume(False)
+    psi = ket_from_amplitudes(a, b)
+    record = run_ideal(psi, seed)
+    report = noisy_teleport(psi, env, seed)
+    eager = DensityMatrix(closed_form(*record.corrected_state.entries, c0, c1, gamma).rows())
+    assert report.branch is record.outcome
+    assert bits(report.rho3.rows) == bits(eager.rows)
+    for r in [record, *enumerate_branches(psi)]:
+        assert bits(r.conditional_state.entries) == bits(Ket(r._conditional, ("3",)).entries)
+        assert bits(r.corrected_state.entries) == bits(Ket(_corrected_pair(r), ("3",)).entries)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_reports_and_records_keep_the_frozen_dataclass_contract(name):
+    value = VALUES[name]()
+    public = [attr for attr in dir(value) if not attr.startswith("_")]
+    assert set(FIELDS[type(value)]) <= set(public)
+    for _ in range(2):  # the lazy names before their first read, then after
+        for attr in public:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, attr, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, attr)
+        read_lazy(value)
+    fields = ", ".join(f"{field}={getattr(value, field)!r}" for field in FIELDS[type(value)])
+    assert repr(value) == f"{type(value).__name__}({fields})"
+    assert value == value and value != VALUES[name]()
 
 
 @pytest.mark.parametrize("name", MODULES)

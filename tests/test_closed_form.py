@@ -27,25 +27,11 @@ from teleportsim.envmodel import (
 from teleportsim.linalg import partial_trace
 from teleportsim.qcore import DensityMatrix, Ket, _qubit_rows, to_density
 
-from support import SQRT_HALF
+from support import SQRT_HALF, coefficients, overlaps, phases, qubits
 
 TOL = 1e-12
 
-unit = st.floats(-1.0, 1.0)
-phases = st.floats(0.0, 2 * math.pi)
 scales = st.floats(-150.0, 150.0).map(lambda k: 10.0**k)
-
-
-@st.composite
-def qubits(draw):
-    re0, im0, re1, im1 = draw(st.tuples(unit, unit, unit, unit))
-    norm = math.hypot(re0, im0, re1, im1)
-    assume(norm > 1e-3)
-    return complex(re0, im0) / norm, complex(re1, im1) / norm
-
-
-coefficients = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
-overlaps = st.builds(cmath.rect, st.floats(0.0, 1.0), phases)
 
 
 def metrics(a, b, c0, c1, gamma):
