@@ -256,37 +256,53 @@ def _sweep_config(args) -> SweepConfig:
     return cfg
 
 
+# Rows per kernel call in render_sweep_csv: its memory beyond the one gamma
+# grid is a block's arrays and rows, whatever the number of steps.
+_BLOCK_ROWS = 1024
+
+
 def render_sweep_csv(cfg: SweepConfig, out) -> None:
     """Write the CSV for a validated config to the text stream ``out``; the
     bytes are a pure function of the config.
 
-    Every row comes from one batched ``closed_form`` call and one
-    ``printed_deviation`` call over the whole gamma grid, then is streamed
-    out row by row. The rows are not checked again: each is a qubit's state
-    by construction of a validated config."""
+    The gamma grid is one array of ``steps`` floats. The rows are computed
+    and written in blocks of ``_BLOCK_ROWS``: one batched ``closed_form``
+    call and one ``printed_deviation`` call per block, whose float64 arrays
+    are formatted in place, so memory beyond the grid does not grow with
+    ``steps``. A batch equals scalar calls bit for bit, so the bytes do not
+    depend on the block size. An error (a degenerate model, the printed form
+    overflowing) can come after the header and earlier blocks were written;
+    ``cmd_sweep`` writes to a temporary file, so such a partial CSV is never
+    seen. The rows are not checked again: each is a qubit's state by
+    construction of a validated config."""
     a, b, c0, c1 = cfg.a, cfg.b, cfg.c0, cfg.c1
     t = _allocated("steps", cfg.steps, np.arange) / (cfg.steps - 1)
-    gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t) * cmath.exp(1j * cfg.gamma_phase)
-    # No check follows the kernel: validate() admits only a finite phase and
-    # gamma_start, gamma_end in [0, 1], so |gamma| <= 1 to a few ulps, and
-    # closed_form divides by the coupled norm, so every row is a qubit's
-    # state: unit trace, determinant rho00 rho11 (1 - |gamma|^2).
-    states = closed_form(a, b, c0, c1, gamma)
-    columns = (
-        gamma.real,
-        gamma.imag,
-        states.delta,
-        printed_deviation(a, b, c0, c1, gamma),
-        states.fidelity,
-        states.purity,
-    )
+    phase = cmath.exp(1j * cfg.gamma_phase)
     # The eight input columns are the same on every row: format them once.
     inputs = ",".join(
         f"{v:.17g}" for z in (c0, c1, a, b) for v in (z.real, z.imag)
     )
     row = f"%.17g,%.17g,{inputs},%.17g,%.17g,%.17g,%.17g\n"
     out.write(",".join(CSV_FIELDS) + "\n")
-    out.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
+    for start in range(0, cfg.steps, _BLOCK_ROWS):
+        block = t[start:start + _BLOCK_ROWS]
+        gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * block) * phase
+        # No check follows the kernel: validate() admits only a finite phase
+        # and gamma_start, gamma_end in [0, 1], so |gamma| <= 1 to a few
+        # ulps, and closed_form divides by the coupled norm, so every row is
+        # a qubit's state: unit trace, determinant rho00 rho11 (1 - |gamma|^2).
+        states = closed_form(a, b, c0, c1, gamma)
+        columns = (
+            gamma.real,
+            gamma.imag,
+            states.delta,
+            printed_deviation(a, b, c0, c1, gamma),
+            states.fidelity,
+            states.purity,
+        )
+        # Iterating a memoryview of a float64 array yields Python floats,
+        # as tolist() would, without a list per column.
+        out.writelines(row % values for values in zip(*map(memoryview, columns)))
 
 
 def cmd_sweep(args) -> int:

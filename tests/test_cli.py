@@ -1,9 +1,22 @@
+import cmath
 import hashlib
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from teleportsim.cli import CSV_FIELDS, SweepConfig, UsageError, build_parser, load_config, main
+from teleportsim.cli import (
+    _BLOCK_ROWS,
+    CSV_FIELDS,
+    SweepConfig,
+    UsageError,
+    build_parser,
+    load_config,
+    main,
+    render_sweep_csv,
+)
+from teleportsim.envmodel import closed_form, printed_deviation
 
 from support import SQRT_HALF
 
@@ -438,6 +451,84 @@ def test_sweep_delta_non_increasing_with_defaults(tmp_path, capsys):
     assert len(rows) == 101
     deltas = [row["delta_canonical"] for row in rows]
     assert all(later <= earlier + 1e-12 for earlier, later in zip(deltas, deltas[1:]))
+
+
+# A sweep of three blocks with a nonzero phase, pinned before the rows were
+# written in blocks: the block edges leave no trace in the bytes.
+BLOCKS_SWEEP = {
+    "steps": 2051, "gamma_phase": 0.7, "gamma_start": 0.1, "gamma_end": 0.9,
+    "a_re": 0.6, "b_re": 0.0, "b_im": 0.8,
+    "c0_re": 0.3, "c0_im": 0.2, "c1_re": -0.5, "c1_im": 1.2,
+}
+PINNED_BLOCKS_SWEEP_SHA256 = "e6e45796a3dfbd0912f5f5a7a49f12220a510256ca85886daa701a62f78e98da"
+
+
+def test_sweep_across_block_edges_is_pinned_and_equals_scalar_calls(tmp_path, capsys):
+    steps = BLOCKS_SWEEP["steps"]
+    assert steps > 2 * _BLOCK_ROWS
+    out_path = tmp_path / "sweep.csv"
+    argv = [f"--{name.replace('_', '-')}={value}" for name, value in BLOCKS_SWEEP.items()]
+    code, _, _ = run_cli(capsys, "sweep", *argv, "--out", str(out_path))
+    assert code == 0
+    data = out_path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_BLOCKS_SWEEP_SHA256
+    lines = data.decode().splitlines()[1:]
+    assert len(lines) == steps
+    cfg = SweepConfig(**BLOCKS_SWEEP)
+    cfg.validate()
+    a, b, c0, c1 = cfg.a, cfg.b, cfg.c0, cfg.c1
+    inputs = ",".join(f"{v:.17g}" for z in (c0, c1, a, b) for v in (z.real, z.imag))
+    t = np.arange(steps) / (steps - 1)
+    for edge in range(_BLOCK_ROWS, steps, _BLOCK_ROWS):
+        for k in (edge - 1, edge):
+            gamma = complex((cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t[k])
+                            * cmath.exp(1j * cfg.gamma_phase))
+            form = closed_form(a, b, c0, c1, gamma)
+            delta_paper = printed_deviation(a, b, c0, c1, gamma)
+            assert lines[k] == (
+                f"{gamma.real:.17g},{gamma.imag:.17g},{inputs},{form.delta:.17g},"
+                f"{delta_paper:.17g},{form.fidelity:.17g},{form.purity:.17g}"
+            )
+
+
+def test_printed_overflow_in_a_later_block_leaves_existing_output_untouched(tmp_path, capsys):
+    steps = 3073
+    # The printed form is finite over the first block and overflows after it.
+    first_block = np.arange(_BLOCK_ROWS) / (steps - 1)
+    printed_deviation(1, 0, 1e77, SQRT_HALF, first_block + 0j)
+    out_path = tmp_path / "sweep.csv"
+    out_path.write_text("earlier run\n")
+    code, _, err = run_cli(
+        capsys, "sweep", "--c0-re", "1e77", "--a-re", "1", "--b-re", "0", "--steps", str(steps),
+        "--out", str(out_path),
+    )
+    assert code == 2
+    assert "printed_deviation overflows float64" in err
+    assert out_path.read_text() == "earlier run\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that keeps nothing it is given."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        return len(text)
+
+
+def test_sweep_memory_is_the_grid_plus_a_fixed_block():
+    steps = 100_001
+    cfg = SweepConfig(steps=steps)
+    cfg.validate()
+    tracemalloc.start()
+    try:
+        render_sweep_csv(cfg, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * steps + 1_000_000
 
 
 def test_sweep_unwritable_path_is_io_error(tmp_path, capsys):
