@@ -262,8 +262,8 @@ _BLOCK_ROWS = 1024
 
 
 def render_sweep_csv(cfg: SweepConfig, out) -> None:
-    """Write the CSV for a validated config to the text stream ``out``; the
-    bytes are a pure function of the config.
+    """Write the CSV for a validated config to the binary stream ``out``, as
+    ASCII bytes; the bytes are a pure function of the config.
 
     The gamma grid is one array of ``steps`` floats. The rows are computed
     and written in blocks of ``_BLOCK_ROWS``: one batched ``closed_form``
@@ -276,14 +276,16 @@ def render_sweep_csv(cfg: SweepConfig, out) -> None:
     seen. The rows are not checked again: each is a qubit's state by
     construction of a validated config."""
     a, b, c0, c1 = cfg.a, cfg.b, cfg.c0, cfg.c1
-    t = _allocated("steps", cfg.steps, np.arange) / (cfg.steps - 1)
+    # One float64 array, divided in place: the grid is 8 B per row.
+    t = _allocated("steps", cfg.steps, functools.partial(np.arange, dtype=float))
+    t /= cfg.steps - 1
     phase = cmath.exp(1j * cfg.gamma_phase)
     # The eight input columns are the same on every row: format them once.
     inputs = ",".join(
         f"{v:.17g}" for z in (c0, c1, a, b) for v in (z.real, z.imag)
     )
-    row = f"%.17g,%.17g,{inputs},%.17g,%.17g,%.17g,%.17g\n"
-    out.write(",".join(CSV_FIELDS) + "\n")
+    row = f"%.17g,%.17g,{inputs},%.17g,%.17g,%.17g,%.17g\n".encode("ascii")
+    out.write((",".join(CSV_FIELDS) + "\n").encode("ascii"))
     for start in range(0, cfg.steps, _BLOCK_ROWS):
         block = t[start:start + _BLOCK_ROWS]
         gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * block) * phase
@@ -315,7 +317,7 @@ def cmd_sweep(args) -> int:
     # time depends on whatever else is using the disk.
     tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+        with open(tmp, "wb") as handle:
             render_sweep_csv(cfg, handle)
         with contextlib.suppress(FileNotFoundError):
             os.remove(cfg.output_path)
@@ -348,7 +350,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process; parsing returns a
-    fresh namespace each call, so reusing it carries no state between calls."""
+    fresh namespace each call, so reusing it carries no state between calls.
+    Its ``subcommands`` maps each subcommand's name to that one's parser."""
     parser = _Parser(
         prog="teleportsim",
         description="Qubit teleportation with an environment-coupled correction step.",
@@ -382,13 +385,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 
+    parser.subcommands = sub.choices
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv: list[str]):
+    """``build_parser().parse_args(argv)``, in one pass where it can be.
+
+    The top-level parser hands every word after a subcommand's name to that
+    subcommand's parser, so when that parser leaves no word over, its
+    namespace plus ``command`` is the result. Otherwise the top-level parser
+    runs, for its own messages (``teleportsim: error: unrecognized
+    arguments: ...``) and exit codes."""
     parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -1,6 +1,10 @@
 import cmath
 import hashlib
 import io
+import math
+import random
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +15,7 @@ from teleportsim.cli import (
     CSV_FIELDS,
     SweepConfig,
     UsageError,
+    _parse_args,
     build_parser,
     load_config,
     main,
@@ -508,14 +513,14 @@ def test_printed_overflow_in_a_later_block_leaves_existing_output_untouched(tmp_
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
-class _Discard(io.TextIOBase):
-    """A text stream that keeps nothing it is given."""
+class _Discard(io.RawIOBase):
+    """A binary stream that keeps nothing it is given."""
 
     def writable(self):
         return True
 
-    def write(self, text):
-        return len(text)
+    def write(self, data):
+        return len(data)
 
 
 def test_sweep_memory_is_the_grid_plus_a_fixed_block():
@@ -528,7 +533,26 @@ def test_sweep_memory_is_the_grid_plus_a_fixed_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * steps + 1_000_000
+    # One float64 per row for the grid, plus a block's arrays and rows.
+    assert peak < 8 * steps + 500_000
+
+
+# The CSV's rows are formatted with a bytes template; it must give the bytes
+# the str template gave, so that no pinned sweep moves.
+FORMAT_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.min,
+    1e-5, 9.9999999999999991e-6, 1.0000000000000001e-5, 0.0001,
+    1e16, 9999999999999998.0, 1e17, 99999999999999984.0, 1.0000000000000002e17,
+    sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+    1.0, -1.0, 1 / 3, SQRT_HALF,
+)
+
+
+def test_bytes_format_of_a_float_equals_the_str_format():
+    rng = random.Random(19)
+    randoms = [struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0] for _ in range(20_000)]
+    for x in (*FORMAT_EDGES, *randoms):
+        assert b"%.17g" % x == ("%.17g" % x).encode("ascii"), x
 
 
 def test_sweep_unwritable_path_is_io_error(tmp_path, capsys):
@@ -692,6 +716,38 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
+
+
+PARSE_CASES = (
+    ["sweep", "--steps=11", "--gamma-phase", "0.3", "--a-re=0.6", "--b-im", "0.8", "--out", "s.csv"],
+    ["sweep", "--config", "run.cfg", "--out", "s.csv"],
+    ["-h"],
+    ["sweep", "-h"],
+    ["deviation", "--gamma", "x"],
+    ["sweep", "--bogus", "1"],
+    ["deviation", "extra"],
+    ["swee"],
+    [],
+    ["--he"],
+    ["sweep", "--he"],
+    ["sweep", "--c1-im", "-1e-3"],
+    ["sweep", "--", "--steps", "5"],
+    ["teleport", "--shots", "5", "--seed", "2"],
+    ["paper-check", "--gamma", "0.5"],
+)
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_main_parses_as_the_top_level_parser_does(capsys, argv):
+    expected = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(_parse_args, argv, capsys) == expected
 
 
 def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
