@@ -332,19 +332,24 @@ def reduced_state_paper_literal(a: complex, b: complex, env: EnvironmentModel) -
     return np.array(_qubit_rows(d00, d11, re, im), dtype=np.complex128)
 
 
-def deviation(rho3, rho1: DensityMatrix) -> float:
+def _state_rows(rho, name: str):
+    """The rows of a ``DensityMatrix``, or of a finite 2x2 array."""
+    if isinstance(rho, DensityMatrix):
+        return rho.rows
+    mat = np.asarray(rho, dtype=np.complex128)
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    if mat.shape != (2, 2):
+        raise ValueError(f"shape mismatch: {mat.shape} vs (2, 2)")
+    return mat.tolist()
+
+
+def deviation(rho3, rho1) -> float:
     """Entrywise-quadratic distance sqrt(sum |rho3_nm - rho1_nm|^2) between the
-    delivered state and the sender's original."""
-    if isinstance(rho3, DensityMatrix):
-        rows3 = rho3.rows
-    else:
-        mat3 = np.asarray(rho3, dtype=np.complex128)
-        if not np.isfinite(mat3).all():
-            raise ValueError("rho3 contains non-finite entries")
-        if mat3.shape != (2, 2):
-            raise ValueError(f"shape mismatch: {mat3.shape} vs (2, 2)")
-        rows3 = mat3.tolist()
-    diff = [x - y for row3, row1 in zip(rows3, rho1.rows) for x, y in zip(row3, row1)]
+    delivered state and the sender's original, each a ``DensityMatrix`` or a
+    finite 2x2 array."""
+    rows3, rows1 = _state_rows(rho3, "rho3"), _state_rows(rho1, "rho1")
+    diff = [x - y for row3, row1 in zip(rows3, rows1) for x, y in zip(row3, row1)]
     return _frobenius((d.real, d.imag) for d in diff)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -294,9 +294,12 @@ def bell_state_vectors() -> tuple[np.ndarray, ...]:
     return _BELL_VECTORS
 
 
+@cache
 def bell_basis() -> tuple[Projector, ...]:
     """Projectors onto the four Bell states, same order as
-    ``bell_state_vectors``. Mutually orthogonal, summing to the identity."""
+    ``bell_state_vectors``. Mutually orthogonal, summing to the identity.
+    Built once: ``born_measure`` caches its lifted operators by projector
+    identity, so every call with ``bell_basis()`` reuses them."""
     return tuple(
         Projector(np.outer(v, v.conj()), label)
         for v, label in zip(_BELL_VECTORS, BELL_LABELS)

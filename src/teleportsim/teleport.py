@@ -6,18 +6,20 @@ particles 1 and 2 leaves particle 3 in one of four conditional states, and the
 two classical bits select the unitary that restores the original state up to
 global phase.
 
-A run is a few dozen operations on eight amplitudes, so it is computed in
-Python ``complex`` arithmetic rather than numpy, whose per-call cost on 2- to
-8-element arrays exceeds the arithmetic. A record builds its checked ``Ket``
-values on first read. ``qcore.born_measure`` with the lifted Bell projectors
-is the oracle the tests compare it against.
+A run reads its branch from the textbook decomposition |psi>_1 |Psi->_23 =
+1/2 sum_i |Bell_i>_12 (x) sigma_i |psi>_3: every outcome has probability 1/4
+and leaves a signed permutation of (a, b). That table is a few operations on
+two amplitudes, so it is computed in Python ``complex`` arithmetic rather
+than numpy, whose per-call cost on 2-element arrays exceeds the arithmetic.
+A record builds its checked ``Ket`` values on first read. The general Bell
+measurement, ``qcore.born_measure`` with ``qcore.bell_basis()`` on
+``prepare_joint``'s state, is the oracle the tests compare it against.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
 from enum import Enum
 from itertools import accumulate
 
@@ -29,9 +31,7 @@ __all__ = [
     "BellOutcome",
     "CORRECTIONS",
     "TeleportRecord",
-    "singlet",
     "prepare_joint",
-    "alice_measure",
     "correction_for",
     "run_ideal",
     "enumerate_branches",
@@ -71,8 +71,6 @@ CORRECTIONS = {
     BellOutcome.PHI_PLUS: "ZX",
 }
 
-_SINGLET = (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0)
-
 
 class TeleportRecord(_Frozen):
     """One protocol branch: what the receiver saw and how well the delivered
@@ -101,51 +99,37 @@ def _corrected_pair(record: TeleportRecord) -> tuple[complex, complex]:
     return record._corrected
 
 
-def singlet() -> Ket:
-    """The shared EPR pair (|01> - |10>)/sqrt(2) on particles 2 and 3."""
-    return Ket(_SINGLET, ("2", "3"))
-
-
-def _joint_amplitudes(psi: Ket) -> list[complex]:
+def _qubit(psi: Ket) -> tuple[complex, complex]:
+    """The sender's (a, b); the protocol's one check of its input."""
     if psi.dim != 2:
         raise ValueError(f"input must be a single-qubit ket, got dimension {psi.dim}")
-    return [x * s for x in psi.entries for s in _SINGLET]
+    return psi.entries
 
 
 def prepare_joint(psi: Ket) -> Ket:
     """Three-particle state |psi>_1 (x) singlet_23."""
-    return Ket(_joint_amplitudes(psi), (psi.labels[0], "2", "3"))
+    singlet = (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0)
+    return Ket([x * s for x in _qubit(psi) for s in singlet], (psi.labels[0], "2", "3"))
 
 
-def _bell_branches(j: Sequence[complex]) -> tuple[tuple[tuple[complex, complex], ...], list[float]]:
-    """Bell measurement on particles 1 and 2 of a three-particle state, all
-    four branches at once, from its 8 amplitudes as Python complexes.
+def _bell_branches(psi: Ket) -> tuple[tuple[tuple[complex, complex], ...], float]:
+    """Particle 3's normalized pair after each Bell outcome, in
+    ``OUTCOME_ORDER``, and the probability every outcome has.
 
-    With J_r = (j[2r], j[2r+1]) particle 3's pair at particles 1 and 2 in
-    |r>, ``v[i]`` is the partial inner product <bell_i|_12 applied to the
-    state: h(J_0 +- J_3) for Phi+-, h(J_1 +- J_2) for Psi+-, with
-    h = sqrt(1/2). It is particle 3's conditional vector, unnormalized, signs
-    included. ``probs[i] = |v_i0|^2 + |v_i1|^2`` is the Born probability of
-    outcome i, the number ``qcore.born_measure`` gives with the lifted
-    projectors.
+    With h = sqrt(1/2), p = h (a h) and q = h (b h) are the amplitudes that
+    <bell_i|_12 picks out of psi (x) singlet, rounded as that contraction
+    rounds them. The unnormalized branches are (-q, p), (q, p), (-p, q) and
+    (-p, -q) for Phi+, Phi-, Psi+ and Psi-, and |q|^2 + |p|^2, about 1/4, is
+    each one's Born probability. Scaling by the reciprocal of its square root
+    rounds as numpy's division of a complex array by a real does.
     """
+    a, b = _qubit(psi)
     h = _SQRT_HALF
-    v = (
-        (h * (j[0] + j[6]), h * (j[1] + j[7])),
-        (h * (j[0] - j[6]), h * (j[1] - j[7])),
-        (h * (j[2] + j[4]), h * (j[3] + j[5])),
-        (h * (j[2] - j[4]), h * (j[3] - j[5])),
-    )
-    probs = [(x.real * x.real + x.imag * x.imag) + (y.real * y.real + y.imag * y.imag) for x, y in v]
-    return v, probs
-
-
-def _conditional(v, probs, index: int) -> tuple[complex, complex]:
-    # Branch ``index`` normalized. Scaling by the reciprocal rounds as numpy's
-    # division of a complex array by a real does.
-    x, y = v[index]
-    scale = 1.0 / math.sqrt(probs[index])
-    return x * scale, y * scale
+    p, q = h * (a * h), h * (b * h)
+    prob = (q.real * q.real + q.imag * q.imag) + (p.real * p.real + p.imag * p.imag)
+    scale = 1.0 / math.sqrt(prob)
+    p, q = p * scale, q * scale
+    return ((-q, p), (q, p), (-p, q), (-p, -q)), prob
 
 
 def born_index(probs, u):
@@ -166,41 +150,31 @@ def born_index(probs, u):
     return np.searchsorted(np.cumsum(probs)[:-1], u * probs.sum(), side="right")
 
 
-def alice_measure(joint: Ket, rng: np.random.Generator) -> tuple[BellOutcome, Ket]:
-    """Bell measurement on particles 1 and 2; returns the sampled outcome and
-    the conditional state of particle 3 (signs included)."""
-    if joint.dim != 8:
-        raise ValueError(f"joint state must have three particles, got dimension {joint.dim}")
-    v, probs = _bell_branches(joint.entries)
-    index = born_index(probs, rng.random())
-    return OUTCOME_ORDER[index], Ket(_conditional(v, probs, index), (joint.labels[2],))
-
-
 def correction_for(outcome: BellOutcome) -> Gate:
     """The unitary the receiver applies for a given classical message."""
     return GATES[CORRECTIONS[outcome]]
 
 
-def _record(psi: Ket, index: int, v, probs: list[float]) -> TeleportRecord:
+def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
     # Branch ``index`` of _bell_branches, corrected. The gate's entries are 0
     # and +-1, so applying it to the two complexes is exact. (d0, d1) is a
     # unit pair, so |<psi|d>|^2 is the fidelity of its density matrix.
     outcome = OUTCOME_ORDER[index]
-    c0, c1 = _conditional(v, probs, index)
+    c0, c1 = branches[index]
     (g00, g01), (g10, g11) = correction_for(outcome).rows
     d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
     a, b = psi.entries
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
-    return TeleportRecord(outcome, (c0, c1), (d0, d1), fid, probs[index])
+    return TeleportRecord(outcome, (c0, c1), (d0, d1), fid, prob)
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
     """One full protocol run with a perfect correction step."""
-    v, probs = _bell_branches(_joint_amplitudes(psi))
-    return _record(psi, born_index(probs, _first_draw(seed)), v, probs)
+    branches, prob = _bell_branches(psi)
+    return _record(psi, born_index((prob,) * len(branches), _first_draw(seed)), branches, prob)
 
 
 def enumerate_branches(psi: Ket) -> list[TeleportRecord]:
     """All four measurement branches, deterministically, in bell-basis order."""
-    v, probs = _bell_branches(_joint_amplitudes(psi))
-    return [_record(psi, index, v, probs) for index in range(len(OUTCOME_ORDER))]
+    branches, prob = _bell_branches(psi)
+    return [_record(psi, index, branches, prob) for index in range(len(branches))]

@@ -12,6 +12,8 @@ from teleportsim.envmodel import EnvironmentModel
 from teleportsim.teleport import BellOutcome
 
 SQRT_HALF = np.sqrt(0.5)
+# The shared EPR pair (|01> - |10>)/sqrt(2).
+SINGLET = np.array([0, 1, -1, 0]) * SQRT_HALF
 
 
 def random_qubit(rng):

@@ -6,6 +6,7 @@ Each test prints a [PASS]/[FAIL] line with its runtime (visible with
 
 import time
 from contextlib import contextmanager
+from itertools import count
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from teleportsim.envmodel import (
     reduced_state,
     reduced_state_paper_literal,
 )
-from teleportsim.qcore import Ket, seeded_stream, to_density
-from teleportsim.teleport import BellOutcome, alice_measure, enumerate_branches, prepare_joint
+from teleportsim.qcore import Ket, to_density
+from teleportsim.teleport import BellOutcome, enumerate_branches, run_ideal
 
 from support import SQRT_HALF, listed_conditional, random_model, random_qubit, traced_over_environment
 
@@ -54,16 +55,16 @@ def test_criterion_1_ideal_protocol_exactness():
 def test_criterion_2_conditional_state_table():
     with criterion(2, "measured conditional states match the listed four", 1.0):
         rng = np.random.default_rng(1002)
-        stream = seeded_stream(2024)
+        seeds = count(2024)
         for _ in range(100):
             a, b = random_qubit(rng)
-            joint = prepare_joint(Ket(np.array([a, b]), ("1",)))
+            psi = Ket(np.array([a, b]), ("1",))
             seen = set()
             for _ in range(200):
-                outcome, bob = alice_measure(joint, stream)
-                overlap = np.vdot(listed_conditional(outcome, a, b), bob.amplitudes)
+                record = run_ideal(psi, next(seeds))
+                overlap = np.vdot(listed_conditional(record.outcome, a, b), record.conditional_state.amplitudes)
                 assert abs(abs(overlap) - 1) <= 1e-12
-                seen.add(outcome)
+                seen.add(record.outcome)
                 if len(seen) == 4:
                     break
             assert seen == set(BellOutcome)

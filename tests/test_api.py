@@ -35,7 +35,7 @@ from teleportsim.qcore import (
     seeded_stream, to_density,
 )
 from teleportsim.teleport import (
-    TeleportRecord, _corrected_pair, alice_measure, enumerate_branches, prepare_joint, run_ideal,
+    TeleportRecord, _corrected_pair, enumerate_branches, prepare_joint, run_ideal,
 )
 
 from support import coefficients, overlaps, qubits
@@ -110,7 +110,6 @@ CONSTRUCTIONS = {
     "gate": (lambda: Gate("X", [[0, 1], [1, 0]]), 0, 0, 1),
     "to_density": (lambda: to_density(PSI), 0, 1, 0),
     "prepare_joint": (lambda: prepare_joint(PSI), 1, 0, 0),
-    "alice_measure": (lambda: alice_measure(prepare_joint(PSI), seeded_stream(3)), 2, 0, 0),
     "run_ideal": (lambda: read_lazy(run_ideal(PSI, 3)), 2, 0, 0),
     "enumerate_branches": (lambda: read_lazy(enumerate_branches(PSI)), 8, 0, 0),
     "apply_gate": (lambda: apply_gate(PSI, X, 0), 1, 0, 0),

@@ -13,7 +13,7 @@ from teleportsim.envmodel import (
     reduced_state,
     reduced_state_paper_literal,
 )
-from teleportsim.qcore import Ket, ket_from_amplitudes, purity, to_density
+from teleportsim.qcore import DensityMatrix, Ket, ket_from_amplitudes, purity, to_density
 from teleportsim.teleport import BellOutcome
 
 from support import SQRT_HALF, random_model, random_qubit, traced_over_environment
@@ -239,6 +239,17 @@ def test_deviation_shape_mismatch():
     rho1 = to_density(ket_from_amplitudes(1, 0))
     with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4\) vs \(2, 2\)$"):
         deviation(np.eye(4), rho1)
+
+
+def test_deviation_reads_rho1_by_the_same_rule_as_rho3():
+    mixed = np.eye(2) / 2
+    zero = to_density(ket_from_amplitudes(1, 0))
+    assert deviation(mixed, mixed) == 0.0
+    assert deviation(zero, mixed) == deviation(zero, DensityMatrix(mixed)) == deviation(mixed, zero)
+    with pytest.raises(ValueError, match="^rho1 contains non-finite entries$"):
+        deviation(mixed, np.array([[np.nan, 0], [0, 1]]))
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4\) vs \(2, 2\)$"):
+        deviation(zero, np.eye(4))
 
 
 # ---------------------------------------------------------------- printed deviation expansion

@@ -29,9 +29,9 @@ from teleportsim.qcore import (
     seeded_stream,
     to_density,
 )
-from teleportsim.qcore import _first_draw
+from teleportsim.qcore import _first_draw, _lifted_projectors
 
-from support import SQRT_HALF, random_qubit
+from support import SINGLET, SQRT_HALF, random_qubit
 
 
 def computational_basis():
@@ -608,6 +608,16 @@ def test_bell_basis_mutually_orthogonal():
             assert np.abs(product - expected).max() <= 1e-12
 
 
+def test_bell_basis_is_built_once_so_its_lifted_projectors_are_reused():
+    assert bell_basis() is bell_basis()
+    joint = Ket(np.kron([1.0, 0.0], SINGLET), ("1", "2", "3"))
+    _lifted_projectors.cache_clear()
+    for _ in range(2):
+        born_measure(joint, bell_basis(), (0, 1), seeded_stream(0))
+    info = _lifted_projectors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_projector_rejects_non_idempotent():
     with pytest.raises(ValueError, match="idempotent"):
         Projector(np.diag([0.5, 0.5]), "half")
@@ -652,9 +662,8 @@ def test_born_measure_reports_exact_probability():
 
 def test_born_measure_bell_probabilities_quarter():
     rng = np.random.default_rng(23)
-    singlet = np.array([0, 1, -1, 0]) * SQRT_HALF
     for _ in range(10):
-        amps = np.kron(random_qubit(rng), singlet)
+        amps = np.kron(random_qubit(rng), SINGLET)
         joint = Ket(amps, ("1", "2", "3"))
         _, _, prob = born_measure(joint, bell_basis(), (0, 1), seeded_stream(5))
         assert prob == pytest.approx(0.25, abs=1e-12)

@@ -20,17 +20,17 @@ from teleportsim.teleport import (
     CORRECTIONS,
     OUTCOME_ORDER,
     BellOutcome,
-    alice_measure,
     born_index,
     correction_for,
     enumerate_branches,
     prepare_joint,
     run_ideal,
-    singlet,
 )
 from teleportsim.qcore import seeded_stream
 
-from support import SQRT_HALF, listed_conditional, random_qubit
+from support import SINGLET, SQRT_HALF, listed_conditional, random_qubit
+
+TWO_QUBITS = Ket(SINGLET, ("2", "3"))
 
 
 # ---------------------------------------------------------------- outcomes
@@ -63,48 +63,13 @@ def test_prepare_joint_against_kron_oracle():
     rng = np.random.default_rng(30)
     amps = random_qubit(rng)
     joint = prepare_joint(Ket(amps, ("1",)))
-    assert np.allclose(joint.amplitudes, np.kron(amps, singlet().amplitudes), atol=1e-12)
+    assert np.allclose(joint.amplitudes, np.kron(amps, SINGLET), atol=1e-12)
     assert joint.labels == ("1", "2", "3")
 
 
 def test_prepare_joint_rejects_multi_qubit_input():
     with pytest.raises(ValueError, match="single-qubit"):
-        prepare_joint(singlet())
-
-
-# ---------------------------------------------------------------- alice_measure
-
-def collect_all_outcomes(joint, max_tries=500):
-    rng = seeded_stream(99)
-    seen = {}
-    for _ in range(max_tries):
-        outcome, bob = alice_measure(joint, rng)
-        seen.setdefault(outcome, bob)
-        if len(seen) == 4:
-            return seen
-    raise AssertionError("did not observe all four outcomes")
-
-
-def test_alice_measure_conditional_states_match_listed_table():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        a, b = random_qubit(rng)
-        joint = prepare_joint(Ket(np.array([a, b]), ("1",)))
-        for outcome, bob in collect_all_outcomes(joint).items():
-            overlap = np.vdot(listed_conditional(outcome, a, b), bob.amplitudes)
-            assert abs(overlap) == pytest.approx(1, abs=1e-12)
-
-
-def test_alice_measure_basis_input_gives_pointer_states():
-    joint = prepare_joint(ket_from_amplitudes(1, 0))
-    expectations = {
-        BellOutcome.PSI_MINUS: 0,
-        BellOutcome.PSI_PLUS: 0,
-        BellOutcome.PHI_MINUS: 1,
-        BellOutcome.PHI_PLUS: 1,
-    }
-    for outcome, bob in collect_all_outcomes(joint).items():
-        assert abs(bob.amplitudes[expectations[outcome]]) == pytest.approx(1, abs=1e-12)
+        prepare_joint(TWO_QUBITS)
 
 
 # ---------------------------------------------------------------- correction table
@@ -179,6 +144,15 @@ def test_enumerate_branches_quarter_probabilities():
         assert sum(r.probability for r in records) == pytest.approx(1, abs=1e-12)
 
 
+def test_enumerate_branches_conditional_states_match_listed_table():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        a, b = random_qubit(rng)
+        for record in enumerate_branches(Ket(np.array([a, b]), ("1",))):
+            listed = listed_conditional(record.outcome, a, b)
+            assert np.abs(record.conditional_state.amplitudes - listed).max() <= 1e-12
+
+
 def test_enumerate_branches_conditional_states_for_basis_input():
     records = enumerate_branches(ket_from_amplitudes(1, 0))
     for record in records:
@@ -204,6 +178,115 @@ def test_enumerate_branches_fidelity_high_for_random_states():
             assert record.fidelity >= 1 - 1e-12
 
 
+# ---------------------------------------------------------------- pinned numbers
+
+# Each input's branch probability, and per branch in OUTCOME_ORDER the
+# fidelity and particle 3's pairs before and after the correction, as the
+# Bell contraction of all eight amplitudes of psi (x) singlet gives them. The
+# pairs are compared with ==, so the sign of a zero part is not pinned.
+PINNED = {
+    "zero": (
+        (1.0, 0.0),
+        "0x1.0000000000002p-2",
+        [
+            ("0x1.0000000000000p+0", (0j, 1 + 0j), (1 + 0j, 0j)),
+            ("0x1.0000000000000p+0", (0j, 1 + 0j), (1 + 0j, 0j)),
+            ("0x1.0000000000000p+0", (-1 + 0j, 0j), (-1 + 0j, 0j)),
+            ("0x1.0000000000000p+0", (-1 + 0j, 0j), (-1 + 0j, 0j)),
+        ],
+    ),
+    "one": (
+        (0.0, 1.0),
+        "0x1.0000000000002p-2",
+        [
+            ("0x1.0000000000000p+0", (-1 + 0j, 0j), (0j, 1 + 0j)),
+            ("0x1.0000000000000p+0", (1 + 0j, 0j), (0j, 1 + 0j)),
+            ("0x1.0000000000000p+0", (0j, 1 + 0j), (0j, -1 + 0j)),
+            ("0x1.0000000000000p+0", (0j, -1 + 0j), (0j, -1 + 0j)),
+        ],
+    ),
+    "real": (
+        (0.6, 0.8),
+        "0x1.0000000000002p-2",
+        [
+            ("0x1.0000000000000p+0", (-0.7999999999999999 + 0j, 0.6 + 0j), (0.6 + 0j, 0.7999999999999999 + 0j)),
+            ("0x1.0000000000000p+0", (0.7999999999999999 + 0j, 0.6 + 0j), (0.6 + 0j, 0.7999999999999999 + 0j)),
+            ("0x1.0000000000000p+0", (-0.6 + 0j, 0.7999999999999999 + 0j), (-0.6 + 0j, -0.7999999999999999 + 0j)),
+            ("0x1.0000000000000p+0", (-0.6 + 0j, -0.7999999999999999 + 0j), (-0.6 + 0j, -0.7999999999999999 + 0j)),
+        ],
+    ),
+    "imaginary": (
+        (0.6, -0.8j),
+        "0x1.0000000000002p-2",
+        [
+            ("0x1.0000000000000p+0", (0.7999999999999999j, 0.6 + 0j), (0.6 + 0j, -0.7999999999999999j)),
+            ("0x1.0000000000000p+0", (-0.7999999999999999j, 0.6 + 0j), (0.6 + 0j, -0.7999999999999999j)),
+            ("0x1.0000000000000p+0", (-0.6 + 0j, -0.7999999999999999j), (-0.6 + 0j, 0.7999999999999999j)),
+            ("0x1.0000000000000p+0", (-0.6 + 0j, 0.7999999999999999j), (-0.6 + 0j, 0.7999999999999999j)),
+        ],
+    ),
+    "random": (
+        (0.4194529895202075 + 0.46750422435627526j, 0.6693917172048282 - 0.39675397758456044j),
+        "0x1.0000000000003p-2",
+        [
+            (
+                "0x1.0000000000002p+0",
+                (-0.6693917172048282 + 0.3967539775845603j, 0.41945298952020743 + 0.4675042243562752j),
+                (0.41945298952020743 + 0.4675042243562752j, 0.6693917172048282 - 0.3967539775845603j),
+            ),
+            (
+                "0x1.0000000000002p+0",
+                (0.6693917172048282 - 0.3967539775845603j, 0.41945298952020743 + 0.4675042243562752j),
+                (0.41945298952020743 + 0.4675042243562752j, 0.6693917172048282 - 0.3967539775845603j),
+            ),
+            (
+                "0x1.0000000000002p+0",
+                (-0.41945298952020743 - 0.4675042243562752j, 0.6693917172048282 - 0.3967539775845603j),
+                (-0.41945298952020743 - 0.4675042243562752j, -0.6693917172048282 + 0.3967539775845603j),
+            ),
+            (
+                "0x1.0000000000002p+0",
+                (-0.41945298952020743 - 0.4675042243562752j, -0.6693917172048282 + 0.3967539775845603j),
+                (-0.41945298952020743 - 0.4675042243562752j, -0.6693917172048282 + 0.3967539775845603j),
+            ),
+        ],
+    ),
+    "signed-zero": (
+        (complex(-0.0, 0.6), complex(-0.8, -0.0)),
+        "0x1.0000000000002p-2",
+        [
+            ("0x1.0000000000000p+0", (0.7999999999999999 + 0j, 0.6j), (0.6j, -0.7999999999999999 + 0j)),
+            ("0x1.0000000000000p+0", (-0.7999999999999999 + 0j, 0.6j), (0.6j, -0.7999999999999999 + 0j)),
+            ("0x1.0000000000000p+0", (-0.6j, -0.7999999999999999 + 0j), (-0.6j, 0.7999999999999999 + 0j)),
+            ("0x1.0000000000000p+0", (-0.6j, 0.7999999999999999 + 0j), (-0.6j, 0.7999999999999999 + 0j)),
+        ],
+    ),
+}
+# The outcome each seed's draw selects; the four probabilities are equal, so
+# it does not depend on the input.
+PINNED_RUNS = {
+    0: BellOutcome.PHI_PLUS,
+    7: BellOutcome.PHI_MINUS,
+    11: BellOutcome.PSI_PLUS,
+    2**63: BellOutcome.PHI_MINUS,
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_protocol_numbers_are_pinned(name):
+    pair, probability, branches = PINNED[name]
+    psi = Ket(pair, ("1",))
+    records = enumerate_branches(psi)
+    assert [r.outcome for r in records] == list(OUTCOME_ORDER)
+    assert [r.probability.hex() for r in records] == [probability] * 4
+    pairs = [(r.fidelity.hex(), r.conditional_state.entries, r.corrected_state.entries) for r in records]
+    assert pairs == branches
+    for seed, outcome in PINNED_RUNS.items():
+        run = run_ideal(psi, seed)
+        fid = branches[OUTCOME_ORDER.index(outcome)][0]
+        assert (run.outcome, run.probability.hex(), run.fidelity.hex()) == (outcome, probability, fid)
+
+
 # ---------------------------------------------------------------- branch kernel vs born_measure
 
 TOL = 1e-12
@@ -217,19 +300,6 @@ def qubit_kets(draw):
     norm = math.hypot(re0, im0, re1, im1)
     assume(norm > 1e-3)
     return Ket(np.array([complex(re0, im0), complex(re1, im1)]) / norm, ("1",))
-
-
-@st.composite
-def entangled_joint_kets(draw):
-    """Normalized three-particle kets with particle 1 entangled with 2 and 3,
-    so not of the form psi (x) singlet."""
-    parts = np.array(draw(st.lists(unit, min_size=16, max_size=16)))
-    amps = parts[:8] + 1j * parts[8:]
-    norm = np.linalg.norm(amps)
-    assume(norm > 1e-3)
-    amps = amps / norm
-    assume(np.linalg.svd(amps.reshape(2, 4), compute_uv=False)[1] > 1e-3)
-    return Ket(amps, ("1", "2", "3"))
 
 
 def oracle_conditional(post_amplitudes, index):
@@ -269,16 +339,6 @@ def test_enumerate_branches_matches_projector_oracle(psi):
         assert_matches_oracle(record, psi, index, post, prob)
 
 
-@settings(max_examples=200, deadline=None)
-@given(entangled_joint_kets(), seeds)
-def test_alice_measure_matches_born_measure_on_entangled_input(joint, seed):
-    index, post, _ = born_measure(joint, bell_basis(), (0, 1), seeded_stream(seed))
-    outcome, bob = alice_measure(joint, seeded_stream(seed))
-    assert outcome is OUTCOME_ORDER[index]
-    assert bob.labels == ("3",)
-    assert np.abs(bob.amplitudes - oracle_conditional(post.amplitudes, index)).max() <= TOL
-
-
 def test_born_index_takes_one_draw_or_many():
     probs = np.array([0.125, 0.0, 0.5, 0.375])
     # 1.0 stands for a draw whose product with the total rounds onto it.
@@ -313,11 +373,6 @@ def test_born_index_one_draw_or_many_agree_at_every_boundary(weights):
     assert born_index(probs, draws).tolist() == [born_index(weights, u) for u in draws.tolist()]
 
 
-def test_alice_measure_rejects_two_particle_state():
-    with pytest.raises(ValueError, match="three particles"):
-        alice_measure(singlet(), seeded_stream(0))
-
-
 def test_run_ideal_rejects_multi_qubit_input():
     with pytest.raises(ValueError, match="single-qubit"):
-        run_ideal(singlet(), 0)
+        run_ideal(TWO_QUBITS, 0)
