@@ -340,7 +340,7 @@ def _state_rows(rho, name: str):
     if not np.isfinite(mat).all():
         raise ValueError(f"{name} contains non-finite entries")
     if mat.shape != (2, 2):
-        raise ValueError(f"shape mismatch: {mat.shape} vs (2, 2)")
+        raise ValueError(f"{name} shape mismatch: {mat.shape} vs (2, 2)")
     return mat.tolist()
 
 

@@ -7,11 +7,12 @@ caller-supplied random stream carries state.
 
 ``Ket`` and ``DensityMatrix`` keep their checked entries as Python complexes
 (``Ket.entries``, ``DensityMatrix.rows``), which the protocol and the point
-path read. Their ndarrays (``.amplitudes``, ``.mat``) are read-only
-complex128 copies of those entries, built on first access and cached, so a
-value that numpy never reads allocates no array. A ``Gate`` keeps both
-forms from the start. Construction runs each class's ``__post_init__``
-once: it is the one check, and the hook a tracer can wrap.
+path read. A ``Gate`` keeps its name's exact table (``Gate.rows``). Their
+ndarrays (``.amplitudes``, ``.mat``) are read-only complex128 copies of those
+entries, built on first access and cached, so a value that numpy never reads
+allocates no array, and importing this module builds none. Construction runs
+each class's ``__post_init__`` once: it is the one check, and the hook a
+tracer can wrap.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
-UNITARITY_TOL = 1e-12
 DENSITY_TOL = 1e-10
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -66,20 +66,26 @@ def _first_draw(seed: int) -> float:
     return (int(np.random.Philox(seed).random_raw()) >> 11) * 2.0**-53
 
 
-# Inputs a Ket or DensityMatrix checks as Python numbers: a flat tuple or list
-# (rows of them for a matrix) of exactly these types. Anything else takes the
-# ndarray route, whose conversion to complex128 accepts what it always has.
+# Inputs a value reads as Python numbers: a flat tuple or list (rows of them for
+# a matrix) of exactly these types. Anything else is converted to complex128
+# only to read its entries; that array is not kept.
 _SEQUENCES = (tuple, list)
 _NUMBERS = frozenset((int, float, complex))
 
 
-def _number_rows(mat) -> bool:
-    """True for two tuples or lists of two ints, floats or complexes each."""
-    if type(mat) not in _SEQUENCES or len(mat) != 2:
-        return False
-    top, bottom = mat
-    return (type(top) in _SEQUENCES and type(bottom) in _SEQUENCES and len(top) == len(bottom) == 2
-            and _NUMBERS.issuperset(map(type, (*top, *bottom))))
+def _matrix_entries(mat, what: str) -> tuple[complex, complex, complex, complex]:
+    """The entries m00, m01, m10, m11 of a 2x2 input as Python complexes: two
+    tuples or lists of two ints, floats or complexes are read directly."""
+    if type(mat) in _SEQUENCES and len(mat) == 2:
+        top, bottom = mat
+        if (type(top) in _SEQUENCES and type(bottom) in _SEQUENCES and len(top) == len(bottom) == 2
+                and _NUMBERS.issuperset(map(type, (*top, *bottom)))):
+            return complex(top[0]), complex(top[1]), complex(bottom[0]), complex(bottom[1])
+    arr = np.asarray(mat, dtype=np.complex128)
+    if arr.shape != (2, 2):
+        raise ValueError(f"{what} must be 2x2, got shape {arr.shape}")
+    (m00, m01), (m10, m11) = arr.tolist()
+    return m00, m01, m10, m11
 
 
 class _cached(cached_property):
@@ -110,8 +116,8 @@ class Ket(_Frozen):
     ``entries`` holds the amplitudes as a tuple of Python complexes;
     ``amplitudes`` is the read-only complex128 ndarray of the same values,
     built on first access and cached. A flat tuple or list of int, float and
-    complex is read directly; any other input is converted with ``np.array``
-    first, and that array is the one cached.
+    complex is read directly; any other input is converted with ``np.asarray``
+    first, only to read its entries.
 
     One check, in Python float arithmetic: every part finite, and the norm
     within NORM_TOL of 1. The norm is the square root of the squared parts
@@ -124,11 +130,10 @@ class Ket(_Frozen):
         self.__post_init__(amplitudes, labels)
 
     def __post_init__(self, amplitudes, labels):
-        arr = None
         if type(amplitudes) in _SEQUENCES and _NUMBERS.issuperset(map(type, amplitudes)):
             entries = tuple(map(complex, amplitudes))
         else:
-            arr = _frozen_complex(amplitudes)
+            arr = np.asarray(amplitudes, dtype=np.complex128)
             if arr.ndim != 1:
                 raise ValueError(f"amplitudes must be a vector, got shape {arr.shape}")
             entries = tuple(arr.tolist())
@@ -151,8 +156,6 @@ class Ket(_Frozen):
         state = vars(self)
         state["entries"] = entries
         state["labels"] = labels
-        if arr is not None:
-            state["amplitudes"] = arr
 
     @_cached
     def amplitudes(self) -> np.ndarray:
@@ -172,9 +175,7 @@ class DensityMatrix(_Frozen):
 
     ``rows`` holds the entries as two rows of two Python complexes; ``mat`` is
     the read-only complex128 ndarray of the same values, built on first access
-    and cached. Two tuples or lists of two ints, floats or complexes are read
-    directly; any other input is converted with ``np.array`` first, and that
-    array is the one cached.
+    and cached. Its input is read by ``_matrix_entries``.
 
     One check, in Python complex arithmetic: finite entries; a skew
     (|m01 - conj(m10)| and twice each diagonal imaginary part) within
@@ -187,15 +188,7 @@ class DensityMatrix(_Frozen):
         self.__post_init__(mat)
 
     def __post_init__(self, mat):
-        arr = None
-        if _number_rows(mat):
-            (m00, m01), (m10, m11) = mat
-            m00, m01, m10, m11 = complex(m00), complex(m01), complex(m10), complex(m11)
-        else:
-            arr = _frozen_complex(mat)
-            if arr.shape != (2, 2):
-                raise ValueError(f"density matrix must be 2x2, got shape {arr.shape}")
-            (m00, m01), (m10, m11) = arr.tolist()
+        m00, m01, m10, m11 = _matrix_entries(mat, "density matrix")
         if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
             raise ValueError("density matrix contains non-finite entries")
         try:
@@ -212,10 +205,7 @@ class DensityMatrix(_Frozen):
         low = mean - math.sqrt(max(mean * mean - det, 0.0))
         if low < -DENSITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {low!r}")
-        state = vars(self)
-        state["rows"] = ((m00, m01), (m10, m11))
-        if arr is not None:
-            state["mat"] = arr
+        vars(self)["rows"] = ((m00, m01), (m10, m11))
 
     @_cached
     def mat(self) -> np.ndarray:
@@ -225,33 +215,46 @@ class DensityMatrix(_Frozen):
         return f"DensityMatrix({self.rows!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Gate:
-    """Named single-qubit unitary; the receiver's corrections use I, X, Z, ZX.
-
-    ``mat`` is the read-only complex128 ndarray the unitarity check runs on;
-    ``rows`` holds the same entries as two rows of two Python complexes."""
-
-    name: str
-    mat: np.ndarray
-
-    def __post_init__(self):
-        if self.name not in ("I", "X", "Z", "ZX"):
-            raise ValueError(f"unknown gate name {self.name!r}")
-        mat = _frozen_complex(self.mat)
-        if mat.shape != (2, 2):
-            raise ValueError(f"gate must be 2x2, got shape {mat.shape}")
-        if np.abs(mat.conj().T @ mat - np.eye(2)).max() > UNITARITY_TOL:
-            raise ValueError(f"gate {self.name!r} is not unitary within tolerance")
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "rows", tuple(map(tuple, mat.tolist())))
+# The receiver's corrections, exact: entries 0 and +-1 as Python complexes.
+# ZX means "apply X first, then Z"; its lower-right zero is -0.0, as numpy's
+# Z @ X gave it, so the products a correction forms keep their zero signs.
+_GATE_ROWS = {
+    "I": ((1 + 0j, 0j), (0j, 1 + 0j)),
+    "X": ((0j, 1 + 0j), (1 + 0j, 0j)),
+    "Z": ((1 + 0j, 0j), (0j, -1 + 0j)),
+    "ZX": ((0j, 1 + 0j), (-1 + 0j, complex(-0.0, 0.0))),
+}
 
 
-I = Gate("I", np.eye(2))
-X = Gate("X", np.array([[0, 1], [1, 0]]))
-Z = Gate("Z", np.array([[1, 0], [0, -1]]))
-# ZX means "apply X first, then Z".
-ZX = Gate("ZX", Z.mat @ X.mat)
+class Gate(_Frozen):
+    """One of the receiver's corrections I, X, Z and ZX, as its name's exact
+    table: ``rows``, two rows of two Python complexes. ``mat`` is their
+    read-only complex128 ndarray, built on first access and cached. The one
+    check: the input, read by ``_matrix_entries``, equals the table entry for
+    entry (``==`` on complexes, so ints, floats and -0.0 pass)."""
+
+    def __init__(self, name: str, mat):
+        self.__post_init__(name, mat)
+
+    def __post_init__(self, name, mat):
+        if not (isinstance(name, str) and name in _GATE_ROWS):
+            raise ValueError(f"unknown gate name {name!r}")
+        rows = _GATE_ROWS[name]
+        if _matrix_entries(mat, "gate") != rows[0] + rows[1]:
+            raise ValueError(f"gate {name!r} must have the entries {rows!r}")
+        state = vars(self)
+        state["name"] = name
+        state["rows"] = rows
+
+    @_cached
+    def mat(self) -> np.ndarray:
+        return _frozen_complex(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Gate({self.name!r}, {self.rows!r})"
+
+
+I, X, Z, ZX = (Gate(name, rows) for name, rows in _GATE_ROWS.items())
 
 GATES = {g.name: g for g in (I, X, Z, ZX)}
 
@@ -280,18 +283,13 @@ class Projector:
 
 BELL_LABELS = ("Phi+", "Phi-", "Psi+", "Psi-")
 
-_BELL_VECTORS = (
-    _frozen_complex(np.array([1, 0, 0, 1]) * _SQRT_HALF),
-    _frozen_complex(np.array([1, 0, 0, -1]) * _SQRT_HALF),
-    _frozen_complex(np.array([0, 1, 1, 0]) * _SQRT_HALF),
-    _frozen_complex(np.array([0, 1, -1, 0]) * _SQRT_HALF),
-)
 
-
+@cache
 def bell_state_vectors() -> tuple[np.ndarray, ...]:
     """Unit vectors of the four maximally entangled two-qubit states, in the
-    order Phi+, Phi-, Psi+, Psi-."""
-    return _BELL_VECTORS
+    order Phi+, Phi-, Psi+, Psi-. Built on the first call."""
+    h = _SQRT_HALF
+    return tuple(map(_frozen_complex, ((h, 0, 0, h), (h, 0, 0, -h), (0, h, h, 0), (0, h, -h, 0))))
 
 
 @cache
@@ -302,7 +300,7 @@ def bell_basis() -> tuple[Projector, ...]:
     identity, so every call with ``bell_basis()`` reuses them."""
     return tuple(
         Projector(np.outer(v, v.conj()), label)
-        for v, label in zip(_BELL_VECTORS, BELL_LABELS)
+        for v, label in zip(bell_state_vectors(), BELL_LABELS)
     )
 
 

@@ -52,13 +52,8 @@ class BellOutcome(Enum):
         return self.value
 
 
-# Same order as qcore.bell_basis().
-OUTCOME_ORDER = (
-    BellOutcome.PHI_PLUS,
-    BellOutcome.PHI_MINUS,
-    BellOutcome.PSI_PLUS,
-    BellOutcome.PSI_MINUS,
-)
+# Same order as qcore.bell_basis(): the enum's definition order.
+OUTCOME_ORDER = tuple(BellOutcome)
 
 # Outcome -> correction gate, frozen. Each gate is the unique member of
 # {I, X, Z, ZX} that maps the corresponding conditional state back to the

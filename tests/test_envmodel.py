@@ -237,8 +237,10 @@ def test_deviation_fully_dephased_balanced_case():
 
 def test_deviation_shape_mismatch():
     rho1 = to_density(ket_from_amplitudes(1, 0))
-    with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4\) vs \(2, 2\)$"):
+    with pytest.raises(ValueError, match=r"^rho3 shape mismatch: \(4, 4\) vs \(2, 2\)$"):
         deviation(np.eye(4), rho1)
+    with pytest.raises(ValueError, match=r"^rho1 shape mismatch: \(4, 4\) vs \(2, 2\)$"):
+        deviation(rho1, np.eye(4))
 
 
 def test_deviation_reads_rho1_by_the_same_rule_as_rho3():
@@ -248,7 +250,7 @@ def test_deviation_reads_rho1_by_the_same_rule_as_rho3():
     assert deviation(zero, mixed) == deviation(zero, DensityMatrix(mixed)) == deviation(mixed, zero)
     with pytest.raises(ValueError, match="^rho1 contains non-finite entries$"):
         deviation(mixed, np.array([[np.nan, 0], [0, 1]]))
-    with pytest.raises(ValueError, match=r"^shape mismatch: \(4, 4\) vs \(2, 2\)$"):
+    with pytest.raises(ValueError, match=r"^rho1 shape mismatch: \(4, 4\) vs \(2, 2\)$"):
         deviation(zero, np.eye(4))
 
 

@@ -1,11 +1,15 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import teleportsim
 from teleportsim.qcore import (
     DENSITY_TOL,
     GATES,
@@ -526,8 +530,11 @@ def test_qubit_ket_checks_match_numpy_oracle(amps):
 
 @pytest.mark.parametrize("gate", [I, X, Z, ZX])
 def test_gates_unitary(gate):
-    defect = gate.mat.conj().T @ gate.mat - np.eye(2)
-    assert np.linalg.norm(defect) <= 1e-12
+    # U^dagger U == I exactly, in Python complex arithmetic on the table.
+    columns = list(zip(*gate.rows))
+    product = [[sum(u.conjugate() * v for u, v in zip(left, right)) for right in columns] for left in columns]
+    assert product == [[1, 0], [0, 1]]
+    assert {z for row in gate.rows for z in row} <= {0, 1, -1}
 
 
 @pytest.mark.parametrize(
@@ -535,9 +542,13 @@ def test_gates_unitary(gate):
     [
         ("H", np.eye(2), "unknown gate name 'H'"),
         ("X", np.eye(3), "gate must be 2x2, got shape (3, 3)"),
-        ("X", [[1, 1], [0, 1]], "gate 'X' is not unitary within tolerance"),
+        ("X", [[1, 1], [0, 1]], "gate 'X' must have the entries ((0j, (1+0j)), ((1+0j), 0j))"),
+        # A unitary, or NaN entries, under a gate's name: not applied as named.
+        ("X", np.eye(2), "gate 'X' must have the entries ((0j, (1+0j)), ((1+0j), 0j))"),
+        ("ZX", X.mat, "gate 'ZX' must have the entries ((0j, (1+0j)), ((-1+0j), (-0+0j)))"),
+        ("Z", [[1, 0], [0, math.nan]], "gate 'Z' must have the entries (((1+0j), 0j), (0j, (-1+0j)))"),
     ],
-    ids=["name", "shape", "unitary"],
+    ids=["name", "shape", "unitary", "identity-as-X", "X-as-ZX", "nan"],
 )
 def test_gate_rejects_bad_inputs(name, mat, message):
     with pytest.raises(ValueError) as info:
@@ -548,6 +559,58 @@ def test_gate_rejects_bad_inputs(name, mat, message):
 def test_zx_is_x_then_z():
     assert np.array_equal(ZX.mat, Z.mat @ X.mat)
     assert set(GATES) == {"I", "X", "Z", "ZX"}
+
+
+def test_zx_table_keeps_the_negative_zero_of_numpys_product():
+    # ZX was numpy's Z @ X, whose lower-right real part is -0.0; the protocol's
+    # corrected pairs keep the zero signs they had with it.
+    assert parts(ZX.rows[0] + ZX.rows[1]) == parts((0j, 1 + 0j, -1 + 0j, complex(-0.0, 0.0)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: X,
+        lambda: ZX,
+        lambda: Gate("X", [[0, 1], [1, 0]]),
+        lambda: Gate("Z", np.array([[1.0, -0.0], [0.0, -1.0]])),
+        lambda: Gate("ZX", [[0, 1.0], [-1, 0j]]),
+    ],
+    ids=["X", "ZX", "X-ints", "Z-ndarray", "ZX-mixed"],
+)
+def test_gate_arrays_are_read_only_cached_and_equal_the_table(build):
+    gate = build()
+    assert gate.rows is GATES[gate.name].rows
+    arr = gate.mat
+    assert arr.dtype == np.complex128
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0, 0] = 1.0
+    assert gate.mat is arr
+    assert parts(arr.ravel().tolist()) == parts(gate.rows[0] + gate.rows[1])
+
+
+def test_ndarray_inputs_are_read_not_kept():
+    # An ndarray input is converted only to read its entries; the value's own
+    # array is built from those entries on first read.
+    amps, mat = np.array([0.6, 0.8j]), np.eye(2) / 2
+    psi, rho = Ket(amps, ("1",)), DensityMatrix(mat)
+    assert "amplitudes" not in vars(psi) and "mat" not in vars(rho)
+    assert psi.amplitudes is not amps and np.array_equal(psi.amplitudes, amps)
+    assert rho.mat is not mat and np.array_equal(rho.mat, mat)
+
+
+def test_importing_the_package_builds_no_value_array():
+    src = os.path.dirname(os.path.dirname(teleportsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import teleportsim.cli\n"
+        "from teleportsim import qcore\n"
+        "assert not any('mat' in vars(g) for g in qcore.GATES.values())\n"
+        "assert qcore.bell_state_vectors.cache_info().currsize == 0\n"
+        "assert qcore.bell_basis.cache_info().currsize == 0\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_apply_gate_x_flips():
