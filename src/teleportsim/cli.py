@@ -31,7 +31,7 @@ from .envmodel import (
     reduced_state_paper_literal,
 )
 from .qcore import _SQRT_HALF, ket_from_amplitudes, normalized_amplitudes, seeded_stream
-from .teleport import born_index, enumerate_branches
+from .teleport import enumerate_branches
 
 __all__ = ["SweepConfig", "load_config", "main", "CSV_FIELDS"]
 
@@ -144,7 +144,7 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def load_config(path: str) -> SweepConfig:
-    """Parse a line-oriented ``key = value`` config file.
+    """Parse a line-oriented ``key = value`` UTF-8 config file, with or without a BOM.
 
     Keys are the SweepConfig field names; a ``#`` at the start of a line or
     after whitespace starts a comment; blank lines are ignored; unknown keys
@@ -152,7 +152,7 @@ def load_config(path: str) -> SweepConfig:
     override the loaded values.
     """
     cfg = SweepConfig()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = _COMMENT.split(raw, 1)[0].strip()
             if not line:
@@ -185,11 +185,12 @@ def _fmt_matrix(rows) -> str:
 def cmd_teleport(args) -> int:
     psi = ket_from_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
     # The four branches are fixed by the input state, so sample the branch
-    # index per shot instead of re-running the whole protocol each time.
+    # index per shot instead of re-running the whole protocol each time. Each
+    # has probability 1/4, so a draw u picks index int(4u), as in run_ideal.
     records = enumerate_branches(psi)
-    probabilities = [r.probability for r in records]
-    indices = born_index(probabilities, _allocated("shots", args.shots, seeded_stream(args.seed).random))
-    counts = np.bincount(indices, minlength=4)
+    draws = _allocated("shots", args.shots, seeded_stream(args.seed).random)
+    draws *= 4.0
+    counts = np.bincount(draws.astype(np.intp), minlength=4)
     for record, count in zip(records, counts):
         bits = "".join(str(bit) for bit in record.outcome.bits)
         print(f"outcome {record.outcome.name} (bits {bits}): {count}")
@@ -314,7 +315,8 @@ def cmd_sweep(args) -> int:
     # The old output is removed only once the new one is complete: renaming
     # over an existing file makes ext4 (auto_da_alloc) write the new file's
     # data to the device inside the rename, a disk write on every sweep whose
-    # time depends on whatever else is using the disk.
+    # time depends on whatever else is using the disk. An I/O error names
+    # the output path, not the temporary file.
     tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as handle:
@@ -322,10 +324,11 @@ def cmd_sweep(args) -> int:
         with contextlib.suppress(FileNotFoundError):
             os.remove(cfg.output_path)
         os.replace(tmp, cfg.output_path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, cfg.output_path) from None
+    finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
-        raise
     print(f"wrote {cfg.steps} rows to {cfg.output_path}")
     return EXIT_OK
 

@@ -8,9 +8,10 @@ global phase.
 
 A run reads its branch from the textbook decomposition |psi>_1 |Psi->_23 =
 1/2 sum_i |Bell_i>_12 (x) sigma_i |psi>_3: every outcome has probability 1/4
-and leaves a signed permutation of (a, b). That table is a few operations on
-two amplitudes, so it is computed in Python ``complex`` arithmetic rather
-than numpy, whose per-call cost on 2-element arrays exceeds the arithmetic.
+and leaves a signed permutation of (a, b), so a uniform draw u in [0, 1)
+picks outcome ``int(4 * u)``. That table is a few operations on two
+amplitudes, so it is computed in Python ``complex`` arithmetic rather than
+numpy, whose per-call cost on 2-element arrays exceeds the arithmetic.
 A record builds its checked ``Ket`` values on first read. The general Bell
 measurement, ``qcore.born_measure`` with ``qcore.bell_basis()`` on
 ``prepare_joint``'s state, is the oracle the tests compare it against.
@@ -19,11 +20,7 @@ measurement, ``qcore.born_measure`` with ``qcore.bell_basis()`` on
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from enum import Enum
-from itertools import accumulate
-
-import numpy as np
 
 from .qcore import GATES, _SQRT_HALF, Gate, Ket, _cached, _first_draw, _Frozen
 
@@ -127,24 +124,6 @@ def _bell_branches(psi: Ket) -> tuple[tuple[tuple[complex, complex], ...], float
     return ((-q, p), (q, p), (-p, q), (-p, -q)), prob
 
 
-def born_index(probs, u):
-    """``qcore.born_measure``'s sampling rule, so a seed picks the same outcome:
-    the index that a uniform draw u in [0, 1) selects, i with probability
-    probs[i] / sum(probs). Searching all but the last boundary maps a draw
-    that rounds onto the total to the last index.
-
-    One draw (any u that is not an ndarray) is searched in plain Python: a
-    running sum and ``bisect``, which add left to right as ``np.cumsum`` and
-    ``np.sum`` do on four values, so both paths give the same index. An array
-    of draws, as ``cmd_teleport`` passes, is searched with
-    ``np.searchsorted``; probs may be any sequence on either path."""
-    if not isinstance(u, np.ndarray):
-        bounds = list(accumulate(probs))
-        return bisect_right(bounds, u * bounds[-1], 0, len(bounds) - 1)
-    probs = np.asarray(probs)
-    return np.searchsorted(np.cumsum(probs)[:-1], u * probs.sum(), side="right")
-
-
 def correction_for(outcome: BellOutcome) -> Gate:
     """The unitary the receiver applies for a given classical message."""
     return GATES[CORRECTIONS[outcome]]
@@ -164,9 +143,11 @@ def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
-    """One full protocol run with a perfect correction step."""
+    """One full protocol run with a perfect correction step. The seed's first
+    draw u in [0, 1) picks ``OUTCOME_ORDER[int(4 * u)]``: u is a multiple of
+    2^-53, so 4u is exact and each outcome has probability exactly 1/4."""
     branches, prob = _bell_branches(psi)
-    return _record(psi, born_index((prob,) * len(branches), _first_draw(seed)), branches, prob)
+    return _record(psi, int(4.0 * _first_draw(seed)), branches, prob)
 
 
 def enumerate_branches(psi: Ket) -> list[TeleportRecord]:

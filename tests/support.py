@@ -15,6 +15,18 @@ SQRT_HALF = np.sqrt(0.5)
 # The shared EPR pair (|01> - |10>)/sqrt(2).
 SINGLET = np.array([0, 1, -1, 0]) * SQRT_HALF
 
+# A draw u in [0, 1) picks Bell outcome int(4u): each quarter's first draw,
+# the last draw before it, and the largest draw below 1, with their outcomes.
+_STEP = 2.0**-53  # the spacing of the draws
+BELL_DRAW_EDGES = (
+    (0.0, 0), (0.25 - _STEP, 0), (0.25, 1), (0.5 - _STEP, 1),
+    (0.5, 2), (0.75 - _STEP, 2), (0.75, 3), (1.0 - _STEP, 3),
+)
+# Inputs whose rounded branch probability p is 1/4 moved by -2, -1, 0, 1, 2
+# and 3 ulps, in that order. At p = 1/4 - 2 ulps, a search over the running
+# sums of (p, p, p, p) picks outcome 3 at u = 3/4 - 2^-53, not int(4u) = 2.
+BELL_DRAW_STATES = ((1.7, 2.5), (0.9, 1.8), (0.1, 0.4), (1, 1), (0.6, 0.8j), (0.1, 2.1))
+
 
 def random_qubit(rng):
     amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)

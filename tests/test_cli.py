@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from teleportsim import cli
 from teleportsim.cli import (
     _BLOCK_ROWS,
     CSV_FIELDS,
@@ -23,7 +24,7 @@ from teleportsim.cli import (
 )
 from teleportsim.envmodel import closed_form, printed_deviation
 
-from support import SQRT_HALF
+from support import BELL_DRAW_EDGES, BELL_DRAW_STATES, SQRT_HALF
 
 POINT_COMMANDS = ("deviation", "paper-check")
 
@@ -80,6 +81,48 @@ def test_teleport_deterministic(capsys):
     _, first, _ = run_cli(capsys, "teleport", "--shots", "1000", "--seed", "11")
     _, second, _ = run_cli(capsys, "teleport", "--shots", "1000", "--seed", "11")
     assert first == second
+
+
+class _Draws:
+    """A stand-in for ``seeded_stream(seed)`` whose draws are given."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def random(self, n):
+        return np.array(self.draws[:n], dtype=float)
+
+
+@pytest.mark.parametrize("amplitudes", BELL_DRAW_STATES)
+def test_teleport_counts_each_draw_in_its_quarter(monkeypatch, capsys, amplitudes):
+    a, b = (complex(z) for z in amplitudes)
+    state = ("--a-re", repr(a.real), "--a-im", repr(a.imag), "--b-re", repr(b.real), "--b-im", repr(b.imag))
+
+    def counts(draws):
+        monkeypatch.setattr(cli, "seeded_stream", lambda seed: _Draws(draws))
+        code, out, _ = run_cli(capsys, "teleport", "--shots", str(len(draws)), *state)
+        assert code == 0
+        return [int(line.rsplit(":", 1)[1]) for line in out.splitlines() if line.startswith("outcome")]
+
+    for u, index in BELL_DRAW_EDGES:
+        assert counts([u]) == [int(i == index) for i in range(4)], u
+    # All eight draws in one run: two in each quarter.
+    assert counts([u for u, _ in BELL_DRAW_EDGES]) == [2, 2, 2, 2]
+
+
+def test_teleport_memory_is_two_words_per_shot(capsys):
+    shots = 1_000_000
+    tracemalloc.start()
+    try:
+        code = main(["teleport", "--shots", str(shots)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    # One float64 draw and one outcome index per shot, plus a fixed part
+    # (under 1 MB, with the modules a first run imports).
+    assert peak < 16 * shots + 2_000_000
 
 
 # ``teleport --shots 1000`` stdout per seed. Every branch has probability
@@ -555,10 +598,15 @@ def test_bytes_format_of_a_float_equals_the_str_format():
         assert b"%.17g" % x == ("%.17g" % x).encode("ascii"), x
 
 
-def test_sweep_unwritable_path_is_io_error(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "sweep", "--out", str(tmp_path / "missing" / "x.csv"))
-    assert code == 3
-    assert err.startswith("error:")
+def test_sweep_unwritable_path_is_io_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for out in ("missing/x.csv", ""):
+        code, _, err = run_cli(capsys, "sweep", "--out", out)
+        assert code == 3
+        assert err.startswith("error:")
+        # The message names the path given, not the temporary file beside it.
+        assert err.rstrip().endswith(f": {out!r}") and ".tmp" not in err, err
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_overlap_range_outside_unit_interval(capsys):
@@ -633,6 +681,15 @@ def test_sweep_config_value_may_hold_a_hash(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run#2.csv", "run.cfg"]
     _, rows = read_rows(tmp_path / "run#2.csv")
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("prefix, newline", [("\ufeff", "\n"), ("", "\r\n"), ("\ufeff", "\r\n")])
+def test_load_config_reads_a_bom_or_crlf_file_like_the_plain_one(tmp_path, prefix, newline):
+    lines = ["steps = 11", "gamma_start = 0.25  # skip the flat region", "output_path = out.csv", ""]
+    plain, other = tmp_path / "plain.cfg", tmp_path / "other.cfg"
+    plain.write_bytes("\n".join(lines).encode("utf-8"))
+    other.write_bytes((prefix + newline.join(lines)).encode("utf-8"))
+    assert load_config(str(other)) == load_config(str(plain)) != SweepConfig()
 
 
 def test_load_config_unknown_key_names_line():

@@ -1,11 +1,12 @@
 import math
-from itertools import accumulate
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from teleportsim import teleport
 from teleportsim.qcore import (
     GATES,
     Ket,
@@ -20,7 +21,6 @@ from teleportsim.teleport import (
     CORRECTIONS,
     OUTCOME_ORDER,
     BellOutcome,
-    born_index,
     correction_for,
     enumerate_branches,
     prepare_joint,
@@ -28,7 +28,7 @@ from teleportsim.teleport import (
 )
 from teleportsim.qcore import seeded_stream
 
-from support import SINGLET, SQRT_HALF, listed_conditional, random_qubit
+from support import BELL_DRAW_EDGES, BELL_DRAW_STATES, SINGLET, SQRT_HALF, listed_conditional, random_qubit
 
 TWO_QUBITS = Ket(SINGLET, ("2", "3"))
 
@@ -119,6 +119,23 @@ def test_run_ideal_outcome_distribution():
     sigma = np.sqrt(runs * 0.25 * 0.75)
     for outcome, count in counts.items():
         assert abs(count - runs / 4) <= 3 * sigma, (outcome, count)
+
+
+@pytest.mark.parametrize("amplitudes", BELL_DRAW_STATES)
+def test_run_ideal_picks_the_quarter_its_draw_falls_in(monkeypatch, amplitudes):
+    psi = ket_from_amplitudes(*amplitudes)
+    for u, index in BELL_DRAW_EDGES:
+        monkeypatch.setattr(teleport, "_first_draw", lambda seed: u)
+        assert run_ideal(psi, 0).outcome is OUTCOME_ORDER[index], u
+
+
+def test_bell_outcome_is_the_top_two_bits_of_the_first_word():
+    # _first_draw(seed) is (w >> 11) * 2^-53 for the first 64-bit word w, so
+    # int(4u) reads w's top two bits.
+    rng = random.Random(22)
+    edges = [0, 2**64 - 1] + [(k << 62) + d for k in (1, 2, 3) for d in (-1, 0)]
+    for w in edges + [rng.getrandbits(64) for _ in range(20_000)]:
+        assert int(4.0 * ((w >> 11) * 2.0**-53)) == w >> 62, w
 
 
 def test_run_ideal_global_phase_robust():
@@ -337,40 +354,6 @@ def test_enumerate_branches_matches_projector_oracle(psi):
         prob = np.vdot(joint, lifted @ joint).real
         post = lifted @ joint / math.sqrt(prob)
         assert_matches_oracle(record, psi, index, post, prob)
-
-
-def test_born_index_takes_one_draw_or_many():
-    probs = np.array([0.125, 0.0, 0.5, 0.375])
-    # 1.0 stands for a draw whose product with the total rounds onto it.
-    draws = np.array([0.0, 0.124, 0.125, 0.624, 0.625, 0.999, 1.0])
-    many = born_index(probs, draws).tolist()
-    assert many == [born_index(probs, u) for u in draws.tolist()] == [0, 0, 2, 2, 3, 3, 3]
-    # Probabilities as a list or tuple, and int draws, give the same indices.
-    for seq in (probs.tolist(), tuple(probs.tolist())):
-        assert born_index(seq, draws).tolist() == many
-        assert [born_index(seq, u) for u in draws.tolist()] == many
-    assert born_index(tuple(probs.tolist()), 0) == born_index(probs, 0) == 0
-    assert born_index(probs, 1) == 3
-
-
-# Probabilities of any magnitude, so that adding them in another order rounds
-# the boundaries or the total differently.
-magnitudes = st.floats(0.0, 1.0) | st.builds(lambda m, e: m * 10.0**e, st.floats(0.0, 1.0), st.integers(-17, 0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(magnitudes, min_size=4, max_size=4).filter(any))
-def test_born_index_one_draw_or_many_agree_at_every_boundary(weights):
-    probs = np.array(weights)
-    cumsum, total = np.cumsum(probs), probs.sum()
-    # numpy adds four values left to right, as the one-draw path does.
-    assert cumsum.tolist() == list(accumulate(weights)) and total == cumsum[-1]
-    draws = []
-    for bound in cumsum / total:
-        below = np.nextafter(bound, -np.inf)
-        draws += [np.nextafter(below, -np.inf), below, bound, np.nextafter(bound, np.inf)]
-    draws = np.clip(draws, 0.0, 1.0)
-    assert born_index(probs, draws).tolist() == [born_index(weights, u) for u in draws.tolist()]
 
 
 def test_run_ideal_rejects_multi_qubit_input():
