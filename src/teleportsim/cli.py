@@ -131,8 +131,11 @@ class SweepConfig:
         return complex(self.c1_re, self.c1_im)
 
     def validate(self) -> None:
-        """Check the numbers and ranges and normalize (a, b) in place."""
+        """Check the numbers, the ranges and a non-empty output path, and
+        normalize (a, b) in place."""
         _check_numbers(vars(self))
+        if not self.output_path:
+            raise UsageError("output_path must not be empty")
         a, b = normalized_amplitudes(self.a, self.b)
         self.a_re, self.a_im, self.b_re, self.b_im = a.real, a.imag, b.real, b.imag
 

@@ -162,13 +162,13 @@ def _unit_scaled(c0: complex, c1: complex) -> tuple[complex, complex]:
     return c0 / scale, c1 / scale
 
 
-def _frobenius(diffs):
-    """sqrt(sum re^2 + im^2) over (re, im) pairs, summed in the given order.
+def _frobenius(re00, im00, re01, im01, re10, im10, re11, im11):
+    """sqrt(sum re^2 + im^2) over a 2x2 difference's four entries, given as
+    their parts, summed in row order.
 
     The one deviation formula: ``deviation`` and ``_delta`` both use it."""
-    total = 0.0
-    for re, im in diffs:
-        total = total + (re * re + im * im)
+    total = ((re00 * re00 + im00 * im00) + (re01 * re01 + im01 * im01)
+             + (re10 * re10 + im10 * im10) + (re11 * re11 + im11 * im11))
     return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
 
 
@@ -180,12 +180,8 @@ def _delta(rho1, d00, d11, off_re, off_im):
     the entries in ``deviation``'s order, so each delta equals ``deviation``
     of its matrix bit for bit."""
     r00, r11, r01_re, r01_im = rho1
-    return _frobenius((
-        (d00 - r00, 0.0),
-        (off_re - r01_re, off_im - r01_im),
-        (off_re - r01_re, r01_im - off_im),
-        (d11 - r11, 0.0),
-    ))
+    re = off_re - r01_re
+    return _frobenius(d00 - r00, 0.0, re, off_im - r01_im, re, r01_im - off_im, d11 - r11, 0.0)
 
 
 class ClosedForm(NamedTuple):
@@ -348,9 +344,10 @@ def deviation(rho3, rho1) -> float:
     """Entrywise-quadratic distance sqrt(sum |rho3_nm - rho1_nm|^2) between the
     delivered state and the sender's original, each a ``DensityMatrix`` or a
     finite 2x2 array."""
-    rows3, rows1 = _state_rows(rho3, "rho3"), _state_rows(rho1, "rho1")
-    diff = [x - y for row3, row1 in zip(rows3, rows1) for x, y in zip(row3, row1)]
-    return _frobenius((d.real, d.imag) for d in diff)
+    (x00, x01), (x10, x11) = _state_rows(rho3, "rho3")
+    (y00, y01), (y10, y11) = _state_rows(rho1, "rho1")
+    d00, d01, d10, d11 = x00 - y00, x01 - y01, x10 - y10, x11 - y11
+    return _frobenius(d00.real, d00.imag, d01.real, d01.imag, d10.real, d10.imag, d11.real, d11.imag)
 
 
 def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
@@ -398,7 +395,7 @@ def noisy_teleport(psi: Ket, env: EnvironmentModel, seed: int) -> DeviationRepor
 
     The ideal branch delivers the input amplitudes up to global phase; the
     coupling then degrades them, so the reported metrics are independent of
-    the sampled branch.
+    the sampled branch. ``seed`` follows ``run_ideal``'s rule.
     """
     record = run_ideal(psi, seed)
     a, b = _corrected_pair(record)  # builds none of the run's Kets

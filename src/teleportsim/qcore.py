@@ -13,12 +13,18 @@ entries, built on first access and cached, so a value that numpy never reads
 allocates no array, and importing this module builds none. Construction runs
 each class's ``__post_init__`` once: it is the one check, and the hook a
 tracer can wrap.
+
+A protocol run's one random number is ``_first_draw(seed)``: numpy's first
+Philox draw for the seed, ``seeded_stream(seed).random()``, computed bit for
+bit in Python integers, so a run imports no ``numpy.random``. The many draws
+of ``teleport --shots`` still stream from numpy through ``seeded_stream``.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -59,11 +65,152 @@ def seeded_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _first_word(seed: int) -> int:
+    """``np.random.Philox(seed).random_raw()``, the first 64-bit output of
+    ``seeded_stream(seed)``, computed in Python integers; ``_first_draw`` says
+    how. The literals are the two algorithms' published constants, folded:
+    ``tests/support.py`` holds the loop form and a test re-derives each one."""
+    try:
+        s = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
+    if s < 0:
+        raise ValueError("expected non-negative integer")  # numpy's SeedSequence message
+    m = 0xFFFFFFFF
+    m64 = 0xFFFFFFFFFFFFFFFF
+
+    # SeedSequence.mix_entropy. Hash the seed's 32-bit words 0 to 3, least
+    # significant first, into the pool (p0, p1, p2, p3); a word past the
+    # seed's top is 0. Hash k XORs with INIT_A * MULT_A**k and multiplies by
+    # INIT_A * MULT_A**(k + 1), mod 2**32.
+    h = (s & m ^ 0x43b0d7e5) * 0xae5a53a9 & m
+    p0 = h ^ h >> 16
+    h = (s >> 32 & m ^ 0xae5a53a9) * 0x8488043d & m
+    p1 = h ^ h >> 16
+    h = (s >> 64 & m ^ 0x8488043d) * 0x5a9057e1 & m
+    p2 = h ^ h >> 16
+    h = (s >> 96 & m ^ 0x5a9057e1) * 0x9205b1d5 & m
+    p3 = h ^ h >> 16
+    # Mix every pool word into every other (hashes 4 to 15): the source's
+    # hash h enters its destination p as MIX_MULT_L * p - MIX_MULT_R * h,
+    # written + (2**32 - MIX_MULT_R) * h, equal mod 2**32 and never negative.
+    h = (p0 ^ 0x9205b1d5) * 0xe9096e59 & m
+    p1 = (0xca01f9dd * p1 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p1 ^= p1 >> 16
+    h = (p0 ^ 0xe9096e59) * 0x8d5cb6ad & m
+    p2 = (0xca01f9dd * p2 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p2 ^= p2 >> 16
+    h = (p0 ^ 0x8d5cb6ad) * 0x9bb16511 & m
+    p3 = (0xca01f9dd * p3 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p3 ^= p3 >> 16
+
+    h = (p1 ^ 0x9bb16511) * 0x00c238c5 & m
+    p0 = (0xca01f9dd * p0 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p0 ^= p0 >> 16
+    h = (p1 ^ 0x00c238c5) * 0x4d029a09 & m
+    p2 = (0xca01f9dd * p2 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p2 ^= p2 >> 16
+    h = (p1 ^ 0x4d029a09) * 0xcc132e1d & m
+    p3 = (0xca01f9dd * p3 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p3 ^= p3 >> 16
+
+    h = (p2 ^ 0xcc132e1d) * 0x83a97b41 & m
+    p0 = (0xca01f9dd * p0 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p0 ^= p0 >> 16
+    h = (p2 ^ 0x83a97b41) * 0xfa8ddcb5 & m
+    p1 = (0xca01f9dd * p1 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p1 ^= p1 >> 16
+    h = (p2 ^ 0xfa8ddcb5) * 0xac4c06b9 & m
+    p3 = (0xca01f9dd * p3 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p3 ^= p3 >> 16
+
+    h = (p3 ^ 0xac4c06b9) * 0x26ff5a8d & m
+    p0 = (0xca01f9dd * p0 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p0 ^= p0 >> 16
+    h = (p3 ^ 0x26ff5a8d) * 0x0e554a71 & m
+    p1 = (0xca01f9dd * p1 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p1 ^= p1 >> 16
+    h = (p3 ^ 0x0e554a71) * 0x78c50da5 & m
+    p2 = (0xca01f9dd * p2 + 0xb68c08eb * (h ^ h >> 16)) & m
+    p2 ^= p2 >> 16
+    # Words 4 and up, for a seed of 2**128 or more: each is hashed into every
+    # pool word in turn, continuing the hash constants from hash 16. No
+    # iteration for a smaller seed.
+    rest = s >> 128
+    k = 0x78c50da5
+    while rest:
+        word = rest & m
+        rest >>= 32
+        pool = []
+        for p in (p0, p1, p2, p3):
+            h = word ^ k
+            k = k * 0x931e8875 & m
+            h = h * k & m
+            p = (0xca01f9dd * p + 0xb68c08eb * (h ^ h >> 16)) & m
+            pool.append(p ^ p >> 16)
+        p0, p1, p2, p3 = pool
+
+    # SeedSequence.generate_state(2, np.uint64): pool word i XORs with
+    # INIT_B * MULT_B**i and multiplies by INIT_B * MULT_B**(i + 1); the
+    # four 32-bit results, little-endian, are Philox's key (k0, k1).
+    h = (p0 ^ 0x8b51f9dd) * 0x464a0a99 & m
+    k0 = h ^ h >> 16
+    h = (p1 ^ 0x464a0a99) * 0x819d14a5 & m
+    k0 |= (h ^ h >> 16) << 32
+    h = (p2 ^ 0x819d14a5) * 0xd369fdc1 & m
+    k1 = h ^ h >> 16
+    h = (p3 ^ 0xd369fdc1) * 0x501638ad & m
+    k1 |= (h ^ h >> 16) << 32
+
+    # Philox4x64-10 on the counter (1, 0, 0, 0), numpy's first block. A round
+    # maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    # hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)), and round r + 1 adds r * (W0, W1) to
+    # the key; the offsets below are those sums mod 2**64. Round 1 gives
+    # (k0, 0, k1, M0) with no multiply. The low halves are kept as the
+    # unmasked products (u, v) and (p, q), which are only XORed and then
+    # masked, and round 10 computes word 0 alone.
+    u, v = 0xd2e7470ee14c6c93 * k0, 0xca5a826395121157 * k1
+    c0 = (v >> 64 ^ k0 + 0x9e3779b97f4a7c15) & m64
+    c2 = (u >> 64 ^ 0xd2e7470ee14c6c93 ^ k1 + 0xbb67ae8584caa73b) & m64
+    p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
+    c0 = (q >> 64 ^ v ^ k0 + 0x3c6ef372fe94f82a) & m64
+    c2 = (p >> 64 ^ u ^ k1 + 0x76cf5d0b09954e76) & m64
+    u, v = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
+    c0 = (v >> 64 ^ q ^ k0 + 0xdaa66d2c7ddf743f) & m64
+    c2 = (u >> 64 ^ p ^ k1 + 0x32370b908e5ff5b1) & m64
+    p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
+    c0 = (q >> 64 ^ v ^ k0 + 0x78dde6e5fd29f054) & m64
+    c2 = (p >> 64 ^ u ^ k1 + 0xed9eba16132a9cec) & m64
+    u, v = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
+    c0 = (v >> 64 ^ q ^ k0 + 0x1715609f7c746c69) & m64
+    c2 = (u >> 64 ^ p ^ k1 + 0xa906689b97f54427) & m64
+    p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
+    c0 = (q >> 64 ^ v ^ k0 + 0xb54cda58fbbee87e) & m64
+    c2 = (p >> 64 ^ u ^ k1 + 0x646e17211cbfeb62) & m64
+    u, v = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
+    c0 = (v >> 64 ^ q ^ k0 + 0x538454127b096493) & m64
+    c2 = (u >> 64 ^ p ^ k1 + 0x1fd5c5a6a18a929d) & m64
+    p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
+    c0 = (q >> 64 ^ v ^ k0 + 0xf1bbcdcbfa53e0a8) & m64
+    c2 = (p >> 64 ^ u ^ k1 + 0xdb3d742c265539d8) & m64
+    return ((0xca5a826395121157 * c2) >> 64 ^ q ^ k0 + 0x8ff34785799e5cbd) & m64
+
+
 def _first_draw(seed: int) -> float:
-    """``seeded_stream(seed).random()`` without building a Generator: numpy's
-    next_double on Philox's first 64-bit output, so it equals that draw bit for
-    bit and raises the same errors."""
-    return (int(np.random.Philox(seed).random_raw()) >> 11) * 2.0**-53
+    """``seeded_stream(seed).random()``, bit for bit, with no numpy: numpy's
+    next_double, (w >> 11) * 2**-53, on the first word w of the seed's Philox
+    stream, and the same errors for a negative seed. The seed is read with
+    ``operator.index``: an int, a bool or a numpy integer, at least 0; any
+    other type is a TypeError that names it.
+
+    ``_first_word`` computes w by the two algorithms numpy runs for it:
+    numpy's ``SeedSequence`` (after O'Neill's ``seed_seq``, see numpy's
+    ``bit_generator.pyx``) hashes the seed's 32-bit words into a 4-word pool
+    and derives Philox's 128-bit key from it, and Philox4x64-10 (Salmon,
+    Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
+    SC '11) encrypts the counter (1, 0, 0, 0) under that key. The many draws
+    of ``teleport --shots`` still stream from numpy's ``seeded_stream``."""
+    return (_first_word(seed) >> 11) * 2.0**-53
 
 
 # Inputs a value reads as Python numbers: a flat tuple or list (rows of them for

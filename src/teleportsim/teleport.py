@@ -145,7 +145,9 @@ def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
     """One full protocol run with a perfect correction step. The seed's first
     draw u in [0, 1) picks ``OUTCOME_ORDER[int(4 * u)]``: u is a multiple of
-    2^-53, so 4u is exact and each outcome has probability exactly 1/4."""
+    2^-53, so 4u is exact and each outcome has probability exactly 1/4. The
+    seed is an integer at least 0: an int, a bool or a numpy integer (see
+    ``qcore._first_draw``)."""
     branches, prob = _bell_branches(psi)
     return _record(psi, int(4.0 * _first_draw(seed)), branches, prob)
 

@@ -599,14 +599,29 @@ def test_bytes_format_of_a_float_equals_the_str_format():
 
 
 def test_sweep_unwritable_path_is_io_error(tmp_path, monkeypatch, capsys):
+    # An empty path is a usage error instead, see the test below.
     monkeypatch.chdir(tmp_path)
-    for out in ("missing/x.csv", ""):
-        code, _, err = run_cli(capsys, "sweep", "--out", out)
-        assert code == 3
-        assert err.startswith("error:")
-        # The message names the path given, not the temporary file beside it.
-        assert err.rstrip().endswith(f": {out!r}") and ".tmp" not in err, err
-        assert list(tmp_path.iterdir()) == []
+    out = "missing/x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--out", out)
+    assert code == 3
+    assert err.startswith("error:")
+    # The message names the path given, not the temporary file beside it.
+    assert err.rstrip().endswith(f": {out!r}") and ".tmp" not in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_sweep_rejects_an_empty_output_path_before_any_row(tmp_path, monkeypatch, capsys, route):
+    monkeypatch.chdir(tmp_path)
+    if route == "flag":
+        argv = ("sweep", "--out", "")
+    else:
+        (tmp_path / "run.cfg").write_text("steps = 11\noutput_path =\n", encoding="utf-8")
+        argv = ("sweep", "--config", "run.cfg")
+    monkeypatch.setattr(cli, "render_sweep_csv", lambda cfg, out: pytest.fail("a row was computed"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: output_path must not be empty\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if route == "config" else [])
 
 
 def test_sweep_rejects_overlap_range_outside_unit_interval(capsys):

@@ -1,4 +1,6 @@
 import cmath
+import ast
+import inspect
 import math
 import os
 import subprocess
@@ -33,8 +35,9 @@ from teleportsim.qcore import (
     seeded_stream,
     to_density,
 )
-from teleportsim.qcore import _first_draw, _lifted_projectors
+from teleportsim.qcore import _first_draw, _first_word, _lifted_projectors
 
+import support
 from support import SINGLET, SQRT_HALF, random_qubit
 
 
@@ -867,3 +870,79 @@ def test_first_draw_rejects_a_negative_seed_as_seeded_stream_does():
     with pytest.raises(ValueError) as got:
         _first_draw(-1)
     assert str(got.value) == str(want.value)
+
+
+def _numpy_first_word(seed):
+    return np.random.Philox(seed).random_raw()  # a Python int
+
+
+def test_first_word_is_numpys_for_seeds_below_100_000():
+    seeds = range(100_000)
+    ours, theirs = list(map(_first_word, seeds)), list(map(_numpy_first_word, seeds))
+    assert [s for s in seeds if ours[s] != theirs[s]] == []
+
+
+# Each side of every 32-bit word boundary up to 2**192: at 2**128 the seed
+# has a fifth word, the first mixed into the pool after it is full.
+@pytest.mark.parametrize("seed", [2 ** (32 * k) + d for k in range(1, 7) for d in (-1, 0)])
+def test_first_word_is_numpys_across_word_boundaries(seed):
+    assert _first_word(seed) == _numpy_first_word(seed) == support.philox_words(seed, 1)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**200))
+def test_first_word_is_numpys_up_to_2_to_the_200(seed):
+    assert _first_word(seed) == _numpy_first_word(seed) == support.philox_words(seed, 1)[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**62 + 12345, 2**64, 2**130 + 7])
+def test_loop_form_oracle_is_numpys_philox_stream(seed):
+    # Three blocks of four words: the counter, key schedule and every output
+    # word of the oracle, not only the first one the protocol reads.
+    assert support.philox_words(seed, 3) == np.random.Philox(seed).random_raw(12).tolist()
+
+
+# The literals of _first_word that are not the published constants folded:
+# masks, shift counts, and the sign test of the seed.
+_STRUCTURAL = {0, 16, 32, 64, 96, 128, support.MASK32, support.MASK64}
+
+
+def test_first_word_literals_derive_from_the_published_constants():
+    """Every integer literal of the unrolled kernel, in source order, is a
+    shift, a mask, or one of the two algorithms' constants folded as the loop
+    form in tests/support.py would use it at that step."""
+    tree = ast.parse(inspect.getsource(_first_word))
+    nodes = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and type(n.value) is int]
+    literals = [n.value for n in sorted(nodes, key=lambda n: (n.lineno, n.col_offset))]
+
+    xa = [support.INIT_A * support.MULT_A**j & support.MASK32 for j in range(17)]
+    xb = [support.INIT_B * support.MULT_B**i & support.MASK32 for i in range(5)]
+    mix = [support.MIX_MULT_L, -support.MIX_MULT_R & support.MASK32]
+    (m0, m1), (w0, w1) = support.PHILOX_M, support.PHILOX_W
+    expected = []
+    for j in range(4):  # the seed's words hashed into the pool
+        expected += [xa[j], xa[j + 1]]
+    for j in range(4, 16):  # every pool word mixed into every other
+        expected += [xa[j], xa[j + 1], *mix]
+    expected += [xa[16], support.MULT_A, *mix]  # words past the fourth
+    for i in range(4):  # generate_state
+        expected += [xb[i], xb[i + 1]]
+    expected += [m0, m1, w0, m0, w1]  # round 2, after round 1 gave (k0, 0, k1, M0)
+    for r in range(2, 9):  # rounds 3 to 9
+        expected += [m0, m1, r * w0 & support.MASK64, r * w1 & support.MASK64]
+    expected += [m1, 9 * w0 & support.MASK64]  # round 10, word 0 only
+    assert [x for x in literals if x not in _STRUCTURAL] == expected
+
+
+def test_a_protocol_run_imports_no_numpy_random():
+    src = os.path.dirname(os.path.dirname(teleportsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import teleportsim\n"
+        "psi = teleportsim.ket_from_amplitudes(0.6, 0.8j)\n"
+        "teleportsim.run_ideal(psi, 7)\n"
+        "teleportsim.noisy_teleport(psi, teleportsim.EnvironmentModel(0.5, 1, 1), 7)\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})

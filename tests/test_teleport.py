@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from teleportsim import teleport
+from teleportsim.envmodel import EnvironmentModel, noisy_teleport
 from teleportsim.qcore import (
     GATES,
     Ket,
@@ -359,3 +360,40 @@ def test_enumerate_branches_matches_projector_oracle(psi):
 def test_run_ideal_rejects_multi_qubit_input():
     with pytest.raises(ValueError, match="single-qubit"):
         run_ideal(TWO_QUBITS, 0)
+
+
+# ---------------------------------------------------------------- the seed rule
+
+# The outcome each seeded entry point samples.
+_SEEDED_RUNS = {
+    "run_ideal": lambda seed: run_ideal(ket_from_amplitudes(0.6, 0.8j), seed).outcome,
+    "noisy_teleport": lambda seed: noisy_teleport(
+        ket_from_amplitudes(0.6, 0.8j), EnvironmentModel(0.5, 1, 1), seed
+    ).branch,
+}
+
+
+@pytest.mark.parametrize("run", _SEEDED_RUNS.values(), ids=_SEEDED_RUNS)
+@pytest.mark.parametrize("seed", [True, False, np.int64(12), np.uint8(200), np.uint64(2**64 - 1)])
+def test_a_run_takes_a_bool_or_numpy_integer_seed_as_its_int(run, seed):
+    expected = OUTCOME_ORDER[np.random.Philox(int(seed)).random_raw() >> 62]
+    assert run(seed) is run(int(seed)) is expected
+
+
+@pytest.mark.parametrize("run", _SEEDED_RUNS.values(), ids=_SEEDED_RUNS)
+@pytest.mark.parametrize("seed", [-1, -(2**70), np.int64(-3)])
+def test_a_run_rejects_a_negative_seed_with_numpys_message(run, seed):
+    with pytest.raises(ValueError) as want:
+        np.random.Philox(-1)
+    with pytest.raises(ValueError) as got:
+        run(seed)
+    assert str(got.value) == str(want.value)
+
+
+# numpy took None (fresh OS entropy, so an unreproducible run) and a sequence
+# of ints as seeds; the protocol now rejects them with every other non-integer.
+@pytest.mark.parametrize("run", _SEEDED_RUNS.values(), ids=_SEEDED_RUNS)
+@pytest.mark.parametrize("seed", [None, 1.5, 7.0, np.float64(7.0), "7", b"7", [1, 2], (7,), np.array([1, 2])])
+def test_a_run_rejects_a_non_integer_seed_by_name(run, seed):
+    with pytest.raises(TypeError, match=r"^seed must be an integer, not "):
+        run(seed)
