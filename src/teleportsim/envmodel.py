@@ -48,12 +48,11 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import NORM_TOL, DensityMatrix, Ket, _pure_density, _qubit_rows, normalized_amplitudes
+from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows, normalized_amplitudes
 from .teleport import BellOutcome, _corrected_pair, run_ideal
 
 __all__ = [
@@ -89,22 +88,25 @@ class DegenerateModelError(ValueError):
     float64, whether both branches vanish or only underflow."""
 
 
-@dataclass(frozen=True)
-class EnvironmentModel:
+class EnvironmentModel(_Frozen):
     """Parameters of the coupling: overlap gamma = <E1|E0> and branch
-    coefficients c0, c1."""
+    coefficients c0, c1, kept as Python complexes.
 
-    gamma: complex
-    c0: complex
-    c1: complex
+    A value like a frozen dataclass: ``==`` and ``hash`` compare
+    (gamma, c0, c1), and assignment and deletion raise. Construction runs
+    ``__post_init__`` once: the one check, and the hook a tracer can wrap."""
 
-    def __post_init__(self):
-        gamma = complex(self.gamma)
-        c0 = complex(self.c0)
-        c1 = complex(self.c1)
-        for name, value in (("gamma", gamma), ("c0", c0), ("c1", c1)):
-            if not cmath.isfinite(value):
-                raise ValueError(f"{name} is not finite: {value!r}")
+    def __init__(self, gamma: complex, c0: complex, c1: complex):
+        self.__post_init__(gamma, c0, c1)
+
+    def __post_init__(self, gamma, c0, c1):
+        gamma = complex(gamma)
+        c0 = complex(c0)
+        c1 = complex(c1)
+        if not (cmath.isfinite(gamma) and cmath.isfinite(c0) and cmath.isfinite(c1)):
+            for name, value in (("gamma", gamma), ("c0", c0), ("c1", c1)):
+                if not cmath.isfinite(value):
+                    raise ValueError(f"{name} is not finite: {value!r}")
         try:
             modulus = abs(gamma)
         except OverflowError:  # finite parts whose modulus exceeds float64
@@ -113,23 +115,41 @@ class EnvironmentModel:
             raise ValueError(f"|gamma| = {modulus!r} exceeds 1")
         if c0 == 0 and c1 == 0:
             raise ValueError("c0 and c1 cannot both be zero")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
+        state = vars(self)
+        state["gamma"] = gamma
+        state["c0"] = c0
+        state["c1"] = c1
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.gamma, self.c0, self.c1) == (other.gamma, other.c0, other.c1)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gamma, self.c0, self.c1))
+
+    def __repr__(self) -> str:
+        return f"EnvironmentModel(gamma={self.gamma!r}, c0={self.c0!r}, c1={self.c1!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class DeviationReport:
+class DeviationReport(_Frozen):
     """Delivered state and its quality metrics at one parameter point.
 
     ``branch`` is the sampled measurement outcome, or None for a direct
-    evaluation that bypasses the protocol."""
+    evaluation that bypasses the protocol. Equality is identity."""
 
-    rho3: DensityMatrix
-    delta: float
-    fidelity: float
-    purity: float
-    branch: BellOutcome | None = None
+    def __init__(self, rho3: DensityMatrix, delta: float, fidelity: float, purity: float,
+                 branch: BellOutcome | None = None):
+        state = vars(self)
+        state["rho3"] = rho3
+        state["delta"] = delta
+        state["fidelity"] = fidelity
+        state["purity"] = purity
+        state["branch"] = branch
+
+    def __repr__(self) -> str:
+        return (f"DeviationReport(rho3={self.rho3!r}, delta={self.delta!r}, fidelity={self.fidelity!r}, "
+                f"purity={self.purity!r}, branch={self.branch!r})")
 
 
 def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
@@ -197,8 +217,8 @@ class ClosedForm(NamedTuple):
     fidelity: float | np.ndarray
     purity: float | np.ndarray
 
-    def rows(self) -> list[list[complex]]:
-        """rho3's entries as nested Python numbers (for a scalar gamma)."""
+    def rows(self) -> tuple[tuple[complex, complex], ...]:
+        """rho3's rows as tuples of Python numbers (for a scalar gamma)."""
         return _qubit_rows(self.rho00, self.rho11, self.rho01_re, self.rho01_im)
 
 
@@ -325,7 +345,8 @@ def reduced_state_paper_literal(a: complex, b: complex, env: EnvironmentModel) -
     d00, d11, re, im = _printed_entries(a, b, env.c0, env.c1, env.gamma)
     if not (math.isfinite(d00) and math.isfinite(d11) and math.isfinite(re) and math.isfinite(im)):
         raise _overflow("reduced_state_paper_literal")
-    return np.array(_qubit_rows(d00, d11, re, im), dtype=np.complex128)
+    top, bottom = _qubit_rows(d00, d11, re, im)
+    return np.array(top + bottom, dtype=np.complex128).reshape(2, 2)
 
 
 def _state_rows(rho, name: str):
@@ -359,30 +380,35 @@ def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
     unnormalized (a, b) and where the value overflows float64. gamma and
     (c0, c1) are not checked here: EnvironmentModel checks one point and the
     sweep's config a batch."""
+    if not isinstance(gamma, np.ndarray):
+        return _printed_point(a, b, complex(c0), complex(c1), complex(gamma))
     a, b = _check_normalized(a, b)
-    c0, c1 = complex(c0), complex(c1)
-    rho1 = _pure_density(a, b)
-    if isinstance(gamma, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):
-            delta = _delta(rho1, *_printed_entries(a, b, c0, c1, gamma))
-        finite = np.isfinite(delta).all()
-    else:
-        delta = _delta(rho1, *_printed_entries(a, b, c0, c1, complex(gamma)))
-        finite = math.isfinite(delta)
-    if not finite:
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = _delta(_pure_density(a, b), *_printed_entries(a, b, complex(c0), complex(c1), gamma))
+    if not np.isfinite(delta).all():
+        raise _overflow("printed_deviation")
+    return delta
+
+
+def _printed_point(a: complex, b: complex, c0: complex, c1: complex, gamma: complex) -> float:
+    """``printed_deviation`` at one point, with c0, c1 and gamma already
+    Python complexes (as an EnvironmentModel keeps them)."""
+    a, b = _check_normalized(a, b)
+    delta = _delta(_pure_density(a, b), *_printed_entries(a, b, c0, c1, gamma))
+    if not math.isfinite(delta):
         raise _overflow("printed_deviation")
     return delta
 
 
 def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -> float:
     """``printed_deviation`` at one parameter point."""
-    return printed_deviation(a, b, env.c0, env.c1, env.gamma)
+    return _printed_point(a, b, env.c0, env.c1, env.gamma)
 
 
 def _report(a: complex, b: complex, env: EnvironmentModel,
             branch: BellOutcome | None) -> DeviationReport:
-    form = closed_form(a, b, env.c0, env.c1, env.gamma)
-    return DeviationReport(DensityMatrix(form.rows()), form.delta, form.fidelity, form.purity, branch)
+    rho00, rho11, re, im, delta, fid, pur = closed_form(a, b, env.c0, env.c1, env.gamma)
+    return DeviationReport(DensityMatrix(_qubit_rows(rho00, rho11, re, im)), delta, fid, pur, branch)
 
 
 def direct_report(a: complex, b: complex, env: EnvironmentModel) -> DeviationReport:

@@ -59,10 +59,24 @@ def _frozen_complex(values) -> np.ndarray:
     return arr
 
 
+def _seed(seed) -> int:
+    """The package's one seed rule: read with ``operator.index`` (an int, a
+    bool or a numpy integer), at least 0. Any other type is a TypeError that
+    names it; a negative seed raises numpy's ``SeedSequence`` message."""
+    try:
+        s = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
+    if s < 0:
+        raise ValueError("expected non-negative integer")  # numpy's SeedSequence message
+    return s
+
+
 def seeded_stream(seed: int) -> np.random.Generator:
     """Counter-based random stream; distinct seeds give independent,
-    bit-reproducible streams."""
-    return np.random.Generator(np.random.Philox(seed))
+    bit-reproducible streams. The seed follows ``_seed``'s rule, as a
+    protocol run's does, so its first draw is ``_first_draw(seed)``."""
+    return np.random.Generator(np.random.Philox(_seed(seed)))
 
 
 def _first_word(seed: int) -> int:
@@ -70,12 +84,7 @@ def _first_word(seed: int) -> int:
     ``seeded_stream(seed)``, computed in Python integers; ``_first_draw`` says
     how. The literals are the two algorithms' published constants, folded:
     ``tests/support.py`` holds the loop form and a test re-derives each one."""
-    try:
-        s = operator.index(seed)
-    except TypeError:
-        raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
-    if s < 0:
-        raise ValueError("expected non-negative integer")  # numpy's SeedSequence message
+    s = _seed(seed)
     m = 0xFFFFFFFF
     m64 = 0xFFFFFFFFFFFFFFFF
 
@@ -199,9 +208,8 @@ def _first_word(seed: int) -> int:
 def _first_draw(seed: int) -> float:
     """``seeded_stream(seed).random()``, bit for bit, with no numpy: numpy's
     next_double, (w >> 11) * 2**-53, on the first word w of the seed's Philox
-    stream, and the same errors for a negative seed. The seed is read with
-    ``operator.index``: an int, a bool or a numpy integer, at least 0; any
-    other type is a TypeError that names it.
+    stream. The seed follows ``_seed``'s rule, as ``seeded_stream``'s does:
+    an int, a bool or a numpy integer, at least 0.
 
     ``_first_word`` computes w by the two algorithms numpy runs for it:
     numpy's ``SeedSequence`` (after O'Neill's ``seed_seq``, see numpy's
@@ -225,9 +233,11 @@ def _matrix_entries(mat, what: str) -> tuple[complex, complex, complex, complex]
     tuples or lists of two ints, floats or complexes are read directly."""
     if type(mat) in _SEQUENCES and len(mat) == 2:
         top, bottom = mat
-        if (type(top) in _SEQUENCES and type(bottom) in _SEQUENCES and len(top) == len(bottom) == 2
-                and _NUMBERS.issuperset(map(type, (*top, *bottom)))):
-            return complex(top[0]), complex(top[1]), complex(bottom[0]), complex(bottom[1])
+        if type(top) in _SEQUENCES and type(bottom) in _SEQUENCES and len(top) == 2 == len(bottom):
+            (m00, m01), (m10, m11) = top, bottom
+            if (type(m00) in _NUMBERS and type(m01) in _NUMBERS and type(m10) in _NUMBERS
+                    and type(m11) in _NUMBERS):
+                return complex(m00), complex(m01), complex(m10), complex(m11)
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.shape != (2, 2):
         raise ValueError(f"{what} must be 2x2, got shape {arr.shape}")
@@ -488,11 +498,12 @@ def _pure_density(a: complex, b: complex) -> tuple[float, float, float, float]:
     return ar * ar + ai * ai, br * br + bi * bi, ar * br + ai * bi, ai * br - ar * bi
 
 
-def _qubit_rows(d00: float, d11: float, re: float, im: float) -> list[list[complex]]:
-    """[[d00, re + i im], [re - i im, d11]] as nested Python numbers: the one
-    layout of a qubit's 2x2 state, for ``to_density`` and ``envmodel``. The
-    lower imaginary part is 0.0 - im, not -im, so a zero stays +0.0 there."""
-    return [[d00, complex(re, im)], [complex(re, 0.0 - im), d11]]
+def _qubit_rows(d00: float, d11: float, re: float, im: float) -> tuple[tuple[complex, complex], ...]:
+    """((d00, re + i im), (re - i im, d11)): the rows of a qubit's 2x2 state
+    as tuples of Python numbers, the one layout for ``to_density`` and
+    ``envmodel``. The lower imaginary part is 0.0 - im, not -im, so a zero
+    stays +0.0 there."""
+    return (d00, complex(re, im)), (complex(re, 0.0 - im), d11)
 
 
 def to_density(psi: Ket) -> DensityMatrix:

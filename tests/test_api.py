@@ -80,13 +80,14 @@ def test_traced_name_resolves(mod, attr):
 PSI = ket_from_amplitudes(0.6, 0.8j)
 ENV = EnvironmentModel(0.5 + 0.2j, 0.9, 1.1)
 
-# Each report and record field in declaration order; a record's two Kets are
-# built on first read.
+# Each model, report and record field in declaration order; a record's two
+# Kets are built on first read.
 FIELDS = {
+    EnvironmentModel: ("gamma", "c0", "c1"),
     TeleportRecord: ("outcome", "conditional_state", "corrected_state", "fidelity", "probability"),
     DeviationReport: ("rho3", "delta", "fidelity", "purity", "branch"),
 }
-LAZY = {TeleportRecord: ("conditional_state", "corrected_state"), DeviationReport: ()}
+LAZY = {EnvironmentModel: (), TeleportRecord: ("conditional_state", "corrected_state"), DeviationReport: ()}
 
 
 def read_lazy(value):
@@ -97,28 +98,33 @@ def read_lazy(value):
     return value
 
 
-# (construction, Kets, DensityMatrix values, Gates it builds). A record's
-# lazy fields are read, so each row counts every value it can build.
+# (construction, Kets, DensityMatrix values, Gates, EnvironmentModel values it
+# builds). A record's lazy fields are read, so each row counts every value it
+# can build.
 CONSTRUCTIONS = {
-    "ket-list": (lambda: Ket([1, 0], ("1",)), 1, 0, 0),
-    "ket-ndarray": (lambda: Ket(np.array([0.6, 0.8]), ("1",)), 1, 0, 0),
-    "ket-rejected": (lambda: Ket([1, 1], ("1",)), 1, 0, 0),
-    "ket_from_amplitudes": (lambda: ket_from_amplitudes(0.6, 0.8j), 1, 0, 0),
-    "density-rows": (lambda: DensityMatrix([[1, 0], [0, 0]]), 0, 1, 0),
-    "density-ndarray": (lambda: DensityMatrix(np.eye(2) / 2), 0, 1, 0),
-    "density-rejected": (lambda: DensityMatrix([[1, 0], [0, 1]]), 0, 1, 0),
-    "gate": (lambda: Gate("X", [[0, 1], [1, 0]]), 0, 0, 1),
-    "to_density": (lambda: to_density(PSI), 0, 1, 0),
-    "prepare_joint": (lambda: prepare_joint(PSI), 1, 0, 0),
-    "run_ideal": (lambda: read_lazy(run_ideal(PSI, 3)), 2, 0, 0),
-    "enumerate_branches": (lambda: read_lazy(enumerate_branches(PSI)), 8, 0, 0),
-    "apply_gate": (lambda: apply_gate(PSI, X, 0), 1, 0, 0),
-    "born_measure": (lambda: born_measure(prepare_joint(PSI), bell_basis(), (0, 1), seeded_stream(3)), 2, 0, 0),
-    "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 1, 0),
+    "ket-list": (lambda: Ket([1, 0], ("1",)), 1, 0, 0, 0),
+    "ket-ndarray": (lambda: Ket(np.array([0.6, 0.8]), ("1",)), 1, 0, 0, 0),
+    "ket-rejected": (lambda: Ket([1, 1], ("1",)), 1, 0, 0, 0),
+    "ket_from_amplitudes": (lambda: ket_from_amplitudes(0.6, 0.8j), 1, 0, 0, 0),
+    "density-rows": (lambda: DensityMatrix([[1, 0], [0, 0]]), 0, 1, 0, 0),
+    "density-ndarray": (lambda: DensityMatrix(np.eye(2) / 2), 0, 1, 0, 0),
+    "density-rejected": (lambda: DensityMatrix([[1, 0], [0, 1]]), 0, 1, 0, 0),
+    "gate": (lambda: Gate("X", [[0, 1], [1, 0]]), 0, 0, 1, 0),
+    "model-positional": (lambda: EnvironmentModel(0.5 + 0.2j, 0.9, 1.1), 0, 0, 0, 1),
+    "model-keyword": (lambda: EnvironmentModel(c1=1.1, gamma=0.5 + 0.2j, c0=0.9), 0, 0, 0, 1),
+    "model-rejected": (lambda: EnvironmentModel(1.5, 0.9, 1.1), 0, 0, 0, 1),
+    "to_density": (lambda: to_density(PSI), 0, 1, 0, 0),
+    "prepare_joint": (lambda: prepare_joint(PSI), 1, 0, 0, 0),
+    "run_ideal": (lambda: read_lazy(run_ideal(PSI, 3)), 2, 0, 0, 0),
+    "enumerate_branches": (lambda: read_lazy(enumerate_branches(PSI)), 8, 0, 0, 0),
+    "apply_gate": (lambda: apply_gate(PSI, X, 0), 1, 0, 0, 0),
+    "born_measure": (lambda: born_measure(prepare_joint(PSI), bell_basis(), (0, 1), seeded_stream(3)), 2, 0, 0, 0),
+    "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 1, 0, 0),
     # The run's Kets are never built: the report reads the corrected pair.
-    "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 0, 1, 0),
-    "evolve": (lambda: evolve(0.6, 0.8j, ENV), 3, 0, 0),
+    "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 0, 1, 0, 0),
+    "evolve": (lambda: evolve(0.6, 0.8j, ENV), 3, 0, 0, 0),
 }
+HOOKED = (Ket, DensityMatrix, Gate, EnvironmentModel)
 
 
 @pytest.fixture
@@ -127,7 +133,7 @@ def hook_counts(monkeypatch):
     wraps ``__post_init__``: a constructor that skipped the hook would leave
     the traced call counts at zero."""
     counts = {}
-    for cls in (Ket, DensityMatrix, Gate):
+    for cls in HOOKED:
         def counted(*args, _cls=cls, _hook=cls.__post_init__, **kwargs):
             counts[_cls] = counts.get(_cls, 0) + 1
             return _hook(*args, **kwargs)
@@ -137,17 +143,18 @@ def hook_counts(monkeypatch):
 
 @pytest.mark.parametrize("name", CONSTRUCTIONS)
 def test_each_construction_runs_the_traced_hook_once(hook_counts, name):
-    build, kets, densities, gates = CONSTRUCTIONS[name]
+    build, *built = CONSTRUCTIONS[name]
     if name.endswith("-rejected"):
         with pytest.raises(ValueError):
             build()
     else:
         build()
-    assert hook_counts == {cls: n for cls, n in ((Ket, kets), (DensityMatrix, densities), (Gate, gates)) if n}
+    assert hook_counts == {cls: n for cls, n in zip(HOOKED, built) if n}
 
 
-# One report or record from each function that returns them.
+# The model, and one report or record from each function that returns them.
 VALUES = {
+    "EnvironmentModel": lambda: EnvironmentModel(0.5 + 0.2j, 0.9, 1.1),
     "run_ideal": lambda: run_ideal(PSI, 3),
     "enumerate_branches": lambda: enumerate_branches(PSI)[2],
     "direct_report": lambda: direct_report(0.6, 0.8j, ENV),
@@ -207,7 +214,35 @@ def test_reports_and_records_keep_the_frozen_dataclass_contract(name):
         read_lazy(value)
     fields = ", ".join(f"{field}={getattr(value, field)!r}" for field in FIELDS[type(value)])
     assert repr(value) == f"{type(value).__name__}({fields})"
-    assert value == value and value != VALUES[name]()
+    twin = VALUES[name]()
+    if type(value) is EnvironmentModel:  # eq=True: equal and hashed by its fields
+        key = tuple(getattr(value, field) for field in FIELDS[EnvironmentModel])
+        assert value == twin and value is not twin and hash(value) == hash(twin) == hash(key)
+    else:  # eq=False: equality is identity
+        assert value == value and value != twin
+
+
+def test_environment_model_is_a_value_of_its_three_complexes():
+    positional = EnvironmentModel(0.5 + 0.2j, 0.9, 1.1)
+    keyword = EnvironmentModel(c1=1.1, gamma=0.5 + 0.2j, c0=0.9)
+    mixed = EnvironmentModel(0.5 + 0.2j, c1=np.float64(1.1), c0=0.9 + 0j)
+    assert positional == keyword == mixed
+    assert len({positional, keyword, mixed}) == 1
+    for model in (positional, keyword, mixed):
+        assert (model.gamma, model.c0, model.c1) == (0.5 + 0.2j, 0.9 + 0j, 1.1 + 0j)
+        assert {type(model.gamma), type(model.c0), type(model.c1)} == {complex}
+    assert positional != EnvironmentModel(0.5 + 0.2j, 0.9, 1.2)
+    assert positional != EnvironmentModel(0.5 - 0.2j, 0.9, 1.1)
+    # Another type is never equal, even one holding the same three numbers.
+    assert positional != (0.5 + 0.2j, 0.9 + 0j, 1.1 + 0j)
+    assert positional.__eq__((0.5 + 0.2j, 0.9, 1.1)) is NotImplemented
+    # Fields compare with ==, so a zero's sign does not split two models.
+    assert EnvironmentModel(0.0, 1, -0.0) == EnvironmentModel(-0.0, 1, 0.0)
+    assert hash(EnvironmentModel(0.0, 1, -0.0)) == hash(EnvironmentModel(-0.0, 1, 0.0))
+    with pytest.raises(TypeError):
+        EnvironmentModel(0.5, 0.9)
+    with pytest.raises(TypeError):
+        EnvironmentModel(0.5, 0.9, 1.1, gamma=0.5)
 
 
 @pytest.mark.parametrize("name", MODULES)

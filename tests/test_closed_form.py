@@ -16,6 +16,9 @@ from teleportsim.cli import SweepConfig, main
 from teleportsim.envmodel import (
     DegenerateModelError,
     EnvironmentModel,
+    _check_normalized,
+    _delta,
+    _printed_entries,
     closed_form,
     deviation,
     deviation_closed_form_paper,
@@ -26,7 +29,7 @@ from teleportsim.envmodel import (
     reduced_state_paper_literal,
 )
 from teleportsim.linalg import partial_trace
-from teleportsim.qcore import DensityMatrix, Ket, _qubit_rows, to_density
+from teleportsim.qcore import DensityMatrix, Ket, _pure_density, _qubit_rows, to_density
 
 from support import SQRT_HALF, coefficients, overlaps, phases, qubits
 
@@ -340,6 +343,89 @@ def test_a_pair_a_ket_accepts_is_used_unchanged(ab, c0, c1, gamma):
     except DegenerateModelError:
         assume(False)
     assert report.delta == deviation(reduced_state(a, b, env), to_density(Ket((a, b), ("1",))))
+
+
+def listed_point(a, b, env):
+    """A point query in its earlier, list-based form: ``direct_report``'s rows,
+    delta, fidelity and purity, the printed matrix and the printed delta.
+
+    The rows are laid out as nested lists and each entry converted to complex
+    (as ``DensityMatrix`` read them), the printed matrix is built from nested
+    lists, and the printed delta converts c0, c1 and gamma to complex once
+    more. A printed value that overflows is its ValueError."""
+    form = closed_form(a, b, env.c0, env.c1, env.gamma)
+    re, im = form.rho01_re, form.rho01_im
+    listed = [[form.rho00, complex(re, im)], [complex(re, 0.0 - im), form.rho11]]
+    rows = tuple(tuple(complex(z) for z in row) for row in listed)
+    a, b = _check_normalized(a, b)
+    d00, d11, p_re, p_im = _printed_entries(a, b, env.c0, env.c1, env.gamma)
+    if all(math.isfinite(x) for x in (d00, d11, p_re, p_im)):
+        printed = np.array([[d00, complex(p_re, p_im)], [complex(p_re, 0.0 - p_im), d11]], dtype=np.complex128)
+    else:
+        printed = ValueError("reduced_state_paper_literal overflows")
+    entries = _printed_entries(a, b, complex(env.c0), complex(env.c1), complex(env.gamma))
+    delta = _delta(_pure_density(a, b), *entries)
+    printed_delta = delta if math.isfinite(delta) else ValueError("printed_deviation overflows")
+    return rows, form.delta, form.fidelity, form.purity, printed, printed_delta
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return exc
+
+
+signed_parts = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.6, -0.8))
+signed_complexes = st.builds(complex, signed_parts, signed_parts)
+signed_qubits = st.tuples(signed_complexes, signed_complexes).filter(
+    lambda ab: abs(abs(ab[0]) ** 2 + abs(ab[1]) ** 2 - 1.0) <= 1e-12
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(qubits(), nearly_unit_qubits(), signed_qubits),
+    st.one_of(coefficients, signed_complexes),
+    st.one_of(coefficients, signed_complexes),
+    st.one_of(overlaps, signed_complexes.filter(lambda g: abs(g) <= 1.0)),
+    st.one_of(st.just(1.0), scales),
+)
+@example(ab=(complex(-0.0, 1.0), complex(0.0, -0.0)), c0=complex(1.0, -0.0), c1=complex(-0.0, -0.0),
+         gamma=complex(-0.0, 0.0), scale=1.0)
+@example(ab=(SQRT_HALF, SQRT_HALF), c0=1.0, c1=1.0, gamma=0.5, scale=1e200)
+def test_point_path_equals_the_listed_form_bit_for_bit(ab, c0, c1, gamma, scale):
+    # Bytes and float.hex tell signed zeros apart, so a changed layout or an
+    # extra conversion that moved one sign would fail here.
+    a, b = ab
+    c0, c1 = kept_by_scaling(c0, scale), kept_by_scaling(c1, scale)
+    assume(c0 != 0 or c1 != 0)
+    assume(cmath.isfinite(c0) and cmath.isfinite(c1))
+    env = EnvironmentModel(gamma, c0, c1)
+    try:
+        report = direct_report(a, b, env)
+    except DegenerateModelError:
+        assume(False)
+    rows, delta, fidelity, purity, printed, printed_delta = listed_point(a, b, env)
+    assert report.rho3.rows == rows
+    assert np.array(report.rho3.rows, dtype=np.complex128).tobytes() == np.array(rows).tobytes()
+    assert all(type(z) is complex for row in report.rho3.rows for z in row)
+    assert (report.delta.hex(), report.fidelity.hex(), report.purity.hex()) == (
+        delta.hex(), fidelity.hex(), purity.hex())
+    literal = outcome(reduced_state_paper_literal, a, b, env)
+    if isinstance(printed, ValueError):
+        assert isinstance(literal, ValueError) and str(printed) in str(literal)
+    else:
+        assert (literal.dtype, literal.shape, literal.flags.writeable) == (np.complex128, (2, 2), True)
+        assert literal.tobytes() == printed.tobytes()
+        assert not np.shares_memory(literal, reduced_state_paper_literal(a, b, env))
+    got = outcome(deviation_closed_form_paper, a, b, env)
+    for value in (got, outcome(printed_deviation, a, b, c0, c1, gamma)):
+        if isinstance(printed_delta, ValueError):
+            assert isinstance(value, ValueError) and str(printed_delta) in str(value)
+        else:
+            assert type(value) is float and value.hex() == printed_delta.hex()
 
 
 def test_lower_entry_keeps_a_positive_zero_imaginary_part():

@@ -40,6 +40,25 @@ def test_model_rejects_non_finite():
         EnvironmentModel(complex(np.nan, 0), 1, 1)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+# The checks run in order: finiteness, named by the first bad field of gamma,
+# c0, c1, then |gamma|, then the zero pair.
+@pytest.mark.parametrize("args, message", [
+    ((complex(NAN, 0), INF, 0), "gamma is not finite: (nan+0j)"),
+    ((2.0, complex(0, INF), NAN), "c0 is not finite: infj"),
+    ((0.5, 0, complex(1, NAN)), "c1 is not finite: (1+nanj)"),
+    ((2.0, 0, 0), "|gamma| = 2.0 exceeds 1"),
+    ((complex(1.7e308, 1.7e308), 0, 0), "|gamma| = inf exceeds 1"),
+    ((0.5, 0, -0.0), "c0 and c1 cannot both be zero"),
+])
+def test_model_checks_run_in_order_with_their_messages(args, message):
+    with pytest.raises(ValueError) as err:
+        EnvironmentModel(*args)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------- embed_environment
 
 def test_embed_orthogonal_at_zero_overlap():

@@ -864,12 +864,37 @@ def test_first_draw_is_seeded_streams_first_draw_bit_for_bit(seed):
     assert _first_draw(seed).hex() == seeded_stream(seed).random().hex()
 
 
+# The package's two seeded paths, one seed rule: numpy's stream and the
+# protocol's first draw.
+_SEED_PATHS = {
+    "seeded_stream": lambda seed: seeded_stream(seed).random(),
+    "_first_draw": _first_draw,
+}
+
+
+@pytest.mark.parametrize("path", _SEED_PATHS.values(), ids=_SEED_PATHS)
+@pytest.mark.parametrize("seed", [None, [1, 2], 1.5, "3"], ids=repr)
+def test_both_seed_paths_reject_a_non_integer_seed_by_name(path, seed):
+    # numpy alone would draw OS entropy for None and take [1, 2] as entropy.
+    with pytest.raises(TypeError, match=rf"^seed must be an integer, not {type(seed).__name__}$"):
+        path(seed)
+
+
 def test_first_draw_rejects_a_negative_seed_as_seeded_stream_does():
     with pytest.raises(ValueError) as want:
-        seeded_stream(-1)
-    with pytest.raises(ValueError) as got:
-        _first_draw(-1)
-    assert str(got.value) == str(want.value)
+        np.random.Philox(-1)
+    for path in _SEED_PATHS.values():
+        with pytest.raises(ValueError) as got:
+            path(-1)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 7, 2**64, 2**130 + 5, True, False, np.int64(12), np.uint8(200), np.uint64(2**64 - 1)], ids=repr
+)
+def test_every_accepted_seed_type_gives_one_first_draw_on_both_paths(seed):
+    draws = {path(s).hex() for path in _SEED_PATHS.values() for s in (seed, int(seed))}
+    assert draws == {np.random.Generator(np.random.Philox(int(seed))).random().hex()}
 
 
 def _numpy_first_word(seed):
