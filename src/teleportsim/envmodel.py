@@ -295,8 +295,9 @@ def reduced_state(a: complex, b: complex, env: EnvironmentModel) -> DensityMatri
     """The delivered qubit's state: environment traced out of the normalized
     coupled state, from ``closed_form``. Diagonal proportional to
     (|c0 a|^2, |c1 b|^2); upper off-diagonal proportional to
-    c0 conj(c1) a conj(b) gamma."""
-    return DensityMatrix(closed_form(a, b, env.c0, env.c1, env.gamma).rows())
+    c0 conj(c1) a conj(b) gamma. Built unchecked: ``_report`` says why it
+    passes the check."""
+    return DensityMatrix._built(closed_form(a, b, env.c0, env.c1, env.gamma).rows())
 
 
 def _printed_entries(a: complex, b: complex, c0: complex, c1: complex, gamma):
@@ -405,10 +406,36 @@ def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -
     return _printed_point(a, b, env.c0, env.c1, env.gamma)
 
 
+def _printed_form(a: complex, b: complex, env: EnvironmentModel) -> tuple[np.ndarray, float]:
+    """``reduced_state_paper_literal(a, b, env)`` and
+    ``deviation_closed_form_paper(a, b, env)`` from one evaluation of the
+    printed entries, bit for bit, with the same errors in that order: the
+    matrix's overflow before the delta's. For the CLI, which shows both; the
+    two public functions keep their own paths, so neither does the other's
+    work."""
+    a, b = _check_normalized(a, b)
+    entries = _printed_entries(a, b, env.c0, env.c1, env.gamma)
+    if not all(map(math.isfinite, entries)):
+        raise _overflow("reduced_state_paper_literal")
+    delta = _delta(_pure_density(a, b), *entries)
+    if not math.isfinite(delta):
+        raise _overflow("printed_deviation")
+    top, bottom = _qubit_rows(*entries)
+    return np.array(top + bottom, dtype=np.complex128).reshape(2, 2), delta
+
+
 def _report(a: complex, b: complex, env: EnvironmentModel,
             branch: BellOutcome | None) -> DeviationReport:
+    """The report at one point. Its rho3 is built unchecked: the model is
+    checked and ``closed_form`` checks (a, b) and the coupled norm, after
+    which rho3 is a qubit's state by construction. Its diagonal is the two
+    branch weights divided by their sum, so the trace is 1 up to rounding;
+    its layout is Hermitian exactly (a real diagonal and the exact conjugate
+    below it); and its determinant is rho00 rho11 (1 - |gamma|^2) up to
+    rounding, where |gamma| <= 1 + OVERLAP_TOL puts the lower eigenvalue no
+    lower than about -1e-12, far inside DENSITY_TOL."""
     rho00, rho11, re, im, delta, fid, pur = closed_form(a, b, env.c0, env.c1, env.gamma)
-    return DeviationReport(DensityMatrix(_qubit_rows(rho00, rho11, re, im)), delta, fid, pur, branch)
+    return DeviationReport(DensityMatrix._built(_qubit_rows(rho00, rho11, re, im)), delta, fid, pur, branch)
 
 
 def direct_report(a: complex, b: complex, env: EnvironmentModel) -> DeviationReport:

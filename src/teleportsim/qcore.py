@@ -11,8 +11,15 @@ path read. A ``Gate`` keeps its name's exact table (``Gate.rows``). Their
 ndarrays (``.amplitudes``, ``.mat``) are read-only complex128 copies of those
 entries, built on first access and cached, so a value that numpy never reads
 allocates no array, and importing this module builds none. Construction runs
-each class's ``__post_init__`` once: it is the one check, and the hook a
-tracer can wrap.
+each class's ``__post_init__`` once: it is the hook a tracer can wrap, and on
+the public constructors the one check of a value from outside the package.
+
+A value is checked once, where it enters the package. ``Ket._built`` and
+``DensityMatrix._built`` store a value the package computed from inputs it had
+already checked: a unit pair it normalized, a state it laid out from one. They
+run the same ``__post_init__`` once, which stores the same Python complexes
+the public constructor would and skips only its check. Each site that uses
+them says why its value always passes that check.
 
 A protocol run's one random number is ``_first_draw(seed)``: numpy's first
 Philox draw for the seed, ``seeded_stream(seed).random()``, computed bit for
@@ -276,17 +283,33 @@ class Ket(_Frozen):
     complex is read directly; any other input is converted with ``np.asarray``
     first, only to read its entries.
 
-    One check, in Python float arithmetic: every part finite, and the norm
-    within NORM_TOL of 1. The norm is the square root of the squared parts
-    added left to right (an explicit loop: ``sum`` of floats is compensated
-    from Python 3.12). It is not BLAS's ``vdot``: over 200 000 random vectors
-    the two differ by up to 2 ulps at 2 amplitudes and 3 ulps at 8, so a norm
-    that close to 1 +- NORM_TOL may be judged differently from numpy's."""
+    ``Ket(amplitudes, labels)`` runs one check, in Python float arithmetic:
+    every part finite, and the norm within NORM_TOL of 1. The norm is the
+    square root of the squared parts added left to right (an explicit loop:
+    ``sum`` of floats is compensated from Python 3.12). It is not BLAS's
+    ``vdot``: over 200 000 random vectors the two differ by up to 2 ulps at
+    2 amplitudes and 3 ulps at 8, so a norm that close to 1 +- NORM_TOL may
+    be judged differently from numpy's.
+    ``Ket._built`` stores a unit vector the package formed itself without
+    that check: ``ket_from_amplitudes`` and a protocol record's two Kets."""
 
     def __init__(self, amplitudes, labels: tuple[str, ...]):
         self.__post_init__(amplitudes, labels)
 
-    def __post_init__(self, amplitudes, labels):
+    @classmethod
+    def _built(cls, entries: tuple[complex, ...], labels: tuple[str, ...]) -> Ket:
+        """A Ket the package built as a unit vector: ``entries``, a tuple of
+        Python complexes, and ``labels``, a tuple, stored as given."""
+        self = object.__new__(cls)
+        self.__post_init__(entries, labels, _unchecked=True)
+        return self
+
+    def __post_init__(self, amplitudes, labels, _unchecked=False):
+        if _unchecked:  # from _built
+            state = vars(self)
+            state["entries"] = amplitudes
+            state["labels"] = labels
+            return
         if type(amplitudes) in _SEQUENCES and _NUMBERS.issuperset(map(type, amplitudes)):
             entries = tuple(map(complex, amplitudes))
         else:
@@ -334,17 +357,33 @@ class DensityMatrix(_Frozen):
     the read-only complex128 ndarray of the same values, built on first access
     and cached. Its input is read by ``_matrix_entries``.
 
-    One check, in Python complex arithmetic: finite entries; a skew
-    (|m01 - conj(m10)| and twice each diagonal imaginary part) within
-    DENSITY_TOL; a trace within DENSITY_TOL of 1, summed from 0j like
-    ``np.trace``; and the lower eigenvalue mean - sqrt(mean^2 - det) at least
-    -DENSITY_TOL. The skew's modulus is libm's hypot, which numpy's array loop
-    may round one ulp apart."""
+    ``DensityMatrix(mat)`` runs one check, in Python complex arithmetic:
+    finite entries; a skew (|m01 - conj(m10)| and twice each diagonal
+    imaginary part) within DENSITY_TOL; a trace within DENSITY_TOL of 1,
+    summed from 0j like ``np.trace``; and the lower eigenvalue
+    mean - sqrt(mean^2 - det) at least -DENSITY_TOL. The skew's modulus is
+    libm's hypot, which numpy's array loop may round one ulp apart.
+    ``DensityMatrix._built`` stores a state the package laid out itself
+    without that check: ``to_density``'s |psi><psi| and the kernel's rho3
+    (``envmodel.reduced_state`` and the reports)."""
 
     def __init__(self, mat):
         self.__post_init__(mat)
 
-    def __post_init__(self, mat):
+    @classmethod
+    def _built(cls, rows) -> DensityMatrix:
+        """A qubit's state the package built, as ``_qubit_rows`` lays it
+        out: the float diagonal is stored as ``complex``, as the public
+        constructor stores it, and the off-diagonal complexes as given."""
+        self = object.__new__(cls)
+        self.__post_init__(rows, _unchecked=True)
+        return self
+
+    def __post_init__(self, mat, _unchecked=False):
+        if _unchecked:  # from _built
+            (m00, m01), (m10, m11) = mat
+            vars(self)["rows"] = ((complex(m00), m01), (m10, complex(m11)))
+            return
         m00, m01, m10, m11 = _matrix_entries(mat, "density matrix")
         if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
             raise ValueError("density matrix contains non-finite entries")
@@ -486,8 +525,12 @@ def normalized_amplitudes(a: complex, b: complex) -> tuple[complex, complex]:
 
 
 def ket_from_amplitudes(a: complex, b: complex) -> Ket:
-    """Single-qubit ket a|0> + b|1>, normalized by ``normalized_amplitudes``."""
-    return Ket(normalized_amplitudes(a, b), ("1",))
+    """Single-qubit ket a|0> + b|1>, normalized by ``normalized_amplitudes``.
+
+    Built unchecked: ``normalized_amplitudes`` checks (a, b) and returns a
+    pair of Python complexes whose norm is 1 to a few ulps, far inside
+    NORM_TOL, since its squares are neither overflowed nor subnormal."""
+    return Ket._built(normalized_amplitudes(a, b), ("1",))
 
 
 def _pure_density(a: complex, b: complex) -> tuple[float, float, float, float]:
@@ -507,10 +550,17 @@ def _qubit_rows(d00: float, d11: float, re: float, im: float) -> tuple[tuple[com
 
 
 def to_density(psi: Ket) -> DensityMatrix:
-    """Rank-1 density matrix |psi><psi| of a one-qubit ket."""
+    """Rank-1 density matrix |psi><psi| of a one-qubit ket.
+
+    Built unchecked once psi's dimension is: every Ket is a checked unit
+    vector, so the trace |a|^2 + |b|^2 is 1 within about 2 NORM_TOL, the
+    layout is Hermitian exactly (a real diagonal, the lower off-diagonal the
+    exact conjugate of the upper), and the determinant
+    |a|^2 |b|^2 - |a conj(b)|^2 is 0 up to rounding, so the lower eigenvalue
+    is near -1e-16, far inside DENSITY_TOL."""
     if psi.dim != 2:
         raise ValueError(f"density matrix must be 2x2, got shape {(psi.dim, psi.dim)}")
-    return DensityMatrix(_qubit_rows(*_pure_density(*psi.entries)))
+    return DensityMatrix._built(_qubit_rows(*_pure_density(*psi.entries)))
 
 
 def _lift(op: np.ndarray, before: int, after: int) -> np.ndarray:

@@ -12,9 +12,10 @@ and leaves a signed permutation of (a, b), so a uniform draw u in [0, 1)
 picks outcome ``int(4 * u)``. That table is a few operations on two
 amplitudes, so it is computed in Python ``complex`` arithmetic rather than
 numpy, whose per-call cost on 2-element arrays exceeds the arithmetic.
-A record builds its checked ``Ket`` values on first read. The general Bell
-measurement, ``qcore.born_measure`` with ``qcore.bell_basis()`` on
-``prepare_joint``'s state, is the oracle the tests compare it against.
+A record builds its ``Ket`` values on first read; the protocol's records
+build them unchecked, since each pair is a unit pair by construction. The
+general Bell measurement, ``qcore.born_measure`` with ``qcore.bell_basis()``
+on ``prepare_joint``'s state, is the oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -67,19 +68,42 @@ CORRECTIONS = {
 class TeleportRecord(_Frozen):
     """One protocol branch: what the receiver saw and how well the delivered
     state matches the input. Its two ``Ket`` values, particle 3 before and
-    after the correction, are built on first read and cached."""
+    after the correction, are built on first read and cached.
+
+    A record built by ``TeleportRecord(...)`` takes its pairs from outside the
+    package, so its Kets go through ``Ket``'s check. The protocol's records
+    come from ``TeleportRecord._built``, and their Kets are built unchecked
+    (``Ket._built``): each pair is a branch of ``_bell_branches``, a pair
+    scaled by 1/sqrt(prob) where prob, about 1/4 since psi is a checked unit
+    vector, is its own squared norm, so its norm is 1 to a few ulps; the
+    correction only permutes and negates its entries, which keeps the norm
+    exactly."""
+
+    # How the Kets are built: unchecked for the protocol's records; a record
+    # built by a caller overrides it with Ket's checked constructor.
+    _ket = staticmethod(Ket._built)
 
     def __init__(self, outcome: BellOutcome, conditional, corrected, fidelity: float, probability: float):
         vars(self).update(outcome=outcome, _conditional=conditional, _corrected=corrected,
+                          fidelity=fidelity, probability=probability, _ket=Ket)
+
+    @classmethod
+    def _built(cls, outcome: BellOutcome, conditional, corrected, fidelity: float,
+               probability: float) -> TeleportRecord:
+        """A branch the protocol computed: both pairs are unit pairs of Python
+        complexes by construction."""
+        self = object.__new__(cls)
+        vars(self).update(outcome=outcome, _conditional=conditional, _corrected=corrected,
                           fidelity=fidelity, probability=probability)
+        return self
 
     @_cached
     def conditional_state(self) -> Ket:
-        return Ket(self._conditional, ("3",))
+        return self._ket(self._conditional, ("3",))
 
     @_cached
     def corrected_state(self) -> Ket:
-        return Ket(self._corrected, ("3",))
+        return self._ket(self._corrected, ("3",))
 
     def __repr__(self) -> str:
         names = ("outcome", "conditional_state", "corrected_state", "fidelity", "probability")
@@ -139,7 +163,7 @@ def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
     d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
     a, b = psi.entries
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
-    return TeleportRecord(outcome, (c0, c1), (d0, d1), fid, prob)
+    return TeleportRecord._built(outcome, (c0, c1), (d0, d1), fid, prob)
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:

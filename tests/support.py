@@ -3,12 +3,14 @@ shared by the test modules."""
 
 import cmath
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from teleportsim.envmodel import EnvironmentModel
+from teleportsim.envmodel import DEGENERATE_TOL, EnvironmentModel
 from teleportsim.teleport import BellOutcome
 
 SQRT_HALF = np.sqrt(0.5)
@@ -26,6 +28,12 @@ BELL_DRAW_EDGES = (
 # and 3 ulps, in that order. At p = 1/4 - 2 ulps, a search over the running
 # sums of (p, p, p, p) picks outcome 3 at u = 3/4 - 2^-53, not int(4u) = 2.
 BELL_DRAW_STATES = ((1.7, 2.5), (0.9, 1.8), (0.1, 0.4), (1, 1), (0.6, 0.8j), (0.1, 2.1))
+
+
+# With (a, b) = (NEAR_DEGENERATE, 1) and (c0, c1) = (1, NEAR_DEGENERATE), the
+# two branches have equal weight, each square is subnormal, and the coupled
+# norm is sqrt(2) * 0.8 = 1.13 times DEGENERATE_TOL: just above the threshold.
+NEAR_DEGENERATE = 0.8 * DEGENERATE_TOL
 
 
 def random_qubit(rng):
@@ -53,6 +61,52 @@ def qubits(draw):
     norm = math.hypot(re0, im0, re1, im1)
     assume(norm > 1e-3)
     return complex(re0, im0) / norm, complex(re1, im1) / norm
+
+
+def exact_rho3(a, b, c0, c1, gamma):
+    """(rho00, rho11, rho01_re, rho01_im) in exact rational arithmetic on the
+    given floats: the closed form with no rounding and no scaling."""
+    a, b, c0, c1, gamma = map(_exact, (a, b, c0, c1, gamma))
+    x0, x1 = _mul(c0, a), _mul(c1, b)
+    p0 = x0[0] ** 2 + x0[1] ** 2
+    p1 = x1[0] ** 2 + x1[1] ** 2
+    n = p0 + p1
+    off = _mul(_mul(x0, (x1[0], -x1[1])), gamma)
+    return p0 / n, p1 / n, off[0] / n, off[1] / n
+
+
+def exact_point(a, b, c0, c1, gamma):
+    """The exact values ``closed_form`` rounds, as Fractions: rho3's parts
+    (rho00, rho11, rho01_re, rho01_im), delta^2, fidelity and purity.
+
+    rho3 does not depend on the scale of (a, b); rho1 is taken on the exactly
+    normalized ray, with |a|^2 / (|a|^2 + |b|^2) on its diagonal, so the
+    float pair's own distance from norm 1 counts as the kernel's error."""
+    rho00, rho11, re, im = exact_rho3(a, b, c0, c1, gamma)
+    (ar, ai), (br, bi) = _exact(a), _exact(b)
+    s = ar * ar + ai * ai + br * br + bi * bi
+    r00, r11 = (ar * ar + ai * ai) / s, (br * br + bi * bi) / s
+    r01_re, r01_im = (ar * br + ai * bi) / s, (ai * br - ar * bi) / s  # a conj(b)
+    delta_sq = (rho00 - r00) ** 2 + (rho11 - r11) ** 2 + 2 * ((re - r01_re) ** 2 + (im - r01_im) ** 2)
+    fidelity = r00 * rho00 + r11 * rho11 + 2 * (r01_re * re + r01_im * im)
+    purity = rho00 ** 2 + rho11 ** 2 + 2 * (re ** 2 + im ** 2)
+    return (rho00, rho11, re, im), delta_sq, fidelity, purity
+
+
+def exact_sqrt(x: Fraction) -> Fraction:
+    """sqrt(x) to 50 significant digits, taken with ``decimal``."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return Fraction((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
+
+
+def _exact(z):
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _mul(z, w):
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
 
 def listed_conditional(outcome, a, b):

@@ -13,32 +13,34 @@ drift from the code."""
 
 import ast
 import importlib
+import math
 import pkgutil
 import re
 import shlex
+import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import teleportsim
 from teleportsim.cli import main
 from teleportsim.envmodel import (
-    DegenerateModelError, DeviationReport, EnvironmentModel, closed_form, direct_report, evolve,
-    noisy_teleport,
+    DEGENERATE_TOL, OVERLAP_TOL, DegenerateModelError, DeviationReport, EnvironmentModel, closed_form,
+    direct_report, evolve, noisy_teleport, reduced_state,
 )
 from teleportsim.qcore import (
-    X, DensityMatrix, Gate, Ket, apply_gate, bell_basis, born_measure, ket_from_amplitudes,
-    seeded_stream, to_density,
+    X, DensityMatrix, Gate, Ket, _pure_density, _qubit_rows, apply_gate, bell_basis, born_measure,
+    ket_from_amplitudes, normalized_amplitudes, seeded_stream, to_density,
 )
 from teleportsim.teleport import (
-    TeleportRecord, _corrected_pair, enumerate_branches, prepare_joint, run_ideal,
+    BellOutcome, TeleportRecord, _corrected_pair, enumerate_branches, prepare_joint, run_ideal,
 )
 
-from support import coefficients, overlaps, qubits
+from support import NEAR_DEGENERATE, SQRT_HALF, coefficients, overlaps, qubits
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -120,6 +122,12 @@ CONSTRUCTIONS = {
     "apply_gate": (lambda: apply_gate(PSI, X, 0), 1, 0, 0, 0),
     "born_measure": (lambda: born_measure(prepare_joint(PSI), bell_basis(), (0, 1), seeded_stream(3)), 2, 0, 0, 0),
     "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 1, 0, 0),
+    "reduced_state": (lambda: reduced_state(0.6, 0.8j, ENV), 0, 1, 0, 0),
+    # A record built by a caller: its Kets go through Ket's check when read.
+    "record": (lambda: read_lazy(TeleportRecord(BellOutcome.PSI_MINUS, (0.6, 0.8j), (0.6, 0.8j), 1.0, 0.25)),
+               2, 0, 0, 0),
+    "record-rejected": (lambda: read_lazy(TeleportRecord(BellOutcome.PSI_MINUS, (1, 1), (1, 0), 1.0, 0.25)),
+                        1, 0, 0, 0),
     # The run's Kets are never built: the report reads the corrected pair.
     "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 0, 1, 0, 0),
     "evolve": (lambda: evolve(0.6, 0.8j, ENV), 3, 0, 0, 0),
@@ -198,6 +206,68 @@ def test_lazy_fields_equal_eager_construction_bit_for_bit(ab, c0, c1, gamma, see
     for r in [record, *enumerate_branches(psi)]:
         assert bits(r.conditional_state.entries) == bits(Ket(r._conditional, ("3",)).entries)
         assert bits(r.corrected_state.entries) == bits(Ket(_corrected_pair(r), ("3",)).entries)
+
+
+def assert_stored_alike(built, checked):
+    """``built`` (from a private constructor) stores what ``checked`` (from
+    the public one) stores: the same labels, and entries that are all Python
+    complexes with the same bits, signed zeros included."""
+    if isinstance(built, Ket):
+        assert built.labels == checked.labels
+        entries, twins = built.entries, checked.entries
+    else:
+        entries, twins = built.rows[0] + built.rows[1], checked.rows[0] + checked.rows[1]
+    assert [type(z) for z in entries] == [complex] * len(twins)
+    assert bits(entries) == bits(twins)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubits(), coefficients, coefficients, overlaps, st.integers(0, 2**64))
+@example(ab=(0.6, 0.8j), c0=0.9, c1=1.1, gamma=1 + OVERLAP_TOL, seed=0)
+@example(ab=(SQRT_HALF, -SQRT_HALF), c0=1, c1=1, gamma=complex(0, -1 - OVERLAP_TOL), seed=1)
+@example(ab=(complex(-0.0, 0.6), complex(0.8, -0.0)), c0=1e200, c1=1e-200j, gamma=-1 - OVERLAP_TOL, seed=2)
+@example(ab=(1, 1e-160), c0=1e-140, c1=1, gamma=0.5j, seed=3)
+@example(ab=(1, 1e-300), c0=1.7e308, c1=1.7e308j, gamma=0.3, seed=4)
+@example(ab=(0.6, 0.8), c0=1 + 1j, c1=(1 + 1j) * (1 + 1e-15), gamma=1 - 1e-14, seed=5)
+@example(ab=(1, 0), c0=1e-150, c1=0, gamma=0, seed=6)
+@example(ab=(NEAR_DEGENERATE, 1), c0=1, c1=NEAR_DEGENERATE, gamma=1, seed=7)
+@example(ab=(NEAR_DEGENERATE, 1), c0=1, c1=NEAR_DEGENERATE * 1j, gamma=-0.6j, seed=8)
+def test_every_value_built_unchecked_passes_the_public_check(ab, c0, c1, gamma, seed):
+    # The package skips the check only where its value passes it by
+    # construction: the public constructor accepts each such value's entries
+    # and stores the same bits.
+    a, b = ab
+    psi = ket_from_amplitudes(a, b)
+    assert_stored_alike(psi, Ket(normalized_amplitudes(a, b), ("1",)))
+    assert_stored_alike(to_density(psi), DensityMatrix(_qubit_rows(*_pure_density(*psi.entries))))
+    records = [run_ideal(psi, seed), *enumerate_branches(psi)]
+    for r in records:
+        assert_stored_alike(r.conditional_state, Ket(r._conditional, ("3",)))
+        assert_stored_alike(r.corrected_state, Ket(_corrected_pair(r), ("3",)))
+    try:
+        rows = closed_form(a, b, c0, c1, gamma).rows()
+    except DegenerateModelError:  # also where c0 = c1 = 0, which the model rejects
+        assume(False)
+    env = EnvironmentModel(gamma, c0, c1)
+    for rho3 in (reduced_state(a, b, env), direct_report(a, b, env).rho3):
+        assert_stored_alike(rho3, DensityMatrix(rows))
+    record = records[0]
+    rows = closed_form(*_corrected_pair(record), c0, c1, gamma).rows()
+    assert_stored_alike(noisy_teleport(psi, env, seed).rho3, DensityMatrix(rows))
+
+
+def test_the_near_degenerate_example_is_computed():
+    form = closed_form(NEAR_DEGENERATE, 1, 1, NEAR_DEGENERATE, 1)
+    assert NEAR_DEGENERATE**2 < sys.float_info.min
+    assert DEGENERATE_TOL < math.sqrt(2 * NEAR_DEGENERATE**2) < 1.2 * DEGENERATE_TOL
+    assert form.rho00 == pytest.approx(0.5) and form.rho11 == pytest.approx(0.5)
+
+
+def test_a_record_built_by_a_caller_checks_its_kets():
+    record = TeleportRecord(BellOutcome.PSI_MINUS, (1, 1), (0.6, 0.8), 1.0, 0.25)
+    assert record.corrected_state.entries == (0.6, 0.8)
+    with pytest.raises(ValueError, match="ket is not normalized"):
+        record.conditional_state
 
 
 @pytest.mark.parametrize("name", VALUES)
