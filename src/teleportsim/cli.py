@@ -22,7 +22,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .envmodel import EnvironmentModel, _printed_form, closed_form, direct_report, printed_deviation
+from .envmodel import (
+    EnvironmentModel,
+    closed_form,
+    deviation_closed_form_paper,
+    direct_report,
+    printed_deviation,
+    reduced_state_paper_literal,
+)
 from .qcore import _SQRT_HALF, ket_from_amplitudes, normalized_amplitudes, seeded_stream
 from .teleport import enumerate_branches
 
@@ -197,12 +204,12 @@ def cmd_teleport(args) -> int:
 
 def _point_query(args):
     """The canonical report, the printed rho3 and the printed delta at the
-    point the flags give, as ``deviation`` and ``paper-check`` show them. The
-    printed pair comes from one evaluation of its entries."""
+    point the flags give, as ``deviation`` and ``paper-check`` show them."""
     a, b = normalized_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
     gamma = args.gamma * cmath.exp(1j * args.gamma_phase)
     env = EnvironmentModel(gamma, complex(args.c0_re, args.c0_im), complex(args.c1_re, args.c1_im))
-    return (direct_report(a, b, env), *_printed_form(a, b, env))
+    report = direct_report(a, b, env)
+    return report, reduced_state_paper_literal(a, b, env), deviation_closed_form_paper(a, b, env)
 
 
 def cmd_deviation(args) -> int:

@@ -406,24 +406,6 @@ def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -
     return _printed_point(a, b, env.c0, env.c1, env.gamma)
 
 
-def _printed_form(a: complex, b: complex, env: EnvironmentModel) -> tuple[np.ndarray, float]:
-    """``reduced_state_paper_literal(a, b, env)`` and
-    ``deviation_closed_form_paper(a, b, env)`` from one evaluation of the
-    printed entries, bit for bit, with the same errors in that order: the
-    matrix's overflow before the delta's. For the CLI, which shows both; the
-    two public functions keep their own paths, so neither does the other's
-    work."""
-    a, b = _check_normalized(a, b)
-    entries = _printed_entries(a, b, env.c0, env.c1, env.gamma)
-    if not all(map(math.isfinite, entries)):
-        raise _overflow("reduced_state_paper_literal")
-    delta = _delta(_pure_density(a, b), *entries)
-    if not math.isfinite(delta):
-        raise _overflow("printed_deviation")
-    top, bottom = _qubit_rows(*entries)
-    return np.array(top + bottom, dtype=np.complex128).reshape(2, 2), delta
-
-
 def _report(a: complex, b: complex, env: EnvironmentModel,
             branch: BellOutcome | None) -> DeviationReport:
     """The report at one point. Its rho3 is built unchecked: the model is

@@ -19,7 +19,6 @@ from teleportsim.envmodel import (
     _check_normalized,
     _delta,
     _printed_entries,
-    _printed_form,
     closed_form,
     deviation,
     deviation_closed_form_paper,
@@ -414,37 +413,6 @@ def test_point_path_equals_the_listed_form_bit_for_bit(ab, c0, c1, gamma, scale)
             assert isinstance(value, ValueError) and str(printed_delta) in str(value)
         else:
             assert type(value) is float and value.hex() == printed_delta.hex()
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(qubits(), nearly_unit_qubits(), signed_qubits),
-    st.one_of(coefficients, signed_complexes),
-    st.one_of(coefficients, signed_complexes),
-    st.one_of(overlaps, signed_complexes.filter(lambda g: abs(g) <= 1.0)),
-    st.one_of(st.just(1.0), scales, st.sampled_from((1e150, 1e163, 1e200))),
-)
-@example(ab=(SQRT_HALF, SQRT_HALF), c0=1.0, c1=1.0, gamma=0.5, scale=1e200)
-@example(ab=(SQRT_HALF, SQRT_HALF), c0=1.0, c1=1.0, gamma=0.5, scale=1e150)
-@example(ab=(1e-10, math.sqrt(1 - 1e-20)), c0=1e13, c1=1.0, gamma=0.5, scale=1e150)
-def test_the_clis_printed_pair_is_the_two_public_calls(ab, c0, c1, gamma, scale):
-    # One evaluation of the printed entries gives what the two public
-    # functions give, bit for bit, or the first error they raise in that order.
-    a, b = ab
-    c0, c1 = c0 * scale, c1 * scale
-    assume(c0 != 0 or c1 != 0)
-    assume(cmath.isfinite(c0) and cmath.isfinite(c1))
-    env = EnvironmentModel(gamma, c0, c1)
-    literal = outcome(reduced_state_paper_literal, a, b, env)
-    delta = outcome(deviation_closed_form_paper, a, b, env)
-    got = outcome(_printed_form, a, b, env)
-    first = next((x for x in (literal, delta) if isinstance(x, ValueError)), None)
-    if first is not None:
-        assert type(got) is ValueError and str(got) == str(first)
-    else:
-        assert (got[0].dtype, got[0].shape, got[0].flags.writeable) == (np.complex128, (2, 2), True)
-        assert got[0].tobytes() == literal.tobytes()
-        assert type(got[1]) is float and got[1].hex() == delta.hex()
 
 
 def test_lower_entry_keeps_a_positive_zero_imaginary_part():
