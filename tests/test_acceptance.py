@@ -124,8 +124,9 @@ def test_criterion_6_printed_expansion_consistency():
             a, b = random_qubit(rng)
             env = random_model(rng)
             rho1 = to_density(Ket(np.array([a, b]), ("3",)))
-            via_matrix = deviation(reduced_state_paper_literal(a, b, env), rho1)
-            assert abs(deviation_closed_form_paper(a, b, env) - via_matrix) <= 1e-12
+            literal = reduced_state_paper_literal(a, b, env)
+            assert literal[1, 0] == np.conj(literal[0, 1])
+            assert deviation_closed_form_paper(a, b, env) == deviation(literal, rho1)
 
 
 def test_criterion_7_documented_trace_inconsistency(capsys):
@@ -141,8 +142,8 @@ def test_criterion_7_documented_trace_inconsistency(capsys):
         code = main(["paper-check", "--gamma", "0"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "trace_paper 0.5" in out
-        assert "trace_canonical 1" in out
+        assert "trace_paper 0.5\n" in out
+        assert "trace_canonical 1\n" in out
 
 
 def test_criterion_8_monotone_decoherence_sweep(tmp_path, capsys):

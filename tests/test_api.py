@@ -9,7 +9,8 @@ imported. Every construction of a traced value class runs its
 constructions; a protocol record's two Kets are built once, when first
 read, and then kept. README's "Library quick tour" block and its
 CLI examples are run as written, so the documented API and commands cannot
-drift from the code."""
+drift from the code. A failing property test run under the project's pytest
+settings reports its falsifying example."""
 
 import ast
 import importlib
@@ -17,6 +18,7 @@ import math
 import pkgutil
 import re
 import shlex
+import subprocess
 import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
@@ -335,3 +337,31 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, shlex.join(argv)
     assert capsys.readouterr().err == ""
+
+
+PROBE = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_probe(x):
+    assert x < 10
+
+
+def test_after_the_probe():
+    pass
+"""
+
+
+def test_a_failing_property_shows_its_example_and_the_session_goes_on(tmp_path):
+    # Under pyproject.toml's filterwarnings, a warning raised while Hypothesis
+    # saves the example must not abort the session (exit 3, INTERNALERROR).
+    (tmp_path / "test_probe.py").write_text(PROBE, encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example: test_probe(" in run.stdout
+    assert "1 failed, 1 passed" in run.stdout

@@ -49,40 +49,6 @@ def parse_report(text):
 
 # ---------------------------------------------------------------- teleport
 
-def test_teleport_basis_state_perfect_fidelity(capsys):
-    code, out, _ = run_cli(
-        capsys, "teleport", "--a-re", "1", "--b-re", "0", "--shots", "100", "--seed", "7"
-    )
-    assert code == 0
-    assert "mean fidelity 1.000000" in out
-
-
-def test_teleport_counts_sum_to_shots(capsys):
-    code, out, _ = run_cli(capsys, "teleport", "--shots", "500", "--seed", "3")
-    assert code == 0
-    counts = [int(line.rsplit(":", 1)[1]) for line in out.splitlines() if line.startswith("outcome")]
-    assert len(counts) == 4
-    assert sum(counts) == 500
-
-
-def test_teleport_outcome_counts_within_three_sigma(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "teleport", "--a-re", "0.6", "--b-re", "0.8", "--shots", "40000", "--seed", "1",
-    )
-    assert code == 0
-    counts = [int(line.rsplit(":", 1)[1]) for line in out.splitlines() if line.startswith("outcome")]
-    sigma = np.sqrt(40000 * 0.25 * 0.75)
-    for count in counts:
-        assert abs(count - 10000) <= 3 * sigma
-
-
-def test_teleport_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "teleport", "--shots", "1000", "--seed", "11")
-    _, second, _ = run_cli(capsys, "teleport", "--shots", "1000", "--seed", "11")
-    assert first == second
-
-
 class _Draws:
     """A stand-in for ``seeded_stream(seed)`` whose draws are given."""
 
@@ -293,15 +259,6 @@ def test_seed_beyond_64_bits_is_accepted_by_every_subcommand(tmp_path, monkeypat
 
 # ---------------------------------------------------------------- deviation
 
-def test_deviation_vanishing_case(capsys):
-    code, out, _ = run_cli(capsys, "deviation", "--gamma", "1")
-    assert code == 0
-    report = parse_report(out)
-    assert report["delta_canonical"] == pytest.approx(0, abs=1e-12)
-    assert report["delta_paper"] == pytest.approx(0, abs=1e-12)
-    assert report["fidelity"] == pytest.approx(1, abs=1e-12)
-
-
 def test_deviation_fully_dephased_defaults(capsys):
     code, out, _ = run_cli(capsys, "deviation", "--gamma", "0")
     assert code == 0
@@ -311,16 +268,10 @@ def test_deviation_fully_dephased_defaults(capsys):
     assert "rho3 (printed closed form):" in out
 
 
-def test_deviation_rejects_overlap_above_one(capsys):
-    code, _, err = run_cli(capsys, "deviation", "--gamma", "1.5")
-    assert code == 2
-    assert "gamma must lie in [0, 1], got 1.5" in err
-
-
-@pytest.mark.parametrize("phase", ["4.636599604190248", "1.335432049952276"])
+@pytest.mark.parametrize("phase", ["0", "4.636599604190248", "1.335432049952276"])
 def test_overlap_above_one_is_quoted_as_given_at_any_phase(capsys, phase):
     # gamma * exp(i phase) has modulus 1.5000000000000002 or 1.4999999999999998
-    # at the two phases; the error quotes the magnitude the user typed.
+    # at the last two phases; the error quotes the magnitude the user typed.
     code, out, err = run_cli(capsys, "deviation", "--gamma", "1.5", "--gamma-phase", phase)
     assert (code, out, err) == (2, "", "error: gamma must lie in [0, 1], got 1.5\n")
 
@@ -424,14 +375,6 @@ def test_negative_number_in_exponent_form_is_a_value_as_a_separate_word(capsys, 
 
 # ---------------------------------------------------------------- paper-check
 
-def test_paper_check_reports_trace_discrepancy(capsys):
-    code, out, _ = run_cli(capsys, "paper-check", "--gamma", "0")
-    assert code == 0
-    report = parse_report(out)
-    assert report["trace_canonical"] == pytest.approx(1, abs=1e-12)
-    assert report["trace_paper"] == pytest.approx(0.5, abs=1e-12)
-
-
 def test_paper_check_agrees_in_special_case(capsys):
     code, out, _ = run_cli(capsys, "paper-check", "--gamma", "1")
     assert code == 0
@@ -450,15 +393,6 @@ def read_rows(path):
     return header, rows
 
 
-def test_sweep_row_count_and_header(tmp_path, capsys):
-    out_path = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(capsys, "sweep", "--steps", "11", "--out", str(out_path))
-    assert code == 0
-    header, rows = read_rows(out_path)
-    assert header == list(CSV_FIELDS)
-    assert len(rows) == 11
-
-
 def test_sweep_endpoint_values(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     run_cli(capsys, "sweep", "--steps", "2", "--out", str(out_path))
@@ -467,14 +401,6 @@ def test_sweep_endpoint_values(tmp_path, capsys):
     assert rows[-1]["delta_canonical"] == pytest.approx(0, abs=1e-12)
     assert rows[0]["gamma_re"] == 0
     assert rows[-1]["gamma_re"] == 1
-
-
-def test_sweep_reruns_byte_identical(tmp_path, capsys):
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    run_cli(capsys, "sweep", "--out", str(first))
-    run_cli(capsys, "sweep", "--out", str(second))
-    assert first.read_bytes() == second.read_bytes()
 
 
 def test_sweep_values_round_trip_seventeen_digits(tmp_path, capsys):
@@ -490,15 +416,6 @@ def test_sweep_values_round_trip_seventeen_digits(tmp_path, capsys):
         env = EnvironmentModel(complex(row["gamma_re"], row["gamma_im"]), a, b)
         expected = deviation(reduced_state(a, b, env), rho1)
         assert row["delta_canonical"] == expected  # exact round-trip
-
-
-def test_sweep_delta_non_increasing_with_defaults(tmp_path, capsys):
-    out_path = tmp_path / "sweep.csv"
-    run_cli(capsys, "sweep", "--out", str(out_path))
-    _, rows = read_rows(out_path)
-    assert len(rows) == 101
-    deltas = [row["delta_canonical"] for row in rows]
-    assert all(later <= earlier + 1e-12 for earlier, later in zip(deltas, deltas[1:]))
 
 
 # A sweep of three blocks with a nonzero phase, pinned before the rows were
@@ -622,12 +539,6 @@ def test_sweep_rejects_an_empty_output_path_before_any_row(tmp_path, monkeypatch
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: output_path must not be empty\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if route == "config" else [])
-
-
-def test_sweep_rejects_overlap_range_outside_unit_interval(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--gamma-end", "1.2", "--out", "ignored.csv")
-    assert code == 2
-    assert "gamma_end" in err
 
 
 @pytest.mark.parametrize(
