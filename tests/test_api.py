@@ -15,6 +15,7 @@ settings reports its falsifying example."""
 import ast
 import importlib
 import math
+import os
 import pkgutil
 import re
 import shlex
@@ -353,14 +354,19 @@ def test_after_the_probe():
 """
 
 
-def test_a_failing_property_shows_its_example_and_the_session_goes_on(tmp_path):
+@pytest.mark.parametrize("ci", [None, "true"], ids=["local", "ci-profile"])
+def test_a_failing_property_shows_its_example_and_the_session_goes_on(tmp_path, ci):
     # Under pyproject.toml's filterwarnings, a warning raised while Hypothesis
     # saves the example must not abort the session (exit 3, INTERNALERROR).
+    # CI=true loads Hypothesis's derandomized "ci" profile, as on CI.
+    env = {k: v for k, v in os.environ.items() if k != "CI"}
+    if ci is not None:
+        env["CI"] = ci
     (tmp_path / "test_probe.py").write_text(PROBE, encoding="utf-8")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
          "--rootdir", str(tmp_path), "test_probe.py"],
-        cwd=tmp_path, capture_output=True, text=True,
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "Falsifying example: test_probe(" in run.stdout

@@ -49,6 +49,14 @@ def parse_report(text):
 
 # ---------------------------------------------------------------- teleport
 
+def test_teleport_counts_sum_to_shots(capsys):
+    code, out, _ = run_cli(capsys, "teleport", "--shots", "500", "--seed", "3")
+    assert code == 0
+    counts = [int(line.rsplit(":", 1)[1]) for line in out.splitlines() if line.startswith("outcome")]
+    assert len(counts) == 4
+    assert sum(counts) == 500
+
+
 class _Draws:
     """A stand-in for ``seeded_stream(seed)`` whose draws are given."""
 
@@ -103,7 +111,12 @@ PINNED_TELEPORT_COUNTS = {
 @pytest.mark.parametrize("seed", sorted(PINNED_TELEPORT_COUNTS))
 @pytest.mark.parametrize(
     "state",
-    [(), ("--a-re", "0.6", "--b-re", "0.8"), ("--a-re", "0.3", "--a-im", "-0.4", "--b-re", "-0.5", "--b-im", "0.7")],
+    [
+        (),
+        ("--a-re", "0.6", "--b-re", "0.8"),
+        ("--a-re", "0.3", "--a-im", "-0.4", "--b-re", "-0.5", "--b-im", "0.7"),
+        ("--a-re", "1", "--b-re", "0"),
+    ],
 )
 def test_teleport_output_is_pinned(capsys, state, seed):
     code, out, _ = run_cli(capsys, "teleport", "--shots", "1000", "--seed", str(seed), *state)
@@ -158,6 +171,24 @@ delta_canonical 0.953048354416
 delta_paper 1.04280380447
 """
 
+# The trace the printed form loses at gamma = 0: 1/2 against 1.
+PINNED_PAPER_CHECK_DEPHASED = """\
+rho3 (canonical partial trace):
+  [ 0.5+0j  0+0j ]
+  [ 0+0j  0.5+0j ]
+trace_canonical 1
+rho3 (printed closed form):
+  [ 0.25+0j  0+0j ]
+  [ 0+0j  0.25+0j ]
+trace_paper 0.5
+entrywise difference (printed - canonical):
+  [ -0.25+0j  0+0j ]
+  [ 0+0j  -0.25+0j ]
+max_abs_difference 0.25
+delta_canonical 0.707106781187
+delta_paper 0.790569415042
+"""
+
 
 def test_default_sweep_csv_is_pinned(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
@@ -168,7 +199,12 @@ def test_default_sweep_csv_is_pinned(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, expected",
-    [(("deviation",), PINNED_DEVIATION), (("paper-check", *COMPLEX_POINT), PINNED_PAPER_CHECK)],
+    [
+        (("deviation",), PINNED_DEVIATION),
+        (("paper-check", *COMPLEX_POINT), PINNED_PAPER_CHECK),
+        (("deviation", "--gamma", "1"), PINNED_DEVIATION),
+        (("paper-check", "--gamma", "0"), PINNED_PAPER_CHECK_DEPHASED),
+    ],
 )
 def test_point_query_output_is_pinned(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
@@ -393,6 +429,15 @@ def read_rows(path):
     return header, rows
 
 
+def test_sweep_row_count_and_header(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--steps", "11", "--out", str(out_path))
+    assert code == 0
+    header, rows = read_rows(out_path)
+    assert header == list(CSV_FIELDS)
+    assert len(rows) == 11
+
+
 def test_sweep_endpoint_values(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     run_cli(capsys, "sweep", "--steps", "2", "--out", str(out_path))
@@ -401,6 +446,14 @@ def test_sweep_endpoint_values(tmp_path, capsys):
     assert rows[-1]["delta_canonical"] == pytest.approx(0, abs=1e-12)
     assert rows[0]["gamma_re"] == 0
     assert rows[-1]["gamma_re"] == 1
+
+
+def test_sweep_reruns_byte_identical(tmp_path, capsys):
+    first = tmp_path / "a.csv"
+    second = tmp_path / "b.csv"
+    run_cli(capsys, "sweep", "--out", str(first))
+    run_cli(capsys, "sweep", "--out", str(second))
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_sweep_values_round_trip_seventeen_digits(tmp_path, capsys):
@@ -416,6 +469,15 @@ def test_sweep_values_round_trip_seventeen_digits(tmp_path, capsys):
         env = EnvironmentModel(complex(row["gamma_re"], row["gamma_im"]), a, b)
         expected = deviation(reduced_state(a, b, env), rho1)
         assert row["delta_canonical"] == expected  # exact round-trip
+
+
+def test_sweep_delta_non_increasing_with_defaults(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    run_cli(capsys, "sweep", "--out", str(out_path))
+    _, rows = read_rows(out_path)
+    assert len(rows) == 101
+    deltas = [row["delta_canonical"] for row in rows]
+    assert all(later <= earlier + 1e-12 for earlier, later in zip(deltas, deltas[1:]))
 
 
 # A sweep of three blocks with a nonzero phase, pinned before the rows were
@@ -539,6 +601,12 @@ def test_sweep_rejects_an_empty_output_path_before_any_row(tmp_path, monkeypatch
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", "error: output_path must not be empty\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if route == "config" else [])
+
+
+def test_sweep_rejects_overlap_range_outside_unit_interval(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--gamma-end", "1.2", "--out", "ignored.csv")
+    assert code == 2
+    assert "gamma_end" in err
 
 
 @pytest.mark.parametrize(

@@ -90,12 +90,24 @@ def test_evolve_orthogonal_environment_balanced_input():
     assert np.allclose(phi.amplitudes, np.array([1, 0, 0, 1]) * SQRT_HALF, atol=1e-12)
 
 
+def test_evolve_degenerate_model():
+    with pytest.raises(DegenerateModelError):
+        evolve(0, 1, EnvironmentModel(0.5, 1, 0))
+
+
 def test_evolve_rejects_unnormalized_input():
     with pytest.raises(ValueError, match="not normalized"):
         evolve(1, 1, EnvironmentModel(0.5, 1, 1))
 
 
 # ---------------------------------------------------------------- reduced_state
+
+def test_reduced_state_unit_overlap_is_pure_input():
+    rng = np.random.default_rng(42)
+    a, b = random_qubit(rng)
+    rho = reduced_state(a, b, EnvironmentModel(1, SQRT_HALF, SQRT_HALF))
+    assert np.allclose(rho.mat, to_density(Ket(np.array([a, b]), ("3",))).mat, atol=1e-12)
+
 
 def test_reduced_state_half_overlap_balanced_case():
     rho = reduced_state(SQRT_HALF, SQRT_HALF, EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF))
@@ -120,28 +132,38 @@ def test_reduced_state_phase_covariance():
         )
 
 
+def is_pure_expected(a, b, env):
+    return abs(env.gamma) >= 1 - 1e-10 or abs(a * b * env.c0 * env.c1) <= 1e-10
+
+
 def test_reduced_state_is_pure_exactly_at_the_extremes():
     rng = np.random.default_rng(45)
-    drawn = [(*random_qubit(rng), random_model(rng)) for _ in range(100)]
-    # The draws land on the mixed side; the pure side: |gamma| = 1 with a
-    # phase, then a, b, c0 and c1 zero in turn.
-    pure = [
-        (0.6, 0.8j, EnvironmentModel(cmath.exp(0.7j), 0.9, 1.1 - 0.3j)),
-        (0, 1, EnvironmentModel(0.4, 0.9, 1.1)),
-        (1, 0, EnvironmentModel(0.4, 0.9, 1.1)),
-        (0.6, 0.8j, EnvironmentModel(0.4, 0, 1.1)),
-        (0.6, 0.8j, EnvironmentModel(0.4, 0.9, 0)),
-    ]
-    for a, b, env in drawn + pure:
+    for _ in range(100):
+        a, b = random_qubit(rng)
+        env = random_model(rng)
         try:
             p = purity(reduced_state(a, b, env))
         except DegenerateModelError:
             continue
-        pure_expected = abs(env.gamma) >= 1 - 1e-10 or abs(
-            a * b * env.c0 * env.c1
-        ) <= 1e-10
-        assert (p >= 1 - 1e-10) == pure_expected
+        assert (p >= 1 - 1e-10) == is_pure_expected(a, b, env)
     assert purity(reduced_state(1, 0, EnvironmentModel(0, 1, 1))) == pytest.approx(1, abs=1e-12)
+
+
+# The draws above land on the mixed side. The pure side: |gamma| = 1, real
+# and with a phase, then a, b, c0 and c1 zero in turn; and a mixed point just below
+# |gamma| = 1, where 1 - purity is 8e-7.
+@pytest.mark.parametrize("a, b, env, pure", [
+    (0.6, 0.8j, EnvironmentModel(1, 0.9, 1.1), True),
+    (0.6, 0.8j, EnvironmentModel(cmath.exp(0.7j), 0.9, 1.1 - 0.3j), True),
+    (0, 1, EnvironmentModel(0.4, 0.9, 1.1), True),
+    (1, 0, EnvironmentModel(0.4, 0.9, 1.1), True),
+    (0.6, 0.8j, EnvironmentModel(0.4, 0, 1.1), True),
+    (0.6, 0.8j, EnvironmentModel(0.4, 0.9, 0), True),
+    (0.6, 0.8j, EnvironmentModel(1 - 1e-6, 0.9, 1.1), False),
+], ids=["unit-gamma", "unit-gamma-with-phase", "a-zero", "b-zero", "c0-zero", "c1-zero", "gamma-just-below-one"])
+def test_reduced_state_is_pure_at_each_extreme(a, b, env, pure):
+    assert is_pure_expected(a, b, env) == pure
+    assert (purity(reduced_state(a, b, env)) >= 1 - 1e-10) == pure
 
 
 def test_reduced_state_deviation_monotone_in_overlap():
@@ -167,7 +189,19 @@ def test_literal_form_unit_overlap_reproduces_pure_state():
     assert np.trace(literal).real == pytest.approx(1, abs=1e-12)
 
 
+def test_literal_form_half_trace_at_zero_overlap():
+    rng = np.random.default_rng(47)
+    a, b = random_qubit(rng)
+    literal = reduced_state_paper_literal(a, b, EnvironmentModel(0, SQRT_HALF, SQRT_HALF))
+    assert np.trace(literal).real == pytest.approx(0.5, abs=1e-12)
+
+
 # ---------------------------------------------------------------- deviation
+
+def test_deviation_zero_on_equal():
+    rho1 = to_density(ket_from_amplitudes(0.6, 0.8))
+    assert deviation(rho1, rho1) == 0.0
+
 
 def test_deviation_fully_dephased_balanced_case():
     env = EnvironmentModel(0, SQRT_HALF, SQRT_HALF)
@@ -181,21 +215,27 @@ def test_deviation_fully_dephased_balanced_case():
     assert delta == pytest.approx(oracle, abs=1e-15)
 
 
+MIXED = np.eye(2) / 2
+ZERO = to_density(ket_from_amplitudes(1, 0))
+NON_FINITE = np.array([[np.nan, 0], [0, 1]])
+
+
 def test_deviation_reads_rho1_by_the_same_rule_as_rho3():
-    mixed = np.eye(2) / 2
-    zero = to_density(ket_from_amplitudes(1, 0))
-    assert deviation(mixed, mixed) == deviation(zero, zero) == 0.0
-    assert deviation(zero, mixed) == deviation(zero, DensityMatrix(mixed)) == deviation(mixed, zero)
-    non_finite = np.array([[np.nan, 0], [0, 1]])
-    for rho3, rho1, message in [
-        (mixed, non_finite, "rho1 contains non-finite entries"),
-        (non_finite, zero, "rho3 contains non-finite entries"),
-        (zero, np.eye(4), "rho1 shape mismatch: (4, 4) vs (2, 2)"),
-        (np.eye(4), zero, "rho3 shape mismatch: (4, 4) vs (2, 2)"),
-    ]:
-        with pytest.raises(ValueError) as err:
-            deviation(rho3, rho1)
-        assert str(err.value) == message
+    assert deviation(MIXED, MIXED) == 0.0
+    assert deviation(ZERO, MIXED) == deviation(ZERO, DensityMatrix(MIXED)) == deviation(MIXED, ZERO)
+
+
+# Either argument: a bad input is rejected with the argument's name.
+@pytest.mark.parametrize("rho3, rho1, message", [
+    (MIXED, NON_FINITE, "rho1 contains non-finite entries"),
+    (NON_FINITE, ZERO, "rho3 contains non-finite entries"),
+    (ZERO, np.eye(4), "rho1 shape mismatch: (4, 4) vs (2, 2)"),
+    (np.eye(4), ZERO, "rho3 shape mismatch: (4, 4) vs (2, 2)"),
+], ids=["rho1-non-finite", "rho3-non-finite", "rho1-shape", "rho3-shape"])
+def test_deviation_rejects_a_bad_argument_by_name(rho3, rho1, message):
+    with pytest.raises(ValueError) as err:
+        deviation(rho3, rho1)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------- printed deviation expansion

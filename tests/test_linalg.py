@@ -44,6 +44,30 @@ def test_rejects_non_finite():
 
 # ---------------------------------------------------------------- tensor_product
 
+def test_tensor_identities():
+    assert np.allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4), atol=1e-15)
+
+
+def test_tensor_basis_vectors():
+    zero = np.array([1, 0])
+    one = np.array([0, 1])
+    assert np.allclose(tensor_product(zero, one), [0, 1, 0, 0], atol=1e-15)
+
+
+def test_tensor_against_index_formula():
+    rng = np.random.default_rng(5)
+    a = random_complex(rng, (2, 2))
+    b = random_complex(rng, (2, 2))
+    out = tensor_product(a, b)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    assert out[i * 2 + k, j * 2 + l] == pytest.approx(
+                        a[i, j] * b[k, l], abs=1e-12
+                    )
+
+
 @pytest.mark.parametrize("shape_a", [(2,), (4,), (2, 2), (4, 4), (2, 4)])
 @pytest.mark.parametrize("shape_b", [(2,), (8,), (2, 2), (4, 2)])
 def test_tensor_product_is_kron(shape_a, shape_b):

@@ -310,16 +310,25 @@ def test_density_inputs_are_accepted_and_rejected_as_through_an_ndarray(name):
 
 # ---------------------------------------------------------------- to_density
 
-def test_to_density_against_outer_product_oracle():
-    rng = np.random.default_rng(20)
-    # A random state, then a basis state and |+>, whose entries are 1, 0 and 1/2.
-    for amps in (random_qubit(rng), np.array([1.0, 0.0]), np.array([SQRT_HALF, SQRT_HALF])):
-        rho = to_density(Ket(amps, ("1",)))
-        expected = np.array(
-            [[amps[i] * np.conj(amps[j]) for j in range(2)] for i in range(2)]
-        )
-        assert np.allclose(rho.mat, expected, atol=1e-12)
-        assert purity(rho) == pytest.approx(1, abs=1e-12)
+# A random state, then a basis state and |+>, whose entries are 1, 0 and 1/2,
+# and |+i>, whose off-diagonal entries -i/2 and i/2 show which one is conjugated.
+@pytest.mark.parametrize(
+    "amps",
+    [
+        random_qubit(np.random.default_rng(20)),
+        np.array([1.0, 0.0]),
+        np.array([SQRT_HALF, SQRT_HALF]),
+        np.array([SQRT_HALF, 1j * SQRT_HALF]),
+    ],
+    ids=["random", "basis", "plus", "plus-i"],
+)
+def test_to_density_against_outer_product_oracle(amps):
+    rho = to_density(Ket(amps, ("1",)))
+    expected = np.array(
+        [[amps[i] * np.conj(amps[j]) for j in range(2)] for i in range(2)]
+    )
+    assert np.allclose(rho.mat, expected, atol=1e-12)
+    assert purity(rho) == pytest.approx(1, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -846,7 +855,9 @@ def test_first_draw_rejects_a_negative_seed_as_seeded_stream_does():
 
 
 @pytest.mark.parametrize(
-    "seed", [0, 7, 2**64, 2**130 + 5, True, False, np.int64(12), np.uint8(200), np.uint64(2**64 - 1)], ids=repr
+    "seed",
+    [0, 7, 2**63, 2**64, 2**70, 2**80, 2**130 + 5, True, False, np.int64(12), np.uint8(200), np.uint64(2**64 - 1)],
+    ids=repr,
 )
 def test_every_accepted_seed_type_gives_one_first_draw_on_both_paths(seed):
     draws = {path(s).hex() for path in _SEED_PATHS.values() for s in (seed, int(seed))}

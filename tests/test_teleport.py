@@ -99,6 +99,12 @@ def test_correction_for_returns_expected_gates():
 
 # ---------------------------------------------------------------- run_ideal
 
+def test_run_ideal_basis_state():
+    record = run_ideal(ket_from_amplitudes(1, 0), seed=0)
+    assert record.fidelity == pytest.approx(1, abs=1e-12)
+    assert record.probability == pytest.approx(0.25, abs=1e-12)
+
+
 def test_run_ideal_exact_for_all_seeds():
     psi = ket_from_amplitudes(1, 1j)
     for seed in range(100):
@@ -146,6 +152,16 @@ def test_run_ideal_global_phase_robust():
 
 # ---------------------------------------------------------------- enumerate_branches
 
+def test_enumerate_branches_quarter_probabilities():
+    rng = np.random.default_rng(34)
+    for _ in range(50):
+        records = enumerate_branches(Ket(random_qubit(rng), ("1",)))
+        assert len(records) == 4
+        for record in records:
+            assert record.probability == pytest.approx(0.25, abs=1e-12)
+        assert sum(r.probability for r in records) == pytest.approx(1, abs=1e-12)
+
+
 def test_enumerate_branches_conditional_states_match_listed_table():
     rng = np.random.default_rng(31)
     for _ in range(10):
@@ -153,6 +169,13 @@ def test_enumerate_branches_conditional_states_match_listed_table():
         for record in enumerate_branches(Ket(np.array([a, b]), ("1",))):
             listed = listed_conditional(record.outcome, a, b)
             assert np.abs(record.conditional_state.amplitudes - listed).max() <= 1e-12
+
+
+def test_enumerate_branches_conditional_states_for_basis_input():
+    records = enumerate_branches(ket_from_amplitudes(1, 0))
+    for record in records:
+        expected = listed_conditional(record.outcome, 1.0, 0.0)
+        assert np.allclose(record.conditional_state.amplitudes, expected, atol=1e-12)
 
 
 def test_enumerate_branches_mixture_recovers_input():
