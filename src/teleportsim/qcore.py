@@ -7,7 +7,7 @@ caller-supplied random stream carries state.
 
 ``Ket`` and ``DensityMatrix`` keep their checked entries as Python complexes
 (``Ket.entries``, ``DensityMatrix.rows``), which the protocol and the point
-path read. A ``Gate`` keeps its name's exact table (``Gate.rows``). Their
+path read. ``Gate(name)`` keeps its name's exact table (``Gate.rows``). Their
 ndarrays (``.amplitudes``, ``.mat``) are read-only complex128 copies of those
 entries, built on first access and cached, so a value that numpy never reads
 allocates no array, and importing this module builds none. Construction runs
@@ -235,7 +235,7 @@ _SEQUENCES = (tuple, list)
 _NUMBERS = frozenset((int, float, complex))
 
 
-def _matrix_entries(mat, what: str) -> tuple[complex, complex, complex, complex]:
+def _matrix_entries(mat) -> tuple[complex, complex, complex, complex]:
     """The entries m00, m01, m10, m11 of a 2x2 input as Python complexes: two
     tuples or lists of two ints, floats or complexes are read directly."""
     if type(mat) in _SEQUENCES and len(mat) == 2:
@@ -247,7 +247,7 @@ def _matrix_entries(mat, what: str) -> tuple[complex, complex, complex, complex]
                 return complex(m00), complex(m01), complex(m10), complex(m11)
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.shape != (2, 2):
-        raise ValueError(f"{what} must be 2x2, got shape {arr.shape}")
+        raise ValueError(f"density matrix must be 2x2, got shape {arr.shape}")
     (m00, m01), (m10, m11) = arr.tolist()
     return m00, m01, m10, m11
 
@@ -384,7 +384,7 @@ class DensityMatrix(_Frozen):
             (m00, m01), (m10, m11) = mat
             vars(self)["rows"] = ((complex(m00), m01), (m10, complex(m11)))
             return
-        m00, m01, m10, m11 = _matrix_entries(mat, "density matrix")
+        m00, m01, m10, m11 = _matrix_entries(mat)
         if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
             raise ValueError("density matrix contains non-finite entries")
         try:
@@ -423,34 +423,30 @@ _GATE_ROWS = {
 
 
 class Gate(_Frozen):
-    """One of the receiver's corrections I, X, Z and ZX, as its name's exact
-    table: ``rows``, two rows of two Python complexes. ``mat`` is their
-    read-only complex128 ndarray, built on first access and cached. The one
-    check: the input, read by ``_matrix_entries``, equals the table entry for
-    entry (``==`` on complexes, so ints, floats and -0.0 pass)."""
+    """One of the receiver's corrections I, X, Z and ZX, named: ``Gate(name)``
+    holds that name's exact table as ``rows``, two rows of two Python
+    complexes. ``mat`` is their read-only complex128 ndarray, built on first
+    access and cached. The one check: the name is one of the four."""
 
-    def __init__(self, name: str, mat):
-        self.__post_init__(name, mat)
+    def __init__(self, name: str):
+        self.__post_init__(name)
 
-    def __post_init__(self, name, mat):
+    def __post_init__(self, name):
         if not (isinstance(name, str) and name in _GATE_ROWS):
             raise ValueError(f"unknown gate name {name!r}")
-        rows = _GATE_ROWS[name]
-        if _matrix_entries(mat, "gate") != rows[0] + rows[1]:
-            raise ValueError(f"gate {name!r} must have the entries {rows!r}")
         state = vars(self)
         state["name"] = name
-        state["rows"] = rows
+        state["rows"] = _GATE_ROWS[name]
 
     @_cached
     def mat(self) -> np.ndarray:
         return _frozen_complex(self.rows)
 
     def __repr__(self) -> str:
-        return f"Gate({self.name!r}, {self.rows!r})"
+        return f"Gate({self.name!r})"
 
 
-I, X, Z, ZX = (Gate(name, rows) for name, rows in _GATE_ROWS.items())
+I, X, Z, ZX = map(Gate, _GATE_ROWS)
 
 GATES = {g.name: g for g in (I, X, Z, ZX)}
 

@@ -119,20 +119,28 @@ def listed_conditional(outcome, a, b):
     }[outcome]
 
 
-def trace_out_first_factor(rho, dim_a, dim_b):
-    """Index-summation oracle for ``partial_trace(..., keep="B")``."""
-    out = np.zeros((dim_b, dim_b), dtype=complex)
-    for i in range(dim_b):
-        for j in range(dim_b):
-            for k in range(dim_a):
-                out[i, j] += rho[k * dim_b + i, k * dim_b + j]
+def trace_out(rho, dim_a, dim_b, keep):
+    """Index-summation oracle for ``partial_trace(rho, dim_a, dim_b, keep)``:
+    the kept factor's indices (i, j) with the other's index k summed, the
+    first factor the slow one."""
+    dim = dim_a if keep == "A" else dim_b
+    other = dim_b if keep == "A" else dim_a
+
+    def index(kept, k):
+        return kept * dim_b + k if keep == "A" else k * dim_b + kept
+
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(other):
+                out[i, j] += rho[index(i, k), index(j, k)]
     return out
 
 
 def traced_over_environment(joint_amplitudes):
     """The qubit's state from environment-first joint amplitudes: the outer
     product, then the environment index summed out."""
-    return trace_out_first_factor(np.outer(joint_amplitudes, joint_amplitudes.conj()), 2, 2)
+    return trace_out(np.outer(joint_amplitudes, joint_amplitudes.conj()), 2, 2, "B")
 
 
 # ---------------------------------------------------------------- numpy's first Philox draw, in loop form

@@ -114,7 +114,7 @@ CONSTRUCTIONS = {
     "density-rows": (lambda: DensityMatrix([[1, 0], [0, 0]]), 0, 1, 0, 0),
     "density-ndarray": (lambda: DensityMatrix(np.eye(2) / 2), 0, 1, 0, 0),
     "density-rejected": (lambda: DensityMatrix([[1, 0], [0, 1]]), 0, 1, 0, 0),
-    "gate": (lambda: Gate("X", [[0, 1], [1, 0]]), 0, 0, 1, 0),
+    "gate": (lambda: Gate("X"), 0, 0, 1, 0),
     "model-positional": (lambda: EnvironmentModel(0.5 + 0.2j, 0.9, 1.1), 0, 0, 0, 1),
     "model-keyword": (lambda: EnvironmentModel(c1=1.1, gamma=0.5 + 0.2j, c0=0.9), 0, 0, 0, 1),
     "model-rejected": (lambda: EnvironmentModel(1.5, 0.9, 1.1), 0, 0, 0, 1),
@@ -244,7 +244,7 @@ def test_the_near_degenerate_example_is_computed():
     form = closed_form(NEAR_DEGENERATE, 1, 1, NEAR_DEGENERATE, 1)
     assert NEAR_DEGENERATE**2 < sys.float_info.min
     assert DEGENERATE_TOL < math.sqrt(2 * NEAR_DEGENERATE**2) < 1.2 * DEGENERATE_TOL
-    assert form.rho00 == pytest.approx(0.5) and form.rho11 == pytest.approx(0.5)
+    assert form.rho00 == pytest.approx(0.5, abs=1e-15) and form.rho11 == pytest.approx(0.5, abs=1e-15)
 
 
 def test_a_record_built_by_a_caller_checks_its_kets():

@@ -54,13 +54,13 @@ def test_model_checks_run_in_order_with_their_messages(args, message):
 
 def test_embed_orthogonal_at_zero_overlap():
     e0, e1 = embed_environment(EnvironmentModel(0, 1, 1))
-    assert np.allclose(e0.amplitudes, [1, 0])
-    assert np.allclose(e1.amplitudes, [0, 1])
+    assert np.allclose(e0.amplitudes, [1, 0], rtol=0, atol=1e-15)
+    assert np.allclose(e1.amplitudes, [0, 1], rtol=0, atol=1e-15)
 
 
 def test_embed_identical_at_unit_overlap():
     e0, e1 = embed_environment(EnvironmentModel(1, 1, 1))
-    assert np.allclose(e1.amplitudes, e0.amplitudes, atol=1e-15)
+    assert np.allclose(e1.amplitudes, e0.amplitudes, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("gamma", [0.6, 0.3 + 0.4j, -0.25j, 0.9 * np.exp(1.2j)])
@@ -76,18 +76,18 @@ def test_evolve_unit_overlap_gives_product_state():
     a, b = random_qubit(rng)
     env = EnvironmentModel(1, SQRT_HALF, SQRT_HALF)
     phi = evolve(a, b, env)
-    assert np.allclose(phi.amplitudes, [a, b, 0, 0], atol=1e-12)
+    assert np.allclose(phi.amplitudes, [a, b, 0, 0], rtol=0, atol=1e-12)
 
 
 def test_evolve_single_branch_input():
     for gamma in (0, 0.5, 1):
         phi = evolve(1, 0, EnvironmentModel(gamma, SQRT_HALF, SQRT_HALF))
-        assert np.allclose(phi.amplitudes, [1, 0, 0, 0], atol=1e-12)
+        assert np.allclose(phi.amplitudes, [1, 0, 0, 0], rtol=0, atol=1e-12)
 
 
 def test_evolve_orthogonal_environment_balanced_input():
     phi = evolve(SQRT_HALF, SQRT_HALF, EnvironmentModel(0, 1, 1))
-    assert np.allclose(phi.amplitudes, np.array([1, 0, 0, 1]) * SQRT_HALF, atol=1e-12)
+    assert np.allclose(phi.amplitudes, np.array([1, 0, 0, 1]) * SQRT_HALF, rtol=0, atol=1e-12)
 
 
 def test_evolve_degenerate_model():
@@ -106,16 +106,16 @@ def test_reduced_state_unit_overlap_is_pure_input():
     rng = np.random.default_rng(42)
     a, b = random_qubit(rng)
     rho = reduced_state(a, b, EnvironmentModel(1, SQRT_HALF, SQRT_HALF))
-    assert np.allclose(rho.mat, to_density(Ket(np.array([a, b]), ("3",))).mat, atol=1e-12)
+    assert np.allclose(rho.mat, to_density(Ket(np.array([a, b]), ("3",))).mat, rtol=0, atol=1e-12)
 
 
 def test_reduced_state_half_overlap_balanced_case():
     rho = reduced_state(SQRT_HALF, SQRT_HALF, EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF))
-    assert np.allclose(rho.mat, [[0.5, 0.25], [0.25, 0.5]], atol=1e-12)
+    assert np.allclose(rho.mat, [[0.5, 0.25], [0.25, 0.5]], rtol=0, atol=1e-12)
     oracle = traced_over_environment(
         evolve(SQRT_HALF, SQRT_HALF, EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF)).amplitudes
     )
-    assert np.allclose(rho.mat, oracle, atol=1e-12)
+    assert np.allclose(rho.mat, oracle, rtol=0, atol=1e-12)
 
 
 def test_reduced_state_phase_covariance():
@@ -124,7 +124,7 @@ def test_reduced_state_phase_covariance():
     base = reduced_state(a, b, EnvironmentModel(0.7, 0.6, 0.8))
     for phase in (0.3, 1.1, 2.9):
         rotated = reduced_state(a, b, EnvironmentModel(0.7 * np.exp(1j * phase), 0.6, 0.8))
-        assert np.allclose(np.diag(rotated.mat), np.diag(base.mat), atol=1e-12)
+        assert np.allclose(np.diag(rotated.mat), np.diag(base.mat), rtol=0, atol=1e-12)
         assert abs(rotated.mat[0, 1]) == pytest.approx(abs(base.mat[0, 1]), abs=1e-12)
         expected_arg = np.angle(base.mat[0, 1]) + phase
         assert np.exp(1j * np.angle(rotated.mat[0, 1])) == pytest.approx(
@@ -185,7 +185,7 @@ def test_literal_form_unit_overlap_reproduces_pure_state():
     rng = np.random.default_rng(46)
     a, b = random_qubit(rng)
     literal = reduced_state_paper_literal(a, b, EnvironmentModel(1, SQRT_HALF, SQRT_HALF))
-    assert np.allclose(literal, to_density(Ket(np.array([a, b]), ("3",))).mat, atol=1e-12)
+    assert np.allclose(literal, to_density(Ket(np.array([a, b]), ("3",))).mat, rtol=0, atol=1e-12)
     assert np.trace(literal).real == pytest.approx(1, abs=1e-12)
 
 

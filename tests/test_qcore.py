@@ -35,7 +35,7 @@ from teleportsim.qcore import (
     seeded_stream,
     to_density,
 )
-from teleportsim.qcore import _first_draw, _first_word, _lifted_projectors
+from teleportsim.qcore import _GATE_ROWS, _first_draw, _first_word, _lifted_projectors
 
 import support
 from support import SINGLET, SQRT_HALF, random_qubit
@@ -51,17 +51,17 @@ def computational_basis():
 # ---------------------------------------------------------------- Ket
 
 def test_ket_from_amplitudes_basis():
-    assert np.allclose(ket_from_amplitudes(1, 0).amplitudes, [1, 0])
+    assert np.allclose(ket_from_amplitudes(1, 0).amplitudes, [1, 0], rtol=0, atol=1e-15)
 
 
 def test_ket_from_amplitudes_normalizes():
     psi = ket_from_amplitudes(1, 1)
-    assert np.allclose(psi.amplitudes, [SQRT_HALF, SQRT_HALF], atol=1e-15)
+    assert np.allclose(psi.amplitudes, [SQRT_HALF, SQRT_HALF], rtol=0, atol=1e-15)
 
 
 def test_ket_from_amplitudes_complex_case():
     psi = ket_from_amplitudes(3, 4j)
-    assert np.allclose(psi.amplitudes, [0.6, 0.8j], atol=1e-15)
+    assert np.allclose(psi.amplitudes, [0.6, 0.8j], rtol=0, atol=1e-15)
 
 
 def test_ket_from_amplitudes_rejects_zero_vector():
@@ -327,7 +327,7 @@ def test_to_density_against_outer_product_oracle(amps):
     expected = np.array(
         [[amps[i] * np.conj(amps[j]) for j in range(2)] for i in range(2)]
     )
-    assert np.allclose(rho.mat, expected, atol=1e-12)
+    assert np.allclose(rho.mat, expected, rtol=0, atol=1e-12)
     assert purity(rho) == pytest.approx(1, abs=1e-12)
 
 
@@ -515,22 +515,26 @@ def test_gates_unitary(gate):
     assert {z for row in gate.rows for z in row} <= {0, 1, -1}
 
 
+GATE_TAKES_ONLY_A_NAME = "Gate.__init__() takes 2 positional arguments but 3 were given"
+
+
 @pytest.mark.parametrize(
-    "name, mat, message",
+    "args, error, message",
     [
-        ("H", np.eye(2), "unknown gate name 'H'"),
-        ("X", np.eye(3), "gate must be 2x2, got shape (3, 3)"),
-        ("X", [[1, 1], [0, 1]], "gate 'X' must have the entries ((0j, (1+0j)), ((1+0j), 0j))"),
-        # A unitary, or NaN entries, under a gate's name: not applied as named.
-        ("X", np.eye(2), "gate 'X' must have the entries ((0j, (1+0j)), ((1+0j), 0j))"),
-        ("ZX", X.mat, "gate 'ZX' must have the entries ((0j, (1+0j)), ((-1+0j), (-0+0j)))"),
-        ("Z", [[1, 0], [0, math.nan]], "gate 'Z' must have the entries (((1+0j), 0j), (0j, (-1+0j)))"),
+        (("H",), ValueError, "unknown gate name 'H'"),
+        # A gate is its name: a caller's matrix, of any shape, unitary or
+        # not, NaN or the table itself, is refused, never ignored.
+        (("X", np.eye(3)), TypeError, GATE_TAKES_ONLY_A_NAME),
+        (("X", [[1, 1], [0, 1]]), TypeError, GATE_TAKES_ONLY_A_NAME),
+        (("X", np.eye(2)), TypeError, GATE_TAKES_ONLY_A_NAME),
+        (("ZX", X.mat), TypeError, GATE_TAKES_ONLY_A_NAME),
+        (("Z", [[1, 0], [0, math.nan]]), TypeError, GATE_TAKES_ONLY_A_NAME),
     ],
     ids=["name", "shape", "unitary", "identity-as-X", "X-as-ZX", "nan"],
 )
-def test_gate_rejects_bad_inputs(name, mat, message):
-    with pytest.raises(ValueError) as info:
-        Gate(name, mat)
+def test_gate_rejects_bad_inputs(args, error, message):
+    with pytest.raises(error) as info:
+        Gate(*args)
     assert str(info.value) == message
 
 
@@ -550,15 +554,16 @@ def test_zx_table_keeps_the_negative_zero_of_numpys_product():
     [
         lambda: X,
         lambda: ZX,
-        lambda: Gate("X", [[0, 1], [1, 0]]),
-        lambda: Gate("Z", np.array([[1.0, -0.0], [0.0, -1.0]])),
-        lambda: Gate("ZX", [[0, 1.0], [-1, 0j]]),
+        lambda: Gate("X"),
+        lambda: Gate("Z"),
+        lambda: Gate("ZX"),
     ],
     ids=["X", "ZX", "X-ints", "Z-ndarray", "ZX-mixed"],
 )
 def test_gate_arrays_are_read_only_cached_and_equal_the_table(build):
     gate = build()
-    assert gate.rows is GATES[gate.name].rows
+    assert gate.rows is GATES[gate.name].rows is _GATE_ROWS[gate.name]
+    assert eval(repr(gate)).rows is gate.rows  # repr is Gate('X'): the constructor call
     arr = gate.mat
     assert arr.dtype == np.complex128
     assert not arr.flags.writeable
@@ -592,12 +597,12 @@ def test_importing_the_package_builds_no_value_array():
 
 
 def test_apply_gate_x_flips():
-    assert np.allclose(apply_gate(ket_from_amplitudes(1, 0), X, 0).amplitudes, [0, 1])
+    assert np.allclose(apply_gate(ket_from_amplitudes(1, 0), X, 0).amplitudes, [0, 1], rtol=0, atol=1e-15)
 
 
 def test_apply_gate_z_phases():
     out = apply_gate(ket_from_amplitudes(1, 1), Z, 0)
-    assert np.allclose(out.amplitudes, [SQRT_HALF, -SQRT_HALF], atol=1e-15)
+    assert np.allclose(out.amplitudes, [SQRT_HALF, -SQRT_HALF], rtol=0, atol=1e-15)
 
 
 def test_apply_gate_zx_restores_swapped_negated_state():
@@ -617,7 +622,7 @@ def test_apply_gate_middle_target_matches_kron_oracle():
     psi = Ket(amps, ("1", "2", "3"))
     out = apply_gate(psi, X, 1)
     oracle = np.kron(np.kron(np.eye(2), X.mat), np.eye(2)) @ amps
-    assert np.allclose(out.amplitudes, oracle, atol=1e-12)
+    assert np.allclose(out.amplitudes, oracle, rtol=0, atol=1e-12)
 
 
 def test_apply_gate_bad_index():
@@ -636,8 +641,8 @@ def test_bell_basis_projects_own_state():
     projectors = bell_basis()
     vectors = bell_state_vectors()
     psi_minus = vectors[3]
-    assert np.allclose(projectors[3].mat @ psi_minus, psi_minus, atol=1e-12)
-    assert np.allclose(projectors[0].mat @ psi_minus, np.zeros(4), atol=1e-12)
+    assert np.allclose(projectors[3].mat @ psi_minus, psi_minus, rtol=0, atol=1e-12)
+    assert np.allclose(projectors[0].mat @ psi_minus, np.zeros(4), rtol=0, atol=1e-12)
 
 
 def test_bell_basis_mutually_orthogonal():
@@ -686,7 +691,7 @@ def test_born_measure_deterministic_outcome():
     )
     assert outcome == 0
     assert prob == pytest.approx(1, abs=1e-12)
-    assert np.allclose(post.amplitudes, [1, 0])
+    assert np.allclose(post.amplitudes, [1, 0], rtol=0, atol=1e-15)
 
 
 def test_born_measure_reports_exact_probability():
@@ -698,7 +703,7 @@ def test_born_measure_reports_exact_probability():
         assert prob == pytest.approx(0.5, abs=1e-12)
         expected = np.zeros(2)
         expected[outcome] = 1.0
-        assert np.allclose(post.amplitudes, expected, atol=1e-12)
+        assert np.allclose(post.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 def test_born_measure_bell_probabilities_quarter():
@@ -726,7 +731,7 @@ def test_born_measure_on_a_later_subsystem_matches_the_lifted_oracle(labels):
         projected = op @ psi.amplitudes
         expected = np.vdot(projected, projected).real
         assert prob == pytest.approx(expected, abs=1e-12)
-        assert np.allclose(post.amplitudes, projected / np.sqrt(expected), atol=1e-12)
+        assert np.allclose(post.amplitudes, projected / np.sqrt(expected), rtol=0, atol=1e-12)
         seen.add(outcome)
     assert seen == {0, 1}
 

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim import teleport
@@ -29,7 +29,9 @@ from teleportsim.teleport import (
 )
 from teleportsim.qcore import seeded_stream
 
-from support import BELL_DRAW_EDGES, BELL_DRAW_STATES, SINGLET, SQRT_HALF, listed_conditional, random_qubit
+from support import (
+    BELL_DRAW_EDGES, BELL_DRAW_STATES, SINGLET, SQRT_HALF, listed_conditional, qubits, random_qubit,
+)
 
 TWO_QUBITS = Ket(SINGLET, ("2", "3"))
 
@@ -49,7 +51,7 @@ def test_prepare_joint_zero_input():
     expected = np.zeros(8, dtype=complex)
     expected[0b001] = SQRT_HALF
     expected[0b010] = -SQRT_HALF
-    assert np.allclose(joint.amplitudes, expected, atol=1e-15)
+    assert np.allclose(joint.amplitudes, expected, rtol=0, atol=1e-15)
 
 
 def test_prepare_joint_one_input():
@@ -57,14 +59,14 @@ def test_prepare_joint_one_input():
     expected = np.zeros(8, dtype=complex)
     expected[0b101] = SQRT_HALF
     expected[0b110] = -SQRT_HALF
-    assert np.allclose(joint.amplitudes, expected, atol=1e-15)
+    assert np.allclose(joint.amplitudes, expected, rtol=0, atol=1e-15)
 
 
 def test_prepare_joint_against_kron_oracle():
     rng = np.random.default_rng(30)
     amps = random_qubit(rng)
     joint = prepare_joint(Ket(amps, ("1",)))
-    assert np.allclose(joint.amplitudes, np.kron(amps, SINGLET), atol=1e-12)
+    assert np.allclose(joint.amplitudes, np.kron(amps, SINGLET), rtol=0, atol=1e-12)
     assert joint.labels == ("1", "2", "3")
 
 
@@ -175,7 +177,7 @@ def test_enumerate_branches_conditional_states_for_basis_input():
     records = enumerate_branches(ket_from_amplitudes(1, 0))
     for record in records:
         expected = listed_conditional(record.outcome, 1.0, 0.0)
-        assert np.allclose(record.conditional_state.amplitudes, expected, atol=1e-12)
+        assert np.allclose(record.conditional_state.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 def test_enumerate_branches_mixture_recovers_input():
@@ -186,7 +188,7 @@ def test_enumerate_branches_mixture_recovers_input():
         r.probability * np.outer(r.corrected_state.amplitudes, r.corrected_state.amplitudes.conj())
         for r in records
     )
-    assert np.allclose(mixture, to_density(psi).mat, atol=1e-12)
+    assert np.allclose(mixture, to_density(psi).mat, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- pinned numbers
@@ -301,16 +303,8 @@ def test_protocol_numbers_are_pinned(name):
 # ---------------------------------------------------------------- branch kernel vs born_measure
 
 TOL = 1e-12
-unit = st.floats(-1.0, 1.0)
 seeds = st.integers(0, 2**62)
-
-
-@st.composite
-def qubit_kets(draw):
-    re0, im0, re1, im1 = draw(st.tuples(unit, unit, unit, unit))
-    norm = math.hypot(re0, im0, re1, im1)
-    assume(norm > 1e-3)
-    return Ket(np.array([complex(re0, im0), complex(re1, im1)]) / norm, ("1",))
+qubit_kets = qubits().map(lambda ab: Ket(ab, ("1",)))
 
 
 def oracle_conditional(post_amplitudes, index):
@@ -331,14 +325,14 @@ def assert_matches_oracle(record, psi, index, post_amplitudes, prob):
 
 
 @settings(max_examples=200, deadline=None)
-@given(qubit_kets(), seeds)
+@given(qubit_kets, seeds)
 def test_run_ideal_matches_born_measure_oracle(psi, seed):
     index, post, prob = born_measure(prepare_joint(psi), bell_basis(), (0, 1), seeded_stream(seed))
     assert_matches_oracle(run_ideal(psi, seed), psi, index, post.amplitudes, prob)
 
 
 @settings(max_examples=100, deadline=None)
-@given(qubit_kets())
+@given(qubit_kets)
 def test_enumerate_branches_matches_projector_oracle(psi):
     joint = prepare_joint(psi).amplitudes
     records = enumerate_branches(psi)
