@@ -189,7 +189,8 @@ def cmd_teleport(args) -> int:
     psi = ket_from_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
     # The four branches are fixed by the input state, so sample the branch
     # index per shot instead of re-running the whole protocol each time. Each
-    # has probability 1/4, so a draw u picks index int(4u), as in run_ideal.
+    # has probability 1/4, so a draw u picks index int(4u): for the first
+    # draw, the top two bits run_ideal reads from the same 64-bit word.
     records = enumerate_branches(psi)
     draws = _allocated("shots", args.shots, seeded_stream(args.seed).random)
     draws *= 4.0

@@ -218,7 +218,7 @@ class ClosedForm(NamedTuple):
     purity: float | np.ndarray
 
     def rows(self) -> tuple[tuple[complex, complex], ...]:
-        """rho3's rows as tuples of Python numbers (for a scalar gamma)."""
+        """rho3's rows as tuples of Python complexes (for a scalar gamma)."""
         return _qubit_rows(self.rho00, self.rho11, self.rho01_re, self.rho01_im)
 
 

@@ -21,8 +21,8 @@ run the same ``__post_init__`` once, which stores the same Python complexes
 the public constructor would and skips only its check. Each site that uses
 them says why its value always passes that check.
 
-A protocol run's one random number is ``_first_draw(seed)``: numpy's first
-Philox draw for the seed, ``seeded_stream(seed).random()``, computed bit for
+A protocol run's one random number is ``_first_word(seed)``: the first 64-bit
+word of the seed's Philox stream, ``seeded_stream(seed)``'s, computed bit for
 bit in Python integers, so a run imports no ``numpy.random``. The many draws
 of ``teleport --shots`` still stream from numpy through ``seeded_stream``.
 """
@@ -82,15 +82,25 @@ def _seed(seed) -> int:
 def seeded_stream(seed: int) -> np.random.Generator:
     """Counter-based random stream; distinct seeds give independent,
     bit-reproducible streams. The seed follows ``_seed``'s rule, as a
-    protocol run's does, so its first draw is ``_first_draw(seed)``."""
+    protocol run's does, so its first 64-bit word is ``_first_word(seed)``."""
     return np.random.Generator(np.random.Philox(_seed(seed)))
 
 
 def _first_word(seed: int) -> int:
     """``np.random.Philox(seed).random_raw()``, the first 64-bit output of
-    ``seeded_stream(seed)``, computed in Python integers; ``_first_draw`` says
-    how. The literals are the two algorithms' published constants, folded:
-    ``tests/support.py`` holds the loop form and a test re-derives each one."""
+    ``seeded_stream(seed)``, bit for bit, with no numpy; its first draw
+    ``seeded_stream(seed).random()`` is numpy's next_double of it,
+    (w >> 11) * 2**-53. The seed follows ``_seed``'s rule, as
+    ``seeded_stream``'s does: an int, a bool or a numpy integer, at least 0.
+
+    w comes from the two algorithms numpy runs for it: numpy's
+    ``SeedSequence`` (after O'Neill's ``seed_seq``, see numpy's
+    ``bit_generator.pyx``) hashes the seed's 32-bit words into a 4-word pool
+    and derives Philox's 128-bit key from it, and Philox4x64-10 (Salmon,
+    Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
+    SC '11) encrypts the counter (1, 0, 0, 0) under that key. The literals
+    are the two algorithms' published constants, folded: ``tests/support.py``
+    holds the loop form and a test re-derives each one."""
     s = _seed(seed)
     m = 0xFFFFFFFF
     m64 = 0xFFFFFFFFFFFFFFFF
@@ -212,22 +222,6 @@ def _first_word(seed: int) -> int:
     return ((0xca5a826395121157 * c2) >> 64 ^ q ^ k0 + 0x8ff34785799e5cbd) & m64
 
 
-def _first_draw(seed: int) -> float:
-    """``seeded_stream(seed).random()``, bit for bit, with no numpy: numpy's
-    next_double, (w >> 11) * 2**-53, on the first word w of the seed's Philox
-    stream. The seed follows ``_seed``'s rule, as ``seeded_stream``'s does:
-    an int, a bool or a numpy integer, at least 0.
-
-    ``_first_word`` computes w by the two algorithms numpy runs for it:
-    numpy's ``SeedSequence`` (after O'Neill's ``seed_seq``, see numpy's
-    ``bit_generator.pyx``) hashes the seed's 32-bit words into a 4-word pool
-    and derives Philox's 128-bit key from it, and Philox4x64-10 (Salmon,
-    Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
-    SC '11) encrypts the counter (1, 0, 0, 0) under that key. The many draws
-    of ``teleport --shots`` still stream from numpy's ``seeded_stream``."""
-    return (_first_word(seed) >> 11) * 2.0**-53
-
-
 # Inputs a value reads as Python numbers: a flat tuple or list (rows of them for
 # a matrix) of exactly these types. Anything else is converted to complex128
 # only to read its entries; that array is not kept.
@@ -301,7 +295,7 @@ class Ket(_Frozen):
         """A Ket the package built as a unit vector: ``entries``, a tuple of
         Python complexes, and ``labels``, a tuple, stored as given."""
         self = object.__new__(cls)
-        self.__post_init__(entries, labels, _unchecked=True)
+        self.__post_init__(entries, labels, True)
         return self
 
     def __post_init__(self, amplitudes, labels, _unchecked=False):
@@ -373,16 +367,14 @@ class DensityMatrix(_Frozen):
     @classmethod
     def _built(cls, rows) -> DensityMatrix:
         """A qubit's state the package built, as ``_qubit_rows`` lays it
-        out: the float diagonal is stored as ``complex``, as the public
-        constructor stores it, and the off-diagonal complexes as given."""
+        out: two rows of two Python complexes, stored as given."""
         self = object.__new__(cls)
-        self.__post_init__(rows, _unchecked=True)
+        self.__post_init__(rows, True)
         return self
 
     def __post_init__(self, mat, _unchecked=False):
         if _unchecked:  # from _built
-            (m00, m01), (m10, m11) = mat
-            vars(self)["rows"] = ((complex(m00), m01), (m10, complex(m11)))
+            vars(self)["rows"] = mat
             return
         m00, m01, m10, m11 = _matrix_entries(mat)
         if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
@@ -539,10 +531,10 @@ def _pure_density(a: complex, b: complex) -> tuple[float, float, float, float]:
 
 def _qubit_rows(d00: float, d11: float, re: float, im: float) -> tuple[tuple[complex, complex], ...]:
     """((d00, re + i im), (re - i im, d11)): the rows of a qubit's 2x2 state
-    as tuples of Python numbers, the one layout for ``to_density`` and
-    ``envmodel``. The lower imaginary part is 0.0 - im, not -im, so a zero
-    stays +0.0 there."""
-    return (d00, complex(re, im)), (complex(re, 0.0 - im), d11)
+    as tuples of Python complexes, stored as the public constructor stores
+    them, the one layout for ``to_density`` and ``envmodel``. The lower
+    imaginary part is 0.0 - im, not -im, so a zero stays +0.0 there."""
+    return (complex(d00), complex(re, im)), (complex(re, 0.0 - im), complex(d11))
 
 
 def to_density(psi: Ket) -> DensityMatrix:

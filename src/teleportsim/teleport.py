@@ -8,13 +8,13 @@ global phase.
 
 A run reads its branch from the textbook decomposition |psi>_1 |Psi->_23 =
 1/2 sum_i |Bell_i>_12 (x) sigma_i |psi>_3: every outcome has probability 1/4
-and leaves a signed permutation of (a, b), so a uniform draw u in [0, 1)
-picks outcome ``int(4 * u)``. That table is a few operations on two
-amplitudes, so it is computed in Python ``complex`` arithmetic rather than
-numpy, whose per-call cost on 2-element arrays exceeds the arithmetic.
-A record builds its ``Ket`` values on first read; the protocol's records
-build them unchecked, since each pair is a unit pair by construction. The
-general Bell measurement, ``qcore.born_measure`` with ``qcore.bell_basis()``
+and leaves a signed permutation of (a, b), so the top two bits of the seed's
+first 64-bit Philox word w pick outcome ``w >> 62``. That table is a few
+operations on two amplitudes, so it is computed in Python ``complex``
+arithmetic rather than numpy, whose per-call cost on 2-element arrays exceeds
+the arithmetic. A protocol record builds its ``Ket`` values on first read,
+unchecked, since each pair is a unit pair by construction. The general Bell
+measurement, ``qcore.born_measure`` with ``qcore.bell_basis()``
 on ``prepare_joint``'s state, is the oracle the tests compare it against.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .qcore import GATES, _SQRT_HALF, Gate, Ket, _cached, _first_draw, _Frozen
+from .qcore import GATES, _SQRT_HALF, Gate, Ket, _cached, _first_word, _Frozen
 
 __all__ = [
     "BellOutcome",
@@ -67,25 +67,28 @@ CORRECTIONS = {
 
 class TeleportRecord(_Frozen):
     """One protocol branch: what the receiver saw and how well the delivered
-    state matches the input. Its two ``Ket`` values, particle 3 before and
-    after the correction, are built on first read and cached.
+    state matches the input, with particle 3's state before and after the
+    correction as ``Ket`` values.
 
     A record built by ``TeleportRecord(...)`` takes its pairs from outside the
-    package, so its Kets go through ``Ket``'s check. The protocol's records
-    come from ``TeleportRecord._built``, and their Kets are built unchecked
-    (``Ket._built``): each pair is a branch of ``_bell_branches``, a pair
-    scaled by 1/sqrt(prob) where prob, about 1/4 since psi is a checked unit
-    vector, is its own squared norm, so its norm is 1 to a few ulps; the
-    correction only permutes and negates its entries, which keeps the norm
-    exactly."""
-
-    # How the Kets are built: unchecked for the protocol's records; a record
-    # built by a caller overrides it with Ket's checked constructor.
-    _ket = staticmethod(Ket._built)
+    package, so both Kets go through ``Ket``'s check when the record is built.
+    The protocol's records come from ``TeleportRecord._built``, and their Kets
+    are built on first read, unchecked (``Ket._built``), and cached: each pair
+    is a branch of ``_bell_branches``, a pair scaled by 1/sqrt(prob) where
+    prob, about 1/4 since psi is a checked unit vector, is its own squared
+    norm, so its norm is 1 to a few ulps; the correction only permutes and
+    negates its entries, which keeps the norm exactly."""
 
     def __init__(self, outcome: BellOutcome, conditional, corrected, fidelity: float, probability: float):
-        vars(self).update(outcome=outcome, _conditional=conditional, _corrected=corrected,
-                          fidelity=fidelity, probability=probability, _ket=Ket)
+        conditional_state, corrected_state = Ket(conditional, ("3",)), Ket(corrected, ("3",))
+        state = vars(self)
+        state["outcome"] = outcome
+        state["_conditional"] = conditional_state.entries
+        state["_corrected"] = corrected_state.entries
+        state["fidelity"] = fidelity
+        state["probability"] = probability
+        state["conditional_state"] = conditional_state
+        state["corrected_state"] = corrected_state
 
     @classmethod
     def _built(cls, outcome: BellOutcome, conditional, corrected, fidelity: float,
@@ -93,17 +96,21 @@ class TeleportRecord(_Frozen):
         """A branch the protocol computed: both pairs are unit pairs of Python
         complexes by construction."""
         self = object.__new__(cls)
-        vars(self).update(outcome=outcome, _conditional=conditional, _corrected=corrected,
-                          fidelity=fidelity, probability=probability)
+        state = vars(self)
+        state["outcome"] = outcome
+        state["_conditional"] = conditional
+        state["_corrected"] = corrected
+        state["fidelity"] = fidelity
+        state["probability"] = probability
         return self
 
     @_cached
     def conditional_state(self) -> Ket:
-        return self._ket(self._conditional, ("3",))
+        return Ket._built(self._conditional, ("3",))
 
     @_cached
     def corrected_state(self) -> Ket:
-        return self._ket(self._corrected, ("3",))
+        return Ket._built(self._corrected, ("3",))
 
     def __repr__(self) -> str:
         names = ("outcome", "conditional_state", "corrected_state", "fidelity", "probability")
@@ -153,13 +160,18 @@ def correction_for(outcome: BellOutcome) -> Gate:
     return GATES[CORRECTIONS[outcome]]
 
 
+# Each outcome's correction rows, by index into OUTCOME_ORDER, read from
+# CORRECTIONS once.
+_CORRECTION_ROWS = tuple(correction_for(outcome).rows for outcome in OUTCOME_ORDER)
+
+
 def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
     # Branch ``index`` of _bell_branches, corrected. The gate's entries are 0
     # and +-1, so applying it to the two complexes is exact. (d0, d1) is a
     # unit pair, so |<psi|d>|^2 is the fidelity of its density matrix.
     outcome = OUTCOME_ORDER[index]
     c0, c1 = branches[index]
-    (g00, g01), (g10, g11) = correction_for(outcome).rows
+    (g00, g01), (g10, g11) = _CORRECTION_ROWS[index]
     d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
     a, b = psi.entries
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
@@ -167,13 +179,14 @@ def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
-    """One full protocol run with a perfect correction step. The seed's first
-    draw u in [0, 1) picks ``OUTCOME_ORDER[int(4 * u)]``: u is a multiple of
-    2^-53, so 4u is exact and each outcome has probability exactly 1/4. The
-    seed is an integer at least 0: an int, a bool or a numpy integer (see
-    ``qcore._first_draw``)."""
+    """One full protocol run with a perfect correction step. The top two bits
+    of the seed's first Philox word w pick ``OUTCOME_ORDER[w >> 62]``, so each
+    outcome has probability exactly 1/4. That is the outcome numpy's first
+    draw u = (w >> 11) * 2^-53 picks as ``int(4 * u)``: 4u is exact and its
+    integer part is w's top two bits. The seed is an integer at least 0: an
+    int, a bool or a numpy integer (see ``qcore._first_word``)."""
     branches, prob = _bell_branches(psi)
-    return _record(psi, int(4.0 * _first_draw(seed)), branches, prob)
+    return _record(psi, _first_word(seed) >> 62, branches, prob)
 
 
 def enumerate_branches(psi: Ket) -> list[TeleportRecord]:

@@ -11,6 +11,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from teleportsim.envmodel import DEGENERATE_TOL, EnvironmentModel
+from teleportsim.qcore import _first_word
 from teleportsim.teleport import BellOutcome
 
 SQRT_HALF = np.sqrt(0.5)
@@ -233,6 +234,13 @@ def philox4x64(counter, key, rounds=10):
         prod0, prod1 = m0 * c0, m1 * c2
         c0, c1, c2, c3 = prod1 >> 64 ^ c1 ^ k0, prod1 & MASK64, prod0 >> 64 ^ c3 ^ k1, prod0 & MASK64
     return c0, c1, c2, c3
+
+
+def _first_draw(seed):
+    """``seeded_stream(seed).random()`` with no numpy: numpy's next_double,
+    (w >> 11) * 2**-53, on the word w that ``run_ideal`` reads its outcome
+    from, so the seed rule is tested on the protocol's own path."""
+    return (_first_word(seed) >> 11) * 2.0**-53
 
 
 def philox_words(seed, n_blocks):

@@ -126,7 +126,7 @@ CONSTRUCTIONS = {
     "born_measure": (lambda: born_measure(prepare_joint(PSI), bell_basis(), (0, 1), seeded_stream(3)), 2, 0, 0, 0),
     "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 1, 0, 0),
     "reduced_state": (lambda: reduced_state(0.6, 0.8j, ENV), 0, 1, 0, 0),
-    # A record built by a caller: its Kets go through Ket's check when read.
+    # A record built by a caller: its Kets go through Ket's check when it is built.
     "record": (lambda: read_lazy(TeleportRecord(BellOutcome.PSI_MINUS, (0.6, 0.8j), (0.6, 0.8j), 1.0, 0.25)),
                2, 0, 0, 0),
     "record-rejected": (lambda: read_lazy(TeleportRecord(BellOutcome.PSI_MINUS, (1, 1), (1, 0), 1.0, 0.25)),
@@ -248,10 +248,19 @@ def test_the_near_degenerate_example_is_computed():
 
 
 def test_a_record_built_by_a_caller_checks_its_kets():
-    record = TeleportRecord(BellOutcome.PSI_MINUS, (1, 1), (0.6, 0.8), 1.0, 0.25)
-    assert record.corrected_state.entries == (0.6, 0.8)
-    with pytest.raises(ValueError, match="ket is not normalized"):
-        record.conditional_state
+    for pairs in [((1, 1), (0.6, 0.8)), ((0.6, 0.8), (1, 1))]:
+        with pytest.raises(ValueError, match="ket is not normalized"):
+            TeleportRecord(BellOutcome.PSI_MINUS, *pairs, 1.0, 0.25)
+
+
+def test_a_valid_record_built_by_a_caller_prints_its_checked_kets():
+    record = TeleportRecord(BellOutcome.PSI_MINUS, [0.6, 0.8j], np.array([0.8, 0.6]), 1.0, 0.25)
+    assert repr(record) == (
+        "TeleportRecord(outcome=<BellOutcome.PSI_MINUS: (1, 1)>, "
+        "conditional_state=Ket(((0.6+0j), 0.8j), ('3',)), "
+        "corrected_state=Ket(((0.8+0j), (0.6+0j)), ('3',)), fidelity=1.0, probability=0.25)"
+    )
+    assert _corrected_pair(record) == record.corrected_state.entries
 
 
 @pytest.mark.parametrize("name", VALUES)

@@ -35,10 +35,10 @@ from teleportsim.qcore import (
     seeded_stream,
     to_density,
 )
-from teleportsim.qcore import _GATE_ROWS, _first_draw, _first_word, _lifted_projectors
+from teleportsim.qcore import _GATE_ROWS, _first_word, _lifted_projectors
 
 import support
-from support import SINGLET, SQRT_HALF, random_qubit
+from support import SINGLET, SQRT_HALF, _first_draw, random_qubit
 
 
 def computational_basis():
@@ -835,7 +835,7 @@ def test_seeded_stream_reproducible():
 # ---------------------------------------------------------------- the first draw of a seed
 
 # The package's two seeded paths, one seed rule: numpy's stream and the
-# protocol's first draw.
+# protocol's first word, read as numpy's first draw.
 _SEED_PATHS = {
     "seeded_stream": lambda seed: seeded_stream(seed).random(),
     "_first_draw": _first_draw,

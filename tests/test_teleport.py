@@ -128,13 +128,14 @@ def test_run_ideal_outcome_distribution():
 def test_run_ideal_picks_the_quarter_its_draw_falls_in(monkeypatch, amplitudes):
     psi = ket_from_amplitudes(*amplitudes)
     for u, index in BELL_DRAW_EDGES:
-        monkeypatch.setattr(teleport, "_first_draw", lambda seed: u)
+        # The first word whose draw (w >> 11) * 2^-53 is u.
+        monkeypatch.setattr(teleport, "_first_word", lambda seed: int(u * 2**53) << 11)
         assert run_ideal(psi, 0).outcome is OUTCOME_ORDER[index], u
 
 
 def test_bell_outcome_is_the_top_two_bits_of_the_first_word():
-    # _first_draw(seed) is (w >> 11) * 2^-53 for the first 64-bit word w, so
-    # int(4u) reads w's top two bits.
+    # numpy's first draw u is (w >> 11) * 2^-53 for the first 64-bit word w,
+    # so int(4u) reads w's top two bits, the outcome run_ideal picks.
     rng = random.Random(22)
     edges = [0, 2**64 - 1] + [(k << 62) + d for k in (1, 2, 3) for d in (-1, 0)]
     for w in edges + [rng.getrandbits(64) for _ in range(20_000)]:
