@@ -131,13 +131,18 @@ class SweepConfig:
         return complex(self.c1_re, self.c1_im)
 
     def validate(self) -> None:
-        """Check the numbers, the ranges and a non-empty output path, and
-        normalize (a, b) in place."""
+        """Check the numbers, the ranges and a non-empty output path,
+        normalize (a, b) in place, and reject a degenerate model.
+
+        The model's degeneracy does not depend on gamma, so ``closed_form``
+        at one overlap applies its one rule to the whole sweep, before any
+        output is opened."""
         _check_numbers(vars(self))
         if not self.output_path:
             raise UsageError("output_path must not be empty")
         a, b = normalized_amplitudes(self.a, self.b)
         self.a_re, self.a_im, self.b_re, self.b_im = a.real, a.imag, b.real, b.imag
+        closed_form(a, b, self.c0, self.c1, 0.0)
 
 
 _CONFIG_PARSERS = {
@@ -271,15 +276,17 @@ def render_sweep_csv(cfg: SweepConfig, out) -> None:
     ASCII bytes; the bytes are a pure function of the config.
 
     The gamma grid is one array of ``steps`` floats. The rows are computed
-    and written in blocks of ``_BLOCK_ROWS``: one batched ``closed_form``
-    call and one ``printed_deviation`` call per block, whose float64 arrays
+    and written in blocks of ``_BLOCK_ROWS``: one ``printed_deviation`` call
+    and one batched ``closed_form`` call per block, whose float64 arrays
     are formatted in place, so memory beyond the grid does not grow with
-    ``steps``. A batch equals scalar calls bit for bit, so the bytes do not
-    depend on the block size. An error (a degenerate model, the printed form
-    overflowing) can come after the header and earlier blocks were written;
-    ``cmd_sweep`` writes to a temporary file, so such a partial CSV is never
-    seen. The rows are not checked again: each is a qubit's state by
-    construction of a validated config."""
+    ``steps``. A block holds only the columns it writes: the printed delta
+    is computed first, and of ``closed_form``'s arrays only delta, fidelity
+    and purity are kept. A batch equals scalar calls bit for bit, so the
+    bytes do not depend on the block size. The one error after the header
+    is the printed form overflowing, which can come after earlier blocks
+    were written; ``cmd_sweep`` writes to a temporary file, so such a
+    partial CSV is never seen. The rows are not checked again: each is a
+    qubit's state by construction of a validated config."""
     a, b, c0, c1 = cfg.a, cfg.b, cfg.c0, cfg.c1
     # One float64 array, divided in place: the grid is 8 B per row.
     t = _allocated("steps", cfg.steps, functools.partial(np.arange, dtype=float))
@@ -298,15 +305,9 @@ def render_sweep_csv(cfg: SweepConfig, out) -> None:
         # and gamma_start, gamma_end in [0, 1], so |gamma| <= 1 to a few
         # ulps, and closed_form divides by the coupled norm, so every row is
         # a qubit's state: unit trace, determinant rho00 rho11 (1 - |gamma|^2).
-        states = closed_form(a, b, c0, c1, gamma)
-        columns = (
-            gamma.real,
-            gamma.imag,
-            states.delta,
-            printed_deviation(a, b, c0, c1, gamma),
-            states.fidelity,
-            states.purity,
-        )
+        delta_paper = printed_deviation(a, b, c0, c1, gamma)
+        delta, fidelity, purity = closed_form(a, b, c0, c1, gamma)[4:]
+        columns = (gamma.real, gamma.imag, delta, delta_paper, fidelity, purity)
         # Iterating a memoryview of a float64 array yields Python floats,
         # as tolist() would, without a list per column.
         out.writelines(row % values for values in zip(*map(memoryview, columns)))

@@ -198,10 +198,13 @@ def _delta(rho1, d00, d11, off_re, off_im):
 
     The one delta formula, for the canonical and the printed form. It takes
     the entries in ``deviation``'s order, so each delta equals ``deviation``
-    of its matrix bit for bit."""
+    of its matrix bit for bit. The lower entry's imaginary difference,
+    ``r01_im - off_im``, is exactly ``-(off_im - r01_im)`` and enters only
+    squared, so one difference serves both entries, as ``re`` does."""
     r00, r11, r01_re, r01_im = rho1
     re = off_re - r01_re
-    return _frobenius(d00 - r00, 0.0, re, off_im - r01_im, re, r01_im - off_im, d11 - r11, 0.0)
+    im = off_im - r01_im
+    return _frobenius(d00 - r00, 0.0, re, im, re, im, d11 - r11, 0.0)
 
 
 class ClosedForm(NamedTuple):

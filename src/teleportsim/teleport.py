@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from numbers import Real
 
-from .qcore import GATES, _SQRT_HALF, Gate, Ket, _cached, _first_word, _Frozen
+from .qcore import GATES, NORM_TOL, _SQRT_HALF, Gate, Ket, _cached, _first_word, _Frozen
 
 __all__ = [
     "BellOutcome",
@@ -70,8 +71,10 @@ class TeleportRecord(_Frozen):
     state matches the input, with particle 3's state before and after the
     correction as ``Ket`` values.
 
-    A record built by ``TeleportRecord(...)`` takes its pairs from outside the
-    package, so both Kets go through ``Ket``'s check when the record is built.
+    A record built by ``TeleportRecord(...)`` takes its fields from outside
+    the package, so each is checked when the record is built: both Kets go
+    through ``Ket``'s check, then ``outcome`` must be a ``BellOutcome`` and
+    ``fidelity`` and ``probability`` real numbers in [0, 1], within NORM_TOL.
     The protocol's records come from ``TeleportRecord._built``, and their Kets
     are built on first read, unchecked (``Ket._built``), and cached: each pair
     is a branch of ``_bell_branches``, a pair scaled by 1/sqrt(prob) where
@@ -81,6 +84,11 @@ class TeleportRecord(_Frozen):
 
     def __init__(self, outcome: BellOutcome, conditional, corrected, fidelity: float, probability: float):
         conditional_state, corrected_state = Ket(conditional, ("3",)), Ket(corrected, ("3",))
+        if not isinstance(outcome, BellOutcome):
+            raise TypeError(f"outcome must be a BellOutcome, got {type(outcome).__name__}")
+        for name, value in (("fidelity", fidelity), ("probability", probability)):
+            if not (isinstance(value, Real) and -NORM_TOL <= value <= 1.0 + NORM_TOL):
+                raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
         state = vars(self)
         state["outcome"] = outcome
         state["_conditional"] = conditional_state.entries

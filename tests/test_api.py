@@ -253,6 +253,23 @@ def test_a_record_built_by_a_caller_checks_its_kets():
             TeleportRecord(BellOutcome.PSI_MINUS, *pairs, 1.0, 0.25)
 
 
+@pytest.mark.parametrize("fields, error, message", [
+    (("not-an-outcome", 1.0, 0.25), TypeError, "outcome must be a BellOutcome, got str"),
+    (((1, 1), 1.0, 0.25), TypeError, "outcome must be a BellOutcome, got tuple"),
+    ((BellOutcome.PSI_MINUS, 7.5, 0.25), ValueError, "fidelity must be a real number in [0, 1], got 7.5"),
+    ((BellOutcome.PSI_MINUS, math.nan, 0.25), ValueError, "fidelity must be a real number in [0, 1], got nan"),
+    ((BellOutcome.PSI_MINUS, 1 + 0j, 0.25), ValueError, "fidelity must be a real number in [0, 1], got (1+0j)"),
+    ((BellOutcome.PSI_MINUS, 1.0, -2.0), ValueError, "probability must be a real number in [0, 1], got -2.0"),
+    ((BellOutcome.PSI_MINUS, 1.0, "0.25"), ValueError, "probability must be a real number in [0, 1], got '0.25'"),
+], ids=["outcome-str", "outcome-bits", "fidelity-above-one", "fidelity-nan", "fidelity-complex",
+        "probability-negative", "probability-str"])
+def test_a_record_built_by_a_caller_checks_every_field(fields, error, message):
+    outcome, fidelity, probability = fields
+    with pytest.raises(error) as excinfo:
+        TeleportRecord(outcome, (1, 0), (0, 1), fidelity, probability)
+    assert str(excinfo.value) == message
+
+
 def test_a_valid_record_built_by_a_caller_prints_its_checked_kets():
     record = TeleportRecord(BellOutcome.PSI_MINUS, [0.6, 0.8j], np.array([0.8, 0.6]), 1.0, 0.25)
     assert repr(record) == (
@@ -261,6 +278,10 @@ def test_a_valid_record_built_by_a_caller_prints_its_checked_kets():
         "corrected_state=Ket(((0.8+0j), (0.6+0j)), ('3',)), fidelity=1.0, probability=0.25)"
     )
     assert _corrected_pair(record) == record.corrected_state.entries
+    # The range's ends, within NORM_TOL, and numpy's reals are accepted as given.
+    edge = TeleportRecord(BellOutcome.PHI_PLUS, (1, 0), (0, 1), 1.0 + 1e-13, np.float64(0.0))
+    assert (edge.fidelity, edge.probability) == (1.0 + 1e-13, 0.0)
+    assert repr(edge).startswith("TeleportRecord(outcome=<BellOutcome.PHI_PLUS: (0, 0)>, ")
 
 
 @pytest.mark.parametrize("name", VALUES)

@@ -22,7 +22,7 @@ from teleportsim.cli import (
     main,
     render_sweep_csv,
 )
-from teleportsim.envmodel import closed_form, printed_deviation
+from teleportsim.envmodel import DegenerateModelError, closed_form, printed_deviation
 
 from support import BELL_DRAW_EDGES, BELL_DRAW_STATES, SQRT_HALF
 
@@ -555,8 +555,10 @@ def test_sweep_memory_is_the_grid_plus_a_fixed_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One float64 per row for the grid, plus a block's arrays and rows.
-    assert peak < 8 * steps + 500_000
+    # One float64 per row for the grid, plus at most 24 float64 arrays of a
+    # block's length: a block holds only the columns it writes, never
+    # closed_form's off-diagonal beside the printed delta's temporaries.
+    assert peak < 8 * steps + 24 * 8 * _BLOCK_ROWS
 
 
 # The CSV's rows are formatted with a bytes template; it must give the bytes
@@ -823,7 +825,7 @@ def test_deviation_rejects_negative_overlap(capsys):
 def test_failed_sweep_leaves_existing_output_untouched(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     out_path.write_text("earlier run\n")
-    # |c0 a| = |c1 b| = 0: the model is degenerate, found after the output is opened
+    # |c0 a| = |c1 b| = 0: the model is degenerate, found by validate() before any output is opened
     code, _, err = run_cli(
         capsys, "sweep", "--a-re", "1", "--b-re", "0", "--c0-re", "0", "--c1-re", "1",
         "--out", str(out_path),
@@ -832,6 +834,28 @@ def test_failed_sweep_leaves_existing_output_untouched(tmp_path, capsys):
     assert "below DEGENERATE_TOL" in err
     assert out_path.read_text() == "earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_a_degenerate_sweep_config_is_rejected_by_validate():
+    cfg = SweepConfig(a_re=1, b_re=0, c0_re=0, c1_re=1)
+    with pytest.raises(DegenerateModelError) as excinfo:
+        cfg.validate()
+    assert str(excinfo.value) == (
+        "coupled state's norm computes to 0.0, below DEGENERATE_TOL = 1.4916681462400413e-154 with "
+        "(c0, c1) at unit max-modulus: its square is zero or subnormal in float64"
+    )
+
+
+@pytest.mark.parametrize("flags", [
+    ("--steps", str(2**64), "--out", "x.csv"),
+    ("--out", "missing/x.csv"),
+], ids=["too-large-to-allocate", "unwritable-directory"])
+def test_a_degenerate_sweep_is_reported_before_allocation_and_io(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "sweep", "--a-re", "1", "--b-re", "0", "--c0-re", "0", *flags)
+    assert code == 2
+    assert "below DEGENERATE_TOL" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_both_coefficients_zero(tmp_path, capsys):

@@ -531,7 +531,7 @@ def test_every_row_of_a_validated_sweep_is_a_density_matrix(parts, start, end, p
     cfg = SweepConfig(*parts, gamma_start=start, gamma_end=end, steps=steps, gamma_phase=phase)
     try:
         cfg.validate()
-    except ValueError:  # (a, b) = (0, 0)
+    except ValueError:  # (a, b) = (0, 0), or a degenerate model
         assume(False)
     t = np.arange(cfg.steps) / (cfg.steps - 1)
     gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * t) * np.exp(1j * cfg.gamma_phase)
