@@ -182,14 +182,19 @@ def _unit_scaled(c0: complex, c1: complex) -> tuple[complex, complex]:
     return c0 / scale, c1 / scale
 
 
-def _frobenius(re00, im00, re01, im01, re10, im10, re11, im11):
-    """sqrt(sum re^2 + im^2) over a 2x2 difference's four entries, given as
-    their parts, summed in row order.
+def _frobenius(m00, m01, m10, m11):
+    """sqrt of the sum of a 2x2 difference's four squared moduli, given in
+    row order and summed in that order.
 
-    The one deviation formula: ``deviation`` and ``_delta`` both use it."""
-    total = ((re00 * re00 + im00 * im00) + (re01 * re01 + im01 * im01)
-             + (re10 * re10 + im10 * im10) + (re11 * re11 + im11 * im11))
-    return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
+    The one deviation formula: ``deviation`` and ``_delta`` both use it.
+    It sums into ``m00`` and takes the root there, so an array ``m00`` is
+    overwritten: it must be a temporary of the calling kernel, never an
+    array a caller of the kernel holds. A float ``m00`` is only rebound,
+    and ``m01`` to ``m11`` are only read."""
+    m00 += m01
+    m00 += m10
+    m00 += m11
+    return np.sqrt(m00, out=m00) if isinstance(m00, np.ndarray) else math.sqrt(m00)
 
 
 def _delta(rho1, d00, d11, off_re, off_im):
@@ -200,11 +205,24 @@ def _delta(rho1, d00, d11, off_re, off_im):
     the entries in ``deviation``'s order, so each delta equals ``deviation``
     of its matrix bit for bit. The lower entry's imaginary difference,
     ``r01_im - off_im``, is exactly ``-(off_im - r01_im)`` and enters only
-    squared, so one difference serves both entries, as ``re`` does."""
+    squared, so one difference serves both entries, as the real one does:
+    the squared modulus ``off`` is formed once and passed for both.
+
+    ``d00`` and ``d11`` are overwritten, squared in place: each is a float
+    or an array ``_printed_entries`` built for this call, never one a caller
+    holds. ``off_re`` and ``off_im`` are only read: ``closed_form`` returns
+    them."""
     r00, r11, r01_re, r01_im = rho1
-    re = off_re - r01_re
+    d00 -= r00
+    d00 *= d00
+    d11 -= r11
+    d11 *= d11
+    off = off_re - r01_re
+    off *= off
     im = off_im - r01_im
-    return _frobenius(d00 - r00, 0.0, re, im, re, im, d11 - r11, 0.0)
+    im *= im
+    off += im
+    return _frobenius(d00, off, off, d11)
 
 
 class ClosedForm(NamedTuple):
@@ -308,7 +326,13 @@ def _printed_entries(a: complex, b: complex, c0: complex, c1: complex, gamma):
     diagonal (1 + |gamma|^2)(|c0 a|^2, |c1 b|^2) and upper off-diagonal
     2 c0 conj(c1) a conj(b) gamma. Broadcasts over gamma in real arithmetic
     like ``closed_form``. (c0, c1) are used as given, so at large scales the
-    entries overflow to inf or nan; the callers check what they return."""
+    entries overflow to inf or nan; the callers check what they return.
+
+    Each diagonal is built in place in a product it allocates (a float for
+    a scalar gamma). Neither gamma nor ``|gamma|^2`` is written: the latter
+    has gamma's dtype, and an integer or bool one cannot hold the float
+    product. Every array returned is new, so ``_delta`` may overwrite the
+    diagonal."""
     try:
         p0 = abs(c0 * a) ** 2
         p1 = abs(c1 * b) ** 2
@@ -319,7 +343,12 @@ def _printed_entries(a: complex, b: complex, c0: complex, c1: complex, gamma):
     w = 2.0 * c0 * c1.conjugate() * a * b.conjugate()
     g_re, g_im = gamma.real, gamma.imag
     g_sq = g_re * g_re + g_im * g_im
-    return p0 + p0 * g_sq, p1 + p1 * g_sq, w.real * g_re - w.imag * g_im, w.real * g_im + w.imag * g_re
+    # p0 * g_sq + p0 is the printed p0 + p0 |gamma|^2: the same addition.
+    d00 = p0 * g_sq
+    d00 += p0
+    d11 = p1 * g_sq
+    d11 += p1
+    return d00, d11, w.real * g_re - w.imag * g_im, w.real * g_im + w.imag * g_re
 
 
 def _degenerate(norm: float) -> DegenerateModelError:
@@ -372,7 +401,8 @@ def deviation(rho3, rho1) -> float:
     (x00, x01), (x10, x11) = _state_rows(rho3, "rho3")
     (y00, y01), (y10, y11) = _state_rows(rho1, "rho1")
     d00, d01, d10, d11 = x00 - y00, x01 - y01, x10 - y10, x11 - y11
-    return _frobenius(d00.real, d00.imag, d01.real, d01.imag, d10.real, d10.imag, d11.real, d11.imag)
+    return _frobenius(d00.real * d00.real + d00.imag * d00.imag, d01.real * d01.real + d01.imag * d01.imag,
+                      d10.real * d10.real + d10.imag * d10.imag, d11.real * d11.real + d11.imag * d11.imag)
 
 
 def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):

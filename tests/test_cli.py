@@ -197,6 +197,21 @@ def test_default_sweep_csv_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == PINNED_SWEEP_SHA256
 
 
+# A sender's |0> at overlap phase 4.0: gamma_start = 0 times the phase gives
+# the first row's gamma_im = -0, which the CSV prints as "-0".
+SIGNED_ZERO_SWEEP = ("--a-re", "1", "--b-re", "0", "--gamma-phase", "4.0", "--steps", "11")
+PINNED_SIGNED_ZERO_SWEEP_SHA256 = "1ad6ec03011622c2c71020625ddeb2f6ac89c8612d9a75cbc851aaf2b42f7ff0"
+
+
+def test_signed_zero_sweep_csv_is_pinned(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "sweep", *SIGNED_ZERO_SWEEP, "--out", str(out_path))
+    assert code == 0
+    data = out_path.read_bytes()
+    assert data.splitlines()[1].startswith(b"0,-0,")
+    assert hashlib.sha256(data).hexdigest() == PINNED_SIGNED_ZERO_SWEEP_SHA256
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -555,10 +570,11 @@ def test_sweep_memory_is_the_grid_plus_a_fixed_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One float64 per row for the grid, plus at most 24 float64 arrays of a
+    # One float64 per row for the grid, plus at most 20 float64 arrays of a
     # block's length: a block holds only the columns it writes, never
-    # closed_form's off-diagonal beside the printed delta's temporaries.
-    assert peak < 8 * steps + 24 * 8 * _BLOCK_ROWS
+    # closed_form's off-diagonal beside the printed delta's temporaries, and
+    # the kernels square and sum their differences in the arrays they built.
+    assert peak < 8 * steps + 20 * 8 * _BLOCK_ROWS
 
 
 # The CSV's rows are formatted with a bytes template; it must give the bytes

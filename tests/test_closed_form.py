@@ -86,10 +86,21 @@ def test_kernel_matches_partial_trace_oracle_at_any_scale(ab, c0, c1, gamma, sca
     assert form.purity == pytest.approx(pur, abs=TOL)
 
 
+def bits(x):
+    """``x`` as float.hex(), which tells -0.0 from 0.0 as the CSV does."""
+    return float(x).hex()
+
+
+# Every sign of a zero overlap; -0.0 - 0.0j is complex(-0.0, 0.0).
+SIGNED_ZERO_OVERLAPS = [0j, -0.0 - 0.0j, complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(qubits(), coefficients, coefficients, st.lists(overlaps, min_size=1, max_size=6), scales)
 @example(ab=(8.71109270991109e-87j, 1j), c0=5.8464881218362925e-224j,
          c1=1.84794080076845e-257j, gammas=[0j], scale=1e-67)
+@example(ab=(1.0, 0.0), c0=SQRT_HALF, c1=SQRT_HALF, gammas=SIGNED_ZERO_OVERLAPS, scale=1.0)
+@example(ab=(0.6, 0.8j), c0=SQRT_HALF, c1=-SQRT_HALF, gammas=SIGNED_ZERO_OVERLAPS, scale=1.0)
 def test_batched_kernel_equals_scalar_calls_bit_for_bit(ab, c0, c1, gammas, scale):
     a, b = ab
     assume(c0 != 0 or c1 != 0)
@@ -99,9 +110,9 @@ def test_batched_kernel_equals_scalar_calls_bit_for_bit(ab, c0, c1, gammas, scal
         env = EnvironmentModel(gamma, c0 * scale, c1 * scale)
         point = closed_form(a, b, env.c0, env.c1, env.gamma)
         for field in ("rho01_re", "rho01_im", "delta", "fidelity", "purity"):
-            assert getattr(batch, field)[k] == getattr(point, field)
-        assert (batch.rho00, batch.rho11) == (point.rho00, point.rho11)
-        assert deviation(reduced_state(a, b, env), rho1) == batch.delta[k]
+            assert bits(getattr(batch, field)[k]) == bits(getattr(point, field))
+        assert (bits(batch.rho00), bits(batch.rho11)) == (bits(point.rho00), bits(point.rho11))
+        assert bits(deviation(reduced_state(a, b, env), rho1)) == bits(batch.delta[k])
         # The oracle gets the model the kernel got: c * scale may underflow.
         rho = oracle(a, b, env)[0]
         assert np.abs(np.array(point.rows(), dtype=np.complex128) - rho).max() <= TOL
@@ -131,13 +142,53 @@ def test_rho1_is_exact_and_rho3_is_one_matrix_on_every_route(ab, c0, c1, gamma):
 
 @settings(max_examples=100, deadline=None)
 @given(qubits(), coefficients, coefficients, st.lists(overlaps, min_size=1, max_size=6))
+@example(ab=(1.0, 0.0), c0=SQRT_HALF, c1=SQRT_HALF, gammas=SIGNED_ZERO_OVERLAPS)
+@example(ab=(0.6, 0.8j), c0=SQRT_HALF, c1=-SQRT_HALF, gammas=SIGNED_ZERO_OVERLAPS)
 def test_printed_deviation_batch_equals_scalar_calls_bit_for_bit(ab, c0, c1, gammas):
     # A point runs in Python floats and a sweep's batch in numpy arrays.
     a, b = ab
     assume(c0 != 0 or c1 != 0)
     batch = printed_deviation(a, b, c0, c1, np.array(gammas))
     points = [deviation_closed_form_paper(a, b, EnvironmentModel(g, c0, c1)) for g in gammas]
-    assert batch.tolist() == points
+    assert [bits(x) for x in batch] == [bits(x) for x in points]
+
+
+# Overlap arrays of other dtypes and shapes, each with its pinned results at
+# (a, b, c0, c1) = ODD_POINT: (overlaps, result type, result dtype,
+# closed_form's delta and printed_deviation as float.hex()). A 0-d array
+# gives a float. An integer or bool overlap has an integer or bool
+# |gamma|^2, which a float product cannot be written into.
+ODD_POINT = (0.6, 0.8j, 1.0, 0.5 + 0.5j)
+ODD_OVERLAPS = {
+    "int64": (np.array([-1, 0, 1], dtype=np.int64), np.ndarray, np.float64,
+              ["0x1.4d3486e3064d2p+0", "0x1.7091b261a9086p-1", "0x1.2a071c54b35dep-1"],
+              ["0x1.8f5c28f5c28f5p+0", "0x1.803d25ddc97e0p-1", "0x1.89686f9e146b9p-1"]),
+    "bool": (np.array([False, True]), np.ndarray, np.float64,
+             ["0x1.7091b261a9086p-1", "0x1.2a071c54b35dep-1"],
+             ["0x1.803d25ddc97e0p-1", "0x1.89686f9e146b9p-1"]),
+    "float32": (np.array([0.25, -0.5, 1.0], dtype=np.float32), np.ndarray, np.float32,
+                ["0x1.3b96da0000000p-1", "0x1.fb43fe0000000p-1", "0x1.2a071e0000000p-1"],
+                ["0x1.3aff3e0000000p-1", "0x1.1a7e9c0000000p+0", "0x1.8968700000000p-1"]),
+    "complex64": (np.array([0.3 + 0.4j, -0.6j], dtype=np.complex64), np.ndarray, np.float32,
+                  ["0x1.a43bc20000000p-2", "0x1.0d00c60000000p+0"],
+                  ["0x1.565bf20000000p-2", "0x1.2f5d8e0000000p+0"]),
+    "0d-float64": (np.array(0.5), float, None, ["0x1.1a45885a1c33ep-1"], ["0x1.169aec250724ep-1"]),
+}
+
+
+@pytest.mark.parametrize("name", ODD_OVERLAPS)
+def test_batch_kernels_keep_the_result_dtype_and_leave_gamma_unchanged(name):
+    gamma, kind, dtype, canonical, printed = ODD_OVERLAPS[name]
+    kept = gamma.copy()
+    for call, expected in ((lambda: closed_form(*ODD_POINT, gamma).delta, canonical),
+                           (lambda: printed_deviation(*ODD_POINT, gamma), printed)):
+        result = call()
+        assert type(result) is kind
+        if kind is np.ndarray:
+            assert (result.dtype, result.shape) == (dtype, gamma.shape)
+        assert [bits(x) for x in np.ravel(result)] == expected
+        # The kernels build their temporaries in place, never in the caller's array.
+        assert (gamma.dtype, gamma.shape, gamma.tobytes()) == (kept.dtype, kept.shape, kept.tobytes())
 
 
 @settings(max_examples=200, deadline=None)
