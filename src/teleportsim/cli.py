@@ -5,7 +5,7 @@ Subcommands: ``teleport`` (ideal-protocol shot runs), ``deviation``
 ``paper-check`` (canonical vs printed reduced state, side by side).
 
 Exit codes: 0 success, 2 usage/validation error (including the model's own
-ValueError and a count too large to allocate), 3 I/O error.
+ValueError and a count above its 2**32 ceiling), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -62,14 +62,18 @@ class UsageError(Exception):
 
 
 _MINIMUMS = {"shots": 1, "steps": 2, "seed": 0}
+# The counts' ceiling. Both are streamed in fixed blocks, so it bounds a
+# run's length, not its memory: 2**32 shots or rows take hours.
+_MAXIMUMS = {"shots": 2**32, "steps": 2**32}
 
 
 def _check_numbers(values: dict) -> None:
     """The CLI's rule for the numbers it reads, as flags or config keys: every
     float is finite, an overlap magnitude lies in [0, 1] as given, before a
-    phase makes it complex, and a count or seed is an integer at least its
-    minimum (shots >= 1, steps >= 2, seed >= 0, with no upper bound). Errors
-    name the flag or key; a sweep flag that was not given (None) is skipped."""
+    phase makes it complex, a count or seed is an integer at least its
+    minimum (shots >= 1, steps >= 2, seed >= 0), and a count is at most
+    ``_MAXIMUMS`` (2**32; a seed has no upper bound). Errors name the flag
+    or key; a sweep flag that was not given (None) is skipped."""
     for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{name} is not finite")
@@ -81,18 +85,10 @@ def _check_numbers(values: dict) -> None:
         value = values.get(name)
         if value is not None and value < minimum:
             raise UsageError(f"{name} must be >= {minimum}, got {value}")
-
-
-def _allocated(name: str, count: int, make):
-    """``make(count)``, an array of ``count`` entries; a count numpy cannot
-    allocate is a UsageError that names it as ``_check_numbers`` does."""
-    try:
-        array = make(count)
-        if len(array) == count:  # np.arange(2**63 - 1) is empty, not an error
-            return array
-    except (MemoryError, ValueError):
-        pass
-    raise UsageError(f"{name} is too large to allocate, got {count}")
+    for name, maximum in _MAXIMUMS.items():
+        value = values.get(name)
+        if value is not None and value > maximum:
+            raise UsageError(f"{name} is too large to allocate, got {value}")
 
 
 @dataclass
@@ -190,16 +186,26 @@ def _fmt_matrix(rows) -> str:
     )
 
 
+# Shots per draw in cmd_teleport: a block's float64 draws and their indices.
+_SHOT_BLOCK = 2**16
+
+
 def cmd_teleport(args) -> int:
     psi = ket_from_amplitudes(complex(args.a_re, args.a_im), complex(args.b_re, args.b_im))
     # The four branches are fixed by the input state, so sample the branch
     # index per shot instead of re-running the whole protocol each time. Each
     # has probability 1/4, so a draw u picks index int(4u): for the first
     # draw, the top two bits run_ideal reads from the same 64-bit word.
+    # The draws are streamed in blocks of _SHOT_BLOCK: consecutive random(k)
+    # calls continue one Philox stream, so the counts do not depend on the
+    # block size, and memory does not grow with the number of shots.
     records = enumerate_branches(psi)
-    draws = _allocated("shots", args.shots, seeded_stream(args.seed).random)
-    draws *= 4.0
-    counts = np.bincount(draws.astype(np.intp), minlength=4)
+    rng = seeded_stream(args.seed)
+    counts = np.zeros(4, dtype=np.intp)
+    for start in range(0, args.shots, _SHOT_BLOCK):
+        draws = rng.random(min(_SHOT_BLOCK, args.shots - start))
+        draws *= 4.0
+        counts += np.bincount(draws.astype(np.intp), minlength=4)
     for record, count in zip(records, counts):
         bits = "".join(str(bit) for bit in record.outcome.bits)
         print(f"outcome {record.outcome.name} (bits {bits}): {count}")
@@ -266,31 +272,41 @@ def _sweep_config(args) -> SweepConfig:
     return cfg
 
 
-# Rows per kernel call in render_sweep_csv: its memory beyond the one gamma
-# grid is a block's arrays and rows, whatever the number of steps.
+# Rows per kernel call in render_sweep_csv: its memory is a block's arrays
+# and rows, whatever the number of steps.
 _BLOCK_ROWS = 1024
+
+
+def _block_overlaps(cfg: SweepConfig, start: int, stop: int, phase: complex) -> np.ndarray:
+    """Rows ``start`` to ``stop``'s overlaps: one float64 array scaled in
+    place into their magnitudes, which is freed once the phase is applied."""
+    magnitude = np.arange(start, stop, dtype=float)
+    magnitude /= cfg.steps - 1
+    magnitude *= cfg.gamma_end - cfg.gamma_start
+    magnitude += cfg.gamma_start
+    return magnitude * phase
 
 
 def render_sweep_csv(cfg: SweepConfig, out) -> None:
     """Write the CSV for a validated config to the binary stream ``out``, as
     ASCII bytes; the bytes are a pure function of the config.
 
-    The gamma grid is one array of ``steps`` floats. The rows are computed
-    and written in blocks of ``_BLOCK_ROWS``: one ``printed_deviation`` call
-    and one batched ``closed_form`` call per block, whose float64 arrays
-    are formatted in place, so memory beyond the grid does not grow with
-    ``steps``. A block holds only the columns it writes: the printed delta
-    is computed first, and of ``closed_form``'s arrays only delta, fidelity
-    and purity are kept. A batch equals scalar calls bit for bit, so the
-    bytes do not depend on the block size. The one error after the header
-    is the printed form overflowing, which can come after earlier blocks
-    were written; ``cmd_sweep`` writes to a temporary file, so such a
-    partial CSV is never seen. The rows are not checked again: each is a
-    qubit's state by construction of a validated config."""
+    The rows are computed and written in blocks of ``_BLOCK_ROWS``: each
+    block builds its own overlaps from its row indices, then makes one
+    ``printed_deviation`` call and one batched ``closed_form`` call, whose
+    float64 arrays are formatted in place, so memory does not grow with
+    ``steps``: there is no grid array for the whole sweep. Row ``k``'s
+    overlap is ``(gamma_start + (gamma_end - gamma_start) * (k / (steps -
+    1))) * phase``, the same operations in the same order in every block.
+    A block holds only the columns it writes: the printed delta is computed
+    first, and of ``closed_form``'s arrays only delta, fidelity and purity
+    are kept. A batch equals scalar calls bit for bit, so the bytes do not
+    depend on the block size. The one error after the header is the printed
+    form overflowing, which can come after earlier blocks were written;
+    ``cmd_sweep`` writes to a temporary file, so such a partial CSV is never
+    seen. The rows are not checked again: each is a qubit's state by
+    construction of a validated config."""
     a, b, c0, c1 = cfg.a, cfg.b, cfg.c0, cfg.c1
-    # One float64 array, divided in place: the grid is 8 B per row.
-    t = _allocated("steps", cfg.steps, functools.partial(np.arange, dtype=float))
-    t /= cfg.steps - 1
     phase = cmath.exp(1j * cfg.gamma_phase)
     # The eight input columns are the same on every row: format them once.
     inputs = ",".join(
@@ -299,18 +315,20 @@ def render_sweep_csv(cfg: SweepConfig, out) -> None:
     row = f"%.17g,%.17g,{inputs},%.17g,%.17g,%.17g,%.17g\n".encode("ascii")
     out.write((",".join(CSV_FIELDS) + "\n").encode("ascii"))
     for start in range(0, cfg.steps, _BLOCK_ROWS):
-        block = t[start:start + _BLOCK_ROWS]
-        gamma = (cfg.gamma_start + (cfg.gamma_end - cfg.gamma_start) * block) * phase
+        gamma = _block_overlaps(cfg, start, min(start + _BLOCK_ROWS, cfg.steps), phase)
         # No check follows the kernel: validate() admits only a finite phase
         # and gamma_start, gamma_end in [0, 1], so |gamma| <= 1 to a few
         # ulps, and closed_form divides by the coupled norm, so every row is
         # a qubit's state: unit trace, determinant rho00 rho11 (1 - |gamma|^2).
         delta_paper = printed_deviation(a, b, c0, c1, gamma)
         delta, fidelity, purity = closed_form(a, b, c0, c1, gamma)[4:]
-        columns = (gamma.real, gamma.imag, delta, delta_paper, fidelity, purity)
         # Iterating a memoryview of a float64 array yields Python floats,
-        # as tolist() would, without a list per column.
-        out.writelines(row % values for values in zip(*map(memoryview, columns)))
+        # as tolist() would, without a list per column. gamma's float view
+        # holds each overlap's real and imaginary parts in turn, so one
+        # iterator zipped twice gives the first two columns.
+        parts = iter(memoryview(gamma.view(float)))
+        columns = map(memoryview, (delta, delta_paper, fidelity, purity))
+        out.writelines(row % values for values in zip(parts, parts, *columns))
 
 
 def cmd_sweep(args) -> int:

@@ -253,6 +253,9 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     checked here: EnvironmentModel checks one point and the sweep's config a
     batch. Raises DegenerateModelError when the coupled state's norm is below
     DEGENERATE_TOL.
+
+    Every array field is new: each is built in place in a product allocated
+    here, never in gamma or in another field.
     """
     a, b = _check_normalized(a, b)
     c0, c1 = _unit_scaled(complex(c0), complex(c1))
@@ -270,16 +273,27 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     w_re = w.real / n
     w_im = w.imag / n
     g_re, g_im = gamma.real, gamma.imag
-    off_re = w_re * g_re - w_im * g_im
-    off_im = w_re * g_im + w_im * g_re
+    # In place, in products allocated here. IEEE addition and multiplication
+    # commute, so f = x; f += y; f *= 2.0; f += s is s + 2.0 * (x + y) bit
+    # for bit.
+    off_re = w_re * g_re
+    off_re -= w_im * g_im
+    off_im = w_re * g_im
+    off_im += w_im * g_re
 
     # The sender's |psi><psi| exactly as ``to_density`` forms it.
     rho1 = _pure_density(a, b)
     delta = _delta(rho1, rho00, rho11, off_re, off_im)
     r00, r11, r01_re, r01_im = rho1
     # <psi|rho3|psi>: the off-diagonal terms give 2 Re(conj(r01) rho01).
-    fidelity = r00 * rho00 + r11 * rho11 + 2.0 * (r01_re * off_re + r01_im * off_im)
-    purity = rho00 * rho00 + rho11 * rho11 + 2.0 * (off_re * off_re + off_im * off_im)
+    fidelity = r01_re * off_re
+    fidelity += r01_im * off_im
+    fidelity *= 2.0
+    fidelity += r00 * rho00 + r11 * rho11
+    purity = off_re * off_re
+    purity += off_im * off_im
+    purity *= 2.0
+    purity += rho00 * rho00 + rho11 * rho11
     return ClosedForm(rho00, rho11, off_re, off_im, delta, fidelity, purity)
 
 
@@ -328,11 +342,12 @@ def _printed_entries(a: complex, b: complex, c0: complex, c1: complex, gamma):
     like ``closed_form``. (c0, c1) are used as given, so at large scales the
     entries overflow to inf or nan; the callers check what they return.
 
-    Each diagonal is built in place in a product it allocates (a float for
-    a scalar gamma). Neither gamma nor ``|gamma|^2`` is written: the latter
-    has gamma's dtype, and an integer or bool one cannot hold the float
-    product. Every array returned is new, so ``_delta`` may overwrite the
-    diagonal."""
+    Each entry, and ``|gamma|^2``, is built in place in a product allocated
+    here (a float for a scalar gamma); gamma is never written. ``|gamma|^2``
+    has gamma's real dtype, so each diagonal is a new product rather than
+    ``|gamma|^2`` scaled in place: an integer or bool one cannot hold the
+    float product. Every array returned is new, so ``_delta`` may overwrite
+    the diagonal."""
     try:
         p0 = abs(c0 * a) ** 2
         p1 = abs(c1 * b) ** 2
@@ -342,13 +357,18 @@ def _printed_entries(a: complex, b: complex, c0: complex, c1: complex, gamma):
     # the entry overflows, even if a conj(b) would scale it back into range.
     w = 2.0 * c0 * c1.conjugate() * a * b.conjugate()
     g_re, g_im = gamma.real, gamma.imag
-    g_sq = g_re * g_re + g_im * g_im
+    g_sq = g_re * g_re
+    g_sq += g_im * g_im
     # p0 * g_sq + p0 is the printed p0 + p0 |gamma|^2: the same addition.
     d00 = p0 * g_sq
     d00 += p0
     d11 = p1 * g_sq
     d11 += p1
-    return d00, d11, w.real * g_re - w.imag * g_im, w.real * g_im + w.imag * g_re
+    d01_re = w.real * g_re
+    d01_re -= w.imag * g_im
+    d01_im = w.real * g_im
+    d01_im += w.imag * g_re
+    return d00, d11, d01_re, d01_im
 
 
 def _degenerate(norm: float) -> DegenerateModelError:

@@ -13,9 +13,11 @@ import pytest
 from teleportsim import cli
 from teleportsim.cli import (
     _BLOCK_ROWS,
+    _SHOT_BLOCK,
     CSV_FIELDS,
     SweepConfig,
     UsageError,
+    _check_numbers,
     _parse_args,
     build_parser,
     load_config,
@@ -23,6 +25,7 @@ from teleportsim.cli import (
     render_sweep_csv,
 )
 from teleportsim.envmodel import DegenerateModelError, closed_form, printed_deviation
+from teleportsim.qcore import seeded_stream
 
 from support import BELL_DRAW_EDGES, BELL_DRAW_STATES, SQRT_HALF
 
@@ -85,18 +88,33 @@ def test_teleport_counts_each_draw_in_its_quarter(monkeypatch, capsys, amplitude
 
 
 def test_teleport_memory_is_two_words_per_shot(capsys):
-    shots = 1_000_000
-    tracemalloc.start()
-    try:
-        code = main(["teleport", "--shots", str(shots)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    capsys.readouterr()
+    for shots in (1_000_000, 10_000_000):
+        tracemalloc.start()
+        try:
+            code = main(["teleport", "--shots", str(shots)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        # One float64 draw and one outcome index per shot of one block,
+        # whatever the number of shots, plus a fixed part (about 1 MB, with
+        # the modules a first run imports).
+        assert peak < 16 * _SHOT_BLOCK + 2_000_000, shots
+
+
+# Shot counts at and across the draw blocks' edges: the streamed counts equal
+# those of one whole-array draw, since consecutive random(k) calls continue
+# one Philox stream.
+@pytest.mark.parametrize("seed, shots", [
+    (0, 1), (7, 5), (11, _SHOT_BLOCK), (11, _SHOT_BLOCK + 1), (3, 2 * _SHOT_BLOCK + 3), (2**70, 200_001),
+])
+def test_teleport_streamed_counts_equal_one_whole_array_draw(capsys, seed, shots):
+    code, out, _ = run_cli(capsys, "teleport", "--shots", str(shots), "--seed", str(seed))
+    draws = seeded_stream(seed).random(shots)
+    expected = np.bincount((4.0 * draws).astype(np.intp), minlength=4)
     assert code == 0
-    # One float64 draw and one outcome index per shot, plus a fixed part
-    # (under 1 MB, with the modules a first run imports).
-    assert peak < 16 * shots + 2_000_000
+    assert [int(line.rsplit(":", 1)[1]) for line in out.splitlines() if line.startswith("outcome")] == expected.tolist()
 
 
 # ``teleport --shots 1000`` stdout per seed. Every branch has probability
@@ -261,6 +279,23 @@ def test_count_past_numpys_size_limit_is_named(tmp_path, monkeypatch, capsys, co
     code, out, err = run_cli(capsys, command, f"--{name}", count)
     assert (code, out, err) == (2, "", f"error: {name} is too large to allocate, got {count}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# The counts' one ceiling, 2**32, as a flag or a config key, checked without
+# a run: the rule rejects a count above it as the pinned text names it.
+@pytest.mark.parametrize("source, name", [("flag", "shots"), ("flag", "steps"), ("config", "steps")])
+def test_a_count_above_2_to_the_32_is_rejected_by_the_rule(tmp_path, source, name):
+    def values(count):
+        if source == "config":
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{name} = {count}\n")
+            return vars(load_config(str(path)))
+        return vars(_parse_args(["teleport" if name == "shots" else "sweep", f"--{name}", str(count)]))
+
+    _check_numbers(values(2**32))
+    with pytest.raises(UsageError) as excinfo:
+        _check_numbers(values(2**32 + 1))
+    assert str(excinfo.value) == f"{name} is too large to allocate, got {2**32 + 1}"
 
 
 # One rule for the counts and seeds the CLI reads, as a flag or a config key:
@@ -570,11 +605,11 @@ def test_sweep_memory_is_the_grid_plus_a_fixed_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One float64 per row for the grid, plus at most 20 float64 arrays of a
-    # block's length: a block holds only the columns it writes, never
-    # closed_form's off-diagonal beside the printed delta's temporaries, and
-    # the kernels square and sum their differences in the arrays they built.
-    assert peak < 8 * steps + 20 * 8 * _BLOCK_ROWS
+    # At most 20 float64 arrays of a block's length, whatever the number of
+    # steps: each block builds its own overlaps, it holds only the columns
+    # it writes, never closed_form's off-diagonal beside the printed delta's
+    # temporaries, and the kernels build every array in place.
+    assert peak < 20 * 8 * _BLOCK_ROWS
 
 
 # The CSV's rows are formatted with a bytes template; it must give the bytes
@@ -862,8 +897,10 @@ def test_a_degenerate_sweep_config_is_rejected_by_validate():
     )
 
 
+# The largest count the rule accepts (2**32 rows, hours of rendering): a
+# degenerate model is rejected by validation before any row is computed.
 @pytest.mark.parametrize("flags", [
-    ("--steps", str(2**64), "--out", "x.csv"),
+    ("--steps", str(2**32), "--out", "x.csv"),
     ("--out", "missing/x.csv"),
 ], ids=["too-large-to-allocate", "unwritable-directory"])
 def test_a_degenerate_sweep_is_reported_before_allocation_and_io(flags, tmp_path, monkeypatch, capsys):

@@ -157,7 +157,8 @@ def test_printed_deviation_batch_equals_scalar_calls_bit_for_bit(ab, c0, c1, gam
 # (a, b, c0, c1) = ODD_POINT: (overlaps, result type, result dtype,
 # closed_form's delta and printed_deviation as float.hex()). A 0-d array
 # gives a float. An integer or bool overlap has an integer or bool
-# |gamma|^2, which a float product cannot be written into.
+# |gamma|^2, which a float product cannot be written into. A real float64
+# overlap's real part is the caller's array itself.
 ODD_POINT = (0.6, 0.8j, 1.0, 0.5 + 0.5j)
 ODD_OVERLAPS = {
     "int64": (np.array([-1, 0, 1], dtype=np.int64), np.ndarray, np.float64,
@@ -173,22 +174,57 @@ ODD_OVERLAPS = {
                   ["0x1.a43bc20000000p-2", "0x1.0d00c60000000p+0"],
                   ["0x1.565bf20000000p-2", "0x1.2f5d8e0000000p+0"]),
     "0d-float64": (np.array(0.5), float, None, ["0x1.1a45885a1c33ep-1"], ["0x1.169aec250724ep-1"]),
+    "float64-2d": (np.array([[0.25, -0.5], [1.0, 0.0]]), np.ndarray, np.float64,
+                   ["0x1.3b96d97c5ceacp-1", "0x1.fb43fd5bf42d2p-1", "0x1.2a071c54b35dep-1", "0x1.7091b261a9086p-1"],
+                   ["0x1.3aff3ec2f2df7p-1", "0x1.1a7e9cbbc502fp+0", "0x1.89686f9e146b9p-1", "0x1.803d25ddc97e0p-1"]),
+}
+# closed_form's fidelity and purity at the same points, as float.hex(),
+# recorded before the kernel built them in place.
+ODD_OVERLAP_METRICS = {
+    "int64": (["0x1.3939393939398p-3", "0x1.f7912ac45df7ap-2", "0x1.a942dc760fa94p-1"],
+              ["0x1.ffffffffffffep-1", "0x1.00e2c4a6886a4p-1", "0x1.ffffffffffffep-1"]),
+    "bool": (["0x1.f7912ac45df7ap-2", "0x1.a942dc760fa94p-1"],
+             ["0x1.00e2c4a6886a4p-1", "0x1.ffffffffffffep-1"]),
+    "float32": (["0x1.2727260000000p-1", "0x1.4a16e40000000p-2", "0x1.a942dc0000000p-1"],
+                ["0x1.10d4980000000p-1", "0x1.40aa140000000p-1", "0x1.0000000000000p+0"]),
+    "complex64": (["0x1.7537c80000000p-1", "0x1.2764d40000000p-2"],
+                  ["0x1.40aa140000000p-1", "0x1.5cba180000000p-1"]),
+    "0d-float64": (["0x1.5285b8ec1f528p-1"], ["0x1.40aa137ce64fbp-1"]),
+    "float64-2d": (["0x1.2727272727273p-1", "0x1.4a16e3b07d4a3p-2", "0x1.a942dc760fa94p-1", "0x1.f7912ac45df7ap-2"],
+                   ["0x1.10d4985c1fe3ap-1", "0x1.40aa137ce64fbp-1", "0x1.ffffffffffffep-1", "0x1.00e2c4a6886a4p-1"]),
 }
 
 
 @pytest.mark.parametrize("name", ODD_OVERLAPS)
 def test_batch_kernels_keep_the_result_dtype_and_leave_gamma_unchanged(name):
-    gamma, kind, dtype, canonical, printed = ODD_OVERLAPS[name]
-    kept = gamma.copy()
-    for call, expected in ((lambda: closed_form(*ODD_POINT, gamma).delta, canonical),
-                           (lambda: printed_deviation(*ODD_POINT, gamma), printed)):
+    overlaps, kind, dtype, canonical, printed = ODD_OVERLAPS[name]
+    fidelity, purity = ODD_OVERLAP_METRICS[name]
+    # A read-only copy: a kernel that wrote into the caller's gamma would raise.
+    gamma = overlaps.copy()
+    gamma.flags.writeable = False
+    # A 0-d overlap's fidelity and purity are numpy floats: only a delta
+    # passes through math.sqrt.
+    metric_kind = np.float64 if kind is float else kind
+    for call, expected, expected_kind in (
+        (lambda: closed_form(*ODD_POINT, gamma).delta, canonical, kind),
+        (lambda: closed_form(*ODD_POINT, gamma).fidelity, fidelity, metric_kind),
+        (lambda: closed_form(*ODD_POINT, gamma).purity, purity, metric_kind),
+        (lambda: printed_deviation(*ODD_POINT, gamma), printed, kind),
+    ):
         result = call()
-        assert type(result) is kind
+        assert type(result) is expected_kind
         if kind is np.ndarray:
             assert (result.dtype, result.shape) == (dtype, gamma.shape)
+            assert not np.shares_memory(result, gamma)
         assert [bits(x) for x in np.ravel(result)] == expected
         # The kernels build their temporaries in place, never in the caller's array.
-        assert (gamma.dtype, gamma.shape, gamma.tobytes()) == (kept.dtype, kept.shape, kept.tobytes())
+        assert (gamma.dtype, gamma.shape, gamma.tobytes()) == (overlaps.dtype, overlaps.shape, overlaps.tobytes())
+    # Each array field is its own array, never a view of gamma or of another field.
+    arrays = [field for field in closed_form(*ODD_POINT, gamma) if isinstance(field, np.ndarray)]
+    assert len(arrays) == (5 if kind is np.ndarray else 0)
+    for i, first in enumerate(arrays):
+        assert not np.shares_memory(first, gamma)
+        assert not any(np.shares_memory(first, later) for later in arrays[i + 1:])
 
 
 @settings(max_examples=200, deadline=None)
