@@ -35,9 +35,13 @@ The model is invariant under (c0, c1) -> k (c0, c1). The kernel and ``evolve``
 scale (c0, c1) to unit max-modulus before any other arithmetic, so the
 invariance holds in floating point at any k. The printed form is not scale
 invariant and uses (c0, c1) as given; where it overflows it is rejected. Both
-forms take (a, b) through the same check, by a Ket's norm (the squared parts
-added left to right): normalized within AMPLITUDE_TOL, rescaled where a Ket
-would reject it, and used unchanged where a Ket accepts it.
+forms take (a, b) through a Ket's check: the norm, the squared parts added
+left to right, within NORM_TOL of 1. A pair a Ket accepts is used unchanged,
+and a pair a Ket rejects is rejected.
+
+``closed_form`` and ``printed_deviation`` check neither gamma nor (c0, c1), so
+they are not exported: ``EnvironmentModel`` checks one point and the CLI's
+``SweepConfig.validate`` a batch, and those are the checked ways in.
 
 The deviation delta is the entrywise-quadratic distance between the delivered
 reduced state and the sender's pure-state density matrix.
@@ -52,29 +56,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows, normalized_amplitudes
+from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows
 from .teleport import BellOutcome, _corrected_pair, run_ideal
 
 __all__ = [
     "DegenerateModelError",
     "EnvironmentModel",
     "DeviationReport",
-    "ClosedForm",
-    "closed_form",
     "embed_environment",
     "evolve",
     "reduced_state",
     "reduced_state_paper_literal",
     "deviation",
     "deviation_closed_form_paper",
-    "printed_deviation",
     "direct_report",
     "noisy_teleport",
 ]
 
 OVERLAP_TOL = 1e-12
-# Largest accepted | |a|^2 + |b|^2 - 1 | for an input state (a, b).
-AMPLITUDE_TOL = 1e-10
 # Smallest norm of the coupled state, with (c0, c1) at unit max-modulus,
 # about 1.5e-154: the squared norm must be a normal float. Above it any
 # (c0, c1) ratio is computed; below it the squared norm has lost precision to
@@ -158,14 +157,10 @@ def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
     # A Ket's norm: squared parts added left to right (inf or nan past float64).
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     norm_sq = ar * ar + ai * ai + br * br + bi * bi
-    if not abs(norm_sq - 1.0) <= AMPLITUDE_TOL:
+    if not abs(math.sqrt(norm_sq) - 1.0) <= NORM_TOL:
         if not (cmath.isfinite(a) and cmath.isfinite(b)):
             raise ValueError("amplitudes contain non-finite entries")
         raise ValueError(f"(a, b) is not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
-    if abs(math.sqrt(norm_sq) - 1.0) > NORM_TOL:
-        # Accepted, but a Ket would reject it: rescale. A pair a Ket accepts
-        # is used unchanged, so results match a Ket built from it.
-        a, b = normalized_amplitudes(a, b)
     return a, b
 
 
@@ -248,7 +243,7 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
 
     ``gamma`` is a complex scalar or array; the result broadcasts over it,
     element for element bit-identical to scalar calls (real arithmetic only).
-    (a, b) must be normalized within AMPLITUDE_TOL; (c0, c1) are scaled to
+    (a, b) must pass a Ket's norm check; (c0, c1) are scaled to
     unit max-modulus before any other arithmetic. gamma and (c0, c1) are not
     checked here: EnvironmentModel checks one point and the sweep's config a
     batch. Raises DegenerateModelError when the coupled state's norm is below
@@ -426,16 +421,14 @@ def deviation(rho3, rho1) -> float:
 
 
 def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
-    """The printed reduced state's deviation from rho1 = |psi><psi|: the
-    entries of ``reduced_state_paper_literal`` and ``closed_form``'s delta
-    formula, so a point's value equals
+    """The sweep's batch kernel for the printed reduced state's deviation
+    from rho1 = |psi><psi|: the entries of ``reduced_state_paper_literal``
+    and ``closed_form``'s delta formula, so each value equals
     ``deviation(reduced_state_paper_literal(...), rho1)`` bit for bit.
     Broadcasts over gamma like ``closed_form``; raises ValueError for an
-    unnormalized (a, b) and where the value overflows float64. gamma and
+    unnormalized (a, b) and where a value overflows float64. gamma and
     (c0, c1) are not checked here: EnvironmentModel checks one point and the
     sweep's config a batch."""
-    if not isinstance(gamma, np.ndarray):
-        return _printed_point(a, b, complex(c0), complex(c1), complex(gamma))
     a, b = _check_normalized(a, b)
     with np.errstate(over="ignore", invalid="ignore"):
         delta = _delta(_pure_density(a, b), *_printed_entries(a, b, complex(c0), complex(c1), gamma))
@@ -444,19 +437,13 @@ def printed_deviation(a: complex, b: complex, c0: complex, c1: complex, gamma):
     return delta
 
 
-def _printed_point(a: complex, b: complex, c0: complex, c1: complex, gamma: complex) -> float:
-    """``printed_deviation`` at one point, with c0, c1 and gamma already
-    Python complexes (as an EnvironmentModel keeps them)."""
+def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -> float:
+    """``printed_deviation`` at one parameter point, in Python floats."""
     a, b = _check_normalized(a, b)
-    delta = _delta(_pure_density(a, b), *_printed_entries(a, b, c0, c1, gamma))
+    delta = _delta(_pure_density(a, b), *_printed_entries(a, b, env.c0, env.c1, env.gamma))
     if not math.isfinite(delta):
         raise _overflow("printed_deviation")
     return delta
-
-
-def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -> float:
-    """``printed_deviation`` at one parameter point."""
-    return _printed_point(a, b, env.c0, env.c1, env.gamma)
 
 
 def _report(a: complex, b: complex, env: EnvironmentModel,

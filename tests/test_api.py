@@ -343,6 +343,17 @@ def test_star_import_binds_exactly_all():
     assert sorted(namespace) == sorted(teleportsim.__all__)
 
 
+def test_unchecked_kernels_are_not_exported():
+    # They check neither gamma nor (c0, c1): EnvironmentModel (one point) and
+    # SweepConfig.validate (a batch) are the checked ways in.
+    namespace = {}
+    exec("from teleportsim import *", namespace)
+    for name in ("ClosedForm", "closed_form", "printed_deviation"):
+        assert name not in teleportsim.__all__
+        assert name not in namespace
+        assert hasattr(teleportsim.envmodel, name)
+
+
 def test_no_name_is_exported_by_two_modules():
     # The package's __all__ is its modules' lists joined, so a name in two of
     # them would appear in it twice.

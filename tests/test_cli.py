@@ -942,7 +942,7 @@ def test_sweep_onto_a_directory_is_io_error_and_leaves_it(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("a_re", ["1e200", "1e-200"])
-@pytest.mark.parametrize("command", ["deviation", "teleport", "sweep"])
+@pytest.mark.parametrize("command", ["deviation", "teleport", "sweep", "paper-check"])
 def test_amplitudes_at_any_scale_give_the_unit_answer(command, a_re, tmp_path, capsys):
     outputs = []
     for value in (a_re, "1"):
@@ -959,6 +959,8 @@ def test_amplitudes_at_any_scale_give_the_unit_answer(command, a_re, tmp_path, c
         assert {(row["a_re"], row["b_re"]) for row in rows} == {(1.0, 0.0)}
     elif command == "teleport":
         assert "mean fidelity 1.000000" in outputs[0]
+    elif command == "paper-check":
+        assert parse_report(outputs[0])["delta_canonical"] == 0.0
     else:
         assert parse_report(outputs[0])["fidelity"] == 1.0
 

@@ -377,17 +377,6 @@ def test_an_underflowing_coupled_norm_is_degenerate_on_both_routes(a, b, c0, c1)
         evolve(a, b, EnvironmentModel(0.5, c0, c1))
 
 
-def test_amplitudes_within_tolerance_are_rescaled():
-    env = EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF)
-    report = direct_report(1 + 2.5e-11, 0, env)
-    exact = direct_report(1, 0, env)
-    assert np.array_equal(report.rho3.mat, exact.rho3.mat)
-    assert (report.delta, report.fidelity, report.purity) == (exact.delta, exact.fidelity, exact.purity)
-    assert np.array_equal(evolve(1 + 2.5e-11, 0, env).amplitudes, evolve(1, 0, env).amplitudes)
-    with pytest.raises(ValueError, match="not normalized"):
-        direct_report(1 + 2e-10, 0, env)
-
-
 @st.composite
 def nearly_unit_qubits(draw):
     """Pairs a Ket accepts whose norm, as a Ket sums it, lies 0.5e-12 to
@@ -402,19 +391,43 @@ def nearly_unit_qubits(draw):
     return a, b
 
 
+@st.composite
+def off_unit_qubits(draw):
+    """Pairs whose norm lies 0 to 1e-10 off 1, on either side of NORM_TOL."""
+    a, b = draw(qubits())
+    off = draw(st.floats(0.0, 1e-10)) * draw(st.sampled_from((-1.0, 1.0)))
+    return a * (1.0 + off), b * (1.0 + off)
+
+
+# Every route that takes (a, b): the reports, the explicit route and the
+# printed forms, at one point and in a batch.
+PAIR_ROUTES = (
+    direct_report,
+    evolve,
+    reduced_state_paper_literal,
+    deviation_closed_form_paper,
+    lambda a, b, env: printed_deviation(a, b, env.c0, env.c1, np.array([env.gamma, 0.5])),
+)
+
+
 @settings(max_examples=300, deadline=None)
-@given(nearly_unit_qubits(), coefficients, coefficients, overlaps)
+@given(st.one_of(nearly_unit_qubits(), off_unit_qubits()), coefficients, coefficients, overlaps)
+@example(ab=(1 + 2.5e-11, 0j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=0.5)
+@example(ab=(1 - 2.5e-11, 0j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=0.5)
 def test_a_pair_a_ket_accepts_is_used_unchanged(ab, c0, c1, gamma):
-    # The model judges (a, b) by a Ket's norm, so the kernel's delta is the
-    # deviation from the Ket's own rho1, bit for bit.
+    # Every route accepts (a, b) if and only if a Ket does, and uses a pair
+    # it accepts unchanged, so the kernel's delta is the deviation from the
+    # Ket's own rho1, bit for bit.
     a, b = ab
     assume(c0 != 0 or c1 != 0)
     env = EnvironmentModel(gamma, c0, c1)
-    try:
-        report = direct_report(a, b, env)
-    except DegenerateModelError:
-        assume(False)
-    assert report.delta == deviation(reduced_state(a, b, env), to_density(Ket((a, b), ("1",))))
+    psi = outcome(Ket, (a, b), ("1",))
+    results = [outcome(call, a, b, env) for call in PAIR_ROUTES]
+    rejected = [isinstance(r, ValueError) and "(a, b) is not normalized" in str(r) for r in results]
+    assert rejected == [isinstance(psi, ValueError)] * len(PAIR_ROUTES)
+    report = results[0]
+    if isinstance(psi, Ket) and not isinstance(report, DegenerateModelError):
+        assert report.delta == deviation(reduced_state(a, b, env), to_density(psi))
 
 
 def listed_point(a, b, env):
@@ -551,7 +564,9 @@ def test_non_finite_amplitudes_get_the_kets_message(call, a, b):
     ],
     ids=["literal", "point", "batch"],
 )
-@pytest.mark.parametrize("a, b", [(2, 0), (3, 4), (1 + 2e-10, 0), (complex(1.7e308, 1.7e308), 0)])
+@pytest.mark.parametrize(
+    "a, b", [(2, 0), (3, 4), (1 + 2e-10, 0), (complex(1.7e308, 1.7e308), 0), (1 + 2.5e-11, 0), (1 - 2.5e-11, 0)]
+)
 def test_printed_forms_reject_an_unnormalized_state(call, a, b):
     # The one input boundary of closed_form: same tolerance, same message.
     with pytest.raises(ValueError, match=r"\(a, b\) is not normalized"):
