@@ -222,38 +222,15 @@ def _first_word(seed: int) -> int:
     return ((0xca5a826395121157 * c2) >> 64 ^ q ^ k0 + 0x8ff34785799e5cbd) & m64
 
 
-# Inputs a value reads as Python numbers: a flat tuple or list (rows of them for
-# a matrix) of exactly these types. Anything else is converted to complex128
-# only to read its entries; that array is not kept.
-_SEQUENCES = (tuple, list)
-_NUMBERS = frozenset((int, float, complex))
-
-
 def _matrix_entries(mat) -> tuple[complex, complex, complex, complex]:
-    """The entries m00, m01, m10, m11 of a 2x2 input as Python complexes: two
-    tuples or lists of two ints, floats or complexes are read directly."""
-    if type(mat) in _SEQUENCES and len(mat) == 2:
-        top, bottom = mat
-        if type(top) in _SEQUENCES and type(bottom) in _SEQUENCES and len(top) == 2 == len(bottom):
-            (m00, m01), (m10, m11) = top, bottom
-            if (type(m00) in _NUMBERS and type(m01) in _NUMBERS and type(m10) in _NUMBERS
-                    and type(m11) in _NUMBERS):
-                return complex(m00), complex(m01), complex(m10), complex(m11)
+    """The entries m00, m01, m10, m11 of a 2x2 input as Python complexes,
+    read through ``np.asarray(mat, dtype=np.complex128)``; that array is not
+    kept. Any other shape is rejected by name."""
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {arr.shape}")
     (m00, m01), (m10, m11) = arr.tolist()
     return m00, m01, m10, m11
-
-
-class _cached(cached_property):
-    """``cached_property`` without the lock it takes on a first read before Python 3.12."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = vars(instance)[self.attrname] = self.func(instance)
-        return value
 
 
 class _Frozen:
@@ -273,9 +250,8 @@ class Ket(_Frozen):
 
     ``entries`` holds the amplitudes as a tuple of Python complexes;
     ``amplitudes`` is the read-only complex128 ndarray of the same values,
-    built on first access and cached. A flat tuple or list of int, float and
-    complex is read directly; any other input is converted with ``np.asarray``
-    first, only to read its entries.
+    built on first access and cached. Any input is read through
+    ``np.asarray(amplitudes, dtype=np.complex128)``, only for its entries.
 
     ``Ket(amplitudes, labels)`` runs one check, in Python float arithmetic:
     every part finite, and the norm within NORM_TOL of 1. The norm is the
@@ -304,13 +280,10 @@ class Ket(_Frozen):
             state["entries"] = amplitudes
             state["labels"] = labels
             return
-        if type(amplitudes) in _SEQUENCES and _NUMBERS.issuperset(map(type, amplitudes)):
-            entries = tuple(map(complex, amplitudes))
-        else:
-            arr = np.asarray(amplitudes, dtype=np.complex128)
-            if arr.ndim != 1:
-                raise ValueError(f"amplitudes must be a vector, got shape {arr.shape}")
-            entries = tuple(arr.tolist())
+        arr = np.asarray(amplitudes, dtype=np.complex128)
+        if arr.ndim != 1:
+            raise ValueError(f"amplitudes must be a vector, got shape {arr.shape}")
+        entries = tuple(arr.tolist())
         labels = tuple(labels)
         if not 1 <= len(labels) <= 3:
             raise ValueError(f"expected 1 to 3 subsystem labels, got {labels!r}")
@@ -331,7 +304,7 @@ class Ket(_Frozen):
         state["entries"] = entries
         state["labels"] = labels
 
-    @_cached
+    @cached_property
     def amplitudes(self) -> np.ndarray:
         return _frozen_complex(self.entries)
 
@@ -349,7 +322,8 @@ class DensityMatrix(_Frozen):
 
     ``rows`` holds the entries as two rows of two Python complexes; ``mat`` is
     the read-only complex128 ndarray of the same values, built on first access
-    and cached. Its input is read by ``_matrix_entries``.
+    and cached. Any input is read by ``_matrix_entries``, through
+    ``np.asarray(mat, dtype=np.complex128)``, only for its entries.
 
     ``DensityMatrix(mat)`` runs one check, in Python complex arithmetic:
     finite entries; a skew (|m01 - conj(m10)| and twice each diagonal
@@ -395,7 +369,7 @@ class DensityMatrix(_Frozen):
             raise ValueError(f"density matrix has negative eigenvalue {low!r}")
         vars(self)["rows"] = ((m00, m01), (m10, m11))
 
-    @_cached
+    @cached_property
     def mat(self) -> np.ndarray:
         return _frozen_complex(self.rows)
 
@@ -430,7 +404,7 @@ class Gate(_Frozen):
         state["name"] = name
         state["rows"] = _GATE_ROWS[name]
 
-    @_cached
+    @cached_property
     def mat(self) -> np.ndarray:
         return _frozen_complex(self.rows)
 

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import cached_property
 from numbers import Real
 
-from .qcore import GATES, NORM_TOL, _SQRT_HALF, Gate, Ket, _cached, _first_word, _Frozen
+from .qcore import GATES, NORM_TOL, _SQRT_HALF, Gate, Ket, _first_word, _Frozen
 
 __all__ = [
     "BellOutcome",
@@ -112,11 +113,11 @@ class TeleportRecord(_Frozen):
         state["probability"] = probability
         return self
 
-    @_cached
+    @cached_property
     def conditional_state(self) -> Ket:
         return Ket._built(self._conditional, ("3",))
 
-    @_cached
+    @cached_property
     def corrected_state(self) -> Ket:
         return Ket._built(self._corrected, ("3",))
 

@@ -8,8 +8,9 @@ imported. Every construction of a traced value class runs its
 ``__post_init__`` exactly once, so the tracer's call counts are the
 constructions; a protocol record's two Kets are built once, when first
 read, and then kept. README's "Library quick tour" block and its
-CLI examples are run as written, so the documented API and commands cannot
-drift from the code. A failing property test run under the project's pytest
+CLI examples are run as written, and its by-path list is read against each
+module's source, so the documented API and commands cannot drift from the
+code. A failing property test run under the project's pytest
 settings reports its falsifying example."""
 
 import ast
@@ -358,6 +359,40 @@ def test_no_name_is_exported_by_two_modules():
     # The package's __all__ is its modules' lists joined, so a name in two of
     # them would appear in it twice.
     assert len(teleportsim.__all__) == len(set(teleportsim.__all__))
+
+
+def own_public_names(module):
+    """The module's top-level def, class and assigned names, tuple targets
+    such as ``I, X, Z, ZX`` included, without a leading underscore."""
+    def assigned(target):
+        if isinstance(target, ast.Name):
+            yield target.id
+        elif isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                yield from assigned(element)
+
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                names.update(assigned(target))
+        elif isinstance(node, ast.AnnAssign):
+            names.update(assigned(node.target))
+    return {name for name in names if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("name", ["qcore", "teleport", "envmodel"])
+def test_readme_lists_each_public_name_left_out_of_all(name):
+    # README's by-path list: one bullet per module, naming in backticks each
+    # public name the package does not export.
+    module = importlib.import_module(f"teleportsim.{name}")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(rf"^- `teleportsim\.{name}`:(.*?)\n(?! )", readme, re.MULTILINE | re.DOTALL)
+    assert match, f"README.md has no by-path bullet for teleportsim.{name}"
+    listed = set(re.findall(r"`([A-Za-z_]\w*)`", match.group(1)))
+    assert listed == own_public_names(module) - set(module.__all__)
 
 
 def test_readme_quick_tour_runs():

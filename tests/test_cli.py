@@ -270,8 +270,8 @@ def test_sweep_count_too_large_to_allocate_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []  # the temp file is removed
 
 
-# A count the rule accepts but numpy cannot allocate is named, as the rule
-# names it. np.arange(2**63 - 1) returns an empty array instead of raising.
+# A count past numpy's size limit is above the counts' 2**32 ceiling, so the
+# rule names it at validation, before any array is allocated.
 @pytest.mark.parametrize("count", [str(2**63 - 1), str(2**64)])
 @pytest.mark.parametrize("command, name", [("teleport", "shots"), ("sweep", "steps")])
 def test_count_past_numpys_size_limit_is_named(tmp_path, monkeypatch, capsys, command, name, count):

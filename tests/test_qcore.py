@@ -202,11 +202,11 @@ def test_value_arrays_are_read_only_cached_and_equal_the_entries(psi):
     assert psi.dim == len(psi.entries) == 2
 
 
-# Constructor inputs and what the ndarray-only constructors did with them:
-# "accept", a (type, message) rejection, or NUMPY for the error that numpy's
-# own conversion to complex128 raises (its text is numpy's). Flat tuples and
-# lists of int, float and complex are read without that conversion; the rest
-# still take it.
+# Constructor inputs and what the constructors do with them: "accept", a
+# (type, message) rejection, or NUMPY for the error that numpy's own
+# conversion to complex128 raises (its text is numpy's). Every input is read
+# through that conversion, a tuple or list too, so an int above 2**53 is
+# rounded to a float before the check.
 NUMPY = "numpy"
 NAN, INF = math.nan, math.inf
 KET_INPUTS = {
@@ -218,6 +218,7 @@ KET_INPUTS = {
     "int-tuple": ((0, 1), "accept"),
     "float-subclass": ([type("F", (float,), {})(1.0), 0.0], "accept"),
     "signed-zeros": ([complex(-0.0, -0.0), -1.0], "accept"),
+    "signed-zeros-tuple": ((complex(-0.0, -0.0), 1.0), "accept"),
     "numpy-scalars": ((np.float64(0.6), np.complex128(0.8j)), "accept"),
     "numpy-ints": ((np.int64(1), np.int64(0)), "accept"),
     "bools": ([True, False], "accept"),
@@ -243,6 +244,7 @@ KET_INPUTS = {
     "inf-real": ([INF, 0.0], (ValueError, "amplitudes contain non-finite entries")),
     "inf-imag": ([complex(1, -INF), 0.0], (ValueError, "amplitudes contain non-finite entries")),
     "huge-int": ([10**400, 0], (OverflowError, "int too large to convert to float")),
+    "int-above-2**53": ([2**53 + 1, 0], (ValueError, "ket is not normalized: |amplitudes| = 9007199254740992.0")),
     "norm-overflow": ([1e200, 0.0], (ValueError, "ket is not normalized: |amplitudes| = inf")),
 }
 DENSITY_INPUTS = {
@@ -250,6 +252,7 @@ DENSITY_INPUTS = {
     "int-rows": ([[1, 0], [0, 0]], "accept"),
     "mixed-rows": (([1.0, 0.0], (0.0, 0.0)), "accept"),
     "qubit-rows": ([[0.36, complex(0.48, 0.0)], [complex(0.48, -0.0), 0.64]], "accept"),
+    "signed-zeros-tuple": (((1.0, complex(-0.0, -0.0)), (complex(-0.0, 0.0), -0.0)), "accept"),
     "float-subclass": ([[type("F", (float,), {})(1.0), 0.0], [0.0, 0.0]], "accept"),
     "numpy-scalars": (((np.float64(1.0), np.complex128(0)), (np.float64(0), np.float64(0))), "accept"),
     "array-rows": ([np.array([1.0, 0.0]), np.array([0.0, 0.0])], "accept"),
@@ -276,6 +279,7 @@ DENSITY_INPUTS = {
     "zero-trace": ([[-0.0, 0], [0, -0.0]], (ValueError, "density matrix trace is 0j, expected 1")),
     "negative-eigenvalue": ([[1.5, 0], [0, -0.5]], (ValueError, "density matrix has negative eigenvalue -0.5")),
     "huge-int": ([[10**400, 0], [0, 0]], (OverflowError, "int too large to convert to float")),
+    "int-above-2**53": ([[2**53 + 1, 0], [0, 0]], (ValueError, "density matrix trace is (9007199254740992+0j), expected 1")),
 }
 
 
