@@ -150,30 +150,36 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 def load_config(path: str) -> SweepConfig:
     """Parse a line-oriented ``key = value`` UTF-8 config file, with or without a BOM.
 
-    Keys are the SweepConfig field names; a ``#`` at the start of a line or
-    after whitespace starts a comment; blank lines are ignored; unknown keys
-    and malformed numbers are hard errors naming the line. Command-line flags
-    override the loaded values.
+    Lines end at LF, CRLF or CR; a ``#`` at the start of a line or after
+    whitespace starts a comment; blank lines are ignored. Keys are SweepConfig
+    field names; unknown keys, malformed numbers and non-UTF-8 bytes are hard
+    errors naming the line. Command-line flags override the loaded values.
     """
     cfg = SweepConfig()
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = _COMMENT.split(raw, 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key:
-                raise UsageError(f"expected 'key = value' (line {lineno})")
-            if key not in _CONFIG_PARSERS:
-                raise UsageError(f"unknown key '{key}' (line {lineno})")
-            try:
-                setattr(cfg, key, _CONFIG_PARSERS[key](value))
-            except ValueError:  # only int and float raise it
-                raise UsageError(
-                    f"malformed number for '{key}' (line {lineno}): {value!r}"
-                ) from None
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:  # no UTF-8 sequence holds a CR or LF byte, so ending lines first is exact
+        lines = data.decode("utf-8").removeprefix("\ufeff").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"config is not UTF-8 (line {lineno})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = _COMMENT.split(raw, 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not sep or not key:
+            raise UsageError(f"expected 'key = value' (line {lineno})")
+        if key not in _CONFIG_PARSERS:
+            raise UsageError(f"unknown key '{key}' (line {lineno})")
+        try:
+            setattr(cfg, key, _CONFIG_PARSERS[key](value))
+        except ValueError:  # only int and float raise it
+            raise UsageError(
+                f"malformed number for '{key}' (line {lineno}): {value!r}"
+            ) from None
     return cfg
 
 

@@ -414,8 +414,6 @@ class Gate(_Frozen):
 
 I, X, Z, ZX = map(Gate, _GATE_ROWS)
 
-GATES = {g.name: g for g in (I, X, Z, ZX)}
-
 
 @dataclass(frozen=True, eq=False)
 class Projector:

@@ -24,15 +24,15 @@ import math
 from enum import Enum
 from functools import cached_property
 from numbers import Real
+from types import MappingProxyType
 
-from .qcore import GATES, NORM_TOL, _SQRT_HALF, Gate, Ket, _first_word, _Frozen
+from .qcore import NORM_TOL, _SQRT_HALF, I, Ket, X, Z, ZX, _first_word, _Frozen
 
 __all__ = [
     "BellOutcome",
     "CORRECTIONS",
     "TeleportRecord",
     "prepare_joint",
-    "correction_for",
     "run_ideal",
     "enumerate_branches",
 ]
@@ -55,16 +55,16 @@ class BellOutcome(Enum):
 # Same order as qcore.bell_basis(): the enum's definition order.
 OUTCOME_ORDER = tuple(BellOutcome)
 
-# Outcome -> correction gate, frozen. Each gate is the unique member of
-# {I, X, Z, ZX} that maps the corresponding conditional state back to the
-# input up to global phase; a regression test re-derives the table by
-# exhaustive search.
-CORRECTIONS = {
-    BellOutcome.PSI_MINUS: "I",
-    BellOutcome.PSI_PLUS: "Z",
-    BellOutcome.PHI_MINUS: "X",
-    BellOutcome.PHI_PLUS: "ZX",
-}
+# Outcome -> the unitary the receiver applies, read-only. Each gate is the
+# unique member of {I, X, Z, ZX} that maps the corresponding conditional
+# state back to the input up to global phase; a regression test re-derives
+# the table by exhaustive search.
+CORRECTIONS = MappingProxyType({
+    BellOutcome.PSI_MINUS: I,
+    BellOutcome.PSI_PLUS: Z,
+    BellOutcome.PHI_MINUS: X,
+    BellOutcome.PHI_PLUS: ZX,
+})
 
 
 class TeleportRecord(_Frozen):
@@ -164,14 +164,9 @@ def _bell_branches(psi: Ket) -> tuple[tuple[tuple[complex, complex], ...], float
     return ((-q, p), (q, p), (-p, q), (-p, -q)), prob
 
 
-def correction_for(outcome: BellOutcome) -> Gate:
-    """The unitary the receiver applies for a given classical message."""
-    return GATES[CORRECTIONS[outcome]]
-
-
 # Each outcome's correction rows, by index into OUTCOME_ORDER, read from
 # CORRECTIONS once.
-_CORRECTION_ROWS = tuple(correction_for(outcome).rows for outcome in OUTCOME_ORDER)
+_CORRECTION_ROWS = tuple(CORRECTIONS[outcome].rows for outcome in OUTCOME_ORDER)
 
 
 def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:

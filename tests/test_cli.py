@@ -730,7 +730,7 @@ def test_sweep_config_value_may_hold_a_hash(tmp_path, capsys):
     assert len(rows) == 3
 
 
-@pytest.mark.parametrize("prefix, newline", [("\ufeff", "\n"), ("", "\r\n"), ("\ufeff", "\r\n")])
+@pytest.mark.parametrize("prefix, newline", [("\ufeff", "\n"), ("", "\r\n"), ("\ufeff", "\r\n"), ("", "\r")])
 def test_load_config_reads_a_bom_or_crlf_file_like_the_plain_one(tmp_path, prefix, newline):
     lines = ["steps = 11", "gamma_start = 0.25  # skip the flat region", "output_path = out.csv", ""]
     plain, other = tmp_path / "plain.cfg", tmp_path / "other.cfg"
@@ -757,6 +757,26 @@ def test_load_config_malformed_number_names_line(tmp_path):
     path.write_text("gamma_end = 1.0\nsteps = eleven\n")
     with pytest.raises(UsageError, match=r"malformed number for 'steps' \(line 2\)"):
         load_config(str(path))
+
+
+def test_load_config_non_utf8_byte_names_its_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"steps = 11\n# caf\xe9\n")
+    with pytest.raises(UsageError, match=r"^config is not UTF-8 \(line 2\)$"):
+        load_config(str(path))
+
+
+def test_sweep_config_non_utf8_byte_past_the_first_chunk_names_its_line(tmp_path, capsys):
+    # 201 comment lines, ended in turn by \n, \r\n and \r, put the bad byte on
+    # line 202, more than 8 KB in: past a text-mode reader's first chunk.
+    breaks = (b"\n", b"\r\n", b"\r")
+    lines = [b"# " + b"x" * 60 + breaks[i % 3] for i in range(201)]
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(b"".join(lines) + b"# caf\xe9\nsteps = 11\n")
+    assert cfg_path.stat().st_size > 8192
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv"))
+    assert (code, out, err) == (2, "", "error: config is not UTF-8 (line 202)\n")
+    assert list(tmp_path.iterdir()) == [cfg_path]
 
 
 def test_sweep_flag_overrides_config(tmp_path, capsys):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import teleportsim
 from teleportsim.qcore import (
     DENSITY_TOL,
-    GATES,
     NORM_TOL,
     I,
     X,
@@ -544,7 +543,7 @@ def test_gate_rejects_bad_inputs(args, error, message):
 
 def test_zx_is_x_then_z():
     assert np.array_equal(ZX.mat, Z.mat @ X.mat)
-    assert set(GATES) == {"I", "X", "Z", "ZX"}
+    assert set(_GATE_ROWS) == {"I", "X", "Z", "ZX"}
 
 
 def test_zx_table_keeps_the_negative_zero_of_numpys_product():
@@ -566,7 +565,7 @@ def test_zx_table_keeps_the_negative_zero_of_numpys_product():
 )
 def test_gate_arrays_are_read_only_cached_and_equal_the_table(build):
     gate = build()
-    assert gate.rows is GATES[gate.name].rows is _GATE_ROWS[gate.name]
+    assert gate.rows is Gate(gate.name).rows is _GATE_ROWS[gate.name]
     assert eval(repr(gate)).rows is gate.rows  # repr is Gate('X'): the constructor call
     arr = gate.mat
     assert arr.dtype == np.complex128
@@ -593,7 +592,7 @@ def test_importing_the_package_builds_no_value_array():
     code = (
         "import teleportsim.cli\n"
         "from teleportsim import qcore\n"
-        "assert not any('mat' in vars(g) for g in qcore.GATES.values())\n"
+        "assert not any('mat' in vars(g) for g in (qcore.I, qcore.X, qcore.Z, qcore.ZX))\n"
         "assert qcore.bell_state_vectors.cache_info().currsize == 0\n"
         "assert qcore.bell_basis.cache_info().currsize == 0\n"
     )

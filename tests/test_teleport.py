@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from teleportsim import teleport
 from teleportsim.envmodel import EnvironmentModel, noisy_teleport
 from teleportsim.qcore import (
-    GATES,
+    I,
+    X,
+    Z,
+    ZX,
     Ket,
     bell_basis,
     bell_state_vectors,
@@ -22,7 +25,6 @@ from teleportsim.teleport import (
     CORRECTIONS,
     OUTCOME_ORDER,
     BellOutcome,
-    correction_for,
     enumerate_branches,
     prepare_joint,
     run_ideal,
@@ -85,18 +87,29 @@ def test_correction_table_rederived_by_exhaustive_search():
         for outcome in BellOutcome:
             conditional = listed_conditional(outcome, a, b)
             winners = [
-                name
-                for name, gate in GATES.items()
+                gate
+                for gate in (I, X, Z, ZX)
                 if abs(np.vdot(target, gate.mat @ conditional)) > 1 - 1e-9
             ]
-            assert winners == [CORRECTIONS[outcome]]
+            assert len(winners) == 1 and winners[0] is CORRECTIONS[outcome]
 
 
-def test_correction_for_returns_expected_gates():
-    assert correction_for(BellOutcome.PSI_MINUS).name == "I"
-    assert correction_for(BellOutcome.PSI_PLUS).name == "Z"
-    assert correction_for(BellOutcome.PHI_MINUS).name == "X"
-    assert correction_for(BellOutcome.PHI_PLUS).name == "ZX"
+def test_corrections_map_each_outcome_to_its_gate():
+    assert CORRECTIONS[BellOutcome.PSI_MINUS] is I
+    assert CORRECTIONS[BellOutcome.PSI_PLUS] is Z
+    assert CORRECTIONS[BellOutcome.PHI_MINUS] is X
+    assert CORRECTIONS[BellOutcome.PHI_PLUS] is ZX
+    assert len(CORRECTIONS) == 4
+
+
+def test_corrections_table_is_read_only():
+    # The protocol reads its correction rows from this table once, at import:
+    # a table that took writes could drift from the gates it applies.
+    with pytest.raises(TypeError):
+        CORRECTIONS[BellOutcome.PSI_MINUS] = X
+    with pytest.raises(TypeError):
+        del CORRECTIONS[BellOutcome.PSI_MINUS]
+    assert CORRECTIONS[BellOutcome.PSI_MINUS] is I
 
 
 # ---------------------------------------------------------------- run_ideal
@@ -317,7 +330,7 @@ def oracle_conditional(post_amplitudes, index):
 
 def assert_matches_oracle(record, psi, index, post_amplitudes, prob):
     conditional = oracle_conditional(post_amplitudes, index)
-    corrected = correction_for(OUTCOME_ORDER[index]).mat @ conditional
+    corrected = CORRECTIONS[OUTCOME_ORDER[index]].mat @ conditional
     assert record.outcome is OUTCOME_ORDER[index]
     assert abs(record.probability - prob) <= TOL
     assert np.abs(record.conditional_state.amplitudes - conditional).max() <= TOL
