@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows
-from .teleport import BellOutcome, _corrected_pair, run_ideal
+from .teleport import BellOutcome, run_ideal
 
 __all__ = [
     "DegenerateModelError",
@@ -325,9 +325,8 @@ def reduced_state(a: complex, b: complex, env: EnvironmentModel) -> DensityMatri
     """The delivered qubit's state: environment traced out of the normalized
     coupled state, from ``closed_form``. Diagonal proportional to
     (|c0 a|^2, |c1 b|^2); upper off-diagonal proportional to
-    c0 conj(c1) a conj(b) gamma. Built unchecked: ``_report`` says why it
-    passes the check."""
-    return DensityMatrix._built(closed_form(a, b, env.c0, env.c1, env.gamma).rows())
+    c0 conj(c1) a conj(b) gamma."""
+    return DensityMatrix(closed_form(a, b, env.c0, env.c1, env.gamma).rows())
 
 
 def _printed_entries(a: complex, b: complex, c0: complex, c1: complex, gamma):
@@ -448,14 +447,16 @@ def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -
 
 def _report(a: complex, b: complex, env: EnvironmentModel,
             branch: BellOutcome | None) -> DeviationReport:
-    """The report at one point. Its rho3 is built unchecked: the model is
-    checked and ``closed_form`` checks (a, b) and the coupled norm, after
-    which rho3 is a qubit's state by construction. Its diagonal is the two
-    branch weights divided by their sum, so the trace is 1 up to rounding;
-    its layout is Hermitian exactly (a real diagonal and the exact conjugate
-    below it); and its determinant is rho00 rho11 (1 - |gamma|^2) up to
-    rounding, where |gamma| <= 1 + OVERLAP_TOL puts the lower eigenvalue no
-    lower than about -1e-12, far inside DENSITY_TOL."""
+    """The report at one point. Its rho3 is built unchecked, since
+    ``DensityMatrix``'s check would add about a quarter to a point query's
+    time: the model is checked and ``closed_form`` checks (a, b) and the
+    coupled norm, after which rho3 is a qubit's state by construction. Its
+    diagonal is the two branch weights divided by their sum, so the trace is
+    1 up to rounding; its layout is Hermitian exactly (a real diagonal and
+    the exact conjugate below it); and its determinant is
+    rho00 rho11 (1 - |gamma|^2) up to rounding, where
+    |gamma| <= 1 + OVERLAP_TOL puts the lower eigenvalue no lower than about
+    -1e-12, far inside DENSITY_TOL."""
     rho00, rho11, re, im, delta, fid, pur = closed_form(a, b, env.c0, env.c1, env.gamma)
     return DeviationReport(DensityMatrix._built(_qubit_rows(rho00, rho11, re, im)), delta, fid, pur, branch)
 
@@ -473,5 +474,5 @@ def noisy_teleport(psi: Ket, env: EnvironmentModel, seed: int) -> DeviationRepor
     the sampled branch. ``seed`` follows ``run_ideal``'s rule.
     """
     record = run_ideal(psi, seed)
-    a, b = _corrected_pair(record)  # builds none of the run's Kets
+    a, b = record._corrected  # builds none of the run's Kets
     return _report(a, b, env, branch=record.outcome)

@@ -11,15 +11,11 @@ path read. ``Gate(name)`` keeps its name's exact table (``Gate.rows``). Their
 ndarrays (``.amplitudes``, ``.mat``) are read-only complex128 copies of those
 entries, built on first access and cached, so a value that numpy never reads
 allocates no array, and importing this module builds none. Construction runs
-each class's ``__post_init__`` once: it is the hook a tracer can wrap, and on
-the public constructors the one check of a value from outside the package.
-
-A value is checked once, where it enters the package. ``Ket._built`` and
-``DensityMatrix._built`` store a value the package computed from inputs it had
-already checked: a unit pair it normalized, a state it laid out from one. They
-run the same ``__post_init__`` once, which stores the same Python complexes
-the public constructor would and skips only its check. Each site that uses
-them says why its value always passes that check.
+each class's ``__post_init__`` once: it is the hook a tracer can wrap, and
+on the public constructors the one check. Every ``Ket`` and
+``DensityMatrix`` the package returns has passed that check except a
+report's rho3, which ``DensityMatrix._built`` stores unchecked, since the
+check would cost about a quarter of a point query.
 
 A protocol run's one random number is ``_first_word(seed)``: the first 64-bit
 word of the seed's Philox stream, ``seeded_stream(seed)``'s, computed bit for
@@ -259,27 +255,12 @@ class Ket(_Frozen):
     ``sum`` of floats is compensated from Python 3.12). It is not BLAS's
     ``vdot``: over 200 000 random vectors the two differ by up to 2 ulps at
     2 amplitudes and 3 ulps at 8, so a norm that close to 1 +- NORM_TOL may
-    be judged differently from numpy's.
-    ``Ket._built`` stores a unit vector the package formed itself without
-    that check: ``ket_from_amplitudes`` and a protocol record's two Kets."""
+    be judged differently from numpy's."""
 
     def __init__(self, amplitudes, labels: tuple[str, ...]):
         self.__post_init__(amplitudes, labels)
 
-    @classmethod
-    def _built(cls, entries: tuple[complex, ...], labels: tuple[str, ...]) -> Ket:
-        """A Ket the package built as a unit vector: ``entries``, a tuple of
-        Python complexes, and ``labels``, a tuple, stored as given."""
-        self = object.__new__(cls)
-        self.__post_init__(entries, labels, True)
-        return self
-
-    def __post_init__(self, amplitudes, labels, _unchecked=False):
-        if _unchecked:  # from _built
-            state = vars(self)
-            state["entries"] = amplitudes
-            state["labels"] = labels
-            return
+    def __post_init__(self, amplitudes, labels):
         arr = np.asarray(amplitudes, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError(f"amplitudes must be a vector, got shape {arr.shape}")
@@ -331,9 +312,8 @@ class DensityMatrix(_Frozen):
     summed from 0j like ``np.trace``; and the lower eigenvalue
     mean - sqrt(mean^2 - det) at least -DENSITY_TOL. The skew's modulus is
     libm's hypot, which numpy's array loop may round one ulp apart.
-    ``DensityMatrix._built`` stores a state the package laid out itself
-    without that check: ``to_density``'s |psi><psi| and the kernel's rho3
-    (``envmodel.reduced_state`` and the reports)."""
+    ``DensityMatrix._built`` stores the one state the package does not
+    check, a report's rho3 (``envmodel._report`` says why it would pass)."""
 
     def __init__(self, mat):
         self.__post_init__(mat)
@@ -485,12 +465,8 @@ def normalized_amplitudes(a: complex, b: complex) -> tuple[complex, complex]:
 
 
 def ket_from_amplitudes(a: complex, b: complex) -> Ket:
-    """Single-qubit ket a|0> + b|1>, normalized by ``normalized_amplitudes``.
-
-    Built unchecked: ``normalized_amplitudes`` checks (a, b) and returns a
-    pair of Python complexes whose norm is 1 to a few ulps, far inside
-    NORM_TOL, since its squares are neither overflowed nor subnormal."""
-    return Ket._built(normalized_amplitudes(a, b), ("1",))
+    """Single-qubit ket a|0> + b|1>, normalized by ``normalized_amplitudes``."""
+    return Ket(normalized_amplitudes(a, b), ("1",))
 
 
 def _pure_density(a: complex, b: complex) -> tuple[float, float, float, float]:
@@ -503,24 +479,17 @@ def _pure_density(a: complex, b: complex) -> tuple[float, float, float, float]:
 
 def _qubit_rows(d00: float, d11: float, re: float, im: float) -> tuple[tuple[complex, complex], ...]:
     """((d00, re + i im), (re - i im, d11)): the rows of a qubit's 2x2 state
-    as tuples of Python complexes, stored as the public constructor stores
-    them, the one layout for ``to_density`` and ``envmodel``. The lower
+    as tuples of Python complexes, as ``DensityMatrix`` stores them, the
+    one layout for ``to_density`` and ``envmodel``. The lower
     imaginary part is 0.0 - im, not -im, so a zero stays +0.0 there."""
     return (complex(d00), complex(re, im)), (complex(re, 0.0 - im), complex(d11))
 
 
 def to_density(psi: Ket) -> DensityMatrix:
-    """Rank-1 density matrix |psi><psi| of a one-qubit ket.
-
-    Built unchecked once psi's dimension is: every Ket is a checked unit
-    vector, so the trace |a|^2 + |b|^2 is 1 within about 2 NORM_TOL, the
-    layout is Hermitian exactly (a real diagonal, the lower off-diagonal the
-    exact conjugate of the upper), and the determinant
-    |a|^2 |b|^2 - |a conj(b)|^2 is 0 up to rounding, so the lower eigenvalue
-    is near -1e-16, far inside DENSITY_TOL."""
+    """Rank-1 density matrix |psi><psi| of a one-qubit ket."""
     if psi.dim != 2:
         raise ValueError(f"density matrix must be 2x2, got shape {(psi.dim, psi.dim)}")
-    return DensityMatrix._built(_qubit_rows(*_pure_density(*psi.entries)))
+    return DensityMatrix(_qubit_rows(*_pure_density(*psi.entries)))
 
 
 def _lift(op: np.ndarray, before: int, after: int) -> np.ndarray:

@@ -12,9 +12,8 @@ and leaves a signed permutation of (a, b), so the top two bits of the seed's
 first 64-bit Philox word w pick outcome ``w >> 62``. That table is a few
 operations on two amplitudes, so it is computed in Python ``complex``
 arithmetic rather than numpy, whose per-call cost on 2-element arrays exceeds
-the arithmetic. A protocol record builds its ``Ket`` values on first read,
-unchecked, since each pair is a unit pair by construction. The general Bell
-measurement, ``qcore.born_measure`` with ``qcore.bell_basis()``
+the arithmetic. A protocol record builds its ``Ket`` values on first read.
+The general Bell measurement, ``qcore.born_measure`` with ``qcore.bell_basis()``
 on ``prepare_joint``'s state, is the oracle the tests compare it against.
 """
 
@@ -76,12 +75,9 @@ class TeleportRecord(_Frozen):
     the package, so each is checked when the record is built: both Kets go
     through ``Ket``'s check, then ``outcome`` must be a ``BellOutcome`` and
     ``fidelity`` and ``probability`` real numbers in [0, 1], within NORM_TOL.
-    The protocol's records come from ``TeleportRecord._built``, and their Kets
-    are built on first read, unchecked (``Ket._built``), and cached: each pair
-    is a branch of ``_bell_branches``, a pair scaled by 1/sqrt(prob) where
-    prob, about 1/4 since psi is a checked unit vector, is its own squared
-    norm, so its norm is 1 to a few ulps; the correction only permutes and
-    negates its entries, which keeps the norm exactly."""
+    The protocol's records come from ``TeleportRecord._built``, which stores
+    the two pairs; their Kets are built through ``Ket``'s check on first read,
+    and cached."""
 
     def __init__(self, outcome: BellOutcome, conditional, corrected, fidelity: float, probability: float):
         conditional_state, corrected_state = Ket(conditional, ("3",)), Ket(corrected, ("3",))
@@ -102,8 +98,8 @@ class TeleportRecord(_Frozen):
     @classmethod
     def _built(cls, outcome: BellOutcome, conditional, corrected, fidelity: float,
                probability: float) -> TeleportRecord:
-        """A branch the protocol computed: both pairs are unit pairs of Python
-        complexes by construction."""
+        """A branch the protocol computed, its two pairs Python complexes,
+        stored as given."""
         self = object.__new__(cls)
         state = vars(self)
         state["outcome"] = outcome
@@ -115,20 +111,15 @@ class TeleportRecord(_Frozen):
 
     @cached_property
     def conditional_state(self) -> Ket:
-        return Ket._built(self._conditional, ("3",))
+        return Ket(self._conditional, ("3",))
 
     @cached_property
     def corrected_state(self) -> Ket:
-        return Ket._built(self._corrected, ("3",))
+        return Ket(self._corrected, ("3",))
 
     def __repr__(self) -> str:
         names = ("outcome", "conditional_state", "corrected_state", "fidelity", "probability")
         return f"TeleportRecord({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
-
-
-def _corrected_pair(record: TeleportRecord) -> tuple[complex, complex]:
-    """The pair ``corrected_state`` is built from, without building it."""
-    return record._corrected
 
 
 def _qubit(psi: Ket) -> tuple[complex, complex]:

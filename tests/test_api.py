@@ -37,11 +37,11 @@ from teleportsim.envmodel import (
     direct_report, evolve, noisy_teleport, reduced_state,
 )
 from teleportsim.qcore import (
-    X, DensityMatrix, Gate, Ket, _pure_density, _qubit_rows, apply_gate, bell_basis, born_measure,
+    NORM_TOL, X, DensityMatrix, Gate, Ket, _pure_density, _qubit_rows, apply_gate, bell_basis, born_measure,
     ket_from_amplitudes, normalized_amplitudes, seeded_stream, to_density,
 )
 from teleportsim.teleport import (
-    BellOutcome, TeleportRecord, _corrected_pair, enumerate_branches, prepare_joint, run_ideal,
+    BellOutcome, TeleportRecord, enumerate_branches, prepare_joint, run_ideal,
 )
 
 from support import NEAR_DEGENERATE, SQRT_HALF, coefficients, overlaps, qubits
@@ -192,9 +192,9 @@ def bits(values) -> bytes:
 
 
 def assert_stored_alike(built, checked):
-    """``built`` (from a private constructor) stores what ``checked`` (from
-    the public one) stores: the same labels, and entries that are all Python
-    complexes with the same bits, signed zeros included."""
+    """``built`` (a value the package returns) stores what ``checked`` (built
+    here from the entries it should hold) stores: the same labels, and entries
+    that are all Python complexes with the same bits, signed zeros included."""
     if isinstance(built, Ket):
         assert built.labels == checked.labels
         entries, twins = built.entries, checked.entries
@@ -216,10 +216,9 @@ def assert_stored_alike(built, checked):
 @example(ab=(NEAR_DEGENERATE, 1), c0=1, c1=NEAR_DEGENERATE, gamma=1, seed=7)
 @example(ab=(NEAR_DEGENERATE, 1), c0=1, c1=NEAR_DEGENERATE * 1j, gamma=-0.6j, seed=8)
 def test_lazy_fields_equal_eager_construction_bit_for_bit(ab, c0, c1, gamma, seed):
-    # A record's Kets and a report's rho3 are built on first read, and every
-    # value the package computes from checked inputs is built unchecked. The
-    # public constructor accepts each such value's entries and stores the same
-    # bits.
+    # A record's Kets are built on first read, and a report's rho3 is stored
+    # unchecked. Each value the package returns equals the public constructor
+    # applied to the entries the kernel or the protocol computes, bit for bit.
     a, b = ab
     psi = ket_from_amplitudes(a, b)
     assert_stored_alike(psi, Ket(normalized_amplitudes(a, b), ("1",)))
@@ -227,7 +226,7 @@ def test_lazy_fields_equal_eager_construction_bit_for_bit(ab, c0, c1, gamma, see
     records = [run_ideal(psi, seed), *enumerate_branches(psi)]
     for r in records:
         assert_stored_alike(r.conditional_state, Ket(r._conditional, ("3",)))
-        assert_stored_alike(r.corrected_state, Ket(_corrected_pair(r), ("3",)))
+        assert_stored_alike(r.corrected_state, Ket(r._corrected, ("3",)))
     try:
         rows = closed_form(a, b, c0, c1, gamma).rows()
     except DegenerateModelError:  # also where c0 = c1 = 0, which the model rejects
@@ -237,7 +236,7 @@ def test_lazy_fields_equal_eager_construction_bit_for_bit(ab, c0, c1, gamma, see
         assert_stored_alike(rho3, DensityMatrix(rows))
     record, report = records[0], noisy_teleport(psi, env, seed)
     assert report.branch is record.outcome
-    rows = closed_form(*_corrected_pair(record), c0, c1, gamma).rows()
+    rows = closed_form(*record._corrected, c0, c1, gamma).rows()
     assert_stored_alike(report.rho3, DensityMatrix(rows))
 
 
@@ -260,10 +259,14 @@ def test_a_record_built_by_a_caller_checks_its_kets():
     ((BellOutcome.PSI_MINUS, 7.5, 0.25), ValueError, "fidelity must be a real number in [0, 1], got 7.5"),
     ((BellOutcome.PSI_MINUS, math.nan, 0.25), ValueError, "fidelity must be a real number in [0, 1], got nan"),
     ((BellOutcome.PSI_MINUS, 1 + 0j, 0.25), ValueError, "fidelity must be a real number in [0, 1], got (1+0j)"),
+    ((BellOutcome.PSI_MINUS, 1 + 1.5e-12, 0.25), ValueError,
+     "fidelity must be a real number in [0, 1], got 1.0000000000015"),
     ((BellOutcome.PSI_MINUS, 1.0, -2.0), ValueError, "probability must be a real number in [0, 1], got -2.0"),
+    ((BellOutcome.PSI_MINUS, 1.0, 1 + 1.5e-12), ValueError,
+     "probability must be a real number in [0, 1], got 1.0000000000015"),
     ((BellOutcome.PSI_MINUS, 1.0, "0.25"), ValueError, "probability must be a real number in [0, 1], got '0.25'"),
 ], ids=["outcome-str", "outcome-bits", "fidelity-above-one", "fidelity-nan", "fidelity-complex",
-        "probability-negative", "probability-str"])
+        "fidelity-past-tolerance", "probability-negative", "probability-past-tolerance", "probability-str"])
 def test_a_record_built_by_a_caller_checks_every_field(fields, error, message):
     outcome, fidelity, probability = fields
     with pytest.raises(error) as excinfo:
@@ -278,11 +281,16 @@ def test_a_valid_record_built_by_a_caller_prints_its_checked_kets():
         "conditional_state=Ket(((0.6+0j), 0.8j), ('3',)), "
         "corrected_state=Ket(((0.8+0j), (0.6+0j)), ('3',)), fidelity=1.0, probability=0.25)"
     )
-    assert _corrected_pair(record) == record.corrected_state.entries
+    assert record._corrected == record.corrected_state.entries
     # The range's ends, within NORM_TOL, and numpy's reals are accepted as given.
     edge = TeleportRecord(BellOutcome.PHI_PLUS, (1, 0), (0, 1), 1.0 + 1e-13, np.float64(0.0))
     assert (edge.fidelity, edge.probability) == (1.0 + 1e-13, 0.0)
     assert repr(edge).startswith("TeleportRecord(outcome=<BellOutcome.PHI_PLUS: (0, 0)>, ")
+    # Half of NORM_TOL past 1 is inside, and so are both ends exactly; the
+    # rejected rows above lie half of NORM_TOL past the upper end.
+    for low, high in [(1 + 0.5e-12, 1 + 0.5e-12), (-NORM_TOL, 1.0 + NORM_TOL), (1.0 + NORM_TOL, -NORM_TOL)]:
+        edge = TeleportRecord(BellOutcome.PHI_PLUS, (1, 0), (0, 1), low, high)
+        assert (edge.fidelity, edge.probability) == (low, high)
 
 
 @pytest.mark.parametrize("name", VALUES)

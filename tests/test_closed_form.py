@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from teleportsim.cli import SweepConfig, main
 from teleportsim.envmodel import (
+    DEGENERATE_TOL,
     DegenerateModelError,
     EnvironmentModel,
     _check_normalized,
@@ -375,6 +376,15 @@ def test_an_underflowing_coupled_norm_is_degenerate_on_both_routes(a, b, c0, c1)
         closed_form(a, b, c0, c1, 0.5)
     with pytest.raises(DegenerateModelError, match="below DEGENERATE_TOL"):
         evolve(a, b, EnvironmentModel(0.5, c0, c1))
+
+
+def test_a_coupled_norm_of_exactly_degenerate_tol_is_computed():
+    # DEGENERATE_TOL is 2^-511, so c0 a = 2^-511 with c1 = 0 puts the coupled
+    # norm on it exactly; only a norm below it is degenerate.
+    assert DEGENERATE_TOL == 2.0**-511
+    form = closed_form(2.0**-511, 1.0, 1, 0, 0.5)
+    assert (form.rho00, form.rho11, form.rho01_re, form.rho01_im) == (1.0, 0.0, 0.0, 0.0)
+    assert evolve(2.0**-511, 1.0, EnvironmentModel(0.5, 1, 0)).entries == (1, 0, 0, 0)
 
 
 @st.composite

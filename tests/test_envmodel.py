@@ -1,4 +1,6 @@
 import cmath
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from teleportsim.envmodel import (
 from teleportsim.qcore import DensityMatrix, Ket, ket_from_amplitudes, purity, to_density
 from teleportsim.teleport import BellOutcome
 
-from support import SQRT_HALF, random_model, random_qubit, traced_over_environment
+from support import SQRT_HALF, exact_sqrt, random_model, random_qubit, traced_over_environment
 
 
 # ---------------------------------------------------------------- model validation
@@ -43,6 +45,8 @@ INF, NAN = float("inf"), float("nan")
     ((complex(1.7e308, 1.7e308), SQRT_HALF, SQRT_HALF), "|gamma| = inf exceeds 1"),
     ((0.5, 0, -0.0), "c0 and c1 cannot both be zero"),
     ((0.5, 0, 0), "c0 and c1 cannot both be zero"),
+    # Past the ceiling 1 + OVERLAP_TOL by half of it (1 + 0.5e-12 is accepted).
+    ((1 + 1.5e-12, SQRT_HALF, SQRT_HALF), "|gamma| = 1.0000000000015 exceeds 1"),
 ])
 def test_model_checks_run_in_order_with_their_messages(args, message):
     with pytest.raises(ValueError) as err:
@@ -218,6 +222,24 @@ def test_deviation_fully_dephased_balanced_case():
 MIXED = np.eye(2) / 2
 ZERO = to_density(ket_from_amplitudes(1, 0))
 NON_FINITE = np.array([[np.nan, 0], [0, 1]])
+
+
+NON_HERMITIAN = np.array([[0.3 + 0.4j, 0.1 - 0.2j], [0.5 + 0.6j, -0.7 + 0.25j]])
+
+
+# Any finite 2x2 arrays, so a diagonal entry may have an imaginary part: in
+# both diagonal entries, in d11 only and in d00 only.
+@pytest.mark.parametrize("x, y", [
+    (NON_HERMITIAN, np.array([[0.1 - 0.3j, 0.2j], [-0.4, 0.6 - 0.5j]])),
+    (np.array([[0.5, 0.1], [0.3, 0.5 + 0.9j]]), MIXED),
+    (np.array([[0.5 - 0.9j, 0.1], [0.3, 0.5]]), MIXED),
+], ids=["both-diagonals", "d11", "d00"])
+def test_deviation_of_complex_diagonals_is_the_exact_distance(x, y):
+    squares = sum((Fraction(u.real) - Fraction(v.real)) ** 2 + (Fraction(u.imag) - Fraction(v.imag)) ** 2
+                  for u, v in zip(x.ravel().tolist(), y.ravel().tolist()))
+    got = deviation(x, y)
+    # Each row rounds to within 0.28 ulp of the exact distance.
+    assert abs(Fraction(got) - exact_sqrt(squares)) <= math.ulp(got) / 2
 
 
 def test_deviation_reads_rho1_by_the_same_rule_as_rho3():

@@ -98,7 +98,10 @@ def _sweep_formula(a, b):
 moderate_parts = signed_powers(-100.0, 100.0)
 
 
-# A power-of-two prescale of these ordinary pairs would move a last bit.
+# A power-of-two prescale of these ordinary pairs would move a last bit,
+# also where the largest part lies on an edge of _SQUARE_SAFE, 2^500 or 2^-500.
+@example(3.273390607896142e+150, 1.896115527360844e+149, -1.0798115211919791e+150, 8.527400738015481e+149)
+@example(3.054936363499605e-151, 3.0158138472171213e-151, 1.617326434823386e-151, 1.5511358726179443e-151)
 @example(-0.03371122486833298, -0.4902698125589609, -0.17758829074147392, 7.583801934427046)
 @example(0.33309485542470724, 0.06859111559592775, 0.02408921548802265, -9.652044207232224)
 @example(30.037790005030434, -0.04704051890412, -0.10297260982439896, -0.07989616729931714)
@@ -351,6 +354,19 @@ def test_density_matrix_messages_print_plain_numbers(mat, message):
     with pytest.raises(ValueError) as info:
         DensityMatrix(mat)
     assert str(info.value) == message
+
+
+# A skew of exactly DENSITY_TOL, off the diagonal and as twice a diagonal
+# imaginary part: only a skew above it is rejected. With both diagonal parts
+# on that edge the trace is exactly 1 + 1e-10j, on the trace's edge as well.
+@pytest.mark.parametrize("mat", [
+    [[0.5, 1e-10], [0, 0.5]],
+    [[0.5 + 0.5e-10j, 0], [0, 0.5]],
+    [[0.5 + 0.5e-10j, 0], [0, 0.5 + 0.5e-10j]],
+], ids=["off-diagonal", "diagonal", "trace"])
+def test_density_matrix_accepts_a_skew_of_exactly_density_tol(mat):
+    assert DENSITY_TOL == 1e-10 == 2 * 0.5e-10
+    assert DensityMatrix(mat).rows == tuple(tuple(complex(z) for z in row) for row in mat)
 
 
 @pytest.mark.parametrize(
