@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows
+from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows, _Result
 from .teleport import BellOutcome, run_ideal
 
 __all__ = [
@@ -95,6 +95,8 @@ class EnvironmentModel(_Frozen):
     (gamma, c0, c1), and assignment and deletion raise. Construction runs
     ``__post_init__`` once: the one check, and the hook a tracer can wrap."""
 
+    _fields = ("gamma", "c0", "c1")
+
     def __init__(self, gamma: complex, c0: complex, c1: complex):
         self.__post_init__(gamma, c0, c1)
 
@@ -127,28 +129,15 @@ class EnvironmentModel(_Frozen):
     def __hash__(self) -> int:
         return hash((self.gamma, self.c0, self.c1))
 
-    def __repr__(self) -> str:
-        return f"EnvironmentModel(gamma={self.gamma!r}, c0={self.c0!r}, c1={self.c1!r})"
 
-
-class DeviationReport(_Frozen):
-    """Delivered state and its quality metrics at one parameter point.
+class DeviationReport(_Result):
+    """Delivered state and its quality metrics at one parameter point, built
+    only by ``direct_report`` and ``noisy_teleport``.
 
     ``branch`` is the sampled measurement outcome, or None for a direct
     evaluation that bypasses the protocol. Equality is identity."""
 
-    def __init__(self, rho3: DensityMatrix, delta: float, fidelity: float, purity: float,
-                 branch: BellOutcome | None = None):
-        state = vars(self)
-        state["rho3"] = rho3
-        state["delta"] = delta
-        state["fidelity"] = fidelity
-        state["purity"] = purity
-        state["branch"] = branch
-
-    def __repr__(self) -> str:
-        return (f"DeviationReport(rho3={self.rho3!r}, delta={self.delta!r}, fidelity={self.fidelity!r}, "
-                f"purity={self.purity!r}, branch={self.branch!r})")
+    _fields = ("rho3", "delta", "fidelity", "purity", "branch")
 
 
 def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
@@ -458,7 +447,8 @@ def _report(a: complex, b: complex, env: EnvironmentModel,
     |gamma| <= 1 + OVERLAP_TOL puts the lower eigenvalue no lower than about
     -1e-12, far inside DENSITY_TOL."""
     rho00, rho11, re, im, delta, fid, pur = closed_form(a, b, env.c0, env.c1, env.gamma)
-    return DeviationReport(DensityMatrix._built(_qubit_rows(rho00, rho11, re, im)), delta, fid, pur, branch)
+    return DeviationReport._built(rho3=DensityMatrix._built(_qubit_rows(rho00, rho11, re, im)), delta=delta,
+                                  fidelity=fid, purity=pur, branch=branch)
 
 
 def direct_report(a: complex, b: complex, env: EnvironmentModel) -> DeviationReport:

@@ -231,13 +231,33 @@ def _matrix_entries(mat) -> tuple[complex, complex, complex, complex]:
 
 class _Frozen:
     """Assignment and deletion raise, as on a frozen dataclass: a value writes
-    its ``__dict__`` once, when built or first read."""
+    its ``__dict__`` once, when built or first read. The ``repr`` names each
+    of ``_fields``, as ``Name(field=value, ...)``."""
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Result(_Frozen):
+    """A result the package computes and returns, never a caller's input:
+    calling the class raises, and ``_built`` stores the fields as given, its
+    keyword dict becoming the instance's ``__dict__``."""
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is built by the package, not by a caller")
+
+    @classmethod
+    def _built(cls, **fields):
+        self = object.__new__(cls)
+        object.__setattr__(self, "__dict__", fields)
+        return self
 
 
 class Ket(_Frozen):
@@ -406,9 +426,9 @@ class Projector:
         mat = _frozen_complex(self.mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"projector must be square, got shape {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > 1e-12:
+        if np.abs(mat - mat.conj().T).max() > NORM_TOL:
             raise ValueError(f"projector {self.label!r} is not Hermitian")
-        if np.abs(mat @ mat - mat).max() > 1e-12:
+        if np.abs(mat @ mat - mat).max() > NORM_TOL:
             raise ValueError(f"projector {self.label!r} is not idempotent")
         object.__setattr__(self, "mat", mat)
 
@@ -522,7 +542,7 @@ def _lifted_projectors(
                 f"projector {p.label!r} has dimension {p.dim}, expected {d_target}"
             )
     total = sum(p.mat for p in projectors)
-    if np.abs(total - np.eye(d_target)).max() > 1e-10:
+    if np.abs(total - np.eye(d_target)).max() > DENSITY_TOL:
         raise ValueError("projectors do not form a complete set on the targeted factor")
     before, after = 2 ** targets[0], 2 ** (n_subsystems - targets[-1] - 1)
     return tuple(_lift(p.mat, before, after) for p in projectors)

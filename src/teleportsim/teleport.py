@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cached_property
-from numbers import Real
 from types import MappingProxyType
 
-from .qcore import NORM_TOL, _SQRT_HALF, I, Ket, X, Z, ZX, _first_word, _Frozen
+from .qcore import _SQRT_HALF, I, Ket, X, Z, ZX, _first_word, _Result
 
 __all__ = [
     "BellOutcome",
@@ -66,48 +65,15 @@ CORRECTIONS = MappingProxyType({
 })
 
 
-class TeleportRecord(_Frozen):
+class TeleportRecord(_Result):
     """One protocol branch: what the receiver saw and how well the delivered
     state matches the input, with particle 3's state before and after the
     correction as ``Ket`` values.
 
-    A record built by ``TeleportRecord(...)`` takes its fields from outside
-    the package, so each is checked when the record is built: both Kets go
-    through ``Ket``'s check, then ``outcome`` must be a ``BellOutcome`` and
-    ``fidelity`` and ``probability`` real numbers in [0, 1], within NORM_TOL.
-    The protocol's records come from ``TeleportRecord._built``, which stores
-    the two pairs; their Kets are built through ``Ket``'s check on first read,
-    and cached."""
+    Only the protocol builds a record: it stores the two pairs, whose Kets
+    are built through ``Ket``'s check on first read, and cached."""
 
-    def __init__(self, outcome: BellOutcome, conditional, corrected, fidelity: float, probability: float):
-        conditional_state, corrected_state = Ket(conditional, ("3",)), Ket(corrected, ("3",))
-        if not isinstance(outcome, BellOutcome):
-            raise TypeError(f"outcome must be a BellOutcome, got {type(outcome).__name__}")
-        for name, value in (("fidelity", fidelity), ("probability", probability)):
-            if not (isinstance(value, Real) and -NORM_TOL <= value <= 1.0 + NORM_TOL):
-                raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
-        state = vars(self)
-        state["outcome"] = outcome
-        state["_conditional"] = conditional_state.entries
-        state["_corrected"] = corrected_state.entries
-        state["fidelity"] = fidelity
-        state["probability"] = probability
-        state["conditional_state"] = conditional_state
-        state["corrected_state"] = corrected_state
-
-    @classmethod
-    def _built(cls, outcome: BellOutcome, conditional, corrected, fidelity: float,
-               probability: float) -> TeleportRecord:
-        """A branch the protocol computed, its two pairs Python complexes,
-        stored as given."""
-        self = object.__new__(cls)
-        state = vars(self)
-        state["outcome"] = outcome
-        state["_conditional"] = conditional
-        state["_corrected"] = corrected
-        state["fidelity"] = fidelity
-        state["probability"] = probability
-        return self
+    _fields = ("outcome", "conditional_state", "corrected_state", "fidelity", "probability")
 
     @cached_property
     def conditional_state(self) -> Ket:
@@ -116,10 +82,6 @@ class TeleportRecord(_Frozen):
     @cached_property
     def corrected_state(self) -> Ket:
         return Ket(self._corrected, ("3",))
-
-    def __repr__(self) -> str:
-        names = ("outcome", "conditional_state", "corrected_state", "fidelity", "probability")
-        return f"TeleportRecord({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
 
 
 def _qubit(psi: Ket) -> tuple[complex, complex]:
@@ -170,7 +132,8 @@ def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
     d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
     a, b = psi.entries
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
-    return TeleportRecord._built(outcome, (c0, c1), (d0, d1), fid, prob)
+    return TeleportRecord._built(outcome=outcome, _conditional=(c0, c1), _corrected=(d0, d1), fidelity=fid,
+                                 probability=prob)
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:

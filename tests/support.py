@@ -94,6 +94,28 @@ def exact_point(a, b, c0, c1, gamma):
     return (rho00, rho11, re, im), delta_sq, fidelity, purity
 
 
+def exact_printed(a, b, c0, c1, gamma):
+    """The exact values the printed form rounds, as Fractions: its entries
+    (d00, d11, d01_re, d01_im), diagonal (1 + |gamma|^2)(|c0 a|^2, |c1 b|^2)
+    and upper off-diagonal 2 c0 conj(c1) a conj(b) gamma, and delta^2, its
+    squared distance from rho1 = |psi><psi|.
+
+    The printed form is not scale invariant and takes every number as given,
+    so rho1 is formed from (a, b) as given, as ``printed_deviation`` forms it."""
+    a, b, c0, c1, gamma = map(_exact, (a, b, c0, c1, gamma))
+    x0, x1 = _mul(c0, a), _mul(c1, b)
+    g_sq = gamma[0] ** 2 + gamma[1] ** 2
+    d00 = (1 + g_sq) * (x0[0] ** 2 + x0[1] ** 2)
+    d11 = (1 + g_sq) * (x1[0] ** 2 + x1[1] ** 2)
+    re, im = _mul(_mul(x0, (x1[0], -x1[1])), gamma)
+    re, im = 2 * re, 2 * im
+    (ar, ai), (br, bi) = a, b
+    r00, r11 = ar * ar + ai * ai, br * br + bi * bi
+    r01_re, r01_im = ar * br + ai * bi, ai * br - ar * bi  # a conj(b)
+    delta_sq = (d00 - r00) ** 2 + (d11 - r11) ** 2 + 2 * ((re - r01_re) ** 2 + (im - r01_im) ** 2)
+    return (d00, d11, re, im), delta_sq
+
+
 def exact_sqrt(x: Fraction) -> Fraction:
     """sqrt(x) to 50 significant digits, taken with ``decimal``."""
     with localcontext() as ctx:

@@ -37,7 +37,7 @@ from teleportsim.envmodel import (
     direct_report, evolve, noisy_teleport, reduced_state,
 )
 from teleportsim.qcore import (
-    NORM_TOL, X, DensityMatrix, Gate, Ket, _pure_density, _qubit_rows, apply_gate, bell_basis, born_measure,
+    X, DensityMatrix, Gate, Ket, _pure_density, _qubit_rows, apply_gate, bell_basis, born_measure,
     ket_from_amplitudes, normalized_amplitudes, seeded_stream, to_density,
 )
 from teleportsim.teleport import (
@@ -127,11 +127,6 @@ CONSTRUCTIONS = {
     "born_measure": (lambda: born_measure(prepare_joint(PSI), bell_basis(), (0, 1), seeded_stream(3)), 2, 0, 0, 0),
     "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 1, 0, 0),
     "reduced_state": (lambda: reduced_state(0.6, 0.8j, ENV), 0, 1, 0, 0),
-    # A record built by a caller: its Kets go through Ket's check when it is built.
-    "record": (lambda: read_lazy(TeleportRecord(BellOutcome.PSI_MINUS, (0.6, 0.8j), (0.6, 0.8j), 1.0, 0.25)),
-               2, 0, 0, 0),
-    "record-rejected": (lambda: read_lazy(TeleportRecord(BellOutcome.PSI_MINUS, (1, 1), (1, 0), 1.0, 0.25)),
-                        1, 0, 0, 0),
     # The run's Kets are never built: the report reads the corrected pair.
     "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 0, 1, 0, 0),
     "evolve": (lambda: evolve(0.6, 0.8j, ENV), 3, 0, 0, 0),
@@ -247,50 +242,23 @@ def test_the_near_degenerate_example_is_computed():
     assert form.rho00 == pytest.approx(0.5, abs=1e-15) and form.rho11 == pytest.approx(0.5, abs=1e-15)
 
 
-def test_a_record_built_by_a_caller_checks_its_kets():
-    for pairs in [((1, 1), (0.6, 0.8)), ((0.6, 0.8), (1, 1))]:
-        with pytest.raises(ValueError, match="ket is not normalized"):
-            TeleportRecord(BellOutcome.PSI_MINUS, *pairs, 1.0, 0.25)
+# Calls of a result class: with no arguments, with a record's fields by
+# position, and with a report's by keyword.
+CALLERS = {
+    "none": ((), {}),
+    "positional": ((BellOutcome.PSI_MINUS, (0.6, 0.8j), (0.6, 0.8j), 1.0, 0.25), {}),
+    "keyword": ((), {"rho3": DensityMatrix([[1, 0], [0, 0]]), "delta": 0.0, "fidelity": 1.0, "purity": 1.0}),
+}
 
 
-@pytest.mark.parametrize("fields, error, message", [
-    (("not-an-outcome", 1.0, 0.25), TypeError, "outcome must be a BellOutcome, got str"),
-    (((1, 1), 1.0, 0.25), TypeError, "outcome must be a BellOutcome, got tuple"),
-    ((BellOutcome.PSI_MINUS, 7.5, 0.25), ValueError, "fidelity must be a real number in [0, 1], got 7.5"),
-    ((BellOutcome.PSI_MINUS, math.nan, 0.25), ValueError, "fidelity must be a real number in [0, 1], got nan"),
-    ((BellOutcome.PSI_MINUS, 1 + 0j, 0.25), ValueError, "fidelity must be a real number in [0, 1], got (1+0j)"),
-    ((BellOutcome.PSI_MINUS, 1 + 1.5e-12, 0.25), ValueError,
-     "fidelity must be a real number in [0, 1], got 1.0000000000015"),
-    ((BellOutcome.PSI_MINUS, 1.0, -2.0), ValueError, "probability must be a real number in [0, 1], got -2.0"),
-    ((BellOutcome.PSI_MINUS, 1.0, 1 + 1.5e-12), ValueError,
-     "probability must be a real number in [0, 1], got 1.0000000000015"),
-    ((BellOutcome.PSI_MINUS, 1.0, "0.25"), ValueError, "probability must be a real number in [0, 1], got '0.25'"),
-], ids=["outcome-str", "outcome-bits", "fidelity-above-one", "fidelity-nan", "fidelity-complex",
-        "fidelity-past-tolerance", "probability-negative", "probability-past-tolerance", "probability-str"])
-def test_a_record_built_by_a_caller_checks_every_field(fields, error, message):
-    outcome, fidelity, probability = fields
-    with pytest.raises(error) as excinfo:
-        TeleportRecord(outcome, (1, 0), (0, 1), fidelity, probability)
-    assert str(excinfo.value) == message
-
-
-def test_a_valid_record_built_by_a_caller_prints_its_checked_kets():
-    record = TeleportRecord(BellOutcome.PSI_MINUS, [0.6, 0.8j], np.array([0.8, 0.6]), 1.0, 0.25)
-    assert repr(record) == (
-        "TeleportRecord(outcome=<BellOutcome.PSI_MINUS: (1, 1)>, "
-        "conditional_state=Ket(((0.6+0j), 0.8j), ('3',)), "
-        "corrected_state=Ket(((0.8+0j), (0.6+0j)), ('3',)), fidelity=1.0, probability=0.25)"
-    )
-    assert record._corrected == record.corrected_state.entries
-    # The range's ends, within NORM_TOL, and numpy's reals are accepted as given.
-    edge = TeleportRecord(BellOutcome.PHI_PLUS, (1, 0), (0, 1), 1.0 + 1e-13, np.float64(0.0))
-    assert (edge.fidelity, edge.probability) == (1.0 + 1e-13, 0.0)
-    assert repr(edge).startswith("TeleportRecord(outcome=<BellOutcome.PHI_PLUS: (0, 0)>, ")
-    # Half of NORM_TOL past 1 is inside, and so are both ends exactly; the
-    # rejected rows above lie half of NORM_TOL past the upper end.
-    for low, high in [(1 + 0.5e-12, 1 + 0.5e-12), (-NORM_TOL, 1.0 + NORM_TOL), (1.0 + NORM_TOL, -NORM_TOL)]:
-        edge = TeleportRecord(BellOutcome.PHI_PLUS, (1, 0), (0, 1), low, high)
-        assert (edge.fidelity, edge.probability) == (low, high)
+@pytest.mark.parametrize("cls", [TeleportRecord, DeviationReport], ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("call", CALLERS)
+def test_results_are_built_only_by_the_package(hook_counts, cls, call):
+    args, kwargs = CALLERS[call]
+    with pytest.raises(TypeError) as excinfo:
+        cls(*args, **kwargs)
+    assert str(excinfo.value) == f"{cls.__name__} is built by the package, not by a caller"
+    assert hook_counts == {}
 
 
 @pytest.mark.parametrize("name", VALUES)

@@ -33,7 +33,8 @@ from teleportsim.linalg import partial_trace
 from teleportsim.qcore import DensityMatrix, Ket, _pure_density, _qubit_rows, purity, to_density
 
 from support import (
-    NEAR_DEGENERATE, SQRT_HALF, coefficients, exact_point, exact_rho3, exact_sqrt, overlaps, phases, qubits,
+    NEAR_DEGENERATE, SQRT_HALF, coefficients, exact_point, exact_printed, exact_rho3, exact_sqrt, overlaps, phases,
+    qubits,
 )
 
 TOL = 1e-12
@@ -618,6 +619,68 @@ def test_kernel_is_within_a_few_eps_of_the_exact_values(ab, c0, c1, gamma):
         abs(Fraction(form.purity) - purity),
     ]
     assert max(errors) <= EXACT_ABS_TOL, [float(e) / 2.0**-52 for e in errors]
+
+
+# The largest error of the printed form's entries and delta against their
+# exact values (support.exact_printed), in eps: relative on each diagonal
+# entry, and of |d01| on each off-diagonal part, with the smallest normal
+# float as the floor below which a product has lost its relative precision;
+# on delta, of the sum of the printed matrix's and rho1's traces, since delta
+# is a difference of those entries and its relative error grows without
+# bound as the printed matrix nears rho1 (c0 = c1 = sqrt(1/2), gamma -> 1).
+# Measured on this kernel over 120 000 random points drawn like the
+# strategies below, a quarter with (c0, c1) scaled by 2^100 or 2^-100 and
+# half with |gamma| = 1 - 2^-k: at most 3.4 eps on the diagonal, 2.3 eps on
+# the off-diagonal and 2.7 eps on delta. Asserted: 5 eps.
+PRINTED_TOL = 5
+EPS = 2.0**-52
+NEAR_ONE = [1 - 2.0**-k for k in range(1, 53)]
+
+
+def printed_errors(a, b, c0, c1, gamma):
+    """The errors of ``reduced_state_paper_literal``'s entries and of
+    ``deviation_closed_form_paper``'s and a ``printed_deviation`` batch's
+    delta, in eps, as the comment above measures them."""
+    env = EnvironmentModel(gamma, c0, c1)
+    (d00, d11, re, im), delta_sq = exact_printed(a, b, c0, c1, gamma)
+    (m00, m01), (m10, m11) = reduced_state_paper_literal(a, b, env).tolist()
+    floor = Fraction(sys.float_info.min)
+    errors = [abs(Fraction(m00.real) - d00) / max(d00, floor), abs(Fraction(m11.real) - d11) / max(d11, floor)]
+    modulus = max(exact_sqrt(re * re + im * im), floor)
+    for got_re, got_im in ((m01.real, m01.imag), (m10.real, -m10.imag)):
+        errors += [abs(Fraction(got_re) - re) / modulus, abs(Fraction(got_im) - im) / modulus]
+    ar, ai, br, bi = (Fraction(x) for x in (a.real, a.imag, b.real, b.imag))
+    scale = d00 + d11 + ar * ar + ai * ai + br * br + bi * bi
+    delta = exact_sqrt(delta_sq)
+    batch = printed_deviation(a, b, c0, c1, np.array([gamma, gamma]))
+    for got in (deviation_closed_form_paper(a, b, env), *batch.tolist()):
+        errors.append(abs(Fraction(got) - delta) / scale)
+    return [float(e / Fraction(EPS)) for e in errors]
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubits(), coefficients, coefficients, overlaps, st.sampled_from([1.0, 2.0**100, 2.0**-100]))
+@example(ab=(0.6, 0.8j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=NEAR_ONE[51], scale=1.0)
+@example(ab=(0.6, 0.8j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=NEAR_ONE[30], scale=2.0**100)
+@example(ab=(SQRT_HALF, -SQRT_HALF * 1j), c0=1 + 1j, c1=(1 + 1j) * (1 + 1e-15), gamma=NEAR_ONE[51], scale=2.0**-100)
+@example(ab=(0.6, 0.8), c0=1e-160, c1=1e-170j, gamma=0.5, scale=1.0)
+def test_printed_forms_are_within_a_few_eps_of_the_exact_values(ab, c0, c1, gamma, scale):
+    a, b = ab
+    c0, c1 = c0 * scale, c1 * scale
+    assume(c0 != 0 or c1 != 0)
+    errors = printed_errors(a, b, c0, c1, gamma)
+    assert max(errors) <= PRINTED_TOL, errors
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**100, 2.0**-100], ids=["unscaled", "2^100", "2^-100"])
+@pytest.mark.parametrize("c1", [SQRT_HALF, SQRT_HALF * (1 + EPS), SQRT_HALF + 1e-9j],
+                         ids=["c0", "c0(1+eps)", "c0+1e-9i"])
+def test_printed_forms_near_the_ideal_point_are_within_a_few_eps_of_the_exact_values(c1, scale):
+    # gamma = 1 - 2^-k, for k = 1 to 52: at scale 1 and c1 = c0 = sqrt(1/2),
+    # the printed matrix tends to rho1 and delta to 0.
+    for gamma in NEAR_ONE:
+        errors = printed_errors(0.6, 0.8j, SQRT_HALF * scale, c1 * scale, gamma)
+        assert max(errors) <= PRINTED_TOL, (gamma, errors)
 
 
 # ---------------------------------------------------------------- sweep rows are states

@@ -683,6 +683,19 @@ def test_bell_basis_is_built_once_so_its_lifted_projectors_are_reused():
     assert (info.misses, info.hits) == (1, 1)
 
 
+# [[1, d], [0, 0]] is exactly idempotent, so only the Hermitian check sees d;
+# [[0, d], [d, 0]] is exactly Hermitian, and its square minus itself is
+# [[d^2, -d], [-d, d^2]], so only the idempotent check sees d. Each check
+# accepts a defect of exactly NORM_TOL and rejects one ulp past it.
+PAST_NORM_TOL = math.nextafter(NORM_TOL, math.inf)
+
+
+@pytest.mark.parametrize("d", [NORM_TOL, -NORM_TOL, 1j * NORM_TOL])
+def test_projector_accepts_a_defect_of_exactly_norm_tol(d):
+    for mat in ([[1, d], [0, 0]], [[0, d], [np.conj(d), 0]]):
+        assert Projector(mat, "p").mat.tolist() == np.array(mat, dtype=complex).tolist()
+
+
 def test_projector_rejects_non_idempotent():
     with pytest.raises(ValueError, match="idempotent"):
         Projector(np.diag([0.5, 0.5]), "half")
@@ -693,8 +706,10 @@ def test_projector_rejects_non_idempotent():
     [
         (np.zeros((2, 3)), "projector must be square, got shape (2, 3)"),
         (np.array([[0, 1], [0, 0]]), "projector 'p' is not Hermitian"),
+        ([[1, PAST_NORM_TOL], [0, 0]], "projector 'p' is not Hermitian"),
+        ([[0, PAST_NORM_TOL], [PAST_NORM_TOL, 0]], "projector 'p' is not idempotent"),
     ],
-    ids=["not-square", "not-hermitian"],
+    ids=["not-square", "not-hermitian", "hermitian-one-ulp-past-tol", "idempotent-one-ulp-past-tol"],
 )
 def test_projector_rejects_bad_matrices(mat, message):
     with pytest.raises(ValueError) as info:
@@ -753,6 +768,22 @@ def test_born_measure_on_a_later_subsystem_matches_the_lifted_oracle(labels):
         assert np.allclose(post.amplitudes, projected / np.sqrt(expected), rtol=0, atol=1e-12)
         seen.add(outcome)
     assert seen == {0, 1}
+
+
+def test_born_measure_on_three_contiguous_targets_matches_the_basis_oracle():
+    # The eight computational-basis projectors on all three qubits: outcome
+    # k has probability |psi_k|^2 and leaves |k> up to phase.
+    projectors = tuple(Projector(np.diag(np.eye(8)[k]), format(k, "03b")) for k in range(8))
+    rng = np.random.default_rng(26)
+    amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    psi = Ket(amps / np.linalg.norm(amps), ("1", "2", "3"))
+    seen = set()
+    for seed in range(40):
+        outcome, post, prob = born_measure(psi, projectors, (0, 1, 2), seeded_stream(seed))
+        assert prob == pytest.approx(abs(psi.amplitudes[outcome]) ** 2, abs=1e-12)
+        assert abs(post.amplitudes[outcome]) == pytest.approx(1, abs=1e-12)
+        seen.add(outcome)
+    assert len(seen) > 4
 
 
 def test_born_measure_frequencies_match_probabilities():

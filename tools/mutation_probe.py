@@ -65,8 +65,8 @@ TARGETS = {
         "closed_form", "embed_environment", "evolve", "_printed_entries", "reduced_state_paper_literal",
         "_state_rows", "deviation", "printed_deviation", "deviation_closed_form_paper",
     ),
-    "teleport": ("TeleportRecord.__init__", "_bell_branches", "_record", "run_ideal"),
-    "cli": ("_check_numbers", "_block_overlaps"),
+    "teleport": ("_bell_branches", "_record", "run_ideal"),
+    "cli": ("_check_numbers", "_block_overlaps", "load_config"),
 }
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
