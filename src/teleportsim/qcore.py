@@ -96,7 +96,11 @@ def _first_word(seed: int) -> int:
     Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2, 3",
     SC '11) encrypts the counter (1, 0, 0, 0) under that key. The literals
     are the two algorithms' published constants, folded: ``tests/support.py``
-    holds the loop form and a test re-derives each one."""
+    holds the loop form and a test re-derives each one.
+
+    The four pool words and the last hash are deleted once the key is formed,
+    so they are not alive under the cipher's 128-bit products, where a
+    protocol run's heap peaks."""
     s = _seed(seed)
     m = 0xFFFFFFFF
     m64 = 0xFFFFFFFFFFFFFFFF
@@ -183,6 +187,7 @@ def _first_word(seed: int) -> int:
     k1 = h ^ h >> 16
     h = (p3 ^ 0xd369fdc1) * 0x501638ad & m
     k1 |= (h ^ h >> 16) << 32
+    del p0, p1, p2, p3, h
 
     # Philox4x64-10 on the counter (1, 0, 0, 0), numpy's first block. A round
     # maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),

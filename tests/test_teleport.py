@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -398,3 +399,46 @@ def test_a_run_rejects_a_negative_seed_with_numpys_message(run, seed):
 def test_a_run_rejects_a_non_integer_seed_by_name(run, seed):
     with pytest.raises(TypeError, match=r"^seed must be an integer, not "):
         run(seed)
+
+
+# ---------------------------------------------------------------- memory
+
+def _transient_bytes(call) -> int:
+    """The fewest heap bytes a warm call holds beyond what it returns: its
+    traced peak minus the bytes still traced when it returns, least of five
+    calls. The interpreter's free lists of floats and tuples need a few
+    calls to settle, and their state moves the figure by tens of bytes."""
+    for _ in range(20):
+        call()
+    transients = []
+    for _ in range(5):
+        tracemalloc.start()
+        try:
+            out = call()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del out
+        transients.append(peak - current)
+    return min(transients)
+
+
+_MEMORY_PSI = ket_from_amplitudes(0.6 - 0.48j, 0.64j)
+_MEMORY_ENV = EnvironmentModel(0.3 + 0.4j, 0.7 - 0.2j, 0.5 + 0.9j)
+
+
+# What a protocol call allocates beyond its result, measured on Python 3.11:
+# enumerate_branches 8 B, run_ideal 408 B (the cipher's 128-bit products) and
+# noisy_teleport 270 to 330 B. Each of three wastes fails a bound on its own:
+# a comprehension's function object (enumerate_branches 360 B), two more
+# negated amplitudes per run (run_ideal 472 B) and the SeedSequence pool kept
+# alive under the cipher (run_ideal 568 B); with all three, noisy_teleport
+# holds about 550 B. The bounds are on bytes beyond the result, not on the
+# peak, since the result's own size differs between Python versions.
+@pytest.mark.parametrize("call, bound", [
+    (lambda: enumerate_branches(_MEMORY_PSI), 128),
+    (lambda: run_ideal(_MEMORY_PSI, 12345), 448),
+    (lambda: noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, 12345), 448),
+], ids=["enumerate_branches", "run_ideal", "noisy_teleport"])
+def test_a_protocol_call_holds_little_beyond_what_it_returns(call, bound):
+    assert _transient_bytes(call) <= bound

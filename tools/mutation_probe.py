@@ -21,9 +21,10 @@ Only the functions named in ``TARGETS`` are mutated: the kernels, the checks
 and the boundaries. Before any mutant, the probe runs the suite once on the
 sources as ``ast.unparse`` writes them, which drops their comments; it stops
 if that control fails. A full pass runs a few hundred mutants and takes about
-half an hour on 2 CPUs, so it is neither a test nor a CI step. It needs only
-the standard library and the test suite's own dependencies, and makes its
-copy under ``TMPDIR``. From the repository root:
+40 minutes on 2 CPUs, so it is neither a test nor a CI step; CI runs only
+``--list``, which exits non-zero when a name in ``TARGETS`` is gone. It needs
+only the standard library and the test suite's own dependencies, and makes
+its copy under ``TMPDIR``. From the repository root:
 
     python tools/mutation_probe.py --list               # every mutant's id
     python tools/mutation_probe.py                      # the full pass
@@ -56,7 +57,7 @@ PACKAGE = Path("src") / "teleportsim"
 # Module -> the qualified names of the functions whose bodies are mutated.
 TARGETS = {
     "qcore": (
-        "_seed", "Ket.__post_init__", "DensityMatrix.__post_init__", "Projector.__post_init__",
+        "_seed", "_first_word", "Ket.__post_init__", "DensityMatrix.__post_init__", "Projector.__post_init__",
         "normalized_amplitudes", "_pure_density", "_qubit_rows", "to_density", "born_measure",
         "fidelity", "purity",
     ),
@@ -65,7 +66,7 @@ TARGETS = {
         "closed_form", "embed_environment", "evolve", "_printed_entries", "reduced_state_paper_literal",
         "_state_rows", "deviation", "printed_deviation", "deviation_closed_form_paper",
     ),
-    "teleport": ("_bell_branches", "_record", "run_ideal"),
+    "teleport": ("_bell_branches", "_record", "run_ideal", "enumerate_branches"),
     "cli": ("_check_numbers", "_block_overlaps", "load_config"),
 }
 
