@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows, _Result
+from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows, _Result, _stored
 from .teleport import BellOutcome, run_ideal
 
 __all__ = [
@@ -436,18 +436,18 @@ def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -
 
 def _report(a: complex, b: complex, env: EnvironmentModel,
             branch: BellOutcome | None) -> DeviationReport:
-    """The report at one point. Its rho3 is built unchecked, since
-    ``DensityMatrix``'s check would add about a quarter to a point query's
-    time: the model is checked and ``closed_form`` checks (a, b) and the
-    coupled norm, after which rho3 is a qubit's state by construction. Its
-    diagonal is the two branch weights divided by their sum, so the trace is
-    1 up to rounding; its layout is Hermitian exactly (a real diagonal and
-    the exact conjugate below it); and its determinant is
-    rho00 rho11 (1 - |gamma|^2) up to rounding, where
+    """The report at one point. Its rho3 is kept by ``_stored``, unchecked
+    and with no hook run, since ``DensityMatrix``'s check would add about a
+    quarter to a point query's time: the model is checked and
+    ``closed_form`` checks (a, b) and the coupled norm, after which rho3 is
+    a qubit's state by construction. Its diagonal is the two branch weights
+    divided by their sum, so the trace is 1 up to rounding; its layout is
+    Hermitian exactly (a real diagonal and the exact conjugate below it);
+    and its determinant is rho00 rho11 (1 - |gamma|^2) up to rounding, where
     |gamma| <= 1 + OVERLAP_TOL puts the lower eigenvalue no lower than about
     -1e-12, far inside DENSITY_TOL."""
     rho00, rho11, re, im, delta, fid, pur = closed_form(a, b, env.c0, env.c1, env.gamma)
-    return DeviationReport._built(rho3=DensityMatrix._built(_qubit_rows(rho00, rho11, re, im)), delta=delta,
+    return DeviationReport._built(rho3=_stored(DensityMatrix, rows=_qubit_rows(rho00, rho11, re, im)), delta=delta,
                                   fidelity=fid, purity=pur, branch=branch)
 
 

@@ -11,11 +11,12 @@ path read. ``Gate(name)`` keeps its name's exact table (``Gate.rows``). Their
 ndarrays (``.amplitudes``, ``.mat``) are read-only complex128 copies of those
 entries, built on first access and cached, so a value that numpy never reads
 allocates no array, and importing this module builds none. Construction runs
-each class's ``__post_init__`` once: it is the hook a tracer can wrap, and
-on the public constructors the one check. Every ``Ket`` and
+each class's ``__post_init__`` once: it is the one check, and the hook a
+tracer can wrap, so a traced hook call is a check. Every ``Ket`` and
 ``DensityMatrix`` the package returns has passed that check except a
-report's rho3, which ``DensityMatrix._built`` stores unchecked, since the
-check would cost about a quarter of a point query.
+report's rho3, which ``_stored``, the package's one store of values it
+vouches for, keeps unchecked, since the check would cost about a quarter of
+a point query.
 
 A protocol run's one random number is ``_first_word(seed)``: the first 64-bit
 word of the seed's Philox stream, ``seeded_stream(seed)``'s, computed bit for
@@ -98,8 +99,9 @@ def _first_word(seed: int) -> int:
     are the two algorithms' published constants, folded: ``tests/support.py``
     holds the loop form and a test re-derives each one.
 
-    The four pool words and the last hash are deleted once the key is formed,
-    so they are not alive under the cipher's 128-bit products, where a
+    The pool words, the last hash and the word loop's hash constant are
+    deleted once the key is formed, and the loop keeps no list or word, so
+    none of them is alive under the cipher's 128-bit products, where a
     protocol run's heap peaks."""
     s = _seed(seed)
     m = 0xFFFFFFFF
@@ -160,21 +162,19 @@ def _first_word(seed: int) -> int:
     p2 = (0xca01f9dd * p2 + 0xb68c08eb * (h ^ h >> 16)) & m
     p2 ^= p2 >> 16
     # Words 4 and up, for a seed of 2**128 or more: each is hashed into every
-    # pool word in turn, continuing the hash constants from hash 16. No
-    # iteration for a smaller seed.
+    # pool word in turn, continuing the hash constants from hash 16. A step
+    # mixes into p0 and rotates the pool, so after four steps the words are
+    # back in order and no list holds them. No iteration for a smaller seed.
     rest = s >> 128
     k = 0x78c50da5
     while rest:
-        word = rest & m
-        rest >>= 32
-        pool = []
         for p in (p0, p1, p2, p3):
-            h = word ^ k
+            h = rest & m ^ k
             k = k * 0x931e8875 & m
             h = h * k & m
             p = (0xca01f9dd * p + 0xb68c08eb * (h ^ h >> 16)) & m
-            pool.append(p ^ p >> 16)
-        p0, p1, p2, p3 = pool
+            p0, p1, p2, p3 = p1, p2, p3, p ^ p >> 16
+        rest >>= 32
 
     # SeedSequence.generate_state(2, np.uint64): pool word i XORs with
     # INIT_B * MULT_B**i and multiplies by INIT_B * MULT_B**(i + 1); the
@@ -187,7 +187,7 @@ def _first_word(seed: int) -> int:
     k1 = h ^ h >> 16
     h = (p3 ^ 0xd369fdc1) * 0x501638ad & m
     k1 |= (h ^ h >> 16) << 32
-    del p0, p1, p2, p3, h
+    del p0, p1, p2, p3, h, k
 
     # Philox4x64-10 on the counter (1, 0, 0, 0), numpy's first block. A round
     # maps (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
@@ -195,7 +195,8 @@ def _first_word(seed: int) -> int:
     # the key; the offsets below are those sums mod 2**64. Round 1 gives
     # (k0, 0, k1, M0) with no multiply. The low halves are kept as the
     # unmasked products (u, v) and (p, q), which are only XORed and then
-    # masked, and round 10 computes word 0 alone.
+    # masked. Round 10 computes word 0 alone, from round 9's word 2 and q,
+    # so round 9 computes no word 0.
     u, v = 0xd2e7470ee14c6c93 * k0, 0xca5a826395121157 * k1
     c0 = (v >> 64 ^ k0 + 0x9e3779b97f4a7c15) & m64
     c2 = (u >> 64 ^ 0xd2e7470ee14c6c93 ^ k1 + 0xbb67ae8584caa73b) & m64
@@ -218,7 +219,6 @@ def _first_word(seed: int) -> int:
     c0 = (v >> 64 ^ q ^ k0 + 0x538454127b096493) & m64
     c2 = (u >> 64 ^ p ^ k1 + 0x1fd5c5a6a18a929d) & m64
     p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
-    c0 = (q >> 64 ^ v ^ k0 + 0xf1bbcdcbfa53e0a8) & m64
     c2 = (p >> 64 ^ u ^ k1 + 0xdb3d742c265539d8) & m64
     return ((0xca5a826395121157 * c2) >> 64 ^ q ^ k0 + 0x8ff34785799e5cbd) & m64
 
@@ -250,19 +250,24 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+def _stored(cls, **fields):
+    """The package's one store: an instance of ``cls`` whose ``__dict__`` is
+    the call's keyword dict ``fields``. No ``__init__``, hook or check runs,
+    so the caller vouches for every field."""
+    self = object.__new__(cls)
+    object.__setattr__(self, "__dict__", fields)
+    return self
+
+
 class _Result(_Frozen):
     """A result the package computes and returns, never a caller's input:
-    calling the class raises, and ``_built`` stores the fields as given, its
-    keyword dict becoming the instance's ``__dict__``."""
+    calling the class raises, and ``_built`` is ``_stored`` for the class,
+    which keeps the fields as given."""
 
     def __init__(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is built by the package, not by a caller")
 
-    @classmethod
-    def _built(cls, **fields):
-        self = object.__new__(cls)
-        object.__setattr__(self, "__dict__", fields)
-        return self
+    _built = classmethod(_stored)
 
 
 class Ket(_Frozen):
@@ -336,25 +341,15 @@ class DensityMatrix(_Frozen):
     imaginary part) within DENSITY_TOL; a trace within DENSITY_TOL of 1,
     summed from 0j like ``np.trace``; and the lower eigenvalue
     mean - sqrt(mean^2 - det) at least -DENSITY_TOL. The skew's modulus is
-    libm's hypot, which numpy's array loop may round one ulp apart.
-    ``DensityMatrix._built`` stores the one state the package does not
-    check, a report's rho3 (``envmodel._report`` says why it would pass)."""
+    libm's hypot, which numpy's array loop may round one ulp apart. This
+    check is the class's one constructor; the one state the package does not
+    check, a report's rho3, is kept by ``_stored`` and runs no hook
+    (``envmodel._report`` says why it would pass)."""
 
     def __init__(self, mat):
         self.__post_init__(mat)
 
-    @classmethod
-    def _built(cls, rows) -> DensityMatrix:
-        """A qubit's state the package built, as ``_qubit_rows`` lays it
-        out: two rows of two Python complexes, stored as given."""
-        self = object.__new__(cls)
-        self.__post_init__(rows, True)
-        return self
-
-    def __post_init__(self, mat, _unchecked=False):
-        if _unchecked:  # from _built
-            vars(self)["rows"] = mat
-            return
+    def __post_init__(self, mat):
         m00, m01, m10, m11 = _matrix_entries(mat)
         if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
             raise ValueError("density matrix contains non-finite entries")

@@ -4,9 +4,10 @@
 The tracer looks each target up with ``getattr`` and wraps a class's
 ``__post_init__``, so a renamed or deleted target would crash a traced
 benchmark run. TARGETS is read from the source with ``ast``; perfbench is not
-imported. Every construction of a traced value class runs its
-``__post_init__`` exactly once, so the tracer's call counts are the
-constructions; a protocol record's two Kets are built once, when first
+imported. Every check of a traced value class runs its ``__post_init__``
+exactly once, so the tracer's call counts are the checks: every
+construction but a report's rho3, which the package stores unchecked and
+which runs no hook. A protocol record's two Kets are built once, when first
 read, and then kept. README's "Library quick tour" block and its
 CLI examples are run as written, and its by-path list is read against each
 module's source, so the documented API and commands cannot drift from the
@@ -105,8 +106,8 @@ def read_lazy(value):
 
 
 # (construction, Kets, DensityMatrix values, Gates, EnvironmentModel values it
-# builds). A record's lazy fields are read, so each row counts every value it
-# can build.
+# checks). A record's lazy fields are read, so each row counts every value it
+# can check.
 CONSTRUCTIONS = {
     "ket-list": (lambda: Ket([1, 0], ("1",)), 1, 0, 0, 0),
     "ket-ndarray": (lambda: Ket(np.array([0.6, 0.8]), ("1",)), 1, 0, 0, 0),
@@ -125,10 +126,11 @@ CONSTRUCTIONS = {
     "enumerate_branches": (lambda: read_lazy(enumerate_branches(PSI)), 8, 0, 0, 0),
     "apply_gate": (lambda: apply_gate(PSI, X, 0), 1, 0, 0, 0),
     "born_measure": (lambda: born_measure(prepare_joint(PSI), bell_basis(), (0, 1), seeded_stream(3)), 2, 0, 0, 0),
-    "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 1, 0, 0),
+    # A report's rho3 is stored unchecked, so no hook runs for it.
+    "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 0, 0, 0),
     "reduced_state": (lambda: reduced_state(0.6, 0.8j, ENV), 0, 1, 0, 0),
-    # The run's Kets are never built: the report reads the corrected pair.
-    "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 0, 1, 0, 0),
+    # The run's Kets are never built either: the report reads the corrected pair.
+    "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 0, 0, 0, 0),
     "evolve": (lambda: evolve(0.6, 0.8j, ENV), 3, 0, 0, 0),
 }
 HOOKED = (Ket, DensityMatrix, Gate, EnvironmentModel)
@@ -136,9 +138,10 @@ HOOKED = (Ket, DensityMatrix, Gate, EnvironmentModel)
 
 @pytest.fixture
 def hook_counts(monkeypatch):
-    """Constructions per value class, counted the way perfbench's tracer
-    wraps ``__post_init__``: a constructor that skipped the hook would leave
-    the traced call counts at zero."""
+    """Checks per value class, counted the way perfbench's tracer wraps
+    ``__post_init__``: a check that skipped the hook would leave the traced
+    call counts at zero, and a store that ran it would count a check that
+    never ran."""
     counts = {}
     for cls in HOOKED:
         def counted(*args, _cls=cls, _hook=cls.__post_init__, **kwargs):

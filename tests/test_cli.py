@@ -488,6 +488,12 @@ def test_sweep_row_count_and_header(tmp_path, capsys):
     assert len(rows) == 11
 
 
+def test_sweep_prints_how_many_rows_it_wrote_and_where(tmp_path, capsys):
+    out_path = tmp_path / "sweep.csv"
+    assert run_cli(capsys, "sweep", "--steps", "11", "--out", str(out_path)) == (
+        0, f"wrote 11 rows to {out_path}\n", "")
+
+
 def test_sweep_endpoint_values(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     run_cli(capsys, "sweep", "--steps", "2", "--out", str(out_path))
@@ -872,6 +878,24 @@ def _parse_outcome(parse, argv, capsys):
 def test_main_parses_as_the_top_level_parser_does(capsys, argv):
     expected = _parse_outcome(build_parser().parse_args, argv, capsys)
     assert _parse_outcome(_parse_args, argv, capsys) == expected
+
+
+def test_main_with_no_argument_reads_sys_argv_in_one_pass(monkeypatch, capsys):
+    # The console script calls main() with no argument: it parses
+    # sys.argv[1:], and as main(argv) does, in one pass, without the
+    # top-level parser.
+    argv = ["deviation", "--gamma", "0.5"]
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["teleportsim", *argv])
+
+    def full_parse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_args", full_parse)
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    assert expected[0] == 0 and "delta" in expected[1]
 
 
 def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):

@@ -54,6 +54,33 @@ def test_model_checks_run_in_order_with_their_messages(args, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("args", [
+    (0, 1, 2),
+    (0.5, 0.6, 0.8),
+    (np.float64(0.5), np.float32(0.75), np.int64(3)),
+    (np.complex128(0.3 + 0.4j), np.complex64(1j), np.float64(2.0)),
+], ids=["int", "float", "numpy-real", "numpy-complex"])
+def test_model_fields_are_python_complexes(args):
+    model = EnvironmentModel(*args)
+    fields = (model.gamma, model.c0, model.c1)
+    assert [type(z) for z in fields] == [complex] * 3
+    assert fields == tuple(complex(x) for x in args)
+
+
+def test_a_report_of_numpy_scalars_is_the_report_of_python_numbers():
+    # Each of (a, b) is read as a Python complex before the kernel runs, so
+    # the report holds Python numbers with the bits of a Python-input report.
+    env = EnvironmentModel(0.5 + 0.2j, 0.9, 1.1)
+    want = direct_report(0.6, 0.8j, env)
+    for a, b in ((np.float64(0.6), np.complex128(0.8j)), (0.6, np.complex128(0.8j)), (np.float64(0.6), 0.8j)):
+        got = direct_report(a, b, env)
+        assert repr(got) == repr(want)
+        assert [type(x) for x in (got.delta, got.fidelity, got.purity)] == [float] * 3
+        values = [*got.rho3.rows[0], *got.rho3.rows[1], got.delta, got.fidelity, got.purity]
+        twins = [*want.rho3.rows[0], *want.rho3.rows[1], want.delta, want.fidelity, want.purity]
+        assert np.array(values, dtype=np.complex128).tobytes() == np.array(twins, dtype=np.complex128).tobytes()
+
+
 # ---------------------------------------------------------------- embed_environment
 
 def test_embed_orthogonal_at_zero_overlap():

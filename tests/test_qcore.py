@@ -139,6 +139,20 @@ def test_normalized_amplitudes_reject_non_finite_and_zero(a, b, message):
         normalized_amplitudes(a, b)
 
 
+def test_normalized_amplitudes_of_numpy_scalars_are_the_python_floats_answer():
+    # float32 parts are read as the Python floats they equal, before any
+    # arithmetic: no float32 rounding and no numpy warning.
+    a, b = np.float32(0.6), np.float32(0.8)
+    got, want = normalized_amplitudes(a, b), normalized_amplitudes(float(a), float(b))
+    assert [type(z) for z in got] == [complex, complex]
+    assert parts(got) == parts(want)
+
+
+def test_ket_keeps_its_labels_as_a_tuple():
+    psi = Ket([1, 0], ["1"])
+    assert type(psi.labels) is tuple and psi.labels == ("1",)
+
+
 @pytest.mark.parametrize(
     "amps, labels, message",
     [
@@ -728,6 +742,16 @@ def test_born_measure_deterministic_outcome():
     assert np.allclose(post.amplitudes, [1, 0], rtol=0, atol=1e-15)
 
 
+def test_born_measure_takes_its_targets_as_any_sequence():
+    # The lifted projectors are cached by their targets as a tuple, so a
+    # list or a range gives the tuple's draw.
+    psi = Ket(np.kron([0.6, 0.8j], SINGLET), ("1", "2", "3"))
+    want = born_measure(psi, bell_basis(), (0, 1), seeded_stream(5))
+    for targets in ([0, 1], range(2)):
+        outcome, post, prob = born_measure(psi, bell_basis(), targets, seeded_stream(5))
+        assert (outcome, post.entries, prob) == (want[0], want[1].entries, want[2])
+
+
 def test_born_measure_reports_exact_probability():
     psi = ket_from_amplitudes(1, 1)
     for seed in range(8):
@@ -980,8 +1004,9 @@ def test_first_word_literals_derive_from_the_published_constants():
     for i in range(4):  # generate_state
         expected += [xb[i], xb[i + 1]]
     expected += [m0, m1, w0, m0, w1]  # round 2, after round 1 gave (k0, 0, k1, M0)
-    for r in range(2, 9):  # rounds 3 to 9
+    for r in range(2, 8):  # rounds 3 to 8
         expected += [m0, m1, r * w0 & support.MASK64, r * w1 & support.MASK64]
+    expected += [m0, m1, 8 * w1 & support.MASK64]  # round 9, word 2 only
     expected += [m1, 9 * w0 & support.MASK64]  # round 10, word 0 only
     assert [x for x in literals if x not in _STRUCTURAL] == expected
 

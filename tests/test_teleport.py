@@ -425,6 +425,9 @@ def _transient_bytes(call) -> int:
 
 _MEMORY_PSI = ket_from_amplitudes(0.6 - 0.48j, 0.64j)
 _MEMORY_ENV = EnvironmentModel(0.3 + 0.4j, 0.7 - 0.2j, 0.5 + 0.9j)
+# Built once: the compiler does not fold 2**128, so a call that wrote the sum
+# would allocate its seed each time and count it against the protocol.
+_MEMORY_LARGE_SEED = 2**128 + 12345
 
 
 # What a protocol call allocates beyond its result, measured on Python 3.11:
@@ -433,12 +436,17 @@ _MEMORY_ENV = EnvironmentModel(0.3 + 0.4j, 0.7 - 0.2j, 0.5 + 0.9j)
 # a comprehension's function object (enumerate_branches 360 B), two more
 # negated amplitudes per run (run_ideal 472 B) and the SeedSequence pool kept
 # alive under the cipher (run_ideal 568 B); with all three, noisy_teleport
-# holds about 550 B. The bounds are on bytes beyond the result, not on the
-# peak, since the result's own size differs between Python versions.
+# holds about 550 B. A seed of 2**128 or more runs _first_word's word loop,
+# whose list, word and hash constant kept alive under the cipher held
+# run_ideal at 600 B and noisy_teleport at 520 B. The bounds are on bytes
+# beyond the result, not on the peak, since the result's own size differs
+# between Python versions.
 @pytest.mark.parametrize("call, bound", [
     (lambda: enumerate_branches(_MEMORY_PSI), 128),
     (lambda: run_ideal(_MEMORY_PSI, 12345), 448),
     (lambda: noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, 12345), 448),
-], ids=["enumerate_branches", "run_ideal", "noisy_teleport"])
+    (lambda: run_ideal(_MEMORY_PSI, _MEMORY_LARGE_SEED), 448),
+    (lambda: noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, _MEMORY_LARGE_SEED), 448),
+], ids=["enumerate_branches", "run_ideal", "noisy_teleport", "run_ideal-large-seed", "noisy_teleport-large-seed"])
 def test_a_protocol_call_holds_little_beyond_what_it_returns(call, bound):
     assert _transient_bytes(call) <= bound

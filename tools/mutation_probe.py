@@ -1,12 +1,12 @@
 """Mutation probe: does the test suite notice a one-token change to the package?
 
-Each mutant changes one operator or constant in one function of
-``src/teleportsim``. The probe writes it into a copy of the files the suite
-reads (``COPIED``) and runs pytest there with ``-x``: a mutant that fails a
-test is killed, and one that passes every test survived. A survivor is
-either a gap in the tests or an equivalent mutant, one that no input can
-tell apart; CHANGES.md records each run's survivors and the reason each
-equivalent one cannot be told apart.
+Each mutant changes one operator or constant, or deletes one statement, in
+one function of ``src/teleportsim``. The probe writes it into a copy of the
+files the suite reads (``COPIED``) and runs pytest there with ``-x``: a
+mutant that fails a test is killed, and one that passes every test survived.
+A survivor is either a gap in the tests or an equivalent mutant, one that no
+input can tell apart; CHANGES.md records each run's survivors and the reason
+each equivalent one cannot be told apart.
 
 The operators:
 
@@ -15,14 +15,19 @@ The operators:
 - ``<``/``<=``, ``>``/``>=`` and ``==``/``!=`` flips (``Gt/GtE`` is ``>`` made
   ``>=``);
 - ``nudge``: a nonzero float constant times 1 + 2^-40;
-- ``drop-neg``: a dropped unary minus.
+- ``drop-neg``: a dropped unary minus;
+- ``drop-stmt``: one statement, at any depth, replaced with ``pass`` (a
+  compound statement goes with its whole block); docstrings and ``pass``
+  itself are left alone.
 
 Only the functions named in ``TARGETS`` are mutated: the kernels, the checks
 and the boundaries. Before any mutant, the probe runs the suite once on the
 sources as ``ast.unparse`` writes them, which drops their comments; it stops
-if that control fails. A full pass runs a few hundred mutants and takes about
-40 minutes on 2 CPUs, so it is neither a test nor a CI step; CI runs only
-``--list``, which exits non-zero when a name in ``TARGETS`` is gone. It needs
+if that control fails. A full pass runs 739 mutants, 326 of them operator or
+constant changes (about 40 minutes on 2 CPUs) and 413 statement deletions
+(about 100 minutes, a quarter of it seven mutants that spin until the
+timeout), so it is neither a test nor a CI step; CI runs only ``--list``,
+which exits non-zero when a name in ``TARGETS`` is gone. It needs
 only the standard library and the test suite's own dependencies, and makes
 its copy under ``TMPDIR``. From the repository root:
 
@@ -33,6 +38,8 @@ its copy under ``TMPDIR``. From the repository root:
 
 An id is ``module.function#N:mutation``, the mutation N of that function in
 source order, so an edit outside the function leaves its ids as they were.
+Statement deletions are numbered in a sequence of their own
+(``#N:drop-stmt``), so they leave the other operators' ids as they were.
 Positional arguments are ``fnmatch`` patterns over the ids; arguments after
 ``--`` go to pytest in place of the whole suite. The exit code is 0 if every
 mutant run was killed, 1 if one survived and 2 if the control failed.
@@ -43,6 +50,7 @@ from __future__ import annotations
 import argparse
 import ast
 import fnmatch
+import functools
 import os
 import shutil
 import subprocess
@@ -67,7 +75,7 @@ TARGETS = {
         "_state_rows", "deviation", "printed_deviation", "deviation_closed_form_paper",
     ),
     "teleport": ("_bell_branches", "_record", "run_ideal", "enumerate_branches"),
-    "cli": ("_check_numbers", "_block_overlaps", "load_config"),
+    "cli": ("_check_numbers", "_block_overlaps", "load_config", "cmd_sweep", "_parse_args", "main"),
 }
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
@@ -103,11 +111,24 @@ def _sites(function: ast.FunctionDef):
             for i, op in enumerate(node.ops):
                 if type(op) in FLIPS:
                     yield (f"{type(op).__name__}/{FLIPS[type(op)].__name__}", node,
-                           lambda n=node, i=i, o=op: _set_op(n, i, FLIPS[type(o)]()))
+                           lambda n=node, i=i, o=op: _set_item(n.ops, i, FLIPS[type(o)]()))
         elif isinstance(node, ast.Constant) and type(node.value) is float and node.value != 0.0:
             yield "nudge", node, lambda n=node: _set(n, "value", n.value * NUDGE)
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             yield "drop-neg", node, lambda n=node: _set(n, "op", ast.UAdd())
+
+
+def _statements(function: ast.FunctionDef):
+    """(label, node, apply) for each statement that ``apply()`` replaces
+    with ``pass``: every one in the function's body at any depth, but the
+    docstring and ``pass`` itself."""
+    docstring = function.body[0] if ast.get_docstring(function) is not None else None
+    for parent in ast.walk(function):
+        for _, block in ast.iter_fields(parent):
+            if isinstance(block, list):
+                for i, node in enumerate(block):
+                    if isinstance(node, ast.stmt) and not isinstance(node, ast.Pass) and node is not docstring:
+                        yield "drop-stmt", node, lambda b=block, i=i: _set_item(b, i, ast.Pass())
 
 
 def _set(node, field, value):
@@ -116,16 +137,25 @@ def _set(node, field, value):
     return lambda: setattr(node, field, old)
 
 
-def _set_op(node, index, op):
-    old = node.ops[index]
-    node.ops[index] = op
-    return lambda: node.ops.__setitem__(index, old)
+def _set_item(items, index, value):
+    old = items[index]
+    items[index] = value
+    return lambda: items.__setitem__(index, old)
+
+
+def _mutated(tree: ast.Module, apply) -> str:
+    """The module's source with one mutation applied; the tree is restored."""
+    undo = apply()
+    source = ast.unparse(tree)
+    undo()
+    return source
 
 
 def mutants():
-    """(id, module, mutated source) of every mutant, in source order: by
-    the mutated node's first line and column, the outer node first, and a
-    comparison's operators left to right."""
+    """(id, module, source) of every mutant, in source order: by the mutated
+    node's first line and column, the outer node first, and a comparison's
+    operators left to right. ``source()`` writes the mutated module only when
+    a mutant runs, so listing the ids unparses nothing."""
     seen = set()
     for module, names in TARGETS.items():
         tree = ast.parse((ROOT / PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
@@ -134,16 +164,14 @@ def mutants():
         if missing:
             raise SystemExit(f"{module} has no {sorted(missing)}: update TARGETS")
         for name in names:
-            sites = sorted(_sites(functions[name]),
-                           key=lambda s: (s[1].lineno, s[1].col_offset, -s[1].end_lineno, -s[1].end_col_offset))
-            for number, (label, node, apply) in enumerate(sites):
-                mutant_id = f"{module}.{name}#{number}:{label}"
-                assert mutant_id not in seen, mutant_id
-                seen.add(mutant_id)
-                undo = apply()
-                source = ast.unparse(tree)
-                undo()
-                yield mutant_id, module, source
+            for kind in (_sites, _statements):  # each numbered in its own sequence
+                sites = sorted(kind(functions[name]), key=lambda s: (
+                    s[1].lineno, s[1].col_offset, -s[1].end_lineno, -s[1].end_col_offset))
+                for number, (label, node, apply) in enumerate(sites):
+                    mutant_id = f"{module}.{name}#{number}:{label}"
+                    assert mutant_id not in seen, mutant_id
+                    seen.add(mutant_id)
+                    yield mutant_id, module, functools.partial(_mutated, tree, apply)
 
 
 def run_suite(workdir: Path, pytest_args, timeout: float | None) -> tuple[str, float]:
@@ -203,7 +231,7 @@ def main(argv=None) -> int:
         timeout = 5 * seconds + 30
         for mutant_id, module, source in selected:
             path = copy / PACKAGE / f"{module}.py"
-            path.write_text(source, encoding="utf-8")
+            path.write_text(source(), encoding="utf-8")
             verdict, seconds = run_suite(copy, pytest_args, timeout)
             path.write_text(control[module], encoding="utf-8")
             if verdict == "passed":
