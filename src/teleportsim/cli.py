@@ -339,13 +339,12 @@ def render_sweep_csv(cfg: SweepConfig, out) -> None:
 
 def cmd_sweep(args) -> int:
     cfg = _sweep_config(args)
-    # Stream into a file beside the output and rename it to the output, so
-    # a failed sweep never leaves a truncated CSV or clobbers an existing one.
-    # The old output is removed only once the new one is complete: renaming
-    # over an existing file makes ext4 (auto_da_alloc) write the new file's
-    # data to the device inside the rename, a disk write on every sweep whose
-    # time depends on whatever else is using the disk. An I/O error names
-    # the output path, not the temporary file.
+    # Stream into a file beside the output and rename it to the output, so a
+    # failed sweep (the one case that removes the temporary file) never leaves
+    # a truncated CSV or clobbers an existing one. The old output is removed
+    # only once the new one is complete: renaming over an existing file makes
+    # ext4 (auto_da_alloc) write the new file's data to the device inside the
+    # rename. An I/O error names the output path, not the temporary file.
     tmp = f"{cfg.output_path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as handle:
@@ -353,11 +352,12 @@ def cmd_sweep(args) -> int:
         with contextlib.suppress(FileNotFoundError):
             os.remove(cfg.output_path)
         os.replace(tmp, cfg.output_path)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, cfg.output_path) from None
-    finally:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, cfg.output_path) from None
+        raise
     print(f"wrote {cfg.steps} rows to {cfg.output_path}")
     return EXIT_OK
 

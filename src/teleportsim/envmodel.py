@@ -6,8 +6,12 @@ qubit couples to environment states |E0>, |E1>:
     |E0> (x) (a|0> + b|1>)  ->  C0 a |E0>|0> + C1 b |E1>|1>
 
 Only the overlap gamma = <E1|E0> survives into the qubit's reduced state, so a
-two-dimensional environment is fully general. |gamma| = 1 leaves the state
-pure; gamma = 0 dephases it completely.
+two-dimensional environment is fully general. gamma = 0 dephases it
+completely. With p = |a|^2 and q = |b|^2 on a normalized (a, b),
+1 - F = p q (|c0 - c1 gamma*|^2 + |c1|^2 (1 - |gamma|^2)) / (|c0|^2 p + |c1|^2 q)
+and 1 - purity = 2 rho00 rho11 (1 - |gamma|^2). So the replica is exact
+(rho3 = rho1) if and only if p q = 0, or |gamma| = 1 and c0 = c1 gamma*; and
+pure if and only if |gamma| = 1 or rho00 rho11 = 0.
 
 Two routes to the reduced state are provided on purpose:
 
@@ -20,9 +24,7 @@ Two routes to the reduced state are provided on purpose:
   a phase-damping channel followed by a local filter. One kernel,
   ``closed_form``, evaluates it together with delta, fidelity and purity and
   broadcasts over an array of overlaps; every metric in the package comes
-  from it. ``evolve`` builds the joint state explicitly and is kept as the
-  independent oracle that the kernel is tested against (with
-  ``linalg.partial_trace``).
+  from it.
 * ``reduced_state_paper_literal`` evaluates a printed closed-form variant.
   Its normalization disagrees with the partial trace away from |gamma| = 1
   (it is generally not unit-trace); the CLI's ``paper-check`` reports the
@@ -39,12 +41,10 @@ forms take (a, b) through a Ket's check: the norm, the squared parts added
 left to right, within NORM_TOL of 1. A pair a Ket accepts is used unchanged,
 and a pair a Ket rejects is rejected.
 
-``closed_form`` and ``printed_deviation`` check neither gamma nor (c0, c1), so
-they are not exported: ``EnvironmentModel`` checks one point and the CLI's
-``SweepConfig.validate`` a batch, and those are the checked ways in.
-
-The deviation delta is the entrywise-quadratic distance between the delivered
-reduced state and the sender's pure-state density matrix.
+Left out of ``__all__``: ``closed_form`` and ``printed_deviation``, which
+check neither gamma nor (c0, c1) (``EnvironmentModel`` checks one point and
+``SweepConfig.validate`` a batch), and the float oracle ``embed_environment``
+and ``evolve``, which build the joint state and which no package code calls.
 """
 
 from __future__ import annotations
@@ -56,15 +56,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import NORM_TOL, DensityMatrix, Ket, _Frozen, _pure_density, _qubit_rows, _Result, _stored
+from .qcore import (
+    NORM_TOL, DensityMatrix, Ket, _fidelity_of, _Frozen, _pure_density, _purity_of, _qubit_rows, _Result, _stored,
+)
 from .teleport import BellOutcome, run_ideal
 
 __all__ = [
     "DegenerateModelError",
     "EnvironmentModel",
     "DeviationReport",
-    "embed_environment",
-    "evolve",
     "reduced_state",
     "reduced_state_paper_literal",
     "deviation",
@@ -257,9 +257,7 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     w_re = w.real / n
     w_im = w.imag / n
     g_re, g_im = gamma.real, gamma.imag
-    # In place, in products allocated here. IEEE addition and multiplication
-    # commute, so f = x; f += y; f *= 2.0; f += s is s + 2.0 * (x + y) bit
-    # for bit.
+    # In place, in products allocated here.
     off_re = w_re * g_re
     off_re -= w_im * g_im
     off_im = w_re * g_im
@@ -268,22 +266,13 @@ def closed_form(a: complex, b: complex, c0: complex, c1: complex, gamma) -> Clos
     # The sender's |psi><psi| exactly as ``to_density`` forms it.
     rho1 = _pure_density(a, b)
     delta = _delta(rho1, rho00, rho11, off_re, off_im)
-    r00, r11, r01_re, r01_im = rho1
-    # <psi|rho3|psi>: the off-diagonal terms give 2 Re(conj(r01) rho01).
-    fidelity = r01_re * off_re
-    fidelity += r01_im * off_im
-    fidelity *= 2.0
-    fidelity += r00 * rho00 + r11 * rho11
-    purity = off_re * off_re
-    purity += off_im * off_im
-    purity *= 2.0
-    purity += rho00 * rho00 + rho11 * rho11
-    return ClosedForm(rho00, rho11, off_re, off_im, delta, fidelity, purity)
+    return ClosedForm(rho00, rho11, off_re, off_im, delta, _fidelity_of(rho1, rho00, rho11, off_re, off_im),
+                      _purity_of(rho00, rho11, off_re, off_im))
 
 
 def embed_environment(env: EnvironmentModel) -> tuple[Ket, Ket]:
     """Concrete two-dimensional environment states (e0, e1) with
-    <e1|e0> equal to the model's gamma."""
+    <e1|e0> equal to the model's gamma: an oracle, not exported."""
     g = env.gamma
     e0 = Ket(np.array([1.0, 0.0]), ("E",))
     residual = np.sqrt(max(1.0 - abs(g) ** 2, 0.0))
@@ -292,12 +281,10 @@ def embed_environment(env: EnvironmentModel) -> tuple[Ket, Ket]:
 
 
 def evolve(a: complex, b: complex, env: EnvironmentModel) -> Ket:
-    """Joint environment (x) qubit state after the coupling,
-    C0 a e0|0> + C1 b e1|1>, renormalized.
-
-    The explicit route that ``closed_form`` is tested against. (c0, c1) are
-    scaled to unit max-modulus first, so neither the state nor the
-    degeneracy threshold depends on their scale."""
+    """Joint environment (x) qubit state C0 a e0|0> + C1 b e1|1> after the
+    coupling, renormalized: an oracle, not exported. (c0, c1) are scaled to
+    unit max-modulus first, so neither the state nor the degeneracy threshold
+    depends on their scale."""
     a, b = _check_normalized(a, b)
     c0, c1 = _unit_scaled(env.c0, env.c1)
     e0, e1 = embed_environment(env)
@@ -436,19 +423,15 @@ def deviation_closed_form_paper(a: complex, b: complex, env: EnvironmentModel) -
 
 def _report(a: complex, b: complex, env: EnvironmentModel,
             branch: BellOutcome | None) -> DeviationReport:
-    """The report at one point. Its rho3 is kept by ``_stored``, unchecked
-    and with no hook run, since ``DensityMatrix``'s check would add about a
-    quarter to a point query's time: the model is checked and
-    ``closed_form`` checks (a, b) and the coupled norm, after which rho3 is
-    a qubit's state by construction. Its diagonal is the two branch weights
-    divided by their sum, so the trace is 1 up to rounding; its layout is
-    Hermitian exactly (a real diagonal and the exact conjugate below it);
-    and its determinant is rho00 rho11 (1 - |gamma|^2) up to rounding, where
-    |gamma| <= 1 + OVERLAP_TOL puts the lower eigenvalue no lower than about
-    -1e-12, far inside DENSITY_TOL."""
+    """The report at one point, kept by ``_stored`` with its rho3 unchecked:
+    ``DensityMatrix``'s check would add about a quarter to a point query, and
+    rho3 passes it by construction once the model, (a, b) and the coupled
+    norm are checked. Its trace is 1 up to rounding, its layout is exactly
+    Hermitian, and its determinant rho00 rho11 (1 - |gamma|^2), with
+    |gamma| <= 1 + OVERLAP_TOL, puts the lower eigenvalue above about -1e-12."""
     rho00, rho11, re, im, delta, fid, pur = closed_form(a, b, env.c0, env.c1, env.gamma)
-    return DeviationReport._built(rho3=_stored(DensityMatrix, rows=_qubit_rows(rho00, rho11, re, im)), delta=delta,
-                                  fidelity=fid, purity=pur, branch=branch)
+    return _stored(DeviationReport, rho3=_stored(DensityMatrix, rows=_qubit_rows(rho00, rho11, re, im)),
+                   delta=delta, fidelity=fid, purity=pur, branch=branch)
 
 
 def direct_report(a: complex, b: complex, env: EnvironmentModel) -> DeviationReport:

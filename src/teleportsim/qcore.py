@@ -1,5 +1,4 @@
-"""Qubit-level building blocks: kets, density matrices, gates, Bell projectors,
-Born-rule measurement, and fidelity.
+"""Qubit-level building blocks: kets, density matrices, gates, fidelity, purity.
 
 Subsystem ordering is big-endian throughout: the leftmost label is the slowest
 tensor index. All values are immutable after construction; only the
@@ -13,15 +12,17 @@ entries, built on first access and cached, so a value that numpy never reads
 allocates no array, and importing this module builds none. Construction runs
 each class's ``__post_init__`` once: it is the one check, and the hook a
 tracer can wrap, so a traced hook call is a check. Every ``Ket`` and
-``DensityMatrix`` the package returns has passed that check except a
-report's rho3, which ``_stored``, the package's one store of values it
-vouches for, keeps unchecked, since the check would cost about a quarter of
-a point query.
+``DensityMatrix`` the package returns has passed that check but a report's
+rho3, which ``_stored``, the package's one store, keeps unchecked.
 
 A protocol run's one random number is ``_first_word(seed)``: the first 64-bit
 word of the seed's Philox stream, ``seeded_stream(seed)``'s, computed bit for
 bit in Python integers, so a run imports no ``numpy.random``. The many draws
 of ``teleport --shots`` still stream from numpy through ``seeded_stream``.
+
+``Projector``, ``bell_basis``, ``apply_gate`` and ``born_measure`` are the
+float route's projective measurement: an oracle no package code calls, left
+out of ``__all__`` and imported by module path.
 """
 
 from __future__ import annotations
@@ -40,12 +41,8 @@ __all__ = [
     "Ket",
     "DensityMatrix",
     "Gate",
-    "Projector",
-    "bell_basis",
     "ket_from_amplitudes",
     "to_density",
-    "apply_gate",
-    "born_measure",
     "fidelity",
     "purity",
     "seeded_stream",
@@ -260,14 +257,11 @@ def _stored(cls, **fields):
 
 
 class _Result(_Frozen):
-    """A result the package computes and returns, never a caller's input:
-    calling the class raises, and ``_built`` is ``_stored`` for the class,
-    which keeps the fields as given."""
+    """A result the package builds with ``_stored``, never a caller's input:
+    calling the class raises."""
 
     def __init__(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is built by the package, not by a caller")
-
-    _built = classmethod(_stored)
 
 
 class Ket(_Frozen):
@@ -342,9 +336,8 @@ class DensityMatrix(_Frozen):
     summed from 0j like ``np.trace``; and the lower eigenvalue
     mean - sqrt(mean^2 - det) at least -DENSITY_TOL. The skew's modulus is
     libm's hypot, which numpy's array loop may round one ulp apart. This
-    check is the class's one constructor; the one state the package does not
-    check, a report's rho3, is kept by ``_stored`` and runs no hook
-    (``envmodel._report`` says why it would pass)."""
+    check is the class's one constructor (``envmodel._report`` keeps the one
+    unchecked state)."""
 
     def __init__(self, mat):
         self.__post_init__(mat)
@@ -575,14 +568,39 @@ def born_measure(psi: Ket, projectors, targets, rng: np.random.Generator):
     return outcome, Ket(post, psi.labels), float(probs[outcome])
 
 
+def _fidelity_of(rho1, d00, d11, re, im):
+    """The one fidelity formula, <psi|rho|psi> for rho1 = |psi><psi| as ``_pure_density``'s
+    parts and rho's d01 = re + i im. Broadcasts; built in place in a product it allocates,
+    bit for bit (r00 d00 + r11 d11) + 2.0 * (r01_re re + r01_im im)."""
+    r00, r11, r01_re, r01_im = rho1
+    f = r01_re * re
+    f += r01_im * im
+    f *= 2.0
+    f += r00 * d00 + r11 * d11
+    return f
+
+
+def _purity_of(d00, d11, re, im):
+    """The one purity formula, d00^2 + d11^2 + 2 |d01|^2 for d01 = re + i im;
+    broadcasts and is built in place like ``_fidelity_of``."""
+    p = re * re
+    p += im * im
+    p *= 2.0
+    p += d00 * d00 + d11 * d11
+    return p
+
+
 def fidelity(pure: Ket, rho: DensityMatrix) -> float:
-    """Overlap <psi|rho|psi>: probability the state rho passes a test for psi."""
+    """Overlap <psi|rho|psi>: probability the state rho passes a test for psi.
+    Read from rho's real diagonal and upper off-diagonal: within its skew of the full product."""
     if pure.dim != 2:
         raise ValueError(f"dimension mismatch: ket {pure.dim} vs matrix 2")
-    amps = pure.amplitudes
-    return float(np.vdot(amps, rho.mat @ amps).real)
+    (m00, m01), (_, m11) = rho.rows
+    return _fidelity_of(_pure_density(*pure.entries), m00.real, m11.real, m01.real, m01.imag)
 
 
 def purity(rho: DensityMatrix) -> float:
-    """trace(rho^2): 1 for pure states, 1/2 for a maximally mixed qubit."""
-    return float(np.trace(rho.mat @ rho.mat).real)
+    """trace(rho^2): 1 for pure states, 1/2 for a maximally mixed qubit. Read
+    like ``fidelity``, within about DENSITY_TOL of the full product."""
+    (m00, m01), (_, m11) = rho.rows
+    return _purity_of(m00.real, m11.real, m01.real, m01.imag)

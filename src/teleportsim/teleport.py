@@ -13,8 +13,8 @@ first 64-bit Philox word w pick outcome ``w >> 62``. That table is a few
 operations on two amplitudes, so it is computed in Python ``complex``
 arithmetic rather than numpy, whose per-call cost on 2-element arrays exceeds
 the arithmetic. A protocol record builds its ``Ket`` values on first read.
-The general Bell measurement, ``qcore.born_measure`` with ``qcore.bell_basis()``
-on ``prepare_joint``'s state, is the oracle the tests compare it against.
+``prepare_joint`` with ``qcore.born_measure`` is the general float route to
+the same measurement: an oracle no package code calls, left out of ``__all__``.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 
-from .qcore import _SQRT_HALF, I, Ket, X, Z, ZX, _first_word, _Result
+from .qcore import _SQRT_HALF, I, Ket, X, Z, ZX, _first_word, _Result, _stored
 
 __all__ = [
     "BellOutcome",
     "CORRECTIONS",
     "TeleportRecord",
-    "prepare_joint",
     "run_ideal",
     "enumerate_branches",
 ]
@@ -92,7 +91,7 @@ def _qubit(psi: Ket) -> tuple[complex, complex]:
 
 
 def prepare_joint(psi: Ket) -> Ket:
-    """Three-particle state |psi>_1 (x) singlet_23."""
+    """Three-particle state |psi>_1 (x) singlet_23: an oracle, not exported."""
     singlet = (0.0, _SQRT_HALF, -_SQRT_HALF, 0.0)
     return Ket([x * s for x in _qubit(psi) for s in singlet], (psi.labels[0], "2", "3"))
 
@@ -134,8 +133,8 @@ def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
     d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
     a, b = psi.entries
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
-    return TeleportRecord._built(outcome=outcome, _conditional=(c0, c1), _corrected=(d0, d1), fidelity=fid,
-                                 probability=prob)
+    return _stored(TeleportRecord, outcome=outcome, _conditional=(c0, c1), _corrected=(d0, d1), fidelity=fid,
+                   probability=prob)
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:

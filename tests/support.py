@@ -94,6 +94,24 @@ def exact_point(a, b, c0, c1, gamma):
     return (rho00, rho11, re, im), delta_sq, fidelity, purity
 
 
+def exact_replica_terms(a, b, c0, c1, gamma):
+    """The pieces of the identity 1 - F = p q (m + l) / n, exactly, as
+    Fractions (p, q, m, l, n): p = |a|^2 / s and q = |b|^2 / s on the exactly
+    normalized ray, as ``exact_point`` takes rho1; the mismatch
+    m = |c0 - c1 conj(gamma)|^2; the loss l = |c1|^2 (1 - |gamma|^2); and
+    n = |c0|^2 p + |c1|^2 q. Neither term of m + l is negative where
+    |gamma| <= 1."""
+    (ar, ai), (br, bi), c0, c1, (g_re, g_im) = map(_exact, (a, b, c0, c1, gamma))
+    s = ar * ar + ai * ai + br * br + bi * bi
+    p, q = (ar * ar + ai * ai) / s, (br * br + bi * bi) / s
+    d_re, d_im = _mul(c1, (g_re, -g_im))
+    m = (c0[0] - d_re) ** 2 + (c0[1] - d_im) ** 2
+    c1_sq = c1[0] ** 2 + c1[1] ** 2
+    l = c1_sq * (1 - g_re * g_re - g_im * g_im)
+    n = (c0[0] ** 2 + c0[1] ** 2) * p + c1_sq * q
+    return p, q, m, l, n
+
+
 def exact_printed(a, b, c0, c1, gamma):
     """The exact values the printed form rounds, as Fractions: its entries
     (d00, d11, d01_re, d01_im), diagonal (1 + |gamma|^2)(|c0 a|^2, |c1 b|^2)
@@ -164,6 +182,40 @@ def traced_over_environment(joint_amplitudes):
     """The qubit's state from environment-first joint amplitudes: the outer
     product, then the environment index summed out."""
     return trace_out(np.outer(joint_amplitudes, joint_amplitudes.conj()), 2, 2, "B")
+
+
+def coupled_joint(a, b, c0, c1, gamma):
+    """C0 a |e0>|0> + C1 b |e1>|1>, renormalized, as environment-first
+    amplitudes (index 2 e + qubit), with e0 = |0> and
+    e1 = conj(gamma)|0> + sqrt(1 - |gamma|^2)|1>, so <e1|e0> = gamma.
+    (c0, c1) are first divided by their larger modulus, so that a common
+    scale neither overflows nor underflows."""
+    scale = max(abs(complex(c0)), abs(complex(c1)))
+    x0, x1 = complex(c0) / scale * complex(a), complex(c1) / scale * complex(b)
+    gamma = complex(gamma)
+    joint = np.array([x0, x1 * gamma.conjugate(), 0, x1 * math.sqrt(max(1.0 - abs(gamma) ** 2, 0.0))])
+    return joint / np.linalg.norm(joint)
+
+
+# The Bell states on particles 1 and 2 (index 2 i1 + i2), each times
+# sqrt(1/2), in the protocol's outcome order Phi+, Phi-, Psi+, Psi-.
+BELL_COEFFICIENTS = ((1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, 1, -1, 0))
+
+
+def bell_contraction(a, b):
+    """Particle 3's unnormalized pair after each Bell outcome, in outcome
+    order: <bell_k|_12 (psi (x) singlet_23), contracted over the joint
+    state's eight amplitudes psi[i1] singlet[2 i2 + i3] (index
+    4 i1 + 2 i2 + i3) in Python complexes. The squared norm of pair k is
+    outcome k's Born probability. The Bell coefficients are real, so the
+    bra needs no conjugate."""
+    h = math.sqrt(0.5)
+    singlet = (0.0, h, -h, 0.0)  # (|01> - |10>) / sqrt(2)
+    joint = [x * s for x in (complex(a), complex(b)) for s in singlet]
+    return [
+        tuple(sum(h * u * joint[2 * j + i3] for j, u in enumerate(bell)) for i3 in (0, 1))
+        for bell in BELL_COEFFICIENTS
+    ]
 
 
 # ---------------------------------------------------------------- numpy's first Philox draw, in loop form

@@ -17,14 +17,16 @@ from teleportsim.envmodel import (
     EnvironmentModel,
     deviation,
     deviation_closed_form_paper,
-    evolve,
+    direct_report,
     reduced_state,
     reduced_state_paper_literal,
 )
 from teleportsim.qcore import Ket, to_density
 from teleportsim.teleport import BellOutcome, enumerate_branches, run_ideal
 
-from support import SQRT_HALF, listed_conditional, random_model, random_qubit, traced_over_environment
+from support import (
+    SQRT_HALF, coupled_joint, listed_conditional, random_model, random_qubit, traced_over_environment,
+)
 
 
 @contextmanager
@@ -81,6 +83,31 @@ def test_criterion_3_vanishing_deviation_special_case():
             assert deviation_closed_form_paper(a, b, env) <= 1e-12
 
 
+def test_criterion_3_holds_wherever_the_replica_is_exact():
+    description = "replica exact iff p q = 0, or |gamma| = 1 and c0 = c1 gamma*; else 1 - F by its identity"
+    with criterion("3b", description, 1.0):
+        rng = np.random.default_rng(1013)
+        for k in range(600):
+            a, b = random_qubit(rng)
+            env = random_model(rng)
+            if k % 3 == 0:  # |gamma| = 1 and c0 = c1 gamma*
+                gamma = np.exp(2j * np.pi * rng.random())
+                env = EnvironmentModel(gamma, env.c1 * np.conj(gamma), env.c1)
+            elif k % 3 == 1:  # p q = 0, with any model
+                a, b = (a / abs(a), 0) if k % 2 else (0, b / abs(b))
+            report = direct_report(a, b, env)
+            p, q, g, c0, c1 = abs(a) ** 2, abs(b) ** 2, env.gamma, env.c0, env.c1
+            infidelity = p * q * (abs(c0 - c1 * g.conjugate()) ** 2 + abs(c1) ** 2 * (1 - abs(g) ** 2)) / (
+                abs(c0) ** 2 * p + abs(c1) ** 2 * q)
+            assert abs(1 - report.fidelity - infidelity) <= 1e-12
+            if k % 3 == 2:
+                assert infidelity > 1e-6
+            else:
+                assert report.delta <= 1e-12
+                assert report.fidelity >= 1 - 1e-12
+                assert report.purity >= 1 - 1e-12
+
+
 def test_criterion_4_dephased_limit():
     with criterion(4, "gamma=0 dephases: diagonal rho3, printed form exact", 1.0):
         rng = np.random.default_rng(1004)
@@ -112,7 +139,7 @@ def test_criterion_5_oracle_equivalence():
                 rho3 = reduced_state(a, b, env)
             except DegenerateModelError:
                 continue
-            oracle = traced_over_environment(evolve(a, b, env).amplitudes)
+            oracle = traced_over_environment(coupled_joint(a, b, env.c0, env.c1, env.gamma))
             assert np.abs(rho3.mat - oracle).max() <= 1e-12
             checked += 1
 

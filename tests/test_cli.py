@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import io
 import math
+import os
 import random
 import struct
 import sys
@@ -969,6 +970,46 @@ def test_sweep_replaces_existing_output(tmp_path, capsys):
     assert code == 0
     header, rows = read_rows(out_path)
     assert header == list(CSV_FIELDS) and len(rows) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["over-an-output", "new-output"])
+def test_a_successful_sweep_does_not_unlink_its_renamed_temporary_file(tmp_path, monkeypatch, capsys, existing):
+    # The rename has moved the temporary file, so unlinking it could only fail.
+    out_path = tmp_path / "sweep.csv"
+    if existing:
+        out_path.write_text("earlier run\n")
+    removed = []
+    remove = os.remove
+
+    def recorded(path):
+        removed.append(os.fspath(path))
+        remove(path)
+
+    monkeypatch.setattr(os, "remove", recorded)
+    assert run_cli(capsys, "sweep", "--steps", "3", "--out", str(out_path))[0] == 0
+    assert removed == [str(out_path)]
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt(), OSError(28, "No space left on device")],
+                         ids=["interrupted", "disk-full"])
+def test_a_sweep_failing_mid_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys, error):
+    out_path = tmp_path / "sweep.csv"
+    out_path.write_text("earlier run\n")
+
+    def failing(cfg, out):
+        out.write(b"gamma_re")
+        raise error
+
+    monkeypatch.setattr(cli, "render_sweep_csv", failing)
+    if isinstance(error, OSError):  # named by the output path, exit 3
+        assert run_cli(capsys, "sweep", "--out", str(out_path)) == (
+            3, "", f"error: [Errno 28] No space left on device: {str(out_path)!r}\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--out", str(out_path)])
+    assert out_path.read_text() == "earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 

@@ -1,5 +1,7 @@
-"""The closed-form kernel against the explicit route (evolve + partial_trace),
-its invariances and range bounds, and the scale extremes it must get right."""
+"""The closed-form kernel against the exact oracles of ``support`` (a joint
+state traced over its environment, and rational arithmetic), its
+invariances and range bounds, the exact-replica condition, and the scale
+extremes it must get right."""
 
 import cmath
 import math
@@ -25,16 +27,16 @@ from teleportsim.envmodel import (
     deviation_closed_form_paper,
     direct_report,
     evolve,
+    noisy_teleport,
     printed_deviation,
     reduced_state,
     reduced_state_paper_literal,
 )
-from teleportsim.linalg import partial_trace
-from teleportsim.qcore import DensityMatrix, Ket, _pure_density, _qubit_rows, purity, to_density
+from teleportsim.qcore import DensityMatrix, Ket, _pure_density, _qubit_rows, fidelity, purity, to_density
 
 from support import (
-    NEAR_DEGENERATE, SQRT_HALF, coefficients, exact_point, exact_printed, exact_rho3, exact_sqrt, overlaps, phases,
-    qubits,
+    NEAR_DEGENERATE, SQRT_HALF, coefficients, coupled_joint, exact_point, exact_printed, exact_replica_terms,
+    exact_rho3, exact_sqrt, overlaps, phases, qubits, traced_over_environment,
 )
 
 TOL = 1e-12
@@ -60,16 +62,11 @@ def metrics(a, b, c0, c1, gamma):
 
 
 def oracle(a, b, env):
-    """rho3, delta, fidelity, purity through the joint state and a partial trace."""
-    joint = evolve(a, b, env).amplitudes
-    rho = partial_trace(np.outer(joint, joint.conj()), 2, 2, keep="B")
-    psi = np.array([a, b])
-    return (
-        rho,
-        np.linalg.norm(rho - np.outer(psi, psi.conj())),
-        np.vdot(psi, rho @ psi).real,
-        np.trace(rho @ rho).real,
-    )
+    """rho3 through ``support``'s joint state and a partial trace, and delta,
+    fidelity and purity from ``support.exact_point``."""
+    rho = traced_over_environment(coupled_joint(a, b, env.c0, env.c1, env.gamma))
+    _, delta_sq, fid, pur = exact_point(a, b, env.c0, env.c1, env.gamma)
+    return rho, float(exact_sqrt(delta_sq)), float(fid), float(pur)
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,9 +288,12 @@ def test_direct_report_is_scale_invariant(a, b, c0, c1, gamma, scale):
     assert got.delta == pytest.approx(want.delta, abs=1e-15)
     assert got.fidelity == pytest.approx(want.fidelity, abs=1e-15)
     assert got.purity == pytest.approx(want.purity, abs=1e-15)
-    joint = evolve(a, b, EnvironmentModel(gamma, c0 * scale, c1 * scale))
-    unscaled = evolve(a, b, EnvironmentModel(gamma, c0, c1))
-    assert np.abs(joint.amplitudes - unscaled.amplitudes).max() <= 1e-15
+    # And the scaled report is the exact unscaled answer, to rounding.
+    (rho00, rho11, re, im), delta_sq, fid, pur = exact_point(a, b, c0, c1, gamma)
+    (m00, m01), (_, m11) = got.rho3.rows
+    values = (m00.real, m11.real, m01.real, m01.imag, got.delta, got.fidelity, got.purity)
+    exact = (rho00, rho11, re, im, exact_sqrt(delta_sq), fid, pur)
+    assert max(abs(Fraction(x) - y) for x, y in zip(values, exact)) <= 1e-15
 
 
 @pytest.mark.parametrize("a, b, c0, c1, gamma", BASES)
@@ -373,10 +373,12 @@ def test_a_small_coefficient_ratio_is_computed(ab, c0, c1, gamma, ratio, swap):
 
 @pytest.mark.parametrize("a, b, c0, c1", [(1, 0, 1e-160, 1), (0, 1, 1, 1e-155), (1, 1e-160, 1e-160, 1), (0, 1, 1, 0)])
 def test_an_underflowing_coupled_norm_is_degenerate_on_both_routes(a, b, c0, c1):
+    # The kernel, and each checked route through a model.
     with pytest.raises(DegenerateModelError, match="below DEGENERATE_TOL"):
         closed_form(a, b, c0, c1, 0.5)
-    with pytest.raises(DegenerateModelError, match="below DEGENERATE_TOL"):
-        evolve(a, b, EnvironmentModel(0.5, c0, c1))
+    for route in (direct_report, reduced_state):
+        with pytest.raises(DegenerateModelError, match="below DEGENERATE_TOL"):
+            route(a, b, EnvironmentModel(0.5, c0, c1))
 
 
 def test_a_coupled_norm_of_exactly_degenerate_tol_is_computed():
@@ -385,7 +387,7 @@ def test_a_coupled_norm_of_exactly_degenerate_tol_is_computed():
     assert DEGENERATE_TOL == 2.0**-511
     form = closed_form(2.0**-511, 1.0, 1, 0, 0.5)
     assert (form.rho00, form.rho11, form.rho01_re, form.rho01_im) == (1.0, 0.0, 0.0, 0.0)
-    assert evolve(2.0**-511, 1.0, EnvironmentModel(0.5, 1, 0)).entries == (1, 0, 0, 0)
+    assert reduced_state(2.0**-511, 1.0, EnvironmentModel(0.5, 1, 0)).rows == ((1, 0), (0, 0))
 
 
 @st.composite
@@ -410,11 +412,11 @@ def off_unit_qubits(draw):
     return a * (1.0 + off), b * (1.0 + off)
 
 
-# Every route that takes (a, b): the reports, the explicit route and the
+# Every route that takes (a, b): the report, the reduced state and the
 # printed forms, at one point and in a batch.
 PAIR_ROUTES = (
     direct_report,
-    evolve,
+    reduced_state,
     reduced_state_paper_literal,
     deviation_closed_form_paper,
     lambda a, b, env: printed_deviation(a, b, env.c0, env.c1, np.array([env.gamma, 0.5])),
@@ -538,6 +540,7 @@ def test_lower_entry_keeps_a_positive_zero_imaginary_part():
         assert math.copysign(1.0, mat[1, 0].imag) == 1.0
 
 
+# Each evolve row checks the float oracle's own input boundary.
 @pytest.mark.parametrize("call", [direct_report, reduced_state, evolve])
 @pytest.mark.parametrize("a, b", [(complex(1.7e308, 1.7e308), 0), (0, complex(-1.7e308, 1.7e308))])
 def test_amplitude_modulus_beyond_float64_is_not_normalized(call, a, b):
@@ -621,6 +624,35 @@ def test_kernel_is_within_a_few_eps_of_the_exact_values(ab, c0, c1, gamma):
     assert max(errors) <= EXACT_ABS_TOL, [float(e) / 2.0**-52 for e in errors]
 
 
+@settings(max_examples=200, deadline=None)
+@given(qubits(), coefficients, coefficients, overlaps)
+@example(ab=(0.6, 0.8j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=NEAR_IDEAL[4])
+@example(ab=(complex(-0.0, 0.6), complex(0.8, -0.0)), c0=1e200, c1=1e-200j, gamma=-1)
+def test_fidelity_and_purity_of_each_state_are_the_kernels_values(ab, c0, c1, gamma):
+    # qcore's fidelity and purity apply the kernel's one formula for each
+    # metric to a state's rows, so on rho3 they give the kernel's values bit
+    # for bit, and on every state they are within its bound of the exact values.
+    a, b = ab
+    form = metrics(a, b, c0, c1, gamma)
+    env = EnvironmentModel(gamma, c0, c1)
+    psi = Ket((a, b), ("1",))
+    _, _, exact_fidelity, exact_purity = exact_point(a, b, c0, c1, gamma)
+    report, noisy = direct_report(a, b, env), noisy_teleport(psi, env, 0)
+    for rho3 in (reduced_state(a, b, env), report.rho3):
+        assert [fidelity(psi, rho3).hex(), purity(rho3).hex()] == [form.fidelity.hex(), form.purity.hex()]
+    # noisy_teleport's rho3 is the corrected pair's, a few ulps from (a, b)'s.
+    assert purity(noisy.rho3).hex() == noisy.purity.hex()
+    for rho3 in (report.rho3, noisy.rho3):
+        got = fidelity(psi, rho3), purity(rho3)
+        assert [type(x) for x in got] == [float, float]
+        assert max(abs(Fraction(got[0]) - exact_fidelity), abs(Fraction(got[1]) - exact_purity)) <= EXACT_ABS_TOL
+    # rho1 = |psi><psi| is rho3 at gamma = 1 with c0 = c1: fidelity and purity 1.
+    _, _, exact_fidelity, exact_purity = exact_point(a, b, 1, 1, 1)
+    rho1 = to_density(psi)
+    assert abs(Fraction(fidelity(psi, rho1)) - exact_fidelity) <= EXACT_ABS_TOL
+    assert abs(Fraction(purity(rho1)) - exact_purity) <= EXACT_ABS_TOL
+
+
 # The largest error of the printed form's entries and delta against their
 # exact values (support.exact_printed), in eps: relative on each diagonal
 # entry, and of |d01| on each off-diagonal part, with the smallest normal
@@ -681,6 +713,68 @@ def test_printed_forms_near_the_ideal_point_are_within_a_few_eps_of_the_exact_va
     for gamma in NEAR_ONE:
         errors = printed_errors(0.6, 0.8j, SQRT_HALF * scale, c1 * scale, gamma)
         assert max(errors) <= PRINTED_TOL, (gamma, errors)
+
+
+# ---------------------------------------------------------------- the exact-replica condition
+#
+# With p = |a|^2 and q = |b|^2 on a normalized (a, b), the kernel's rho3 obeys
+#   1 - F      = p q (|c0 - c1 gamma*|^2 + |c1|^2 (1 - |gamma|^2)) / (|c0|^2 p + |c1|^2 q),
+#   1 - purity = 2 rho00 rho11 (1 - |gamma|^2).
+# Both terms of the first are non-negative where |gamma| <= 1, so the replica
+# is exact (F = 1, delta = 0) if and only if p q = 0, or |gamma| = 1 and
+# c0 = c1 gamma*; and it is pure if and only if |gamma| = 1 or rho00 rho11 = 0.
+
+unit_overlaps = phases.map(lambda theta: cmath.exp(1j * theta))
+nonzero_coefficients = coefficients.filter(lambda c: abs(c) >= 1e-3)
+
+
+def assert_exact_replica(form):
+    """delta, 1 - F and 1 - purity are each within the kernel's bound of 0."""
+    assert max(form.delta, abs(1 - form.fidelity), abs(1 - form.purity)) <= EXACT_ABS_TOL, form
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubits(), nonzero_coefficients, unit_overlaps)
+@example(ab=(0.6, 0.8j), c1=SQRT_HALF, gamma=1)
+@example(ab=(SQRT_HALF, SQRT_HALF), c1=1, gamma=-1)
+@example(ab=(0.6, 0.8j), c1=1 - 0.5j, gamma=1j)
+def test_the_replica_is_exact_where_gamma_is_a_phase_the_apparatus_compensates(ab, c1, gamma):
+    # c0 = c1 gamma*, |gamma| = 1: a proper apparatus, trivial or not.
+    a, b = ab
+    assert_exact_replica(metrics(a, b, c1 * gamma.conjugate(), c1, gamma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_overlaps, st.booleans(), coefficients, coefficients, overlaps)
+@example(phase=1, zero_b=True, c0=0.9, c1=1.1, gamma=0)
+@example(phase=1j, zero_b=False, c0=1e-3, c1=1.5j, gamma=0.5)
+def test_the_replica_is_exact_where_p_q_is_zero_with_any_model(phase, zero_b, c0, c1, gamma):
+    a, b = (phase, 0) if zero_b else (0, phase)
+    assert_exact_replica(metrics(a, b, c0, c1, gamma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubits(), coefficients, coefficients, overlaps)
+@example(ab=(0.6, 0.8j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=NEAR_IDEAL[4])
+@example(ab=(0.6, 0.8j), c0=1j, c1=1, gamma=1)  # |gamma| = 1, c0 != c1 gamma*: pure but wrong
+@example(ab=(0.6, 0.8j), c0=0, c1=1, gamma=0.5)  # c0 = 0: pure, |1><1|
+@example(ab=(0.6, 0.8j), c0=-1j, c1=1, gamma=1j)  # on the set
+def test_infidelity_and_impurity_follow_their_identities(ab, c0, c1, gamma):
+    a, b = ab
+    form = metrics(a, b, c0, c1, gamma)
+    (rho00, rho11, _, _), _, fidelity, purity = exact_point(a, b, c0, c1, gamma)
+    p, q, m, l, n = exact_replica_terms(a, b, c0, c1, gamma)
+    g_sq = Fraction(gamma.real) ** 2 + Fraction(gamma.imag) ** 2
+    infidelity, impurity = p * q * (m + l) / n, 2 * rho00 * rho11 * (1 - g_sq)
+    # Each identity is exact on the given floats, and the kernel is within its bound of it.
+    assert infidelity == 1 - fidelity and impurity == 1 - purity
+    assert abs(1 - Fraction(form.fidelity) - infidelity) <= EXACT_ABS_TOL
+    assert abs(1 - Fraction(form.purity) - impurity) <= EXACT_ABS_TOL
+    # Both directions of each "if and only if", where |gamma| <= 1 exactly.
+    if g_sq <= 1:
+        on_set = p * q == 0 or (g_sq == 1 and m == 0)
+        assert m >= 0 and l >= 0 and (infidelity == 0) == on_set
+        assert (impurity == 0) == (g_sq == 1 or rho00 * rho11 == 0)
 
 
 # ---------------------------------------------------------------- sweep rows are states

@@ -20,7 +20,7 @@ from teleportsim.envmodel import (
 from teleportsim.qcore import DensityMatrix, Ket, ket_from_amplitudes, purity, to_density
 from teleportsim.teleport import BellOutcome
 
-from support import SQRT_HALF, exact_sqrt, random_model, random_qubit, traced_over_environment
+from support import SQRT_HALF, coupled_joint, exact_sqrt, random_model, random_qubit, traced_over_environment
 
 
 # ---------------------------------------------------------------- model validation
@@ -131,6 +131,43 @@ def test_evolve_rejects_unnormalized_input():
         evolve(1, 1, EnvironmentModel(0.5, 1, 1))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+@pytest.mark.parametrize("a, b, c0, c1, gamma", [
+    (0.6, 0.8j, SQRT_HALF, SQRT_HALF, 0.5),
+    (SQRT_HALF, 0.5 + 0.5j, 0.6 + 0.3j, -0.5j, 0.3 + 0.4j),
+])
+def test_evolve_is_scale_invariant(a, b, c0, c1, gamma, scale):
+    joint = evolve(a, b, EnvironmentModel(gamma, c0 * scale, c1 * scale))
+    unscaled = evolve(a, b, EnvironmentModel(gamma, c0, c1))
+    assert np.abs(joint.amplitudes - unscaled.amplitudes).max() <= 1e-15
+
+
+@pytest.mark.parametrize("a, b, c0, c1", [(1, 0, 1e-160, 1), (0, 1, 1, 1e-155), (1, 1e-160, 1e-160, 1), (0, 1, 1, 0)])
+def test_evolve_rejects_an_underflowing_coupled_norm(a, b, c0, c1):
+    with pytest.raises(DegenerateModelError, match="below DEGENERATE_TOL"):
+        evolve(a, b, EnvironmentModel(0.5, c0, c1))
+
+
+def test_evolve_computes_a_coupled_norm_of_exactly_degenerate_tol():
+    assert evolve(2.0**-511, 1.0, EnvironmentModel(0.5, 1, 0)).entries == (1, 0, 0, 0)
+
+
+# A Ket's norm rule: within NORM_TOL = 1e-12 of 1 is accepted as given.
+@pytest.mark.parametrize("a, b, accepted", [
+    (1 + 0.5e-12, 0j, True), (0.6 * (1 - 0.9e-12), 0.8j * (1 - 0.9e-12), True),
+    (1 + 2.5e-11, 0j, False), (1 - 2.5e-11, 0j, False),
+])
+def test_evolve_takes_a_pair_as_a_ket_does(a, b, accepted):
+    env = EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF)
+    if accepted:
+        Ket((a, b), ("1",))
+        assert evolve(a, b, env).dim == 4
+    else:
+        for build in (lambda: Ket((a, b), ("1",)), lambda: evolve(a, b, env)):
+            with pytest.raises(ValueError, match="not normalized"):
+                build()
+
+
 # ---------------------------------------------------------------- reduced_state
 
 def test_reduced_state_unit_overlap_is_pure_input():
@@ -143,9 +180,7 @@ def test_reduced_state_unit_overlap_is_pure_input():
 def test_reduced_state_half_overlap_balanced_case():
     rho = reduced_state(SQRT_HALF, SQRT_HALF, EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF))
     assert np.allclose(rho.mat, [[0.5, 0.25], [0.25, 0.5]], rtol=0, atol=1e-12)
-    oracle = traced_over_environment(
-        evolve(SQRT_HALF, SQRT_HALF, EnvironmentModel(0.5, SQRT_HALF, SQRT_HALF)).amplitudes
-    )
+    oracle = traced_over_environment(coupled_joint(SQRT_HALF, SQRT_HALF, SQRT_HALF, SQRT_HALF, 0.5))
     assert np.allclose(rho.mat, oracle, rtol=0, atol=1e-12)
 
 

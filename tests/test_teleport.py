@@ -15,9 +15,6 @@ from teleportsim.qcore import (
     Z,
     ZX,
     Ket,
-    bell_basis,
-    bell_state_vectors,
-    born_measure,
     fidelity,
     ket_from_amplitudes,
     to_density,
@@ -33,7 +30,8 @@ from teleportsim.teleport import (
 from teleportsim.qcore import seeded_stream
 
 from support import (
-    BELL_DRAW_EDGES, BELL_DRAW_STATES, SINGLET, SQRT_HALF, listed_conditional, qubits, random_qubit,
+    BELL_DRAW_EDGES, BELL_DRAW_STATES, SINGLET, SQRT_HALF, bell_contraction, listed_conditional, qubits,
+    random_qubit,
 )
 
 TWO_QUBITS = Ket(SINGLET, ("2", "3"))
@@ -315,48 +313,48 @@ def test_protocol_numbers_are_pinned(name):
         assert (run.outcome, run.probability.hex(), run.fidelity.hex()) == (outcome, probability, fid)
 
 
-# ---------------------------------------------------------------- branch kernel vs born_measure
+# ---------------------------------------------------------------- branch kernel vs the contraction
 
 TOL = 1e-12
 seeds = st.integers(0, 2**62)
 qubit_kets = qubits().map(lambda ab: Ket(ab, ("1",)))
 
 
-def oracle_conditional(post_amplitudes, index):
-    """The receiver's state after outcome ``index``: <bell_i|_12 applied to the
-    post-measurement three-particle state, renormalized."""
-    v = bell_state_vectors()[index].conj() @ post_amplitudes.reshape(4, 2)
-    return v / math.sqrt(np.vdot(v, v).real)
-
-
-def assert_matches_oracle(record, psi, index, post_amplitudes, prob):
-    conditional = oracle_conditional(post_amplitudes, index)
-    corrected = CORRECTIONS[OUTCOME_ORDER[index]].mat @ conditional
+def assert_matches_oracle(record, psi, index):
+    """``record`` is branch ``index`` of ``psi``: its probability and pairs
+    are ``support.bell_contraction``'s, normalized and then corrected by
+    the outcome's gate, and its conditional pair is the listed one."""
+    a, b = psi.entries
+    v0, v1 = bell_contraction(a, b)[index]
+    prob = abs(v0) ** 2 + abs(v1) ** 2
+    conditional = (v0 / math.sqrt(prob), v1 / math.sqrt(prob))
+    (g00, g01), (g10, g11) = CORRECTIONS[OUTCOME_ORDER[index]].rows
+    corrected = (g00 * conditional[0] + g01 * conditional[1], g10 * conditional[0] + g11 * conditional[1])
+    listed = listed_conditional(OUTCOME_ORDER[index], a, b).tolist()
     assert record.outcome is OUTCOME_ORDER[index]
     assert abs(record.probability - prob) <= TOL
-    assert np.abs(record.conditional_state.amplitudes - conditional).max() <= TOL
-    assert np.abs(record.corrected_state.amplitudes - corrected).max() <= TOL
+    for got, want in ((record.conditional_state, conditional), (record.corrected_state, corrected),
+                      (record.conditional_state, listed)):
+        assert max(abs(x - y) for x, y in zip(got.entries, want)) <= TOL
     assert abs(record.fidelity - fidelity(psi, to_density(Ket(corrected, ("3",))))) <= TOL
 
 
 @settings(max_examples=200, deadline=None)
 @given(qubit_kets, seeds)
 def test_run_ideal_matches_born_measure_oracle(psi, seed):
-    index, post, prob = born_measure(prepare_joint(psi), bell_basis(), (0, 1), seeded_stream(seed))
-    assert_matches_oracle(run_ideal(psi, seed), psi, index, post.amplitudes, prob)
+    # The outcome is int(4u) of numpy's first draw u from the seed's stream:
+    # every outcome has probability 1/4.
+    index = int(4 * seeded_stream(seed).random())
+    assert_matches_oracle(run_ideal(psi, seed), psi, index)
 
 
 @settings(max_examples=100, deadline=None)
 @given(qubit_kets)
 def test_enumerate_branches_matches_projector_oracle(psi):
-    joint = prepare_joint(psi).amplitudes
     records = enumerate_branches(psi)
     assert len(records) == len(OUTCOME_ORDER)
-    for index, (record, projector) in enumerate(zip(records, bell_basis())):
-        lifted = np.kron(projector.mat, np.eye(2))
-        prob = np.vdot(joint, lifted @ joint).real
-        post = lifted @ joint / math.sqrt(prob)
-        assert_matches_oracle(record, psi, index, post, prob)
+    for index, record in enumerate(records):
+        assert_matches_oracle(record, psi, index)
 
 
 def test_run_ideal_rejects_multi_qubit_input():

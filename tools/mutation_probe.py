@@ -23,13 +23,17 @@ The operators:
 Only the functions named in ``TARGETS`` are mutated: the kernels, the checks
 and the boundaries. Before any mutant, the probe runs the suite once on the
 sources as ``ast.unparse`` writes them, which drops their comments; it stops
-if that control fails. A full pass runs 739 mutants, 326 of them operator or
-constant changes (about 40 minutes on 2 CPUs) and 413 statement deletions
-(about 100 minutes, a quarter of it seven mutants that spin until the
-timeout), so it is neither a test nor a CI step; CI runs only ``--list``,
-which exits non-zero when a name in ``TARGETS`` is gone. It needs
-only the standard library and the test suite's own dependencies, and makes
-its copy under ``TMPDIR``. From the repository root:
+if that control fails. Each run loads a pytest plugin (``ALARM_PLUGIN``)
+that times every test call: in the control run it records the slowest, and
+in a mutant's run it raises in any test that runs past the per-test limit,
+four times that slowest call and at least 10 s, so a mutant that spins
+fails its first hanging test within the limit. The whole-suite timeout
+stays as the backstop. A full pass runs every mutant, several hundred of
+each kind, for about two hours on 2 CPUs, so it is neither a test nor a CI
+step; CI runs only ``--list``, which exits non-zero when a name in
+``TARGETS`` is gone. It needs only the standard library, POSIX signals and
+the test suite's own dependencies, and makes its copy under ``TMPDIR``.
+From the repository root:
 
     python tools/mutation_probe.py --list               # every mutant's id
     python tools/mutation_probe.py                      # the full pass
@@ -67,7 +71,7 @@ TARGETS = {
     "qcore": (
         "_seed", "_first_word", "Ket.__post_init__", "DensityMatrix.__post_init__", "Projector.__post_init__",
         "normalized_amplitudes", "_pure_density", "_qubit_rows", "to_density", "born_measure",
-        "fidelity", "purity",
+        "_fidelity_of", "_purity_of", "fidelity", "purity",
     ),
     "envmodel": (
         "EnvironmentModel.__post_init__", "_check_normalized", "_unit_scaled", "_frobenius", "_delta",
@@ -86,6 +90,49 @@ NUDGE = 1 + 2.0**-40
 # README and tracer the API tests parse. Nothing else is copied.
 COPIED = ("src", "tests", "pyproject.toml", "README.md", "perfbench/tracing.py")
 IGNORED = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+# The per-test time limit, as a pytest plugin the probe writes beside its
+# copy with LIMIT (None in the control run) and the file that receives the
+# slowest test call's seconds. The alarm raises a BaseException, which
+# neither a test's own handlers nor Hypothesis's shrinker catch, so the test
+# fails at once and -x ends the run.
+ALARM_PLUGIN = """\
+import signal
+import time
+
+import pytest
+
+LIMIT = {limit!r}
+SLOWEST = {slowest!r}
+_slowest = 0.0
+
+
+class TestTimeLimitExceeded(BaseException):
+    pass
+
+
+def _expired(signum, frame):
+    raise TestTimeLimitExceeded(f"test call ran past the probe's {{LIMIT}} s limit")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    global _slowest
+    if LIMIT is not None:
+        signal.signal(signal.SIGALRM, _expired)
+        signal.setitimer(signal.ITIMER_REAL, LIMIT)
+    start = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        _slowest = max(_slowest, time.monotonic() - start)
+
+
+def pytest_sessionfinish(session):
+    with open(SLOWEST, "w", encoding="utf-8") as handle:
+        handle.write(repr(_slowest))
+"""
+ALARM = "mutation_probe_alarm"
 
 
 def _functions(tree: ast.Module):
@@ -178,9 +225,10 @@ def run_suite(workdir: Path, pytest_args, timeout: float | None) -> tuple[str, f
     """'passed', 'failed' or 'timeout', and the seconds it took. Hypothesis
     runs its derandomized ci profile, so a verdict does not depend on the
     draw, and no bytecode is written, so a rewritten module is never read
-    from a stale cache."""
-    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), CI="true", PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *pytest_args]
+    from a stale cache. The alarm plugin is read from ``workdir``'s parent."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(workdir / "src"), str(workdir.parent))), CI="true",
+               PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-p", ALARM, *pytest_args]
     start = time.monotonic()
     try:
         done = subprocess.run(command, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
@@ -223,11 +271,17 @@ def main(argv=None) -> int:
                    for module in TARGETS}
         for module, source in control.items():
             (copy / PACKAGE / f"{module}.py").write_text(source, encoding="utf-8")
+        plugin, slowest = Path(tmp) / f"{ALARM}.py", Path(tmp) / "slowest"
+        plugin.write_text(ALARM_PLUGIN.format(limit=None, slowest=str(slowest)), encoding="utf-8")
         verdict, seconds = run_suite(copy, pytest_args, timeout=None)
         print(f"control: {verdict} in {seconds:.1f} s", flush=True)
         if verdict != "passed":
             return 2
-        # A mutant that runs five times as long as the whole suite is stuck.
+        limit = max(10.0, 4 * float(slowest.read_text(encoding="utf-8")))
+        print(f"per-test limit: {limit:.1f} s", flush=True)
+        plugin.write_text(ALARM_PLUGIN.format(limit=limit, slowest=str(slowest)), encoding="utf-8")
+        # The backstop: a mutant that runs five times as long as the whole
+        # suite is stuck outside any test call.
         timeout = 5 * seconds + 30
         for mutant_id, module, source in selected:
             path = copy / PACKAGE / f"{module}.py"
