@@ -447,5 +447,8 @@ def noisy_teleport(psi: Ket, env: EnvironmentModel, seed: int) -> DeviationRepor
     the sampled branch. ``seed`` follows ``run_ideal``'s rule.
     """
     record = run_ideal(psi, seed)
-    a, b = record._corrected  # builds none of the run's Kets
-    return _report(a, b, env, branch=record.outcome)
+    # Builds none of the run's Kets; the record is released before the
+    # kernel runs, so it is not alive under the report's work.
+    outcome, (a, b) = record.outcome, record._corrected
+    del record
+    return _report(a, b, env, branch=outcome)

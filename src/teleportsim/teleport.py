@@ -12,7 +12,9 @@ and leaves a signed permutation of (a, b), so the top two bits of the seed's
 first 64-bit Philox word w pick outcome ``w >> 62``. That table is a few
 operations on two amplitudes, so it is computed in Python ``complex``
 arithmetic rather than numpy, whose per-call cost on 2-element arrays exceeds
-the arithmetic. A protocol record builds its ``Ket`` values on first read.
+the arithmetic. A protocol record keeps the outcome and the conditional
+pair, derives the corrected pair from ``CORRECTIONS`` and builds its ``Ket``
+values on first read.
 ``prepare_joint`` with ``qcore.born_measure`` is the general float route to
 the same measurement: an oracle no package code calls, left out of ``__all__``.
 """
@@ -69,10 +71,17 @@ class TeleportRecord(_Result):
     state matches the input, with particle 3's state before and after the
     correction as ``Ket`` values.
 
-    Only the protocol builds a record: it stores the two pairs, whose Kets
-    are built through ``Ket``'s check on first read, and cached."""
+    Only the protocol builds a record: it stores the outcome and the
+    conditional pair, whose Kets are built through ``Ket``'s check on first
+    read, and cached. The corrected pair is the outcome's correction applied
+    to the conditional pair, derived on each read and not stored."""
 
     _fields = ("outcome", "conditional_state", "corrected_state", "fidelity", "probability")
+
+    @property
+    def _corrected(self) -> tuple[complex, complex]:
+        c0, c1 = self._conditional
+        return _correct(CORRECTIONS[self.outcome].rows, c0, c1)
 
     @cached_property
     def conditional_state(self) -> Ket:
@@ -96,9 +105,10 @@ def prepare_joint(psi: Ket) -> Ket:
     return Ket([x * s for x in _qubit(psi) for s in singlet], (psi.labels[0], "2", "3"))
 
 
-def _bell_branches(psi: Ket) -> tuple[tuple[tuple[complex, complex], ...], float]:
+def _bell_branches(a: complex, b: complex) -> tuple[tuple[tuple[complex, complex], ...], float]:
     """Particle 3's normalized pair after each Bell outcome, in
-    ``OUTCOME_ORDER``, and the probability every outcome has.
+    ``OUTCOME_ORDER``, and the probability every outcome has, for the
+    sender's checked (a, b).
 
     With h = sqrt(1/2), p = h (a h) and q = h (b h) are the amplitudes that
     <bell_i|_12 picks out of psi (x) singlet, rounded as that contraction
@@ -107,7 +117,6 @@ def _bell_branches(psi: Ket) -> tuple[tuple[tuple[complex, complex], ...], float
     each one's Born probability. Scaling by the reciprocal of its square root
     rounds as numpy's division of a complex array by a real does.
     """
-    a, b = _qubit(psi)
     h = _SQRT_HALF
     p, q = h * (a * h), h * (b * h)
     prob = (q.real * q.real + q.imag * q.imag) + (p.real * p.real + p.imag * p.imag)
@@ -118,22 +127,27 @@ def _bell_branches(psi: Ket) -> tuple[tuple[tuple[complex, complex], ...], float
     return ((mq, p), (q, p), (mp, q), (mp, mq)), prob
 
 
+def _correct(rows, c0: complex, c1: complex) -> tuple[complex, complex]:
+    """The pair (c0, c1) after the gate whose ``rows`` are given. The gate's
+    entries are 0 and +-1, so applying it to the two complexes is exact."""
+    (g00, g01), (g10, g11) = rows
+    return g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
+
+
 # Each outcome's correction rows, by index into OUTCOME_ORDER, read from
 # CORRECTIONS once.
 _CORRECTION_ROWS = tuple(CORRECTIONS[outcome].rows for outcome in OUTCOME_ORDER)
 
 
-def _record(psi: Ket, index: int, branches, prob: float) -> TeleportRecord:
-    # Branch ``index`` of _bell_branches, corrected. The gate's entries are 0
-    # and +-1, so applying it to the two complexes is exact. (d0, d1) is a
-    # unit pair, so |<psi|d>|^2 is the fidelity of its density matrix.
-    outcome = OUTCOME_ORDER[index]
-    c0, c1 = branches[index]
-    (g00, g01), (g10, g11) = _CORRECTION_ROWS[index]
-    d0, d1 = g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
-    a, b = psi.entries
+def _record(a: complex, b: complex, index: int, branches, prob: float) -> TeleportRecord:
+    # Branch ``index`` of _bell_branches for the input (a, b). Its corrected
+    # pair (d0, d1) is formed only for the fidelity: it is a unit pair, so
+    # |<psi|d>|^2 is the fidelity of its density matrix. The record keeps the
+    # branch's own pair and derives (d0, d1) again when it is read.
+    c0, c1 = conditional = branches[index]
+    d0, d1 = _correct(_CORRECTION_ROWS[index], c0, c1)
     fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
-    return _stored(TeleportRecord, outcome=outcome, _conditional=(c0, c1), _corrected=(d0, d1), fidelity=fid,
+    return _stored(TeleportRecord, outcome=OUTCOME_ORDER[index], _conditional=conditional, fidelity=fid,
                    probability=prob)
 
 
@@ -144,15 +158,20 @@ def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
     draw u = (w >> 11) * 2^-53 picks as ``int(4 * u)``: 4u is exact and its
     integer part is w's top two bits. The seed is an integer at least 0: an
     int, a bool or a numpy integer (see ``qcore._first_word``)."""
-    branches, prob = _bell_branches(psi)
-    return _record(psi, _first_word(seed) >> 62, branches, prob)
+    # The input is checked before the seed, and the branch table is built
+    # after the draw, so none of it is alive under the cipher's products.
+    a, b = _qubit(psi)
+    index = _first_word(seed) >> 62
+    branches, prob = _bell_branches(a, b)
+    return _record(a, b, index, branches, prob)
 
 
 def enumerate_branches(psi: Ket) -> list[TeleportRecord]:
     """All four measurement branches, deterministically, in bell-basis order."""
-    branches, prob = _bell_branches(psi)
+    a, b = _qubit(psi)
+    branches, prob = _bell_branches(a, b)
     # Four explicit calls, not a comprehension: before Python 3.12 (PEP 709)
     # each call of a comprehension allocates a function object and a range
-    # iterator, about 350 B, twice the heap of a record it returns.
-    return [_record(psi, 0, branches, prob), _record(psi, 1, branches, prob),
-            _record(psi, 2, branches, prob), _record(psi, 3, branches, prob)]
+    # iterator, about 390 B, four times the heap of a record it returns.
+    return [_record(a, b, 0, branches, prob), _record(a, b, 1, branches, prob),
+            _record(a, b, 2, branches, prob), _record(a, b, 3, branches, prob)]

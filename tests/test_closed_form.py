@@ -74,7 +74,7 @@ def oracle(a, b, env):
 @example(ab=(8.71109270991109e-87j, 1j), c0=5.8464881218362925e-224j,
          c1=1.84794080076845e-257j, gamma=0j, scale=1e-67)
 @example(ab=(SQRT_HALF, SQRT_HALF), c0=1e-172, c1=1.2345678e-172, gamma=0.5, scale=1e-150)
-def test_kernel_matches_partial_trace_oracle_at_any_scale(ab, c0, c1, gamma, scale):
+def test_kernel_matches_exact_oracle_at_any_scale(ab, c0, c1, gamma, scale):
     a, b = ab
     assume(c0 != 0 or c1 != 0)
     form = metrics(a, b, kept_by_scaling(c0, scale), kept_by_scaling(c1, scale), gamma)

@@ -1,13 +1,14 @@
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleportsim import teleport
+from teleportsim import envmodel, teleport
 from teleportsim.envmodel import EnvironmentModel, noisy_teleport
 from teleportsim.qcore import (
     I,
@@ -341,7 +342,7 @@ def assert_matches_oracle(record, psi, index):
 
 @settings(max_examples=200, deadline=None)
 @given(qubit_kets, seeds)
-def test_run_ideal_matches_born_measure_oracle(psi, seed):
+def test_run_ideal_matches_bell_contraction(psi, seed):
     # The outcome is int(4u) of numpy's first draw u from the seed's stream:
     # every outcome has probability 1/4.
     index = int(4 * seeded_stream(seed).random())
@@ -350,7 +351,7 @@ def test_run_ideal_matches_born_measure_oracle(psi, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(qubit_kets)
-def test_enumerate_branches_matches_projector_oracle(psi):
+def test_enumerate_branches_matches_bell_contraction(psi):
     records = enumerate_branches(psi)
     assert len(records) == len(OUTCOME_ORDER)
     for index, record in enumerate(records):
@@ -360,6 +361,23 @@ def test_enumerate_branches_matches_projector_oracle(psi):
 def test_run_ideal_rejects_multi_qubit_input():
     with pytest.raises(ValueError, match="single-qubit"):
         run_ideal(TWO_QUBITS, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, None, 1.5])
+def test_run_ideal_checks_its_input_before_its_seed(seed):
+    with pytest.raises(ValueError, match="single-qubit"):
+        run_ideal(TWO_QUBITS, seed)
+
+
+def test_run_ideal_builds_its_branch_table_after_the_draw(monkeypatch):
+    # The draw's 128-bit products are where a run's heap peaks, so the branch
+    # table is not built until the outcome is known.
+    calls = []
+    draw, branches = teleport._first_word, teleport._bell_branches
+    monkeypatch.setattr(teleport, "_first_word", lambda seed: calls.append("draw") or draw(seed))
+    monkeypatch.setattr(teleport, "_bell_branches", lambda a, b: calls.append("branches") or branches(a, b))
+    run_ideal(ket_from_amplitudes(0.6, 0.8j), 12345)
+    assert calls == ["draw", "branches"]
 
 
 # ---------------------------------------------------------------- the seed rule
@@ -401,14 +419,15 @@ def test_a_run_rejects_a_non_integer_seed_by_name(run, seed):
 
 # ---------------------------------------------------------------- memory
 
-def _transient_bytes(call) -> int:
-    """The fewest heap bytes a warm call holds beyond what it returns: its
-    traced peak minus the bytes still traced when it returns, least of five
-    calls. The interpreter's free lists of floats and tuples need a few
-    calls to settle, and their state moves the figure by tens of bytes."""
+def _traced_bytes(call) -> tuple[int, int]:
+    """The fewest heap bytes a warm call's result holds when it returns, and
+    the fewest the call holds beyond that result at its traced peak, each
+    least of five calls. The interpreter's free lists of floats and tuples
+    need a few calls to settle, and their state moves the figures by tens of
+    bytes."""
     for _ in range(20):
         call()
-    transients = []
+    retained, transients = [], []
     for _ in range(5):
         tracemalloc.start()
         try:
@@ -417,8 +436,9 @@ def _transient_bytes(call) -> int:
         finally:
             tracemalloc.stop()
         del out
+        retained.append(current)
         transients.append(peak - current)
-    return min(transients)
+    return min(retained), min(transients)
 
 
 _MEMORY_PSI = ket_from_amplitudes(0.6 - 0.48j, 0.64j)
@@ -429,16 +449,17 @@ _MEMORY_LARGE_SEED = 2**128 + 12345
 
 
 # What a protocol call allocates beyond its result, measured on Python 3.11:
-# enumerate_branches 8 B, run_ideal 408 B (the cipher's 128-bit products) and
-# noisy_teleport 270 to 330 B. Each of three wastes fails a bound on its own:
-# a comprehension's function object (enumerate_branches 360 B), two more
-# negated amplitudes per run (run_ideal 472 B) and the SeedSequence pool kept
-# alive under the cipher (run_ideal 568 B); with all three, noisy_teleport
-# holds about 550 B. A seed of 2**128 or more runs _first_word's word loop,
-# whose list, word and hash constant kept alive under the cipher held
-# run_ideal at 600 B and noisy_teleport at 520 B. The bounds are on bytes
-# beyond the result, not on the peak, since the result's own size differs
-# between Python versions.
+# enumerate_branches 72 B (the branch table's outer tuple, which its records
+# outlive), run_ideal 344 B (the cipher's 128-bit products) and
+# noisy_teleport 224 B. Each of three wastes fails a bound on its own: a
+# comprehension's function object (enumerate_branches 464 B), the
+# SeedSequence pool kept alive under the cipher (run_ideal 504 B) and the
+# branch table built before the draw, so that it too is alive under the
+# cipher (run_ideal 472 B). A seed of 2**128 or more runs _first_word's word
+# loop, which keeps no list, word or hash constant alive under the cipher
+# (they once held run_ideal at 600 B). The bounds are on bytes beyond the
+# result, not on the peak, since the result's own size differs between
+# Python versions.
 @pytest.mark.parametrize("call, bound", [
     (lambda: enumerate_branches(_MEMORY_PSI), 128),
     (lambda: run_ideal(_MEMORY_PSI, 12345), 448),
@@ -447,4 +468,41 @@ _MEMORY_LARGE_SEED = 2**128 + 12345
     (lambda: noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, _MEMORY_LARGE_SEED), 448),
 ], ids=["enumerate_branches", "run_ideal", "noisy_teleport", "run_ideal-large-seed", "noisy_teleport-large-seed"])
 def test_a_protocol_call_holds_little_beyond_what_it_returns(call, bound):
-    assert _transient_bytes(call) <= bound
+    assert _traced_bytes(call)[1] <= bound
+
+
+def test_noisy_teleport_releases_its_record_before_the_kernel(monkeypatch):
+    # The record is not alive under the report's work, so noisy_teleport
+    # peaks where run_ideal does.
+    records, released = [], []
+    run, report = envmodel.run_ideal, envmodel._report
+
+    def traced_run(psi, seed):
+        record = run(psi, seed)
+        records.append(weakref.ref(record))
+        return record
+
+    def traced_report(*args, **kwargs):
+        released.append(records[-1]() is None)
+        return report(*args, **kwargs)
+
+    monkeypatch.setattr(envmodel, "run_ideal", traced_run)
+    monkeypatch.setattr(envmodel, "_report", traced_report)
+    noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, 12345)
+    assert released == [True]
+
+
+# What a warm result holds, measured on CPython 3.10 to 3.13:
+# enumerate_branches' four records 352 to 448 B and run_ideal's one 112 to
+# 136 B (plus the test's one-item list): record objects, whose dicts come
+# from the interpreter's free lists, and the branch table's complexes. A
+# record that also stored its corrected pair, two more complexes, held 608
+# to 704 B and 176 to 200 B.
+@pytest.mark.parametrize("call, bound", [
+    (lambda: enumerate_branches(_MEMORY_PSI), 448),
+    (lambda: [run_ideal(_MEMORY_PSI, 12345)], 152),
+], ids=["enumerate_branches", "run_ideal"])
+def test_a_protocol_record_keeps_only_what_the_receiver_saw(call, bound):
+    assert _traced_bytes(call)[0] <= bound
+    for record in call():
+        assert set(vars(record)) == {"outcome", "_conditional", "fidelity", "probability"}

@@ -76,9 +76,11 @@ TARGETS = {
     "envmodel": (
         "EnvironmentModel.__post_init__", "_check_normalized", "_unit_scaled", "_frobenius", "_delta",
         "closed_form", "embed_environment", "evolve", "_printed_entries", "reduced_state_paper_literal",
-        "_state_rows", "deviation", "printed_deviation", "deviation_closed_form_paper",
+        "_state_rows", "deviation", "printed_deviation", "deviation_closed_form_paper", "noisy_teleport",
     ),
-    "teleport": ("_bell_branches", "_record", "run_ideal", "enumerate_branches"),
+    "teleport": (
+        "TeleportRecord._corrected", "_bell_branches", "_correct", "_record", "run_ideal", "enumerate_branches",
+    ),
     "cli": ("_check_numbers", "_block_overlaps", "load_config", "cmd_sweep", "_parse_args", "main"),
 }
 
