@@ -59,7 +59,7 @@ import numpy as np
 from .qcore import (
     NORM_TOL, DensityMatrix, Ket, _fidelity_of, _Frozen, _pure_density, _purity_of, _qubit_rows, _Result, _stored,
 )
-from .teleport import BellOutcome, run_ideal
+from .teleport import OUTCOME_ORDER, _CORRECTION_ROWS, BellOutcome, _correct, _draw
 
 __all__ = [
     "DegenerateModelError",
@@ -446,9 +446,10 @@ def noisy_teleport(psi: Ket, env: EnvironmentModel, seed: int) -> DeviationRepor
     coupling then degrades them, so the reported metrics are independent of
     the sampled branch. ``seed`` follows ``run_ideal``'s rule.
     """
-    record = run_ideal(psi, seed)
-    # Builds none of the run's Kets; the record is released before the
-    # kernel runs, so it is not alive under the report's work.
-    outcome, (a, b) = record.outcome, record._corrected
-    del record
-    return _report(a, b, env, branch=outcome)
+    a, b, index, branches, prob = _draw(psi, seed)
+    # No record: the drawn branch's corrected pair, as a record derives it.
+    # The table and its probability are released before the kernel runs, so
+    # only the outcome's index and that pair are alive under the report's work.
+    a, b = _correct(_CORRECTION_ROWS[index], branches[index])
+    del branches, prob
+    return _report(a, b, env, branch=OUTCOME_ORDER[index])

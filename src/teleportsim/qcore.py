@@ -97,9 +97,12 @@ def _first_word(seed: int) -> int:
     holds the loop form and a test re-derives each one.
 
     The pool words, the last hash and the word loop's hash constant are
-    deleted once the key is formed, and the loop keeps no list or word, so
-    none of them is alive under the cipher's 128-bit products, where a
-    protocol run's heap peaks."""
+    deleted once the key is formed, the loop keeps no list, and its last
+    word is overwritten by the cipher's first product, so none of them is
+    alive under the cipher's 128-bit products, where a protocol run's heap
+    peaks for a seed below 2**128 (a larger seed's peaks in the word loop).
+    Nor is a word the cipher has already multiplied: its registers rotate
+    (see the rounds)."""
     s = _seed(seed)
     m = 0xFFFFFFFF
     m64 = 0xFFFFFFFFFFFFFFFF
@@ -191,33 +194,37 @@ def _first_word(seed: int) -> int:
     # hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)), and round r + 1 adds r * (W0, W1) to
     # the key; the offsets below are those sums mod 2**64. Round 1 gives
     # (k0, 0, k1, M0) with no multiply. The low halves are kept as the
-    # unmasked products (u, v) and (p, q), which are only XORed and then
-    # masked. Round 10 computes word 0 alone, from round 9's word 2 and q,
-    # so round 9 computes no word 0.
-    u, v = 0xd2e7470ee14c6c93 * k0, 0xca5a826395121157 * k1
-    c0 = (v >> 64 ^ k0 + 0x9e3779b97f4a7c15) & m64
-    c2 = (u >> 64 ^ 0xd2e7470ee14c6c93 ^ k1 + 0xbb67ae8584caa73b) & m64
-    p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
-    c0 = (q >> 64 ^ v ^ k0 + 0x3c6ef372fe94f82a) & m64
-    c2 = (p >> 64 ^ u ^ k1 + 0x76cf5d0b09954e76) & m64
-    u, v = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
-    c0 = (v >> 64 ^ q ^ k0 + 0xdaa66d2c7ddf743f) & m64
-    c2 = (u >> 64 ^ p ^ k1 + 0x32370b908e5ff5b1) & m64
-    p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
-    c0 = (q >> 64 ^ v ^ k0 + 0x78dde6e5fd29f054) & m64
-    c2 = (p >> 64 ^ u ^ k1 + 0xed9eba16132a9cec) & m64
-    u, v = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
-    c0 = (v >> 64 ^ q ^ k0 + 0x1715609f7c746c69) & m64
-    c2 = (u >> 64 ^ p ^ k1 + 0xa906689b97f54427) & m64
-    p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
-    c0 = (q >> 64 ^ v ^ k0 + 0xb54cda58fbbee87e) & m64
-    c2 = (p >> 64 ^ u ^ k1 + 0x646e17211cbfeb62) & m64
-    u, v = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
-    c0 = (v >> 64 ^ q ^ k0 + 0x538454127b096493) & m64
-    c2 = (u >> 64 ^ p ^ k1 + 0x1fd5c5a6a18a929d) & m64
-    p, q = 0xd2e7470ee14c6c93 * c0, 0xca5a826395121157 * c2
-    c2 = (p >> 64 ^ u ^ k1 + 0xdb3d742c265539d8) & m64
-    return ((0xca5a826395121157 * c2) >> 64 ^ q ^ k0 + 0x8ff34785799e5cbd) & m64
+    # unmasked products, which are only XORed and then masked. Four
+    # registers p, q, u and v rotate, so no dead value is alive under the
+    # products: a round writes each product over the word it multiplies, and
+    # each new word over the last round's product whose low half it XORs in.
+    # Round 2's products overwrite p, the word loop's last word for a seed of
+    # 2**128 or more. Round 10 computes word 0 alone, from round 9's word 2
+    # and its M1 product, so round 9 computes no word 0.
+    p, q = 0xd2e7470ee14c6c93 * k0, 0xca5a826395121157 * k1
+    u = (q >> 64 ^ k0 + 0x9e3779b97f4a7c15) & m64
+    v = (p >> 64 ^ 0xd2e7470ee14c6c93 ^ k1 + 0xbb67ae8584caa73b) & m64
+    u, v = 0xd2e7470ee14c6c93 * u, 0xca5a826395121157 * v
+    q = (v >> 64 ^ q ^ k0 + 0x3c6ef372fe94f82a) & m64
+    p = (u >> 64 ^ p ^ k1 + 0x76cf5d0b09954e76) & m64
+    q, p = 0xd2e7470ee14c6c93 * q, 0xca5a826395121157 * p
+    v = (p >> 64 ^ v ^ k0 + 0xdaa66d2c7ddf743f) & m64
+    u = (q >> 64 ^ u ^ k1 + 0x32370b908e5ff5b1) & m64
+    v, u = 0xd2e7470ee14c6c93 * v, 0xca5a826395121157 * u
+    p = (u >> 64 ^ p ^ k0 + 0x78dde6e5fd29f054) & m64
+    q = (v >> 64 ^ q ^ k1 + 0xed9eba16132a9cec) & m64
+    p, q = 0xd2e7470ee14c6c93 * p, 0xca5a826395121157 * q
+    u = (q >> 64 ^ u ^ k0 + 0x1715609f7c746c69) & m64
+    v = (p >> 64 ^ v ^ k1 + 0xa906689b97f54427) & m64
+    u, v = 0xd2e7470ee14c6c93 * u, 0xca5a826395121157 * v
+    q = (v >> 64 ^ q ^ k0 + 0xb54cda58fbbee87e) & m64
+    p = (u >> 64 ^ p ^ k1 + 0x646e17211cbfeb62) & m64
+    q, p = 0xd2e7470ee14c6c93 * q, 0xca5a826395121157 * p
+    v = (p >> 64 ^ v ^ k0 + 0x538454127b096493) & m64
+    u = (q >> 64 ^ u ^ k1 + 0x1fd5c5a6a18a929d) & m64
+    v, u = 0xd2e7470ee14c6c93 * v, 0xca5a826395121157 * u
+    q = (v >> 64 ^ q ^ k1 + 0xdb3d742c265539d8) & m64
+    return ((0xca5a826395121157 * q) >> 64 ^ u ^ k0 + 0x8ff34785799e5cbd) & m64
 
 
 def _matrix_entries(mat) -> tuple[complex, complex, complex, complex]:

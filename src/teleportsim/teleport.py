@@ -80,8 +80,7 @@ class TeleportRecord(_Result):
 
     @property
     def _corrected(self) -> tuple[complex, complex]:
-        c0, c1 = self._conditional
-        return _correct(CORRECTIONS[self.outcome].rows, c0, c1)
+        return _correct(CORRECTIONS[self.outcome].rows, self._conditional)
 
     @cached_property
     def conditional_state(self) -> Ket:
@@ -127,10 +126,11 @@ def _bell_branches(a: complex, b: complex) -> tuple[tuple[tuple[complex, complex
     return ((mq, p), (q, p), (mp, q), (mp, mq)), prob
 
 
-def _correct(rows, c0: complex, c1: complex) -> tuple[complex, complex]:
+def _correct(rows, pair: tuple[complex, complex]) -> tuple[complex, complex]:
     """The pair (c0, c1) after the gate whose ``rows`` are given. The gate's
     entries are 0 and +-1, so applying it to the two complexes is exact."""
     (g00, g01), (g10, g11) = rows
+    c0, c1 = pair
     return g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
 
 
@@ -142,13 +142,29 @@ _CORRECTION_ROWS = tuple(CORRECTIONS[outcome].rows for outcome in OUTCOME_ORDER)
 def _record(a: complex, b: complex, index: int, branches, prob: float) -> TeleportRecord:
     # Branch ``index`` of _bell_branches for the input (a, b). Its corrected
     # pair (d0, d1) is formed only for the fidelity: it is a unit pair, so
-    # |<psi|d>|^2 is the fidelity of its density matrix. The record keeps the
-    # branch's own pair and derives (d0, d1) again when it is read.
-    c0, c1 = conditional = branches[index]
-    d0, d1 = _correct(_CORRECTION_ROWS[index], c0, c1)
-    fid = abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2
+    # |<psi|d>|^2 is the fidelity of its density matrix. Each product is
+    # written over the factor it consumes, so no dead pair is alive beside
+    # both products. The record keeps the branch's own pair and derives
+    # (d0, d1) again when it is read.
+    conditional = branches[index]
+    d0, d1 = _correct(_CORRECTION_ROWS[index], conditional)
+    d0 = a.conjugate() * d0
+    d1 = b.conjugate() * d1
+    fid = abs(d0 + d1) ** 2
     return _stored(TeleportRecord, outcome=OUTCOME_ORDER[index], _conditional=conditional, fidelity=fid,
                    probability=prob)
+
+
+def _draw(psi: Ket, seed: int) -> tuple[complex, complex, int, tuple, float]:
+    """A seeded run's ``(a, b, index, branches, prob)``: the sender's checked
+    pair, the index into ``OUTCOME_ORDER`` of the outcome the seed draws, and
+    ``_bell_branches(a, b)``. The input is checked before the seed, and the
+    branch table is built after the draw, so none of it is alive under the
+    cipher's products."""
+    a, b = _qubit(psi)
+    index = _first_word(seed) >> 62
+    branches, prob = _bell_branches(a, b)
+    return a, b, index, branches, prob
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
@@ -158,12 +174,7 @@ def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
     draw u = (w >> 11) * 2^-53 picks as ``int(4 * u)``: 4u is exact and its
     integer part is w's top two bits. The seed is an integer at least 0: an
     int, a bool or a numpy integer (see ``qcore._first_word``)."""
-    # The input is checked before the seed, and the branch table is built
-    # after the draw, so none of it is alive under the cipher's products.
-    a, b = _qubit(psi)
-    index = _first_word(seed) >> 62
-    branches, prob = _bell_branches(a, b)
-    return _record(a, b, index, branches, prob)
+    return _record(*_draw(psi, seed))
 
 
 def enumerate_branches(psi: Ket) -> list[TeleportRecord]:

@@ -978,6 +978,35 @@ def test_loop_form_oracle_is_numpys_philox_stream(seed):
     assert support.philox_words(seed, 3) == np.random.Philox(seed).random_raw(12).tolist()
 
 
+# What _first_word keeps bound from the key on, besides the cipher's registers.
+_KEY_SCHEDULE = {"seed", "s", "m", "m64", "rest", "k0", "k1"}
+
+
+@pytest.mark.parametrize("seed", [12345, 2**128 + 12345], ids=["small-seed", "large-seed"])
+def test_first_word_holds_four_registers_under_the_cipher(seed):
+    """From the key on, each line of the cipher holds at most four values
+    beyond the seed, the masks and the key: its rotating registers. A word
+    kept after its product is formed, or the word loop's last word for a
+    large seed, would be a fifth."""
+    counts = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _first_word.__code__:
+            return None
+        if event == "line" and "k1" in frame.f_locals and "p0" not in frame.f_locals:
+            counts.append(len(set(frame.f_locals) - _KEY_SCHEDULE))
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        word = _first_word(seed)
+    finally:
+        sys.settrace(previous)
+    assert word == _numpy_first_word(seed)
+    assert len(counts) == 24 and max(counts) == 4
+
+
 # The literals of _first_word that are not the published constants folded:
 # masks, shift counts, and the sign test of the seed.
 _STRUCTURAL = {0, 16, 32, 64, 96, 128, support.MASK32, support.MASK64}

@@ -1,7 +1,7 @@
 import math
 import random
+import sys
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from teleportsim.teleport import (
     prepare_joint,
     run_ideal,
 )
-from teleportsim.qcore import seeded_stream
+from teleportsim.qcore import _first_word, seeded_stream
 
 from support import (
     BELL_DRAW_EDGES, BELL_DRAW_STATES, SINGLET, SQRT_HALF, bell_contraction, listed_conditional, qubits,
@@ -449,47 +449,60 @@ _MEMORY_LARGE_SEED = 2**128 + 12345
 
 
 # What a protocol call allocates beyond its result, measured on Python 3.11:
-# enumerate_branches 72 B (the branch table's outer tuple, which its records
-# outlive), run_ideal 344 B (the cipher's 128-bit products) and
-# noisy_teleport 224 B. Each of three wastes fails a bound on its own: a
-# comprehension's function object (enumerate_branches 464 B), the
-# SeedSequence pool kept alive under the cipher (run_ideal 504 B) and the
+# run_ideal 272 B, where its heap peaks under the cipher's four 128-bit
+# products in _first_word (356 B beyond the word it returns), noisy_teleport
+# 152 B and enumerate_branches 48 B. Each of these wastes fails a bound on
+# its own: two dead words beside the cipher's four products (run_ideal
+# 344 B, noisy_teleport 224 B, _first_word 428 B), a dead corrected pair
+# beside the fidelity's products (enumerate_branches 72 B), a
+# comprehension's function object (enumerate_branches 440 B), the
+# SeedSequence pool kept alive under the cipher (run_ideal 432 B), the
 # branch table built before the draw, so that it too is alive under the
-# cipher (run_ideal 472 B). A seed of 2**128 or more runs _first_word's word
-# loop, which keeps no list, word or hash constant alive under the cipher
-# (they once held run_ideal at 600 B). The bounds are on bytes beyond the
-# result, not on the peak, since the result's own size differs between
-# Python versions.
+# cipher (run_ideal 400 B), and the table kept alive under noisy_teleport's
+# report (noisy_teleport 280 B). A seed of 2**128 or more peaks in
+# _first_word's word loop (run_ideal 336 B), which keeps no list, word or
+# hash constant alive under the cipher (they once held run_ideal at 600 B).
+# On 3.10 and 3.12 the figures are at most 16 B above 3.11's, and on 3.13 at
+# most 3.11's. The bounds are on bytes beyond the result, not on the peak,
+# since the result's own size differs between Python versions.
 @pytest.mark.parametrize("call, bound", [
-    (lambda: enumerate_branches(_MEMORY_PSI), 128),
-    (lambda: run_ideal(_MEMORY_PSI, 12345), 448),
-    (lambda: noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, 12345), 448),
+    (lambda: enumerate_branches(_MEMORY_PSI), 56),
+    (lambda: run_ideal(_MEMORY_PSI, 12345), 304),
+    (lambda: noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, 12345), 192),
     (lambda: run_ideal(_MEMORY_PSI, _MEMORY_LARGE_SEED), 448),
     (lambda: noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, _MEMORY_LARGE_SEED), 448),
-], ids=["enumerate_branches", "run_ideal", "noisy_teleport", "run_ideal-large-seed", "noisy_teleport-large-seed"])
+    (lambda: _first_word(12345), 384),
+], ids=["enumerate_branches", "run_ideal", "noisy_teleport", "run_ideal-large-seed", "noisy_teleport-large-seed",
+        "_first_word"])
 def test_a_protocol_call_holds_little_beyond_what_it_returns(call, bound):
     assert _traced_bytes(call)[1] <= bound
 
 
 def test_noisy_teleport_releases_its_record_before_the_kernel(monkeypatch):
-    # The record is not alive under the report's work, so noisy_teleport
-    # peaks where run_ideal does.
-    records, released = [], []
-    run, report = envmodel.run_ideal, envmodel._report
+    # It builds no record, and when the report's work starts it holds,
+    # beyond its arguments, only the corrected pair and the outcome (or its
+    # index): the branch table and its probability are released, so
+    # noisy_teleport peaks where run_ideal does.
+    held = []
+    report = envmodel._report
 
-    def traced_run(psi, seed):
-        record = run(psi, seed)
-        records.append(weakref.ref(record))
-        return record
+    def refuse_record(cls, **fields):
+        raise AssertionError(f"built a {cls.__name__}")
 
-    def traced_report(*args, **kwargs):
-        released.append(records[-1]() is None)
-        return report(*args, **kwargs)
+    def traced_report(a, b, env, branch):
+        held.extend(value for name, value in sys._getframe(1).f_locals.items()
+                    if name not in {"psi", "env", "seed"})
+        held.append((a, b, branch))
+        return report(a, b, env, branch=branch)
 
-    monkeypatch.setattr(envmodel, "run_ideal", traced_run)
+    expected = run_ideal(_MEMORY_PSI, 12345)
+    monkeypatch.setattr(teleport, "_stored", refuse_record)
     monkeypatch.setattr(envmodel, "_report", traced_report)
-    noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, 12345)
-    assert released == [True]
+    assert noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, 12345).branch is expected.outcome
+    *kept, (a, b, branch) = held
+    assert (a, b) == expected._corrected and branch is expected.outcome
+    for value in kept:
+        assert value is a or value is b or value is branch or (type(value) is int and OUTCOME_ORDER[value] is branch)
 
 
 # What a warm result holds, measured on CPython 3.10 to 3.13:

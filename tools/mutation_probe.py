@@ -79,7 +79,8 @@ TARGETS = {
         "_state_rows", "deviation", "printed_deviation", "deviation_closed_form_paper", "noisy_teleport",
     ),
     "teleport": (
-        "TeleportRecord._corrected", "_bell_branches", "_correct", "_record", "run_ideal", "enumerate_branches",
+        "TeleportRecord._corrected", "_bell_branches", "_correct", "_record", "_draw", "run_ideal",
+        "enumerate_branches",
     ),
     "cli": ("_check_numbers", "_block_overlaps", "load_config", "cmd_sweep", "_parse_args", "main"),
 }
