@@ -88,7 +88,7 @@ def _check_numbers(values: dict) -> None:
     for name, maximum in _MAXIMUMS.items():
         value = values.get(name)
         if value is not None and value > maximum:
-            raise UsageError(f"{name} is too large to allocate, got {value}")
+            raise UsageError(f"{name} must be <= {maximum}, got {value}")
 
 
 @dataclass

@@ -36,10 +36,19 @@ Two routes to the reduced state are provided on purpose:
 The model is invariant under (c0, c1) -> k (c0, c1). The kernel and ``evolve``
 scale (c0, c1) to unit max-modulus before any other arithmetic, so the
 invariance holds in floating point at any k. The printed form is not scale
-invariant and uses (c0, c1) as given; where it overflows it is rejected. Both
-forms take (a, b) through a Ket's check: the norm, the squared parts added
-left to right, within NORM_TOL of 1. A pair a Ket accepts is used unchanged,
-and a pair a Ket rejects is rejected.
+invariant and uses (c0, c1) as given; where it overflows it is rejected.
+
+Arguments are read by ``qcore``'s rules; this module checks no kind of its
+own. Both forms take (a, b) by ``qcore._check_normalized``, a Ket's norm
+rule for two amplitudes: a pair a Ket accepts is used unchanged, and any
+other raises ValueError "(a, b) is not normalized: ..." ("amplitudes contain
+non-finite entries" if a part is not finite). ``noisy_teleport`` reads psi
+by ``qcore._qubit``, as ``run_ideal`` does. ``deviation`` takes a
+``DensityMatrix`` as it is and reads any other argument by
+``qcore._matrix_entries``: ValueError "rho3 must be 2x2, got shape ...", then
+"rho3 contains non-finite entries" (likewise rho1). c0 = c1 = 0 raises
+DegenerateModelError "c0 and c1 cannot both be zero" from the model and the
+kernel alike.
 
 Left out of ``__all__``: ``closed_form`` and ``printed_deviation``, which
 check neither gamma nor (c0, c1) (``EnvironmentModel`` checks one point and
@@ -57,7 +66,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .qcore import (
-    NORM_TOL, DensityMatrix, Ket, _fidelity_of, _Frozen, _pure_density, _purity_of, _qubit_rows, _Result, _stored,
+    DensityMatrix, Ket, _check_normalized, _fidelity_of, _Frozen, _matrix_entries, _pure_density, _purity_of,
+    _qubit_rows, _Result, _stored,
 )
 from .teleport import OUTCOME_ORDER, _CORRECTION_ROWS, BellOutcome, _correct, _draw
 
@@ -82,9 +92,10 @@ DEGENERATE_TOL = math.sqrt(sys.float_info.min)
 
 
 class DegenerateModelError(ValueError):
-    """Raised when the coupled state's norm, with (c0, c1) at unit
-    max-modulus, is below DEGENERATE_TOL: its square is zero or subnormal in
-    float64, whether both branches vanish or only underflow."""
+    """Raised where the model defines no coupled state: c0 = c1 = 0, by the
+    model or the kernel alike, or a coupled state whose norm, with (c0, c1)
+    at unit max-modulus, is below DEGENERATE_TOL: its square is zero or
+    subnormal in float64, whether both branches vanish or only underflow."""
 
 
 class EnvironmentModel(_Frozen):
@@ -115,7 +126,7 @@ class EnvironmentModel(_Frozen):
         if modulus > 1.0 + OVERLAP_TOL:
             raise ValueError(f"|gamma| = {modulus!r} exceeds 1")
         if c0 == 0 and c1 == 0:
-            raise ValueError("c0 and c1 cannot both be zero")
+            raise DegenerateModelError("c0 and c1 cannot both be zero")
         state = vars(self)
         state["gamma"] = gamma
         state["c0"] = c0
@@ -138,19 +149,6 @@ class DeviationReport(_Result):
     evaluation that bypasses the protocol. Equality is identity."""
 
     _fields = ("rho3", "delta", "fidelity", "purity", "branch")
-
-
-def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
-    a = complex(a)
-    b = complex(b)
-    # A Ket's norm: squared parts added left to right (inf or nan past float64).
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    norm_sq = ar * ar + ai * ai + br * br + bi * bi
-    if not abs(math.sqrt(norm_sq) - 1.0) <= NORM_TOL:
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise ValueError("amplitudes contain non-finite entries")
-        raise ValueError(f"(a, b) is not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
-    return a, b
 
 
 def _unit_scaled(c0: complex, c1: complex) -> tuple[complex, complex]:
@@ -368,20 +366,13 @@ def reduced_state_paper_literal(a: complex, b: complex, env: EnvironmentModel) -
     d00, d11, re, im = _printed_entries(a, b, env.c0, env.c1, env.gamma)
     if not (math.isfinite(d00) and math.isfinite(d11) and math.isfinite(re) and math.isfinite(im)):
         raise _overflow("reduced_state_paper_literal")
-    top, bottom = _qubit_rows(d00, d11, re, im)
-    return np.array(top + bottom, dtype=np.complex128).reshape(2, 2)
+    return np.array(_qubit_rows(d00, d11, re, im), dtype=np.complex128)
 
 
 def _state_rows(rho, name: str):
-    """The rows of a ``DensityMatrix``, or of a finite 2x2 array."""
-    if isinstance(rho, DensityMatrix):
-        return rho.rows
-    mat = np.asarray(rho, dtype=np.complex128)
-    if not np.isfinite(mat).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    if mat.shape != (2, 2):
-        raise ValueError(f"{name} shape mismatch: {mat.shape} vs (2, 2)")
-    return mat.tolist()
+    """The rows of a ``DensityMatrix``, or of a 2x2 array read by
+    ``qcore._matrix_entries`` under ``name``."""
+    return rho.rows if isinstance(rho, DensityMatrix) else _matrix_entries(rho, name)
 
 
 def deviation(rho3, rho1) -> float:

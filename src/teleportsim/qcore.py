@@ -15,6 +15,11 @@ tracer can wrap, so a traced hook call is a check. Every ``Ket`` and
 ``DensityMatrix`` the package returns has passed that check but a report's
 rho3, which ``_stored``, the package's one store, keeps unchecked.
 
+Each kind of argument has one reader here, which ``teleport`` and
+``envmodel`` call instead of checks of their own: ``_qubit`` a one-qubit
+ket, ``_density_rows`` a state, ``_matrix_entries`` a 2x2 matrix and
+``_check_normalized`` the sender's pair (a, b).
+
 A protocol run's one random number is ``_first_word(seed)``: the first 64-bit
 word of the seed's Philox stream, ``seeded_stream(seed)``'s, computed bit for
 bit in Python integers, so a run imports no ``numpy.random``. The many draws
@@ -227,15 +232,18 @@ def _first_word(seed: int) -> int:
     return ((0xca5a826395121157 * q) >> 64 ^ u ^ k0 + 0x8ff34785799e5cbd) & m64
 
 
-def _matrix_entries(mat) -> tuple[complex, complex, complex, complex]:
-    """The entries m00, m01, m10, m11 of a 2x2 input as Python complexes,
-    read through ``np.asarray(mat, dtype=np.complex128)``; that array is not
-    kept. Any other shape is rejected by name."""
+def _matrix_entries(mat, name: str) -> tuple[tuple[complex, complex], ...]:
+    """The entries of a 2x2 input as two rows of two Python complexes, read
+    through ``np.asarray(mat, dtype=np.complex128)``; that array is not kept.
+    The package's one reader of a 2x2 matrix: it checks the shape, then
+    finiteness, and each ValueError names ``name``."""
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.shape != (2, 2):
-        raise ValueError(f"density matrix must be 2x2, got shape {arr.shape}")
+        raise ValueError(f"{name} must be 2x2, got shape {arr.shape}")
     (m00, m01), (m10, m11) = arr.tolist()
-    return m00, m01, m10, m11
+    if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return (m00, m01), (m10, m11)
 
 
 class _Frozen:
@@ -328,6 +336,32 @@ class Ket(_Frozen):
         return f"Ket({self.entries!r}, {self.labels!r})"
 
 
+def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
+    """The sender's pair (a, b) as Python complexes, by ``Ket``'s norm rule
+    for two amplitudes: the squared parts added left to right (inf or nan
+    past float64), their square root within NORM_TOL of 1. Straight-line,
+    not ``Ket``'s loop, since a point query checks its pair three times."""
+    a, b = complex(a), complex(b)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    norm_sq = ar * ar + ai * ai + br * br + bi * bi
+    if not abs(math.sqrt(norm_sq) - 1.0) <= NORM_TOL:
+        if not (cmath.isfinite(a) and cmath.isfinite(b)):
+            raise ValueError("amplitudes contain non-finite entries")
+        raise ValueError(f"(a, b) is not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
+    return a, b
+
+
+def _qubit(psi) -> tuple[complex, complex]:
+    """A one-qubit ket's amplitudes (a, b): the package's one rule for a
+    qubit argument. Anything but a ``Ket`` is a TypeError that names its
+    type, and a ``Ket`` of another dimension a ValueError."""
+    if not isinstance(psi, Ket):
+        raise TypeError(f"psi must be a Ket, not {type(psi).__name__}")
+    if psi.dim != 2:
+        raise ValueError(f"psi must be a single-qubit Ket, got dimension {psi.dim}")
+    return psi.entries
+
+
 class DensityMatrix(_Frozen):
     """A qubit's state: a Hermitian, unit-trace, positive-semidefinite 2x2
     matrix. Any other shape is rejected.
@@ -338,21 +372,20 @@ class DensityMatrix(_Frozen):
     ``np.asarray(mat, dtype=np.complex128)``, only for its entries.
 
     ``DensityMatrix(mat)`` runs one check, in Python complex arithmetic:
-    finite entries; a skew (|m01 - conj(m10)| and twice each diagonal
-    imaginary part) within DENSITY_TOL; a trace within DENSITY_TOL of 1,
-    summed from 0j like ``np.trace``; and the lower eigenvalue
-    mean - sqrt(mean^2 - det) at least -DENSITY_TOL. The skew's modulus is
-    libm's hypot, which numpy's array loop may round one ulp apart. This
-    check is the class's one constructor (``envmodel._report`` keeps the one
-    unchecked state)."""
+    ``_matrix_entries``' shape and finiteness; a skew (|m01 - conj(m10)| and
+    twice each diagonal imaginary part) within DENSITY_TOL; a trace within
+    DENSITY_TOL of 1, summed from 0j like ``np.trace``; and the lower
+    eigenvalue mean - sqrt(mean^2 - det) at least -DENSITY_TOL. The skew's
+    modulus is libm's hypot, which numpy's array loop may round one ulp
+    apart. This check is the class's one constructor (``envmodel._report``
+    keeps the one unchecked state)."""
 
     def __init__(self, mat):
         self.__post_init__(mat)
 
     def __post_init__(self, mat):
-        m00, m01, m10, m11 = _matrix_entries(mat)
-        if not (cmath.isfinite(m00) and cmath.isfinite(m01) and cmath.isfinite(m10) and cmath.isfinite(m11)):
-            raise ValueError("density matrix contains non-finite entries")
+        rows = _matrix_entries(mat, "density matrix")
+        (m00, m01), (m10, m11) = rows
         try:
             skew = abs(m01 - m10.conjugate())
         except OverflowError:  # the modulus of finite parts exceeds float64
@@ -367,7 +400,7 @@ class DensityMatrix(_Frozen):
         low = mean - math.sqrt(max(mean * mean - det, 0.0))
         if low < -DENSITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {low!r}")
-        vars(self)["rows"] = ((m00, m01), (m10, m11))
+        vars(self)["rows"] = rows
 
     @cached_property
     def mat(self) -> np.ndarray:
@@ -375,6 +408,15 @@ class DensityMatrix(_Frozen):
 
     def __repr__(self) -> str:
         return f"DensityMatrix({self.rows!r})"
+
+
+def _density_rows(rho) -> tuple[tuple[complex, complex], ...]:
+    """A ``DensityMatrix``'s rows: the package's one rule for a state
+    argument. Anything else, an array too, is a TypeError that names its
+    type, as ``_qubit``'s does."""
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(f"rho must be a DensityMatrix, not {type(rho).__name__}")
+    return rho.rows
 
 
 # The receiver's corrections, exact: entries 0 and +-1 as Python complexes.
@@ -507,9 +549,7 @@ def _qubit_rows(d00: float, d11: float, re: float, im: float) -> tuple[tuple[com
 
 def to_density(psi: Ket) -> DensityMatrix:
     """Rank-1 density matrix |psi><psi| of a one-qubit ket."""
-    if psi.dim != 2:
-        raise ValueError(f"density matrix must be 2x2, got shape {(psi.dim, psi.dim)}")
-    return DensityMatrix(_qubit_rows(*_pure_density(*psi.entries)))
+    return DensityMatrix(_qubit_rows(*_pure_density(*_qubit(psi))))
 
 
 def _lift(op: np.ndarray, before: int, after: int) -> np.ndarray:
@@ -600,14 +640,13 @@ def _purity_of(d00, d11, re, im):
 def fidelity(pure: Ket, rho: DensityMatrix) -> float:
     """Overlap <psi|rho|psi>: probability the state rho passes a test for psi.
     Read from rho's real diagonal and upper off-diagonal: within its skew of the full product."""
-    if pure.dim != 2:
-        raise ValueError(f"dimension mismatch: ket {pure.dim} vs matrix 2")
-    (m00, m01), (_, m11) = rho.rows
-    return _fidelity_of(_pure_density(*pure.entries), m00.real, m11.real, m01.real, m01.imag)
+    rho1 = _pure_density(*_qubit(pure))
+    (m00, m01), (_, m11) = _density_rows(rho)
+    return _fidelity_of(rho1, m00.real, m11.real, m01.real, m01.imag)
 
 
 def purity(rho: DensityMatrix) -> float:
     """trace(rho^2): 1 for pure states, 1/2 for a maximally mixed qubit. Read
     like ``fidelity``, within about DENSITY_TOL of the full product."""
-    (m00, m01), (_, m11) = rho.rows
+    (m00, m01), (_, m11) = _density_rows(rho)
     return _purity_of(m00.real, m11.real, m01.real, m01.imag)

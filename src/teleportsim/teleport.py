@@ -17,6 +17,11 @@ pair, derives the corrected pair from ``CORRECTIONS`` and builds its ``Ket``
 values on first read.
 ``prepare_joint`` with ``qcore.born_measure`` is the general float route to
 the same measurement: an oracle no package code calls, left out of ``__all__``.
+
+Every function here that takes psi reads it by ``qcore._qubit`` and checks
+nothing of its own: anything but a ``Ket`` raises TypeError "psi must be a
+Ket, not tuple", and a ``Ket`` of another dimension ValueError "psi must be
+a single-qubit Ket, got dimension 4".
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 
-from .qcore import _SQRT_HALF, I, Ket, X, Z, ZX, _first_word, _Result, _stored
+from .qcore import _SQRT_HALF, I, Ket, X, Z, ZX, _first_word, _qubit, _Result, _stored
 
 __all__ = [
     "BellOutcome",
@@ -89,13 +94,6 @@ class TeleportRecord(_Result):
     @cached_property
     def corrected_state(self) -> Ket:
         return Ket(self._corrected, ("3",))
-
-
-def _qubit(psi: Ket) -> tuple[complex, complex]:
-    """The sender's (a, b); the protocol's one check of its input."""
-    if psi.dim != 2:
-        raise ValueError(f"input must be a single-qubit ket, got dimension {psi.dim}")
-    return psi.entries
 
 
 def prepare_joint(psi: Ket) -> Ket:

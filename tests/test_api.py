@@ -34,12 +34,12 @@ from hypothesis import strategies as st
 import teleportsim
 from teleportsim.cli import main
 from teleportsim.envmodel import (
-    DEGENERATE_TOL, OVERLAP_TOL, DegenerateModelError, DeviationReport, EnvironmentModel, closed_form,
+    DEGENERATE_TOL, OVERLAP_TOL, DegenerateModelError, DeviationReport, EnvironmentModel, closed_form, deviation,
     direct_report, evolve, noisy_teleport, reduced_state,
 )
 from teleportsim.qcore import (
-    X, DensityMatrix, Gate, Ket, _pure_density, _qubit_rows, apply_gate, bell_basis, born_measure,
-    ket_from_amplitudes, normalized_amplitudes, seeded_stream, to_density,
+    X, DensityMatrix, Gate, Ket, _pure_density, _qubit_rows, apply_gate, bell_basis, born_measure, fidelity,
+    ket_from_amplitudes, normalized_amplitudes, purity, seeded_stream, to_density,
 )
 from teleportsim.teleport import (
     CORRECTIONS, BellOutcome, TeleportRecord, enumerate_branches, prepare_joint, run_ideal,
@@ -315,6 +315,50 @@ def test_environment_model_is_a_value_of_its_three_complexes():
         EnvironmentModel(0.5, 0.9)
     with pytest.raises(TypeError):
         EnvironmentModel(0.5, 0.9, 1.1, gamma=0.5)
+
+
+# Every argument kind at every entry point that reads it, each by qcore's one
+# rule for its kind: a one-qubit ket (``_qubit``), a state (``_density_rows``)
+# and a 2x2 matrix (``_matrix_entries``). Each kind has one exception class
+# and one message; every other argument of a row is valid.
+MIXED = DensityMatrix(np.eye(2) / 2)
+QUBIT_ENTRY_POINTS = {
+    "to_density": to_density,
+    "fidelity": lambda psi: fidelity(psi, MIXED),
+    "run_ideal": lambda psi: run_ideal(psi, 0),
+    "enumerate_branches": enumerate_branches,
+    "noisy_teleport": lambda psi: noisy_teleport(psi, EnvironmentModel(0.5, 1, 1), 0),
+    "prepare_joint": prepare_joint,
+}
+STATE_ENTRY_POINTS = {"fidelity": lambda rho: fidelity(ket_from_amplitudes(1, 0), rho), "purity": purity}
+# Entry point -> (call, the name its messages give the matrix).
+MATRIX_ENTRY_POINTS = {
+    "DensityMatrix": (DensityMatrix, "density matrix"),
+    "deviation-rho3": (lambda rho3: deviation(rho3, MIXED), "rho3"),
+    "deviation-rho1": (lambda rho1: deviation(MIXED, rho1), "rho1"),
+}
+ARGUMENT_KINDS = {
+    **{f"{name}-tuple": (call, (SQRT_HALF, SQRT_HALF), (TypeError, "psi must be a Ket, not tuple"))
+       for name, call in QUBIT_ENTRY_POINTS.items()},
+    **{f"{name}-two-qubit-ket": (call, Ket((0.5, 0.5, 0.5, 0.5), ("1", "2")),
+                                 (ValueError, "psi must be a single-qubit Ket, got dimension 4"))
+       for name, call in QUBIT_ENTRY_POINTS.items()},
+    **{f"{name}-{kind}": (call, value, (TypeError, f"rho must be a DensityMatrix, not {kind}"))
+       for name, call in STATE_ENTRY_POINTS.items()
+       for kind, value in (("ndarray", np.eye(2) / 2), ("list", [[0.5, 0], [0, 0.5]]))},
+    **{f"{name}-4x4": (call, np.eye(4) / 4, (ValueError, f"{label} must be 2x2, got shape (4, 4)"))
+       for name, (call, label) in MATRIX_ENTRY_POINTS.items()},
+    **{f"{name}-non-finite": (call, np.array([[np.nan, 0], [0, 1]]),
+                              (ValueError, f"{label} contains non-finite entries"))
+       for name, (call, label) in MATRIX_ENTRY_POINTS.items()},
+}
+
+
+@pytest.mark.parametrize("call, argument, expected", ARGUMENT_KINDS.values(), ids=ARGUMENT_KINDS)
+def test_each_argument_kind_is_read_by_one_rule(call, argument, expected):
+    with pytest.raises(Exception) as err:
+        call(argument)
+    assert (type(err.value), str(err.value)) == expected
 
 
 @pytest.mark.parametrize("name", MODULES)

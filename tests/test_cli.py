@@ -252,22 +252,23 @@ def test_teleport_rejects_zero_state(capsys):
     assert "do not define" in err
 
 
-# 2**50 doubles are 8 PiB, beyond any 64-bit user address space, so numpy's
-# allocation fails at once.
-UNALLOCATABLE = str(2**50)
+# 2**50 is far above the counts' 2**32 ceiling, which bounds how long a run
+# takes (shots and rows stream in fixed blocks): the rule rejects it before
+# any run starts.
+ABOVE_CEILING = str(2**50)
 
 
-def test_teleport_count_too_large_to_allocate_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "teleport", "--shots", UNALLOCATABLE)
+def test_teleport_count_above_the_ceiling_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "teleport", "--shots", ABOVE_CEILING)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "allocate" in err
+    assert err == f"error: shots must be <= 4294967296, got {ABOVE_CEILING}\n"
 
 
-def test_sweep_count_too_large_to_allocate_is_usage_error(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "sweep", "--steps", UNALLOCATABLE, "--out", str(tmp_path / "x.csv"))
+def test_sweep_count_above_the_ceiling_is_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--steps", ABOVE_CEILING, "--out", str(tmp_path / "x.csv"))
     assert code == 2
-    assert err.startswith("error: ") and "allocate" in err
+    assert err == f"error: steps must be <= 4294967296, got {ABOVE_CEILING}\n"
     assert list(tmp_path.iterdir()) == []  # the temp file is removed
 
 
@@ -278,7 +279,7 @@ def test_sweep_count_too_large_to_allocate_is_usage_error(tmp_path, capsys):
 def test_count_past_numpys_size_limit_is_named(tmp_path, monkeypatch, capsys, command, name, count):
     monkeypatch.chdir(tmp_path)  # the sweep's default output and temp file would land here
     code, out, err = run_cli(capsys, command, f"--{name}", count)
-    assert (code, out, err) == (2, "", f"error: {name} is too large to allocate, got {count}\n")
+    assert (code, out, err) == (2, "", f"error: {name} must be <= 4294967296, got {count}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -296,7 +297,7 @@ def test_a_count_above_2_to_the_32_is_rejected_by_the_rule(tmp_path, source, nam
     _check_numbers(values(2**32))
     with pytest.raises(UsageError) as excinfo:
         _check_numbers(values(2**32 + 1))
-    assert str(excinfo.value) == f"{name} is too large to allocate, got {2**32 + 1}"
+    assert str(excinfo.value) == f"{name} must be <= 4294967296, got {2**32 + 1}"
 
 
 # One rule for the counts and seeds the CLI reads, as a flag or a config key:

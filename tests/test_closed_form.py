@@ -19,7 +19,6 @@ from teleportsim.envmodel import (
     DEGENERATE_TOL,
     DegenerateModelError,
     EnvironmentModel,
-    _check_normalized,
     _delta,
     _printed_entries,
     closed_form,
@@ -32,7 +31,9 @@ from teleportsim.envmodel import (
     reduced_state,
     reduced_state_paper_literal,
 )
-from teleportsim.qcore import DensityMatrix, Ket, _pure_density, _qubit_rows, fidelity, purity, to_density
+from teleportsim.qcore import (
+    DensityMatrix, Ket, _check_normalized, _pure_density, _qubit_rows, fidelity, purity, to_density,
+)
 
 from support import (
     NEAR_DEGENERATE, SQRT_HALF, coefficients, coupled_joint, exact_point, exact_printed, exact_replica_terms,

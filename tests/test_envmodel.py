@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from teleportsim.cli import SweepConfig
 from teleportsim.envmodel import (
     DegenerateModelError,
     EnvironmentModel,
+    closed_form,
     deviation,
     deviation_closed_form_paper,
     direct_report,
@@ -52,6 +54,19 @@ def test_model_checks_run_in_order_with_their_messages(args, message):
     with pytest.raises(ValueError) as err:
         EnvironmentModel(*args)
     assert str(err.value) == message
+
+
+# c0 = c1 = 0 is one error by either route: the model's check, and the kernel
+# that a sweep's validation runs, raise the same class with the same message.
+def test_both_coefficients_zero_is_one_degenerate_error():
+    routes = (lambda: EnvironmentModel(0.5, 0, 0), lambda: closed_form(0.6, 0.8, 0, 0, 0.5),
+              lambda: SweepConfig(c0_re=0, c1_re=0).validate())
+    errors = []
+    for route in routes:
+        with pytest.raises(DegenerateModelError) as err:
+            route()
+        errors.append((type(err.value), str(err.value)))
+    assert errors == [(DegenerateModelError, "c0 and c1 cannot both be zero")] * 3
 
 
 @pytest.mark.parametrize("args", [
@@ -313,8 +328,8 @@ def test_deviation_reads_rho1_by_the_same_rule_as_rho3():
 @pytest.mark.parametrize("rho3, rho1, message", [
     (MIXED, NON_FINITE, "rho1 contains non-finite entries"),
     (NON_FINITE, ZERO, "rho3 contains non-finite entries"),
-    (ZERO, np.eye(4), "rho1 shape mismatch: (4, 4) vs (2, 2)"),
-    (np.eye(4), ZERO, "rho3 shape mismatch: (4, 4) vs (2, 2)"),
+    (ZERO, np.eye(4), "rho1 must be 2x2, got shape (4, 4)"),
+    (np.eye(4), ZERO, "rho3 must be 2x2, got shape (4, 4)"),
 ], ids=["rho1-non-finite", "rho3-non-finite", "rho1-shape", "rho3-shape"])
 def test_deviation_rejects_a_bad_argument_by_name(rho3, rho1, message):
     with pytest.raises(ValueError) as err:

@@ -384,17 +384,18 @@ def test_density_matrix_accepts_a_skew_of_exactly_density_tol(mat):
 
 
 @pytest.mark.parametrize(
-    "build, shape",
+    "build, message",
     [
-        (lambda: DensityMatrix(np.eye(4) / 4), "(4, 4)"),
-        (lambda: to_density(Ket(np.full(4, 0.5), ("1", "2"))), "(4, 4)"),
-        (lambda: DensityMatrix(np.array([0.5, 0.5])), "(2,)"),
+        (lambda: DensityMatrix(np.eye(4) / 4), "density matrix must be 2x2, got shape (4, 4)"),
+        (lambda: to_density(Ket(np.full(4, 0.5), ("1", "2"))), "psi must be a single-qubit Ket, got dimension 4"),
+        (lambda: DensityMatrix(np.array([0.5, 0.5])), "density matrix must be 2x2, got shape (2,)"),
     ],
+    ids=["DensityMatrix-4x4", "to_density-two-qubit-ket", "DensityMatrix-vector"],
 )
-def test_density_matrix_is_a_qubits_2x2_state(build, shape):
+def test_density_matrix_is_a_qubits_2x2_state(build, message):
     with pytest.raises(ValueError) as info:
         build()
-    assert str(info.value) == f"density matrix must be 2x2, got shape {shape}"
+    assert str(info.value) == message
 
 
 def density_oracle(mat):
@@ -888,7 +889,7 @@ def test_fidelity_dimension_mismatch():
     rng = np.random.default_rng(27)
     amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     pair = Ket(amps / np.linalg.norm(amps), ("1", "2"))
-    with pytest.raises(ValueError, match="^dimension mismatch: ket 4 vs matrix 2$"):
+    with pytest.raises(ValueError, match="^psi must be a single-qubit Ket, got dimension 4$"):
         fidelity(pair, to_density(ket_from_amplitudes(1, 0)))
 
 

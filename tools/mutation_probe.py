@@ -69,12 +69,13 @@ PACKAGE = Path("src") / "teleportsim"
 # Module -> the qualified names of the functions whose bodies are mutated.
 TARGETS = {
     "qcore": (
-        "_seed", "_first_word", "Ket.__post_init__", "DensityMatrix.__post_init__", "Projector.__post_init__",
-        "normalized_amplitudes", "_pure_density", "_qubit_rows", "to_density", "born_measure",
-        "_fidelity_of", "_purity_of", "fidelity", "purity",
+        "_seed", "_first_word", "_matrix_entries", "Ket.__post_init__", "_check_normalized", "_qubit",
+        "DensityMatrix.__post_init__", "_density_rows", "Projector.__post_init__", "normalized_amplitudes",
+        "_pure_density", "_qubit_rows", "to_density", "born_measure", "_fidelity_of", "_purity_of", "fidelity",
+        "purity",
     ),
     "envmodel": (
-        "EnvironmentModel.__post_init__", "_check_normalized", "_unit_scaled", "_frobenius", "_delta",
+        "EnvironmentModel.__post_init__", "_unit_scaled", "_frobenius", "_delta",
         "closed_form", "embed_environment", "evolve", "_printed_entries", "reduced_state_paper_literal",
         "_state_rows", "deviation", "printed_deviation", "deviation_closed_form_paper", "noisy_teleport",
     ),
