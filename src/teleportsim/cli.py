@@ -448,7 +448,7 @@ def main(argv=None) -> int:
     try:
         _check_numbers(vars(args))
         return args.func(args)
-    except (UsageError, ValueError, MemoryError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -41,8 +41,8 @@ invariant and uses (c0, c1) as given; where it overflows it is rejected.
 Arguments are read by ``qcore``'s rules; this module checks no kind of its
 own. Both forms take (a, b) by ``qcore._check_normalized``, a Ket's norm
 rule for two amplitudes: a pair a Ket accepts is used unchanged, and any
-other raises ValueError "(a, b) is not normalized: ..." ("amplitudes contain
-non-finite entries" if a part is not finite). ``noisy_teleport`` reads psi
+other raises the Ket's ValueError, "amplitudes are not normalized: ..." or
+"amplitudes contain non-finite entries". ``noisy_teleport`` reads psi
 by ``qcore._qubit``, as ``run_ideal`` does. ``deviation`` takes a
 ``DensityMatrix`` as it is and reads any other argument by
 ``qcore._matrix_entries``: ValueError "rho3 must be 2x2, got shape ...", then

@@ -289,12 +289,12 @@ class Ket(_Frozen):
     ``np.asarray(amplitudes, dtype=np.complex128)``, only for its entries.
 
     ``Ket(amplitudes, labels)`` runs one check, in Python float arithmetic:
-    every part finite, and the norm within NORM_TOL of 1. The norm is the
-    square root of the squared parts added left to right (an explicit loop:
-    ``sum`` of floats is compensated from Python 3.12). It is not BLAS's
-    ``vdot``: over 200 000 random vectors the two differ by up to 2 ulps at
-    2 amplitudes and 3 ulps at 8, so a norm that close to 1 +- NORM_TOL may
-    be judged differently from numpy's."""
+    the norm within NORM_TOL of 1, which a non-finite part fails, rejected by
+    ``_norm_error``. The norm is the square root of the squared parts added
+    left to right (an explicit loop: ``sum`` of floats is compensated from
+    Python 3.12). It is not BLAS's ``vdot``: over 200 000 random vectors the
+    two differ by up to 2 ulps at 2 amplitudes and 3 ulps at 8, so a norm
+    that close to 1 +- NORM_TOL may be judged differently from numpy's."""
 
     def __init__(self, amplitudes, labels: tuple[str, ...]):
         self.__post_init__(amplitudes, labels)
@@ -313,13 +313,10 @@ class Ket(_Frozen):
             )
         total = 0.0
         for z in entries:
-            if not cmath.isfinite(z):
-                raise ValueError("amplitudes contain non-finite entries")
             total += z.real * z.real
             total += z.imag * z.imag
-        norm = math.sqrt(total)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"ket is not normalized: |amplitudes| = {norm!r}")
+        if not abs(math.sqrt(total) - 1.0) <= NORM_TOL:
+            raise _norm_error(entries, total)
         state = vars(self)
         state["entries"] = entries
         state["labels"] = labels
@@ -336,18 +333,21 @@ class Ket(_Frozen):
         return f"Ket({self.entries!r}, {self.labels!r})"
 
 
+def _norm_error(entries, norm_sq: float) -> ValueError:
+    """The norm rule's one rejection: a non-finite part, else the norm."""
+    if all(map(cmath.isfinite, entries)):
+        return ValueError(f"amplitudes are not normalized: |amplitudes| = {math.sqrt(norm_sq)!r}")
+    return ValueError("amplitudes contain non-finite entries")
+
+
 def _check_normalized(a: complex, b: complex) -> tuple[complex, complex]:
-    """The sender's pair (a, b) as Python complexes, by ``Ket``'s norm rule
-    for two amplitudes: the squared parts added left to right (inf or nan
-    past float64), their square root within NORM_TOL of 1. Straight-line,
-    not ``Ket``'s loop, since a point query checks its pair three times."""
+    """The sender's pair (a, b) as Python complexes, by ``Ket``'s norm rule and
+    rejection, straight-line since a point query checks its pair three times."""
     a, b = complex(a), complex(b)
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     norm_sq = ar * ar + ai * ai + br * br + bi * bi
     if not abs(math.sqrt(norm_sq) - 1.0) <= NORM_TOL:
-        if not (cmath.isfinite(a) and cmath.isfinite(b)):
-            raise ValueError("amplitudes contain non-finite entries")
-        raise ValueError(f"(a, b) is not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
+        raise _norm_error((a, b), norm_sq)
     return a, b
 
 

@@ -943,13 +943,14 @@ def test_a_degenerate_sweep_config_is_rejected_by_validate():
     )
 
 
-# The largest count the rule accepts (2**32 rows, hours of rendering): a
-# degenerate model is rejected by validation before any row is computed.
+# The largest count the rule accepts (2**32 rows, hours of rendering) and an
+# output in a missing directory: a degenerate model is rejected by validation
+# before any row is computed or any file is opened.
 @pytest.mark.parametrize("flags", [
     ("--steps", str(2**32), "--out", "x.csv"),
     ("--out", "missing/x.csv"),
-], ids=["too-large-to-allocate", "unwritable-directory"])
-def test_a_degenerate_sweep_is_reported_before_allocation_and_io(flags, tmp_path, monkeypatch, capsys):
+], ids=["largest-accepted-count", "unwritable-directory"])
+def test_a_degenerate_sweep_is_reported_before_any_row_or_io(flags, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "sweep", "--a-re", "1", "--b-re", "0", "--c0-re", "0", *flags)
     assert code == 2
@@ -993,8 +994,10 @@ def test_a_successful_sweep_does_not_unlink_its_renamed_temporary_file(tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
-@pytest.mark.parametrize("error", [KeyboardInterrupt(), OSError(28, "No space left on device")],
-                         ids=["interrupted", "disk-full"])
+# No sweep allocates by its count, so a MemoryError is a real out-of-memory,
+# not a usage error: it propagates, as an interrupt does.
+@pytest.mark.parametrize("error", [KeyboardInterrupt(), MemoryError(), OSError(28, "No space left on device")],
+                         ids=["interrupted", "out-of-memory", "disk-full"])
 def test_a_sweep_failing_mid_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys, error):
     out_path = tmp_path / "sweep.csv"
     out_path.write_text("earlier run\n")
@@ -1008,7 +1011,7 @@ def test_a_sweep_failing_mid_write_leaves_no_temporary_file(tmp_path, monkeypatc
         assert run_cli(capsys, "sweep", "--out", str(out_path)) == (
             3, "", f"error: [Errno 28] No space left on device: {str(out_path)!r}\n")
     else:
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(type(error)):
             main(["sweep", "--out", str(out_path)])
     assert out_path.read_text() == "earlier run\n"
     assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]

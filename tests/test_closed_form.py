@@ -428,17 +428,20 @@ PAIR_ROUTES = (
 @given(st.one_of(nearly_unit_qubits(), off_unit_qubits()), coefficients, coefficients, overlaps)
 @example(ab=(1 + 2.5e-11, 0j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=0.5)
 @example(ab=(1 - 2.5e-11, 0j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=0.5)
+@example(ab=(complex(0.6, math.nan), 0.8j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=0.5)
+@example(ab=(1e200, 0j), c0=SQRT_HALF, c1=SQRT_HALF, gamma=0.5)
 def test_a_pair_a_ket_accepts_is_used_unchanged(ab, c0, c1, gamma):
-    # Every route accepts (a, b) if and only if a Ket does, and uses a pair
-    # it accepts unchanged, so the kernel's delta is the deviation from the
-    # Ket's own rho1, bit for bit.
+    # Every route accepts (a, b) if and only if a Ket does, rejects any
+    # other pair with exactly the Ket's text, and uses a pair it accepts
+    # unchanged, so the kernel's delta is the deviation from the Ket's own
+    # rho1, bit for bit.
     a, b = ab
     assume(c0 != 0 or c1 != 0)
     env = EnvironmentModel(gamma, c0, c1)
     psi = outcome(Ket, (a, b), ("1",))
     results = [outcome(call, a, b, env) for call in PAIR_ROUTES]
-    rejected = [isinstance(r, ValueError) and "(a, b) is not normalized" in str(r) for r in results]
-    assert rejected == [isinstance(psi, ValueError)] * len(PAIR_ROUTES)
+    rejections = [str(r) for r in results if isinstance(r, ValueError) and str(r).startswith("amplitudes ")]
+    assert rejections == ([str(psi)] * len(PAIR_ROUTES) if isinstance(psi, ValueError) else [])
     report = results[0]
     if isinstance(psi, Ket) and not isinstance(report, DegenerateModelError):
         assert report.delta == deviation(reduced_state(a, b, env), to_density(psi))
@@ -546,7 +549,7 @@ def test_lower_entry_keeps_a_positive_zero_imaginary_part():
 @pytest.mark.parametrize("a, b", [(complex(1.7e308, 1.7e308), 0), (0, complex(-1.7e308, 1.7e308))])
 def test_amplitude_modulus_beyond_float64_is_not_normalized(call, a, b):
     # Parts of 1.7e308 are finite, but the modulus is not.
-    with pytest.raises(ValueError, match=r"\(a, b\) is not normalized: \|a\|\^2 \+ \|b\|\^2 = inf"):
+    with pytest.raises(ValueError, match=r"^amplitudes are not normalized: \|amplitudes\| = inf$"):
         call(a, b, EnvironmentModel(0.5, 1, 1))
 
 
@@ -584,7 +587,7 @@ def test_non_finite_amplitudes_get_the_kets_message(call, a, b):
 )
 def test_printed_forms_reject_an_unnormalized_state(call, a, b):
     # The one input boundary of closed_form: same tolerance, same message.
-    with pytest.raises(ValueError, match=r"\(a, b\) is not normalized"):
+    with pytest.raises(ValueError, match=r"^amplitudes are not normalized: \|amplitudes\| = "):
         call(a, b, EnvironmentModel(0.5, 0.7, 0.7))
 
 

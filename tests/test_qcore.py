@@ -227,7 +227,7 @@ NUMPY = "numpy"
 NAN, INF = math.nan, math.inf
 KET_INPUTS = {
     "ndarray": (np.array([0.6, 0.8]), "accept"),
-    "ndarray-unnormalized": (np.array([1.0, 1.0]), (ValueError, "ket is not normalized: |amplitudes| = 1.4142135623730951")),
+    "ndarray-unnormalized": (np.array([1.0, 1.0]), (ValueError, "amplitudes are not normalized: |amplitudes| = 1.4142135623730951")),
     "ndarray-inf": (np.array([np.inf, 0]), (ValueError, "amplitudes contain non-finite entries")),
     "ndarray-length-4": (np.array([1.0, 0, 0, 0]), (ValueError, "dimension 4 does not match 1 two-level subsystems")),
     "int-list": ([1, 0], "accept"),
@@ -238,7 +238,7 @@ KET_INPUTS = {
     "numpy-scalars": ((np.float64(0.6), np.complex128(0.8j)), "accept"),
     "numpy-ints": ((np.int64(1), np.int64(0)), "accept"),
     "bools": ([True, False], "accept"),
-    "bools-unnormalized": ([True, True], (ValueError, "ket is not normalized: |amplitudes| = 1.4142135623730951")),
+    "bools-unnormalized": ([True, True], (ValueError, "amplitudes are not normalized: |amplitudes| = 1.4142135623730951")),
     "strings": (["0.6", "0.8j"], "accept"),
     "bytes": ([b"1", b"0"], "accept"),
     "malformed-string": (["abc", "0"], NUMPY),
@@ -260,8 +260,8 @@ KET_INPUTS = {
     "inf-real": ([INF, 0.0], (ValueError, "amplitudes contain non-finite entries")),
     "inf-imag": ([complex(1, -INF), 0.0], (ValueError, "amplitudes contain non-finite entries")),
     "huge-int": ([10**400, 0], (OverflowError, "int too large to convert to float")),
-    "int-above-2**53": ([2**53 + 1, 0], (ValueError, "ket is not normalized: |amplitudes| = 9007199254740992.0")),
-    "norm-overflow": ([1e200, 0.0], (ValueError, "ket is not normalized: |amplitudes| = inf")),
+    "int-above-2**53": ([2**53 + 1, 0], (ValueError, "amplitudes are not normalized: |amplitudes| = 9007199254740992.0")),
+    "norm-overflow": ([1e200, 0.0], (ValueError, "amplitudes are not normalized: |amplitudes| = inf")),
 }
 DENSITY_INPUTS = {
     "ndarray": (np.diag([0.5, 0.5]), "accept"),
@@ -478,7 +478,7 @@ def ket_oracle(amps):
     # Within the gap of 1 +- NORM_TOL the two norms may fall on either side.
     assume(abs(abs(norm - 1.0) - NORM_TOL) > VDOT_GAP_ULPS * math.ulp(norm))
     if abs(norm - 1.0) > NORM_TOL:
-        return "ket is not normalized: |amplitudes| = ", norm
+        return "amplitudes are not normalized: |amplitudes| = ", norm
     return None, None
 
 

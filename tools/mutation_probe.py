@@ -69,7 +69,7 @@ PACKAGE = Path("src") / "teleportsim"
 # Module -> the qualified names of the functions whose bodies are mutated.
 TARGETS = {
     "qcore": (
-        "_seed", "_first_word", "_matrix_entries", "Ket.__post_init__", "_check_normalized", "_qubit",
+        "_seed", "_first_word", "_matrix_entries", "Ket.__post_init__", "_norm_error", "_check_normalized", "_qubit",
         "DensityMatrix.__post_init__", "_density_rows", "Projector.__post_init__", "normalized_amplitudes",
         "_pure_density", "_qubit_rows", "to_density", "born_measure", "_fidelity_of", "_purity_of", "fidelity",
         "purity",
