@@ -417,22 +417,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="output CSV path")
     p.set_defaults(func=cmd_sweep)
 
+    for p in sub.choices.values():  # the namespace parse_known_args starts from
+        p._start = {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS} | p._defaults
     parser.subcommands = sub.choices
     return parser
+
+
+def _read_exact(sub, words):
+    """``sub.parse_known_args(words)`` read from ``sub``'s option table, or
+    None unless each word is ``--flag=value`` or ``--flag`` then a value word
+    not starting with ``-``, each flag is exactly one of ``sub``'s typed
+    options, and each type takes its value."""
+    values = dict(sub._start)
+    words = iter(words)
+    for word in words:
+        flag, sep, value = word.partition("=")
+        if not sep:
+            value = next(words, "-")  # no value word: argparse's error
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.type is None or value == "--" or not sep and value.startswith("-"):
+            return None
+        try:
+            values[action.dest] = action.type(value)
+        except ValueError:
+            return None
+    return argparse.Namespace(**values), []
 
 
 def _parse_args(argv: list[str]):
     """``build_parser().parse_args(argv)``, in one pass where it can be.
 
-    The top-level parser hands every word after a subcommand's name to that
-    subcommand's parser, so when that parser leaves no word over, its
-    namespace plus ``command`` is the result. Otherwise the top-level parser
-    runs, for its own messages (``teleportsim: error: unrecognized
-    arguments: ...``) and exit codes."""
+    Exact flags are read from the subcommand's option table (``_read_exact``).
+    Anything else, an abbreviation, ``-h``/``--help``, a flag with no value, a
+    separate value word starting with ``-`` (``--c1-im -1e-3``), a value its
+    type rejects or the value ``--`` (which argparse drops: ``--out=--`` gives
+    ``out=[]``), goes to the subcommand's parser, as the top-level one would
+    hand it; when it leaves no word over, its namespace plus ``command`` is
+    the result. Otherwise the top-level parser runs, for its own messages
+    (``teleportsim: error: unrecognized arguments: ...``) and exit codes."""
     parser = build_parser()
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:])
+        args, extras = _read_exact(sub, argv[1:]) or sub.parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
             return args

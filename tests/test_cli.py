@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import hashlib
 import io
 import math
@@ -10,6 +11,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teleportsim import cli
 from teleportsim.cli import (
@@ -850,6 +853,19 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("command, digest", [
+    ((), "91d25398819c0164130eb4090d1b063b1b83da78ffea6ec9e6d1aaf3b2628d12"),
+    (("sweep",), "c3cbf35bde424a51c6bbda51cf65f0379e9ce04057c85b596e2a6d3e1499d853"),
+    (("teleport",), "631e9b57d5be1ef7a881e614430f386ceec35b5b1316f5a6b47ee0ebb7d34618"),
+    (("deviation",), "0daa529aba8b9ea3b0a474a8dc3b801783ec6bccecf12c53cb3436c484edae63"),
+    (("paper-check",), "f4aa3be30d51b7dd3be20f579f4ea0b166ca0017276865fd594c18a86612d489"),
+], ids=["top", "sweep", "teleport", "deviation", "paper-check"])
+def test_help_pages_are_pinned(monkeypatch, capsys, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*command, "--help"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 PARSE_CASES = (
     ["sweep", "--steps=11", "--gamma-phase", "0.3", "--a-re=0.6", "--b-im", "0.8", "--out", "s.csv"],
     ["sweep", "--config", "run.cfg", "--out", "s.csv"],
@@ -866,20 +882,98 @@ PARSE_CASES = (
     ["sweep", "--", "--steps", "5"],
     ["teleport", "--shots", "5", "--seed", "2"],
     ["paper-check", "--gamma", "0.5"],
+    # argparse drops a value "--", so the path is an empty list, not "--".
+    ["sweep", "--out=--"],
+    ["sweep", "--out", "--"],
 )
 
 
-def _parse_outcome(parse, argv, capsys):
+def _parse_outcome(parse, argv):
+    """The namespace as a sorted repr, in which nan equals nan and -0.0 does
+    not equal 0.0, or the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        return parse(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
     except SystemExit as exc:
-        return exc.code, *capsys.readouterr()
+        return exc.code, out.getvalue(), err.getvalue()
+    return repr(sorted(vars(args).items()))
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-def test_main_parses_as_the_top_level_parser_does(capsys, argv):
-    expected = _parse_outcome(build_parser().parse_args, argv, capsys)
-    assert _parse_outcome(_parse_args, argv, capsys) == expected
+def test_main_parses_as_the_top_level_parser_does(argv):
+    assert _parse_outcome(_parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+VALUE_WORDS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from([
+        "1e-3", "-1e-3", "2E+5", "-.5", "inf", "-inf", "nan", "-nan", "Infinity", "1.2.3", "1e",
+        "0x10", "1_000", " 7 ", "x", "a=b", "", "-", "--", "-h",
+    ]),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, then flags exact or abbreviated, each with its value
+    after ``=``, as the next word, or with none."""
+    command = draw(st.sampled_from(sorted(build_parser().subcommands)))
+    flags = sorted(build_parser().subcommands[command]._option_string_actions)
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(flags))
+        flag = flag[:draw(st.sampled_from((len(flag), min(3, len(flag)), len(flag) - 1)))]
+        form = draw(st.sampled_from(("=", "word", "none")))
+        if form == "=":
+            argv.append(f"{flag}={draw(VALUE_WORDS)}")
+        elif form == "word":
+            argv += [flag, draw(VALUE_WORDS)]
+        else:
+            argv.append(flag)
+    return argv
+
+
+def _with_parse_cases(test):
+    for argv in PARSE_CASES:
+        test = example(argv)(test)
+    return test
+
+
+@_with_parse_cases
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_any_argv_parses_as_the_top_level_parser_does(argv):
+    assert _parse_outcome(_parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+# A sweep as the benchmark's sweep-grid gives it: every value flag as
+# --flag=value with a seventeen-digit repr, then --out PATH; or the same keys
+# from a config file that also names the output.
+BENCH_SHAPED_SWEEP = {
+    "a_re": 0.8414709848078965, "a_im": -0.30116867893975674, "b_re": 1.2599210498948732, "b_im": 0.2,
+    "c0_re": 0.5403023058681398, "c0_im": 1e-3, "c1_re": 0.7071067811865476, "c1_im": -0.41421356237309503,
+    "gamma_start": 0.123, "gamma_end": 0.8660254037844386, "steps": 101,
+    "gamma_phase": 2.5132741228718345, "seed": 3735928559,
+}
+PINNED_BENCH_SHAPED_SWEEP_SHA256 = "b31daadf01d9204408c2552c9d4aa56ec144e5a14b88ebcfc622d2b5ecc9f0c8"
+
+
+def test_exact_flags_are_read_without_the_subcommands_parser(tmp_path, monkeypatch, capsys):
+    def parse_known_args(*args, **kwargs):
+        raise AssertionError("the sweep parser ran")
+
+    monkeypatch.setattr(build_parser().subcommands["sweep"], "parse_known_args", parse_known_args)
+    from_flags, from_config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in BENCH_SHAPED_SWEEP.items()]
+    assert run_cli(capsys, "sweep", *flags, "--out", str(from_flags))[0] == 0
+    config = tmp_path / "sweep.conf"
+    body = "".join(f"{key} = {value!r}\n" for key, value in BENCH_SHAPED_SWEEP.items())
+    config.write_text(f"{body}output_path = {from_config}\n", encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(config))[0] == 0
+    for path in (from_flags, from_config):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_BENCH_SHAPED_SWEEP_SHA256
 
 
 def test_main_with_no_argument_reads_sys_argv_in_one_pass(monkeypatch, capsys):

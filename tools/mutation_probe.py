@@ -83,7 +83,7 @@ TARGETS = {
         "TeleportRecord._corrected", "_bell_branches", "_correct", "_record", "_draw", "run_ideal",
         "enumerate_branches",
     ),
-    "cli": ("_check_numbers", "_block_overlaps", "load_config", "cmd_sweep", "_parse_args", "main"),
+    "cli": ("_check_numbers", "_block_overlaps", "load_config", "cmd_sweep", "_read_exact", "_parse_args", "main"),
 }
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
