@@ -424,10 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_exact(sub, words):
-    """``sub.parse_known_args(words)`` read from ``sub``'s option table, or
-    None unless each word is ``--flag=value`` or ``--flag`` then a value word
-    not starting with ``-``, each flag is exactly one of ``sub``'s typed
-    options, and each type takes its value."""
+    """``sub.parse_args(words)`` read from ``sub``'s option table, or None
+    unless each word is ``--flag=value`` or ``--flag`` then a value word not
+    starting with ``-``, each flag is exactly one of ``sub``'s typed options,
+    and each type takes its value."""
     values = dict(sub._start)
     words = iter(words)
     for word in words:
@@ -441,28 +441,26 @@ def _read_exact(sub, words):
             values[action.dest] = action.type(value)
         except ValueError:
             return None
-    return argparse.Namespace(**values), []
+    return argparse.Namespace(**values)
 
 
 def _parse_args(argv: list[str]):
-    """``build_parser().parse_args(argv)``, in one pass where it can be.
+    """``build_parser().parse_args(argv)``, without argparse where it can be.
 
-    Exact flags are read from the subcommand's option table (``_read_exact``).
-    Anything else, an abbreviation, ``-h``/``--help``, a flag with no value, a
-    separate value word starting with ``-`` (``--c1-im -1e-3``), a value its
-    type rejects or the value ``--`` (which argparse drops: ``--out=--`` gives
-    ``out=[]``), goes to the subcommand's parser, as the top-level one would
-    hand it; when it leaves no word over, its namespace plus ``command`` is
-    the result. Otherwise the top-level parser runs, for its own messages
-    (``teleportsim: error: unrecognized arguments: ...``) and exit codes."""
+    Exact flags after a subcommand's name are read from that subcommand's
+    option table (``_read_exact``). Anything else goes to the top-level
+    parser, for its own namespace, messages and exit codes: no subcommand, an
+    abbreviation, ``-h``/``--help``, a flag with no value, a separate value
+    word starting with ``-`` (``--c1-im -1e-3``), a value its type rejects,
+    or the value ``--`` (which argparse drops: ``--out=--`` gives
+    ``out=[]``)."""
     parser = build_parser()
     sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        args, extras = _read_exact(sub, argv[1:]) or sub.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    args = sub and _read_exact(sub, argv[1:])
+    if args is None:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:

@@ -978,7 +978,7 @@ def test_exact_flags_are_read_without_the_subcommands_parser(tmp_path, monkeypat
 
 def test_main_with_no_argument_reads_sys_argv_in_one_pass(monkeypatch, capsys):
     # The console script calls main() with no argument: it parses
-    # sys.argv[1:], and as main(argv) does, in one pass, without the
+    # sys.argv[1:] as main(argv) does, reading exact flags without the
     # top-level parser.
     argv = ["deviation", "--gamma", "0.5"]
     expected = run_cli(capsys, *argv)
