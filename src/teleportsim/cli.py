@@ -18,7 +18,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import fields, make_dataclass
 
 import numpy as np
 
@@ -61,70 +62,72 @@ class UsageError(Exception):
     """Bad flags or config values; maps to exit code 2."""
 
 
-_MINIMUMS = {"shots": 1, "steps": 2, "seed": 0}
+# One CLI option: its flag (``--gamma-phase`` for ``gamma_phase``) in each of its
+# subcommands, and for ``sweep`` a config key and SweepConfig field too; one help
+# text or one per subcommand; a range: an interval, or a minimum and a ceiling.
+_Option = namedtuple("_Option", "name type default help commands low high", defaults=(None, None))
+_ALL, _MODEL = ("teleport", "deviation", "paper-check", "sweep"), ("deviation", "paper-check", "sweep")
 # The counts' ceiling. Both are streamed in fixed blocks, so it bounds a
 # run's length, not its memory: 2**32 shots or rows take hours.
-_MAXIMUMS = {"shots": 2**32, "steps": 2**32}
+_COUNT_CEILING = 2**32
+
+# Every option but sweep's --config and --out, in the order of the help pages.
+_OPTIONS = (
+    _Option("a_re", float, _SQRT_HALF, "Re(a)", _ALL),
+    _Option("a_im", float, 0.0, "Im(a)", _ALL),
+    _Option("b_re", float, _SQRT_HALF, "Re(b)", _ALL),
+    _Option("b_im", float, 0.0, "Im(b)", _ALL),
+    _Option("c0_re", float, _SQRT_HALF, "Re(c0)", _MODEL),
+    _Option("c0_im", float, 0.0, "Im(c0)", _MODEL),
+    _Option("c1_re", float, _SQRT_HALF, "Re(c1)", _MODEL),
+    _Option("c1_im", float, 0.0, "Im(c1)", _MODEL),
+    _Option("gamma", float, 1.0, "overlap magnitude", ("deviation", "paper-check"), 0.0, 1.0),
+    _Option("gamma_start", float, 0.0, "first overlap magnitude", ("sweep",), 0.0, 1.0),
+    _Option("gamma_end", float, 1.0, "last overlap magnitude", ("sweep",), 0.0, 1.0),
+    _Option("steps", int, 101, "number of grid points (>= 2)", ("sweep",), 2, _COUNT_CEILING),
+    _Option("gamma_phase", float, 0.0, "overlap phase (radians)", _MODEL),
+    _Option("shots", int, 1000, "number of protocol runs", ("teleport",), 1, _COUNT_CEILING),
+    _Option("seed", int, 0, {"teleport": "base seed", "sweep": "any integer >= 0, as for teleport; affects no output"},
+            ("teleport", "sweep"), 0),
+)
+_BOUNDS = tuple((o.name, o.type, o.low, o.high) for o in _OPTIONS if o.low is not None)
 
 
 def _check_numbers(values: dict) -> None:
-    """The CLI's rule for the numbers it reads, as flags or config keys: every
-    float is finite, an overlap magnitude lies in [0, 1] as given, before a
-    phase makes it complex, a count or seed is an integer at least its
-    minimum (shots >= 1, steps >= 2, seed >= 0), and a count is at most
-    ``_MAXIMUMS`` (2**32; a seed has no upper bound). Errors name the flag
-    or key; a sweep flag that was not given (None) is skipped."""
+    """The CLI's rule for the numbers it reads, as flags or config keys, with
+    the ranges of ``_OPTIONS``: every float is finite; in table order, an
+    overlap magnitude lies in its interval as given, before a phase makes it
+    complex, and a count or seed is at least its minimum; then a count is at
+    most its ceiling (a seed has none). Errors name the flag or key, the
+    first in that order; a sweep flag that was not given (None) is skipped."""
     for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise UsageError(f"{name} is not finite")
-    for name in ("gamma", "gamma_start", "gamma_end"):
+    for name, kind, low, high in _BOUNDS:
         value = values.get(name)
-        if value is not None and not 0.0 <= value <= 1.0:
-            raise UsageError(f"{name} must lie in [0, 1], got {value}")
-    for name, minimum in _MINIMUMS.items():
+        if value is None:
+            continue
+        if kind is float and not low <= value <= high:
+            raise UsageError(f"{name} must lie in [{low:g}, {high:g}], got {value}")
+        if value < low:
+            raise UsageError(f"{name} must be >= {low}, got {value}")
+    for name, _, _, high in _BOUNDS:
         value = values.get(name)
-        if value is not None and value < minimum:
-            raise UsageError(f"{name} must be >= {minimum}, got {value}")
-    for name, maximum in _MAXIMUMS.items():
-        value = values.get(name)
-        if value is not None and value > maximum:
-            raise UsageError(f"{name} must be <= {maximum}, got {value}")
+        if value is not None and high is not None and value > high:
+            raise UsageError(f"{name} must be <= {high}, got {value}")
 
 
-@dataclass
-class SweepConfig:
-    """One sweep run: state and coupling coefficients, overlap range, output."""
+class SweepConfig(make_dataclass("SweepConfig", [
+    *((o.name, o.type, o.default) for o in _OPTIONS if "sweep" in o.commands), ("output_path", str, "sweep.csv"),
+])):
+    """One sweep run: state and coupling coefficients, overlap range, output.
+    Its fields are the sweep rows of ``_OPTIONS``, in order, then the output
+    path; each is also a config key."""
 
-    a_re: float = _SQRT_HALF
-    a_im: float = 0.0
-    b_re: float = _SQRT_HALF
-    b_im: float = 0.0
-    c0_re: float = _SQRT_HALF
-    c0_im: float = 0.0
-    c1_re: float = _SQRT_HALF
-    c1_im: float = 0.0
-    gamma_start: float = 0.0
-    gamma_end: float = 1.0
-    steps: int = 101
-    gamma_phase: float = 0.0
-    seed: int = 0
-    output_path: str = "sweep.csv"
-
-    @property
-    def a(self) -> complex:
-        return complex(self.a_re, self.a_im)
-
-    @property
-    def b(self) -> complex:
-        return complex(self.b_re, self.b_im)
-
-    @property
-    def c0(self) -> complex:
-        return complex(self.c0_re, self.c0_im)
-
-    @property
-    def c1(self) -> complex:
-        return complex(self.c1_re, self.c1_im)
+    a = property(lambda self: complex(self.a_re, self.a_im))
+    b = property(lambda self: complex(self.b_re, self.b_im))
+    c0 = property(lambda self: complex(self.c0_re, self.c0_im))
+    c1 = property(lambda self: complex(self.c1_re, self.c1_im))
 
     def validate(self) -> None:
         """Check the numbers, the ranges and a non-empty output path,
@@ -141,9 +144,7 @@ class SweepConfig:
         closed_form(a, b, self.c0, self.c1, 0.0)
 
 
-_CONFIG_PARSERS = {
-    f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(SweepConfig)
-}
+_CONFIG_TYPES = {f.name: f.type for f in fields(SweepConfig)}
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -151,9 +152,10 @@ def load_config(path: str) -> SweepConfig:
     """Parse a line-oriented ``key = value`` UTF-8 config file, with or without a BOM.
 
     Lines end at LF, CRLF or CR; a ``#`` at the start of a line or after
-    whitespace starts a comment; blank lines are ignored. Keys are SweepConfig
-    field names; unknown keys, malformed numbers and non-UTF-8 bytes are hard
-    errors naming the line. Command-line flags override the loaded values.
+    whitespace starts a comment; blank lines are ignored. Keys are SweepConfig's
+    fields (``_OPTIONS``' sweep rows, then ``output_path``), each read by its
+    type; unknown keys, malformed numbers and non-UTF-8 bytes are hard errors
+    naming the line. Command-line flags override the loaded values.
     """
     cfg = SweepConfig()
     with open(path, "rb", buffering=0) as handle:
@@ -172,10 +174,10 @@ def load_config(path: str) -> SweepConfig:
         value = value.strip()
         if not sep or not key:
             raise UsageError(f"expected 'key = value' (line {lineno})")
-        if key not in _CONFIG_PARSERS:
+        if key not in _CONFIG_TYPES:
             raise UsageError(f"unknown key '{key}' (line {lineno})")
         try:
-            setattr(cfg, key, _CONFIG_PARSERS[key](value))
+            setattr(cfg, key, _CONFIG_TYPES[key](value))
         except ValueError:  # only int and float raise it
             raise UsageError(
                 f"malformed number for '{key}' (line {lineno}): {value!r}"
@@ -261,19 +263,13 @@ def cmd_paper_check(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_OVERRIDE_FIELDS = tuple(
-    f.name for f in fields(SweepConfig) if f.name != "output_path"
-)
-
-
 def _sweep_config(args) -> SweepConfig:
-    cfg = load_config(args.config) if args.config else SweepConfig()
-    for name in _SWEEP_OVERRIDE_FIELDS:
+    # An empty path fails to open like any other ("--" too: argparse < 3.13 gives []).
+    cfg = SweepConfig() if args.config is None else load_config(args.config or "")
+    for name in _CONFIG_TYPES:  # a flag that was given overrides its key
         value = getattr(args, name)
         if value is not None:
             setattr(cfg, name, value)
-    if args.out is not None:
-        cfg.output_path = args.out
     cfg.validate()
     return cfg
 
@@ -362,12 +358,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_complex_flags(parser: argparse.ArgumentParser, names, default: float | None) -> None:
-    for name in names:
-        parser.add_argument(f"--{name}-re", type=float, default=default, help=f"Re({name})")
-        parser.add_argument(f"--{name}-im", type=float, default=None if default is None else 0.0, help=f"Im({name})")
-
-
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE)
 
 
@@ -390,32 +380,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("teleport", help="run the ideal protocol for many shots")
-    _add_complex_flags(p, ("a", "b"), _SQRT_HALF)
-    p.add_argument("--shots", type=int, default=1000, help="number of protocol runs")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.set_defaults(func=cmd_teleport)
-
     for name, func, help_text in (
+        ("teleport", cmd_teleport, "run the ideal protocol for many shots"),
         ("deviation", cmd_deviation, "deviation report at one parameter point"),
         ("paper-check", cmd_paper_check, "canonical vs printed reduced state"),
+        ("sweep", cmd_sweep, "CSV sweep over the overlap magnitude"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_complex_flags(p, ("a", "b", "c0", "c1"), _SQRT_HALF)
-        p.add_argument("--gamma", type=float, default=1.0, help="overlap magnitude")
-        p.add_argument("--gamma-phase", type=float, default=0.0, help="overlap phase (radians)")
+        for o in _OPTIONS:
+            if name in o.commands:  # a sweep flag's None is "not given": the config's value stands
+                default = None if name == "sweep" else o.default
+                p.add_argument(f"--{o.name.replace('_', '-')}", type=o.type, default=default,
+                               help=o.help if isinstance(o.help, str) else o.help[name])
         p.set_defaults(func=func)
-
-    p = sub.add_parser("sweep", help="CSV sweep over the overlap magnitude")
-    _add_complex_flags(p, ("a", "b", "c0", "c1"), None)
-    p.add_argument("--gamma-start", type=float, default=None, help="first overlap magnitude")
-    p.add_argument("--gamma-end", type=float, default=None, help="last overlap magnitude")
-    p.add_argument("--steps", type=int, default=None, help="number of grid points (>= 2)")
-    p.add_argument("--gamma-phase", type=float, default=None, help="overlap phase (radians)")
-    p.add_argument("--seed", type=int, default=None, help="any integer >= 0, as for teleport; affects no output")
+    # sweep, the last parser, also takes a config file and an output path.
     p.add_argument("--config", type=str, default=None, help="key = value config file")
-    p.add_argument("--out", type=str, default=None, help="output CSV path")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--out", type=str, default=None, dest="output_path", metavar="OUT", help="output CSV path")
 
     for p in sub.choices.values():  # the namespace parse_known_args starts from
         p._start = {a.dest: a.default for a in p._actions if a.default is not argparse.SUPPRESS} | p._defaults

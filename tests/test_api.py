@@ -32,7 +32,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import teleportsim
-from teleportsim.cli import main
+from teleportsim.cli import SweepConfig, UsageError, _check_numbers, build_parser, main
 from teleportsim.envmodel import (
     DEGENERATE_TOL, OVERLAP_TOL, DegenerateModelError, DeviationReport, EnvironmentModel, closed_form, deviation,
     direct_report, evolve, noisy_teleport, reduced_state,
@@ -445,6 +445,53 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, shlex.join(argv)
     assert capsys.readouterr().err == ""
+
+
+def _readme_range_holds(dest, kind, text):
+    """Whether the CLI's rule accepts exactly the range README's options
+    table gives for ``dest``: ``finite``, ``[low, high]``, ``integer in [low,
+    high]`` or ``integer >= low``."""
+    def accepts(value):
+        try:
+            _check_numbers({dest: value})
+        except UsageError:
+            return False
+        return True
+
+    numbers = [2 ** int(n[2:]) if n.startswith("2^") else int(n) for n in re.findall(r"2\^\d+|\d+", text)]
+    if text == "finite":
+        return kind is float and accepts(-1e308) and accepts(1e308) and not accepts(math.inf)
+    if kind is int:
+        low, *high = numbers
+        ceiling = accepts(high[0]) and not accepts(high[0] + 1) if high else accepts(2**200)
+        return accepts(low) and not accepts(low - 1) and ceiling
+    low, high = numbers
+    return (accepts(float(low)) and accepts(float(high)) and not accepts(math.nextafter(low, -math.inf))
+            and not accepts(math.nextafter(high, math.inf)))
+
+
+def test_readme_options_table_matches_the_parser():
+    # README's CLI options table: each flag's config key, default, range and
+    # subcommands, as the parser, SweepConfig and the CLI's rule have them.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(--[\w-]+)` \| (.*?) \| (.*?) \| (.*?) \| (.*?) \|$", readme, re.MULTILINE)
+    subcommands = build_parser().subcommands
+    declared = {flag for p in subcommands.values() for flag in p._option_string_actions if flag.startswith("--")}
+    assert sorted(row[0] for row in rows) == sorted(declared - {"--help"})
+    for flag, key, default, bounds, commands in rows:
+        takers = set(re.findall(r"`([\w-]+)`", commands))
+        assert takers == {name for name, p in subcommands.items() if flag in p._option_string_actions}, flag
+        actions = {name: subcommands[name]._option_string_actions[flag] for name in takers}
+        (dest,) = {action.dest for action in actions.values()}
+        (kind,) = {action.type for action in actions.values()}
+        sweep_key = dest if "sweep" in takers and flag != "--config" else None
+        assert key == (f"`{sweep_key}`" if sweep_key else "-"), flag
+        value = {"`1/sqrt(2)`": SQRT_HALF, "none": None}.get(default, default.strip("`"))
+        for name, action in actions.items():
+            given = getattr(SweepConfig(), sweep_key) if name == "sweep" and sweep_key else action.default
+            assert given == (kind(value) if value is not None else None), (flag, name)
+        if kind is not str:
+            assert _readme_range_holds(dest, kind, bounds), flag
 
 
 PROBE = """\

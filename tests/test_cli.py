@@ -328,6 +328,25 @@ def test_count_or_seed_below_its_minimum_is_rejected_by_name(tmp_path, monkeypat
     assert not (tmp_path / "sweep.csv").exists()
 
 
+# An argv with several faults reports one: every non-finite float first,
+# then each range or minimum in option order, then each ceiling.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["teleport", "--shots=8589934592", "--seed=-1"], "seed must be >= 0, got -1"),
+        (["sweep", "--steps=8589934592", "--seed=-1"], "seed must be >= 0, got -1"),
+        (["sweep", "--steps=1", "--gamma-end=2"], "gamma_end must lie in [0, 1], got 2.0"),
+        (["sweep", "--steps=8589934592", "--gamma-start=-1"], "gamma_start must lie in [0, 1], got -1.0"),
+        (["deviation", "--gamma=2", "--a-re=inf"], "a_re is not finite"),
+    ],
+    ids=["teleport-ceiling-seed", "sweep-ceiling-seed", "sweep-steps-range", "sweep-ceiling-range", "range-finite"],
+)
+def test_a_multi_fault_argv_reports_its_first_fault_in_check_order(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_seed_beyond_64_bits_is_accepted_by_every_subcommand(tmp_path, monkeypatch, capsys):
     # A seed follows teleport's rule everywhere: any integer >= 0. The sweep
     # uses none, so its CSV is the default one.
@@ -790,6 +809,33 @@ def test_sweep_config_non_utf8_byte_past_the_first_chunk_names_its_line(tmp_path
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
+# A value for each config key, other than its default, that validate() keeps.
+PARITY_VALUES = {
+    "a_re": "0.6", "a_im": "-0.25", "b_re": "0.8", "b_im": "0.5", "c0_re": "0.3", "c0_im": "-0.1",
+    "c1_re": "0.9", "c1_im": "0.2", "gamma_start": "0.25", "gamma_end": "0.75", "steps": "11",
+    "gamma_phase": "0.3", "seed": "9", "output_path": "run.csv",
+}
+
+
+def test_every_config_key_is_a_sweep_flag():
+    # --out is the flag of output_path; --config names the file itself.
+    sweep = build_parser().subcommands["sweep"]
+    dests = {action.dest for action in sweep._actions if action.option_strings} - {"help", "config"}
+    assert set(vars(SweepConfig())) == dests == set(PARITY_VALUES)
+    assert sweep._option_string_actions["--out"].dest == "output_path"
+
+
+@pytest.mark.parametrize("key", sorted(PARITY_VALUES))
+def test_a_config_key_and_its_flag_give_the_same_config(tmp_path, key):
+    value = PARITY_VALUES[key]
+    flag = "--out" if key == "output_path" else f"--{key.replace('_', '-')}"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key} = {value}\n")
+    from_config = cli._sweep_config(_parse_args(["sweep", "--config", str(path)]))
+    from_flag = cli._sweep_config(_parse_args(["sweep", f"{flag}={value}"]))
+    assert from_flag == from_config != cli._sweep_config(_parse_args(["sweep"]))
+
+
 def test_sweep_flag_overrides_config(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     out_path = tmp_path / "out.csv"
@@ -827,10 +873,17 @@ def test_sweep_config_line_without_equals_sign_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
-def test_sweep_missing_config_is_io_error(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "none.cfg"))
+# An empty config path names no file: it fails to open like a missing one,
+# rather than being read as "no config". So does "--", which argparse before
+# Python 3.13 gives as an empty list.
+@pytest.mark.parametrize("argv", [["--config", "none.cfg"], ["--config", ""], ["--config="], ["--config=--"]],
+                         ids=["missing", "empty-word", "empty-equals", "double-dash"])
+def test_sweep_missing_config_is_io_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "sweep", *argv)
     assert code == 3
     assert "error:" in err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_config_normalizes_amplitudes(tmp_path, capsys):

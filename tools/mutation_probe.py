@@ -16,6 +16,9 @@ The operators:
   ``>=``);
 - ``nudge``: a nonzero float constant times 1 + 2^-40;
 - ``drop-neg``: a dropped unary minus;
+- ``And/Or`` and ``Or/And``: a boolean operation's ``and`` made ``or`` or
+  back, once per operation however many operands it has; ``Is/IsNot`` and
+  ``IsNot/Is`` flips; ``drop-not``: a dropped ``not``;
 - ``drop-stmt``: one statement, at any depth, replaced with ``pass`` (a
   compound statement goes with its whole block); docstrings and ``pass``
   itself are left alone.
@@ -42,8 +45,10 @@ From the repository root:
 
 An id is ``module.function#N:mutation``, the mutation N of that function in
 source order, so an edit outside the function leaves its ids as they were.
-Statement deletions are numbered in a sequence of their own
-(``#N:drop-stmt``), so they leave the other operators' ids as they were.
+Statement deletions (``#N:drop-stmt``) and the boolean mutations
+(``And/Or``, ``Is/IsNot``, ``drop-not`` and their twins) are each numbered
+in a sequence of their own, so they leave the other operators' ids as they
+were.
 Positional arguments are ``fnmatch`` patterns over the ids; arguments after
 ``--`` go to pytest in place of the whole suite. The exit code is 0 if every
 mutant run was killed, 1 if one survived and 2 if the control failed.
@@ -83,12 +88,16 @@ TARGETS = {
         "TeleportRecord._corrected", "_bell_branches", "_correct", "_record", "_draw", "run_ideal",
         "enumerate_branches",
     ),
-    "cli": ("_check_numbers", "_block_overlaps", "load_config", "cmd_sweep", "_read_exact", "_parse_args", "main"),
+    "cli": ("_check_numbers", "_block_overlaps", "load_config", "_sweep_config", "cmd_sweep", "build_parser",
+            "_read_exact", "_parse_args", "main"),
 }
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
          ast.NotEq: ast.Eq}
+# The boolean mutations: kept out of SWAPS and FLIPS, which would renumber _sites.
+BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
+IS_FLIPS = {ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 NUDGE = 1 + 2.0**-40
 # What the suite reads: the package, the tests, pytest's settings, and the
 # README and tracer the API tests parse. Nothing else is copied.
@@ -169,6 +178,33 @@ def _sites(function: ast.FunctionDef):
             yield "drop-neg", node, lambda n=node: _set(n, "op", ast.UAdd())
 
 
+def _logic(function: ast.FunctionDef):
+    """(label, node, apply) for each boolean mutation the function's body
+    admits: an ``and``/``or`` swap per boolean operation, an ``is``/``is
+    not`` flip per such operator, and each ``not`` replaced by its operand."""
+    for parent in ast.walk(function):
+        if isinstance(parent, ast.BoolOp):
+            old = parent.op
+            yield (f"{type(old).__name__}/{BOOL_SWAPS[type(old)].__name__}", parent,
+                   lambda n=parent, o=old: _set(n, "op", BOOL_SWAPS[type(o)]()))
+        elif isinstance(parent, ast.Compare):
+            for i, op in enumerate(parent.ops):
+                if type(op) in IS_FLIPS:
+                    yield (f"{type(op).__name__}/{IS_FLIPS[type(op)].__name__}", parent,
+                           lambda n=parent, i=i, o=op: _set_item(n.ops, i, IS_FLIPS[type(o)]()))
+        for field, child in ast.iter_fields(parent):
+            if isinstance(child, list):
+                for i, node in enumerate(child):
+                    if _is_not(node):
+                        yield "drop-not", node, lambda b=child, i=i, n=node: _set_item(b, i, n.operand)
+            elif _is_not(child):
+                yield "drop-not", child, lambda p=parent, f=field, n=child: _set(p, f, n.operand)
+
+
+def _is_not(node) -> bool:
+    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
+
+
 def _statements(function: ast.FunctionDef):
     """(label, node, apply) for each statement that ``apply()`` replaces
     with ``pass``: every one in the function's body at any depth, but the
@@ -215,7 +251,7 @@ def mutants():
         if missing:
             raise SystemExit(f"{module} has no {sorted(missing)}: update TARGETS")
         for name in names:
-            for kind in (_sites, _statements):  # each numbered in its own sequence
+            for kind in (_sites, _statements, _logic):  # each numbered in its own sequence
                 sites = sorted(kind(functions[name]), key=lambda s: (
                     s[1].lineno, s[1].col_offset, -s[1].end_lineno, -s[1].end_col_offset))
                 for number, (label, node, apply) in enumerate(sites):
