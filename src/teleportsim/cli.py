@@ -264,8 +264,7 @@ def cmd_paper_check(args) -> int:
 
 
 def _sweep_config(args) -> SweepConfig:
-    # An empty path fails to open like any other ("--" too: argparse < 3.13 gives []).
-    cfg = SweepConfig() if args.config is None else load_config(args.config or "")
+    cfg = SweepConfig() if args.config is None else load_config(args.config)
     for name in _CONFIG_TYPES:  # a flag that was given overrides its key
         value = getattr(args, name)
         if value is not None:
@@ -362,11 +361,17 @@ _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|n
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e-3`` or ``-inf`` as a value; argparse's own pattern takes only ``-1``, ``-1.5``."""
+    """Reads ``-1e-3`` or ``-inf`` as a value; argparse's own pattern takes only ``-1``, ``-1.5``.
+    A flag's value ``--`` (``--out=--``) is the string ``--`` on every Python, as from 3.13."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:  # argparse before 3.13 drops it
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
 
 
 @functools.cache
@@ -407,7 +412,8 @@ def _read_exact(sub, words):
     """``sub.parse_args(words)`` read from ``sub``'s option table, or None
     unless each word is ``--flag=value`` or ``--flag`` then a value word not
     starting with ``-``, each flag is exactly one of ``sub``'s typed options,
-    and each type takes its value."""
+    and each type takes its value. A value ``--`` after ``=`` is read like any
+    other, as ``_Parser`` reads it."""
     values = dict(sub._start)
     words = iter(words)
     for word in words:
@@ -415,7 +421,7 @@ def _read_exact(sub, words):
         if not sep:
             value = next(words, "-")  # no value word: argparse's error
         action = sub._option_string_actions.get(flag)
-        if action is None or action.type is None or value == "--" or not sep and value.startswith("-"):
+        if action is None or action.type is None or not sep and value.startswith("-"):
             return None
         try:
             values[action.dest] = action.type(value)
@@ -431,9 +437,8 @@ def _parse_args(argv: list[str]):
     option table (``_read_exact``). Anything else goes to the top-level
     parser, for its own namespace, messages and exit codes: no subcommand, an
     abbreviation, ``-h``/``--help``, a flag with no value, a separate value
-    word starting with ``-`` (``--c1-im -1e-3``), a value its type rejects,
-    or the value ``--`` (which argparse drops: ``--out=--`` gives
-    ``out=[]``)."""
+    word starting with ``-`` (``--c1-im -1e-3``), or a value its type
+    rejects (``--steps=--`` among them: ``--`` after ``=`` is a value)."""
     parser = build_parser()
     sub = parser.subcommands.get(argv[0]) if argv else None
     args = sub and _read_exact(sub, argv[1:])

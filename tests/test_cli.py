@@ -874,8 +874,8 @@ def test_sweep_config_line_without_equals_sign_is_usage_error(tmp_path, capsys):
 
 
 # An empty config path names no file: it fails to open like a missing one,
-# rather than being read as "no config". So does "--", which argparse before
-# Python 3.13 gives as an empty list.
+# rather than being read as "no config". "--" after "=" is a path like any
+# other, on every Python, and no file of that name exists here.
 @pytest.mark.parametrize("argv", [["--config", "none.cfg"], ["--config", ""], ["--config="], ["--config=--"]],
                          ids=["missing", "empty-word", "empty-equals", "double-dash"])
 def test_sweep_missing_config_is_io_error(tmp_path, monkeypatch, capsys, argv):
@@ -884,6 +884,34 @@ def test_sweep_missing_config_is_io_error(tmp_path, monkeypatch, capsys, argv):
     assert code == 3
     assert "error:" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_config_double_dash_reads_the_file_of_that_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "--").write_text("steps = 4\noutput_path = s.csv\n")
+    assert run_cli(capsys, "sweep", "--config=--") == (0, "wrote 4 rows to s.csv\n", "")
+    assert len(read_rows(tmp_path / "s.csv")[1]) == 4
+
+
+def test_sweep_out_double_dash_writes_the_file_of_that_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "sweep", "--steps=3", "--out=--") == (0, "wrote 3 rows to --\n", "")
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "--"]
+    assert len(read_rows(tmp_path / "--")[1]) == 3
+
+
+# "--" after "=" is a value, which a number's type rejects like any other
+# word: a usage error naming the flag, before any output file is made.
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--steps=--"], ["teleport", "--shots=--"], ["teleport", "--seed=--"], ["deviation", "--gamma=--"],
+    ["deviation", "--a-re=--"], ["paper-check", "--c0-im=--"], ["sweep", "--gamma-phase=--"],
+], ids=" ".join)
+def test_numeric_double_dash_value_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: argument {argv[1].removesuffix('=--')}: invalid " in err and "value: '--'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_config_normalizes_amplitudes(tmp_path, capsys):
@@ -935,9 +963,13 @@ PARSE_CASES = (
     ["sweep", "--", "--steps", "5"],
     ["teleport", "--shots", "5", "--seed", "2"],
     ["paper-check", "--gamma", "0.5"],
-    # argparse drops a value "--", so the path is an empty list, not "--".
+    # "--" after "=" is the value "--" on every Python; as its own word it
+    # ends the options, and the flag has no value.
     ["sweep", "--out=--"],
     ["sweep", "--out", "--"],
+    ["sweep", "--steps=--"],
+    ["teleport", "--seed=--"],
+    ["deviation", "--gamma=--"],
 )
 
 

@@ -1,9 +1,10 @@
 """Mutation probe: does the test suite notice a one-token change to the package?
 
-Each mutant changes one operator or constant, or deletes one statement, in
-one function of ``src/teleportsim``. The probe writes it into a copy of the
-files the suite reads (``COPIED``) and runs pytest there with ``-x``: a
-mutant that fails a test is killed, and one that passes every test survived.
+Each mutant changes one operator or constant, drops one ``not`` or deletes
+one statement, in one function of ``src/teleportsim``. The probe writes it
+into a copy of the files the suite reads (``COPIED``) and runs pytest there
+with ``-x``: a mutant that fails a test is killed, and one that passes every
+test survived.
 A survivor is either a gap in the tests or an equivalent mutant, one that no
 input can tell apart; CHANGES.md records each run's survivors and the reason
 each equivalent one cannot be told apart.
@@ -45,10 +46,13 @@ From the repository root:
 
 An id is ``module.function#N:mutation``, the mutation N of that function in
 source order, so an edit outside the function leaves its ids as they were.
-Statement deletions (``#N:drop-stmt``) and the boolean mutations
-(``And/Or``, ``Is/IsNot``, ``drop-not`` and their twins) are each numbered
-in a sequence of their own, so they leave the other operators' ids as they
-were.
+One walk over each function's fields finds all of its mutants, and numbers
+them in three sequences, each from 0 and listed in this order: operator and
+constant changes, statement deletions (``#N:drop-stmt``), and the boolean
+mutations (``And/Or``, ``Is/IsNot``, ``drop-not`` and their twins). The
+later two kinds were numbered apart so that adding them moved no earlier
+id; another kind, such as a returned constant, is one more branch of the
+walk and one more sequence.
 Positional arguments are ``fnmatch`` patterns over the ids; arguments after
 ``--`` go to pytest in place of the whole suite. The exit code is 0 if every
 mutant run was killed, 1 if one survived and 2 if the control failed.
@@ -60,6 +64,7 @@ import argparse
 import ast
 import fnmatch
 import functools
+import itertools
 import os
 import shutil
 import subprocess
@@ -89,15 +94,17 @@ TARGETS = {
         "enumerate_branches",
     ),
     "cli": ("_check_numbers", "_block_overlaps", "load_config", "_sweep_config", "cmd_sweep", "build_parser",
-            "_read_exact", "_parse_args", "main"),
+            "_Parser._get_values", "_read_exact", "_parse_args", "main"),
 }
 
-SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}
-FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq,
-         ast.NotEq: ast.Eq}
-# The boolean mutations: kept out of SWAPS and FLIPS, which would renumber _sites.
-BOOL_SWAPS = {ast.And: ast.Or, ast.Or: ast.And}
-IS_FLIPS = {ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+# The ids' sequences, each numbered from 0 and listed in this order; a kind
+# of mutation added in a sequence of its own moves no recorded id.
+OPERATOR, STATEMENT, BOOLEAN = range(3)
+# Each swapped operator -> its replacement; those in BOOLEAN_OPS are boolean mutations.
+SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult, ast.Lt: ast.LtE,
+         ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
+         ast.And: ast.Or, ast.Or: ast.And, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
+BOOLEAN_OPS = (ast.And, ast.Or, ast.Is, ast.IsNot)
 NUDGE = 1 + 2.0**-40
 # What the suite reads: the package, the tests, pytest's settings, and the
 # README and tracer the API tests parse. Nothing else is copied.
@@ -160,62 +167,35 @@ def _functions(tree: ast.Module):
 
 
 def _sites(function: ast.FunctionDef):
-    """(label, node, apply) for each mutation the function's body admits;
-    ``apply()`` changes the node in place and returns an undo."""
-    for node in ast.walk(function):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
-            old = node.op
-            yield (f"{type(old).__name__}/{SWAPS[type(old)].__name__}", node,
-                   lambda n=node, o=old: _set(n, "op", SWAPS[type(o)]()))
-        elif isinstance(node, ast.Compare):
-            for i, op in enumerate(node.ops):
-                if type(op) in FLIPS:
-                    yield (f"{type(op).__name__}/{FLIPS[type(op)].__name__}", node,
-                           lambda n=node, i=i, o=op: _set_item(n.ops, i, FLIPS[type(o)]()))
-        elif isinstance(node, ast.Constant) and type(node.value) is float and node.value != 0.0:
-            yield "nudge", node, lambda n=node: _set(n, "value", n.value * NUDGE)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            yield "drop-neg", node, lambda n=node: _set(n, "op", ast.UAdd())
-
-
-def _logic(function: ast.FunctionDef):
-    """(label, node, apply) for each boolean mutation the function's body
-    admits: an ``and``/``or`` swap per boolean operation, an ``is``/``is
-    not`` flip per such operator, and each ``not`` replaced by its operand."""
-    for parent in ast.walk(function):
-        if isinstance(parent, ast.BoolOp):
-            old = parent.op
-            yield (f"{type(old).__name__}/{BOOL_SWAPS[type(old)].__name__}", parent,
-                   lambda n=parent, o=old: _set(n, "op", BOOL_SWAPS[type(o)]()))
-        elif isinstance(parent, ast.Compare):
-            for i, op in enumerate(parent.ops):
-                if type(op) in IS_FLIPS:
-                    yield (f"{type(op).__name__}/{IS_FLIPS[type(op)].__name__}", parent,
-                           lambda n=parent, i=i, o=op: _set_item(n.ops, i, IS_FLIPS[type(o)]()))
-        for field, child in ast.iter_fields(parent):
-            if isinstance(child, list):
-                for i, node in enumerate(child):
-                    if _is_not(node):
-                        yield "drop-not", node, lambda b=child, i=i, n=node: _set_item(b, i, n.operand)
-            elif _is_not(child):
-                yield "drop-not", child, lambda p=parent, f=field, n=child: _set(p, f, n.operand)
-
-
-def _is_not(node) -> bool:
-    return isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not)
-
-
-def _statements(function: ast.FunctionDef):
-    """(label, node, apply) for each statement that ``apply()`` replaces
-    with ``pass``: every one in the function's body at any depth, but the
-    docstring and ``pass`` itself."""
+    """(sequence, label, node, apply) for each mutation the function admits,
+    found in one walk: each is a new value for one field of a node, or for
+    one item of a list field, and ``apply()`` puts it there and returns an
+    undo. ``node``, whose position orders the mutant, is the swapped
+    operator's expression, the nudged constant, or the dropped statement or
+    ``not``. A docstring and ``pass`` itself are never dropped."""
     docstring = function.body[0] if ast.get_docstring(function) is not None else None
     for parent in ast.walk(function):
-        for _, block in ast.iter_fields(parent):
-            if isinstance(block, list):
-                for i, node in enumerate(block):
-                    if isinstance(node, ast.stmt) and not isinstance(node, ast.Pass) and node is not docstring:
-                        yield "drop-stmt", node, lambda b=block, i=i: _set_item(b, i, ast.Pass())
+        for field, value in ast.iter_fields(parent):
+            if isinstance(value, list):
+                slots, put = enumerate(value), functools.partial(_set_item, value)
+            else:
+                slots, put = [(field, value)], functools.partial(_set, parent)
+            for key, old in slots:
+                if type(old) in SWAPS:
+                    new = SWAPS[type(old)]()
+                    sequence = BOOLEAN if isinstance(old, BOOLEAN_OPS) else OPERATOR
+                    label, node = f"{type(old).__name__}/{type(new).__name__}", parent
+                elif isinstance(old, ast.USub):
+                    sequence, label, node, new = OPERATOR, "drop-neg", parent, ast.UAdd()
+                elif type(old) is float and old != 0.0:  # a Constant's value
+                    sequence, label, node, new = OPERATOR, "nudge", parent, old * NUDGE
+                elif isinstance(old, ast.stmt) and not isinstance(old, ast.Pass) and old is not docstring:
+                    sequence, label, node, new = STATEMENT, "drop-stmt", old, ast.Pass()
+                elif isinstance(old, ast.UnaryOp) and isinstance(old.op, ast.Not):
+                    sequence, label, node, new = BOOLEAN, "drop-not", old, old.operand
+                else:
+                    continue
+                yield sequence, label, node, functools.partial(put, key, new)
 
 
 def _set(node, field, value):
@@ -239,10 +219,11 @@ def _mutated(tree: ast.Module, apply) -> str:
 
 
 def mutants():
-    """(id, module, source) of every mutant, in source order: by the mutated
-    node's first line and column, the outer node first, and a comparison's
-    operators left to right. ``source()`` writes the mutated module only when
-    a mutant runs, so listing the ids unparses nothing."""
+    """(id, module, source) of every mutant: by function, then by sequence,
+    then in source order, by the mutated node's first line and column, the
+    outer node first, and a comparison's operators left to right.
+    ``source()`` writes the mutated module only when a mutant runs, so
+    listing the ids unparses nothing."""
     seen = set()
     for module, names in TARGETS.items():
         tree = ast.parse((ROOT / PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
@@ -251,10 +232,10 @@ def mutants():
         if missing:
             raise SystemExit(f"{module} has no {sorted(missing)}: update TARGETS")
         for name in names:
-            for kind in (_sites, _statements, _logic):  # each numbered in its own sequence
-                sites = sorted(kind(functions[name]), key=lambda s: (
-                    s[1].lineno, s[1].col_offset, -s[1].end_lineno, -s[1].end_col_offset))
-                for number, (label, node, apply) in enumerate(sites):
+            sites = sorted(_sites(functions[name]), key=lambda s: (
+                s[0], s[2].lineno, s[2].col_offset, -s[2].end_lineno, -s[2].end_col_offset))
+            for _, sequence in itertools.groupby(sites, key=lambda s: s[0]):
+                for number, (_, label, _, apply) in enumerate(sequence):
                     mutant_id = f"{module}.{name}#{number}:{label}"
                     assert mutant_id not in seen, mutant_id
                     seen.add(mutant_id)
