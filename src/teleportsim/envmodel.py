@@ -69,7 +69,7 @@ from .qcore import (
     DensityMatrix, Ket, _check_normalized, _fidelity_of, _Frozen, _matrix_entries, _pure_density, _purity_of,
     _qubit_rows, _Result, _stored,
 )
-from .teleport import OUTCOME_ORDER, _CORRECTION_ROWS, BellOutcome, _correct, _draw
+from .teleport import OUTCOME_ORDER, BellOutcome, _delivered, _draw
 
 __all__ = [
     "DegenerateModelError",
@@ -433,14 +433,14 @@ def direct_report(a: complex, b: complex, env: EnvironmentModel) -> DeviationRep
 def noisy_teleport(psi: Ket, env: EnvironmentModel, seed: int) -> DeviationReport:
     """Full protocol run whose correction step couples to the environment.
 
-    The ideal branch delivers the input amplitudes up to global phase; the
-    coupling then degrades them, so the reported metrics are independent of
-    the sampled branch. ``seed`` follows ``run_ideal``'s rule.
+    Every outcome's correction delivers the same pair (p, q) up to sign (see
+    ``teleport._bell_branches``), and rho3 does not see that sign, so the
+    report is the coupling's on (p, q): its rho3 and metrics are the same,
+    bit for bit, whatever outcome the seed draws, and only ``branch`` tells
+    the outcomes apart. ``seed`` follows ``run_ideal``'s rule.
     """
-    a, b, index, branches, prob = _draw(psi, seed)
-    # No record: the drawn branch's corrected pair, as a record derives it.
-    # The table and its probability are released before the kernel runs, so
-    # only the outcome's index and that pair are alive under the report's work.
-    a, b = _correct(_CORRECTION_ROWS[index], branches[index])
-    del branches, prob
+    a, b, index = _draw(psi, seed)
+    # No record, no branch table and no correction: only the delivered pair
+    # and the outcome's index are alive under the report's work.
+    a, b = _delivered(a, b)[:2]
     return _report(a, b, env, branch=OUTCOME_ORDER[index])

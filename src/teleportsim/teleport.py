@@ -12,9 +12,10 @@ and leaves a signed permutation of (a, b), so the top two bits of the seed's
 first 64-bit Philox word w pick outcome ``w >> 62``. That table is a few
 operations on two amplitudes, so it is computed in Python ``complex``
 arithmetic rather than numpy, whose per-call cost on 2-element arrays exceeds
-the arithmetic. A protocol record keeps the outcome and the conditional
-pair, derives the corrected pair from ``CORRECTIONS`` and builds its ``Ket``
-values on first read.
+the arithmetic. Every correction delivers the same pair up to sign, so a
+call computes one fidelity for all of its records. A protocol record keeps
+the outcome, the conditional pair and the two numbers, derives the corrected
+pair from ``CORRECTIONS`` and builds its ``Ket`` values on first read.
 ``prepare_joint`` with ``qcore.born_measure`` is the general float route to
 the same measurement: an oracle no package code calls, left out of ``__all__``.
 
@@ -76,16 +77,23 @@ class TeleportRecord(_Result):
     state matches the input, with particle 3's state before and after the
     correction as ``Ket`` values.
 
-    Only the protocol builds a record: it stores the outcome and the
-    conditional pair, whose Kets are built through ``Ket``'s check on first
-    read, and cached. The corrected pair is the outcome's correction applied
-    to the conditional pair, derived on each read and not stored."""
+    Only the protocol builds a record: it stores the outcome, the
+    conditional pair, the fidelity and the probability, and builds the Kets
+    through ``Ket``'s check on first read, and caches them. The corrected
+    pair is the outcome's correction applied to the conditional pair,
+    derived on each read and not stored. Every correction delivers the same
+    pair (p, q) up to sign (see ``_bell_branches``), so the four records of
+    one input share one fidelity, bit for bit, and a noisy report on that
+    pair does not depend on the outcome."""
 
     _fields = ("outcome", "conditional_state", "corrected_state", "fidelity", "probability")
 
     @property
     def _corrected(self) -> tuple[complex, complex]:
-        return _correct(CORRECTIONS[self.outcome].rows, self._conditional)
+        # The gate's entries are 0 and +-1, so applying it is exact.
+        (g00, g01), (g10, g11) = CORRECTIONS[self.outcome].rows
+        c0, c1 = self._conditional
+        return g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
 
     @cached_property
     def conditional_state(self) -> Ket:
@@ -102,67 +110,57 @@ def prepare_joint(psi: Ket) -> Ket:
     return Ket([x * s for x in _qubit(psi) for s in singlet], (psi.labels[0], "2", "3"))
 
 
-def _bell_branches(a: complex, b: complex) -> tuple[tuple[tuple[complex, complex], ...], float]:
-    """Particle 3's normalized pair after each Bell outcome, in
-    ``OUTCOME_ORDER``, and the probability every outcome has, for the
-    sender's checked (a, b).
+def _delivered(a: complex, b: complex) -> tuple[complex, complex, float]:
+    """The pair (p, q) that every correction delivers up to sign, and the
+    probability every outcome has, for the sender's checked (a, b).
 
-    With h = sqrt(1/2), p = h (a h) and q = h (b h) are the amplitudes that
+    With h = sqrt(1/2), h (a h) and h (b h) are the amplitudes that
     <bell_i|_12 picks out of psi (x) singlet, rounded as that contraction
-    rounds them. The unnormalized branches are (-q, p), (q, p), (-p, q) and
-    (-p, -q) for Phi+, Phi-, Psi+ and Psi-, and |q|^2 + |p|^2, about 1/4, is
-    each one's Born probability. Scaling by the reciprocal of its square root
-    rounds as numpy's division of a complex array by a real does.
+    rounds them, and the sum of their squared moduli, about 1/4, is each
+    outcome's Born probability. (p, q) is that pair scaled by the reciprocal
+    of the probability's square root, which rounds as numpy's division of a
+    complex array by a real does.
     """
     h = _SQRT_HALF
     p, q = h * (a * h), h * (b * h)
     prob = (q.real * q.real + q.imag * q.imag) + (p.real * p.real + p.imag * p.imag)
     scale = 1.0 / math.sqrt(prob)
-    p, q = p * scale, q * scale
+    return p * scale, q * scale, prob
+
+
+def _bell_branches(a: complex, b: complex) -> tuple[tuple[tuple[complex, complex], ...], float, float]:
+    """Particle 3's normalized pair after each Bell outcome, in
+    ``OUTCOME_ORDER``, the fidelity every branch delivers and the
+    probability every outcome has, for the sender's checked (a, b).
+
+    The pairs are (-q, p), (q, p), (-p, q) and (-p, -q) for Phi+, Phi-, Psi+
+    and Psi-, with (p, q) from ``_delivered``. Each outcome's correction
+    maps its pair to (p, q) or (-p, -q), exactly up to the sign of a zero
+    part: the gates' entries are 0 and +-1, and negation is exact. So every
+    branch has the one fidelity |<psi|(p, q)>|^2, the fidelity of the unit
+    pair's density matrix, and ``noisy_teleport``'s report, the coupling's
+    on (p, q), does not depend on the outcome.
+    """
+    p, q, prob = _delivered(a, b)
     # Negation is exact, so one -p and one -q serve every pair.
     mp, mq = -p, -q
-    return ((mq, p), (q, p), (mp, q), (mp, mq)), prob
+    return ((mq, p), (q, p), (mp, q), (mp, mq)), abs(a.conjugate() * p + b.conjugate() * q) ** 2, prob
 
 
-def _correct(rows, pair: tuple[complex, complex]) -> tuple[complex, complex]:
-    """The pair (c0, c1) after the gate whose ``rows`` are given. The gate's
-    entries are 0 and +-1, so applying it to the two complexes is exact."""
-    (g00, g01), (g10, g11) = rows
-    c0, c1 = pair
-    return g00 * c0 + g01 * c1, g10 * c0 + g11 * c1
-
-
-# Each outcome's correction rows, by index into OUTCOME_ORDER, read from
-# CORRECTIONS once.
-_CORRECTION_ROWS = tuple(CORRECTIONS[outcome].rows for outcome in OUTCOME_ORDER)
-
-
-def _record(a: complex, b: complex, index: int, branches, prob: float) -> TeleportRecord:
-    # Branch ``index`` of _bell_branches for the input (a, b). Its corrected
-    # pair (d0, d1) is formed only for the fidelity: it is a unit pair, so
-    # |<psi|d>|^2 is the fidelity of its density matrix. Each product is
-    # written over the factor it consumes, so no dead pair is alive beside
-    # both products. The record keeps the branch's own pair and derives
-    # (d0, d1) again when it is read.
-    conditional = branches[index]
-    d0, d1 = _correct(_CORRECTION_ROWS[index], conditional)
-    d0 = a.conjugate() * d0
-    d1 = b.conjugate() * d1
-    fid = abs(d0 + d1) ** 2
-    return _stored(TeleportRecord, outcome=OUTCOME_ORDER[index], _conditional=conditional, fidelity=fid,
+def _record(index: int, branches, fid: float, prob: float) -> TeleportRecord:
+    # Branch ``index`` of a _bell_branches table, with the table's fidelity.
+    return _stored(TeleportRecord, outcome=OUTCOME_ORDER[index], _conditional=branches[index], fidelity=fid,
                    probability=prob)
 
 
-def _draw(psi: Ket, seed: int) -> tuple[complex, complex, int, tuple, float]:
-    """A seeded run's ``(a, b, index, branches, prob)``: the sender's checked
-    pair, the index into ``OUTCOME_ORDER`` of the outcome the seed draws, and
-    ``_bell_branches(a, b)``. The input is checked before the seed, and the
-    branch table is built after the draw, so none of it is alive under the
-    cipher's products."""
+def _draw(psi: Ket, seed: int) -> tuple[complex, complex, int]:
+    """A seeded run's ``(a, b, index)``: the sender's checked pair and the
+    index into ``OUTCOME_ORDER`` of the outcome the seed draws. The input is
+    checked before the seed, and nothing is derived from the pair until the
+    caller has the outcome, so none of it is alive under the cipher's
+    products."""
     a, b = _qubit(psi)
-    index = _first_word(seed) >> 62
-    branches, prob = _bell_branches(a, b)
-    return a, b, index, branches, prob
+    return a, b, _first_word(seed) >> 62
 
 
 def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
@@ -172,15 +170,16 @@ def run_ideal(psi: Ket, seed: int) -> TeleportRecord:
     draw u = (w >> 11) * 2^-53 picks as ``int(4 * u)``: 4u is exact and its
     integer part is w's top two bits. The seed is an integer at least 0: an
     int, a bool or a numpy integer (see ``qcore._first_word``)."""
-    return _record(*_draw(psi, seed))
+    a, b, index = _draw(psi, seed)
+    return _record(index, *_bell_branches(a, b))
 
 
 def enumerate_branches(psi: Ket) -> list[TeleportRecord]:
-    """All four measurement branches, deterministically, in bell-basis order."""
-    a, b = _qubit(psi)
-    branches, prob = _bell_branches(a, b)
+    """All four measurement branches, deterministically, in bell-basis order.
+    The four records share one fidelity and one probability."""
+    branches, fid, prob = _bell_branches(*_qubit(psi))
     # Four explicit calls, not a comprehension: before Python 3.12 (PEP 709)
     # each call of a comprehension allocates a function object and a range
     # iterator, about 390 B, four times the heap of a record it returns.
-    return [_record(a, b, 0, branches, prob), _record(a, b, 1, branches, prob),
-            _record(a, b, 2, branches, prob), _record(a, b, 3, branches, prob)]
+    return [_record(0, branches, fid, prob), _record(1, branches, fid, prob),
+            _record(2, branches, fid, prob), _record(3, branches, fid, prob)]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from teleportsim.envmodel import DEGENERATE_TOL, EnvironmentModel
 from teleportsim.qcore import _first_word
-from teleportsim.teleport import BellOutcome
+from teleportsim.teleport import BellOutcome, enumerate_branches
 
 SQRT_HALF = np.sqrt(0.5)
 # The shared EPR pair (|01> - |10>)/sqrt(2).
@@ -158,6 +158,14 @@ def listed_conditional(outcome, a, b):
         BellOutcome.PHI_MINUS: np.array([b, a]),
         BellOutcome.PHI_PLUS: np.array([-b, a]),
     }[outcome]
+
+
+def delivered_pair(psi):
+    """The pair (p, q) that every correction delivers up to sign, bit for
+    bit: the Phi- branch's conditional pair is (q, p), and its correction X
+    only swaps it."""
+    q, p = enumerate_branches(psi)[1]._conditional
+    return p, q
 
 
 def trace_out(rho, dim_a, dim_b, keep):

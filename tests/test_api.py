@@ -42,10 +42,10 @@ from teleportsim.qcore import (
     ket_from_amplitudes, normalized_amplitudes, purity, seeded_stream, to_density,
 )
 from teleportsim.teleport import (
-    CORRECTIONS, BellOutcome, TeleportRecord, enumerate_branches, prepare_joint, run_ideal,
+    CORRECTIONS, OUTCOME_ORDER, BellOutcome, TeleportRecord, enumerate_branches, prepare_joint, run_ideal,
 )
 
-from support import NEAR_DEGENERATE, SQRT_HALF, coefficients, overlaps, qubits
+from support import NEAR_DEGENERATE, SQRT_HALF, coefficients, delivered_pair, overlaps, qubits
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -129,7 +129,7 @@ CONSTRUCTIONS = {
     # A report's rho3 is stored unchecked, so no hook runs for it.
     "direct_report": (lambda: direct_report(0.6, 0.8j, ENV), 0, 0, 0, 0),
     "reduced_state": (lambda: reduced_state(0.6, 0.8j, ENV), 0, 1, 0, 0),
-    # The run's Kets are never built either: the report reads the corrected pair.
+    # The run's Kets are never built either: the report reads the delivered pair.
     "noisy_teleport": (lambda: noisy_teleport(PSI, ENV, 3), 0, 0, 0, 0),
     "evolve": (lambda: evolve(0.6, 0.8j, ENV), 3, 0, 0, 0),
 }
@@ -242,8 +242,55 @@ def test_lazy_fields_equal_eager_construction_bit_for_bit(ab, c0, c1, gamma, see
         assert_stored_alike(rho3, DensityMatrix(rows))
     record, report = records[0], noisy_teleport(psi, env, seed)
     assert report.branch is record.outcome
-    rows = closed_form(*corrected_pair(record), c0, c1, gamma).rows()
+    rows = closed_form(*delivered_pair(psi), c0, c1, gamma).rows()
     assert_stored_alike(report.rho3, DensityMatrix(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(qubits())
+@example(ab=(1, 0))
+@example(ab=(complex(-0.0, 0.6), complex(0.8, -0.0)))
+@example(ab=(1, 1e-160))
+@example(ab=(1, 1e-300))
+def test_every_branch_delivers_one_fidelity_bit_for_bit(ab):
+    # Each correction maps its branch's pair to (p, q) or (-p, -q), so the
+    # four records share one fidelity: |<psi|d>|^2 on each record's own
+    # corrected pair d, bit for bit.
+    psi = ket_from_amplitudes(*ab)
+    a, b = psi.entries
+    records = enumerate_branches(psi)
+    for record in records:
+        d0, d1 = corrected_pair(record)
+        assert record.fidelity is records[0].fidelity
+        assert record.fidelity.hex() == (abs(a.conjugate() * d0 + b.conjugate() * d1) ** 2).hex()
+
+
+# One seed per outcome: each seed and the index of the outcome it draws.
+_ONE_SEED_PER_OUTCOME = {0: 0, 4: 1, 2: 2, 5: 3}
+
+
+@settings(max_examples=200, deadline=None)
+@given(qubits(), coefficients, coefficients, overlaps)
+@example(ab=(1, 0), c0=1, c1=1, gamma=0.5)
+@example(ab=(complex(-0.0, 0.6), complex(0.8, -0.0)), c0=1e200, c1=1e-200j, gamma=-1 - OVERLAP_TOL)
+@example(ab=(1, 1e-160), c0=1e-140, c1=1, gamma=0.5j)
+@example(ab=(1, 1e-300), c0=1.7e308, c1=1.7e308j, gamma=0.3)
+@example(ab=(NEAR_DEGENERATE, 1), c0=1, c1=NEAR_DEGENERATE * 1j, gamma=-0.6j)
+def test_a_noisy_report_is_the_same_for_every_outcome(ab, c0, c1, gamma):
+    # Every outcome's correction delivers (p, q) up to sign, so the report,
+    # signed zeros included, does not depend on the outcome drawn.
+    psi = ket_from_amplitudes(*ab)
+    try:
+        env = EnvironmentModel(gamma, c0, c1)
+        reports = {seed: noisy_teleport(psi, env, seed) for seed in _ONE_SEED_PER_OUTCOME}
+    except DegenerateModelError:
+        assume(False)
+    first = reports[0]
+    for seed, report in reports.items():
+        assert report.branch is OUTCOME_ORDER[_ONE_SEED_PER_OUTCOME[seed]]
+        assert [report.delta.hex(), report.fidelity.hex(), report.purity.hex()] == [
+            first.delta.hex(), first.fidelity.hex(), first.purity.hex()]
+        assert bits(report.rho3.rows) == bits(first.rho3.rows)
 
 
 def test_the_near_degenerate_example_is_computed():

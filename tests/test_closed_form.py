@@ -644,7 +644,7 @@ def test_fidelity_and_purity_of_each_state_are_the_kernels_values(ab, c0, c1, ga
     report, noisy = direct_report(a, b, env), noisy_teleport(psi, env, 0)
     for rho3 in (reduced_state(a, b, env), report.rho3):
         assert [fidelity(psi, rho3).hex(), purity(rho3).hex()] == [form.fidelity.hex(), form.purity.hex()]
-    # noisy_teleport's rho3 is the corrected pair's, a few ulps from (a, b)'s.
+    # noisy_teleport's rho3 is the delivered pair's, a few ulps from (a, b)'s.
     assert purity(noisy.rho3).hex() == noisy.purity.hex()
     for rho3 in (report.rho3, noisy.rho3):
         got = fidelity(psi, rho3), purity(rho3)

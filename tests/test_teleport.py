@@ -31,8 +31,8 @@ from teleportsim.teleport import (
 from teleportsim.qcore import _first_word, seeded_stream
 
 from support import (
-    BELL_DRAW_EDGES, BELL_DRAW_STATES, SINGLET, SQRT_HALF, bell_contraction, listed_conditional, qubits,
-    random_qubit,
+    BELL_DRAW_EDGES, BELL_DRAW_STATES, SINGLET, SQRT_HALF, bell_contraction, delivered_pair, listed_conditional,
+    qubits, random_qubit,
 )
 
 TWO_QUBITS = Ket(SINGLET, ("2", "3"))
@@ -103,8 +103,8 @@ def test_corrections_map_each_outcome_to_its_gate():
 
 
 def test_corrections_table_is_read_only():
-    # The protocol reads its correction rows from this table once, at import:
-    # a table that took writes could drift from the gates it applies.
+    # A record derives its corrected pair from this table: a table that took
+    # writes could drift from the gates it applies.
     with pytest.raises(TypeError):
         CORRECTIONS[BellOutcome.PSI_MINUS] = X
     with pytest.raises(TypeError):
@@ -451,7 +451,7 @@ _MEMORY_LARGE_SEED = 2**128 + 12345
 # What a protocol call allocates beyond its result, measured on Python 3.11:
 # run_ideal 272 B, where its heap peaks under the cipher's four 128-bit
 # products in _first_word (356 B beyond the word it returns), noisy_teleport
-# 152 B and enumerate_branches 48 B. Each of these wastes fails a bound on
+# 152 B and enumerate_branches 0 B. Each of these wastes fails a bound on
 # its own: two dead words beside the cipher's four products (run_ideal
 # 344 B, noisy_teleport 224 B, _first_word 428 B), a dead corrected pair
 # beside the fidelity's products (enumerate_branches 72 B), a
@@ -480,8 +480,8 @@ def test_a_protocol_call_holds_little_beyond_what_it_returns(call, bound):
 
 def test_noisy_teleport_releases_its_record_before_the_kernel(monkeypatch):
     # It builds no record, and when the report's work starts it holds,
-    # beyond its arguments, only the corrected pair and the outcome (or its
-    # index): the branch table and its probability are released, so
+    # beyond its arguments, only the delivered pair and the outcome (or its
+    # index): it builds no branch table and releases the probability, so
     # noisy_teleport peaks where run_ideal does.
     held = []
     report = envmodel._report
@@ -495,12 +495,13 @@ def test_noisy_teleport_releases_its_record_before_the_kernel(monkeypatch):
         held.append((a, b, branch))
         return report(a, b, env, branch=branch)
 
-    expected = run_ideal(_MEMORY_PSI, 12345)
+    expected, delivered = run_ideal(_MEMORY_PSI, 12345), delivered_pair(_MEMORY_PSI)
     monkeypatch.setattr(teleport, "_stored", refuse_record)
     monkeypatch.setattr(envmodel, "_report", traced_report)
     assert noisy_teleport(_MEMORY_PSI, _MEMORY_ENV, 12345).branch is expected.outcome
     *kept, (a, b, branch) = held
-    assert (a, b) == expected._corrected and branch is expected.outcome
+    assert np.array((a, b)).tobytes() == np.array(delivered).tobytes()
+    assert branch is expected.outcome
     for value in kept:
         assert value is a or value is b or value is branch or (type(value) is int and OUTCOME_ORDER[value] is branch)
 

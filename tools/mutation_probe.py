@@ -90,7 +90,7 @@ TARGETS = {
         "_state_rows", "deviation", "printed_deviation", "deviation_closed_form_paper", "noisy_teleport",
     ),
     "teleport": (
-        "TeleportRecord._corrected", "_bell_branches", "_correct", "_record", "_draw", "run_ideal",
+        "TeleportRecord._corrected", "_delivered", "_bell_branches", "_record", "_draw", "run_ideal",
         "enumerate_branches",
     ),
     "cli": ("_check_numbers", "_block_overlaps", "load_config", "_sweep_config", "cmd_sweep", "build_parser",
